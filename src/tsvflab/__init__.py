@@ -8,6 +8,7 @@ interferometer with its primary/secondary presence classification.
 
 from .errors import (
     DarkDetectorError,
+    FieldError,
     NonHermitianOperatorError,
     OrthogonalSelectionError,
     ScheduleError,
@@ -40,7 +41,6 @@ from .limits import (
     classify_order,
     compare_limits,
     continuity_metric,
-    default_g_decade,
     derail_metric,
     first_order_residual,
     fit_order,
@@ -90,12 +90,12 @@ from .scenario import (
     serialize,
     validate_semantics,
 )
+from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
 from .weakmeas import (
     PostSelectedPointer,
     PrePostSelection,
     WeakValueEstimate,
     analytic_estimate,
-    default_g_schedule,
     estimate_weak_value,
     expectation,
     measure_once,

@@ -24,6 +24,7 @@ from .errors import (
     UnclassifiedOrderError,
 )
 from .pointer import initial_state, translation_generator
+from .schedule import default_g_decade, default_g_schedule
 from .weakmeas import PrePostSelection
 
 PRESETS = {
@@ -75,15 +76,17 @@ def _emit_json(header: list[str], rows: list[list[str]]) -> str:
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
-def _override_schedule(args, fallback: Sequence[float] | None) -> tuple[float, ...]:
-    if args.g_min is not None or args.g_max is not None or args.points is not None:
-        g_max = args.g_max if args.g_max is not None else 1e-2
-        g_min = args.g_min if args.g_min is not None else 1e-4
-        points = args.points if args.points is not None else 9
-        return limits.default_g_decade(g_max, g_min, points)
-    if fallback is not None:
-        return tuple(fallback)
-    return limits.default_g_decade()
+def _g_schedule(args, doc, default):
+    """The g-schedule by precedence: the --g-max/--g-min/--points flags (a
+    geometric schedule, unset flags at ``default_g_decade``'s defaults),
+    then the scenario's ``g_schedule``, then ``default``."""
+    flags = {"g_max": args.g_max, "g_min": args.g_min, "points": args.points}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if flags:
+        return default_g_decade(**flags)
+    if doc.experiment.g_schedule is not None:
+        return doc.experiment.g_schedule
+    return default
 
 
 def _selection(doc) -> PrePostSelection:
@@ -93,11 +96,7 @@ def _selection(doc) -> PrePostSelection:
 
 def _run_weakvalue(doc, args):
     sel = _selection(doc)
-    no_flags = args.g_min is None and args.g_max is None and args.points is None
-    if no_flags and doc.experiment.g_schedule is None:
-        schedule = weakmeas.default_g_schedule(doc.pointer)
-    else:
-        schedule = _override_schedule(args, doc.experiment.g_schedule)
+    schedule = _g_schedule(args, doc, default_g_schedule(doc.pointer))
     header = ["observable", "analytic", "numeric", "deviation", "residual"]
     rows = []
     for name in sorted(doc.experiment.observables):
@@ -130,7 +129,7 @@ def _run_sweep(doc, args):
     metric_fn = _METRFN[doc.experiment.metric]
     ready = initial_state(doc.pointer)
     generator = translation_generator(doc.pointer)
-    schedule = _override_schedule(args, doc.experiment.g_schedule)
+    schedule = _g_schedule(args, doc, default_g_decade())
     result = limits.sweep_metric(
         lambda g: metric_fn(sel.pre, ready, op, generator, g), schedule
     )
@@ -149,7 +148,7 @@ def _network_arms(doc) -> list[str]:
 
 
 def _run_trace(doc, args):
-    schedule = _override_schedule(args, doc.experiment.g_schedule)
+    schedule = _g_schedule(args, doc, default_g_decade())
     header = ["arm", "g", "trace"]
     rows = []
     for arm in _network_arms(doc):
@@ -159,7 +158,7 @@ def _run_trace(doc, args):
 
 
 def _run_presence(doc, args):
-    schedule = _override_schedule(args, doc.experiment.g_schedule)
+    schedule = _g_schedule(args, doc, default_g_decade())
     report = interferometer.classify_presence(
         doc.network, _network_arms(doc), doc.pointer, schedule
     )
@@ -186,9 +185,7 @@ def _run_compare_limits(doc, args):
         kwargs["fixed_spread"] = plan.fixed_spread
     if plan.fixed_g is not None:
         kwargs["fixed_coupling"] = plan.fixed_g
-    g_schedule = plan.g_schedule
-    if args.g_min is not None or args.g_max is not None or args.points is not None:
-        g_schedule = _override_schedule(args, g_schedule)
+    g_schedule = _g_schedule(args, doc, None)  # None: compare_limits' own default
     comparison = limits.compare_limits(sel, op, g_schedule=g_schedule, **kwargs)
     header = ["branch", "parameter", "estimate", "deviation", "analytic"]
     rows = []

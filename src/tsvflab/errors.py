@@ -19,3 +19,16 @@ class UnclassifiedOrderError(RuntimeError):
 
 class ScheduleError(ValueError):
     """A coupling or spread schedule violates its monotonicity/positivity contract."""
+
+
+class FieldError(ValueError):
+    """A domain object rejected one of its fields.
+
+    ``path`` locates the field: its name, then indices and sub-fields where
+    the field is a sequence, e.g. ``("steps", 3, "mode_b")``.  Front ends
+    map it to a source position.
+    """
+
+    def __init__(self, message: str, *path):
+        super().__init__(message)
+        self.path = path

@@ -32,18 +32,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DarkDetectorError, ScheduleError
-from .limits import classify_order, default_g_decade, fit_order
+from .errors import DarkDetectorError, FieldError
+from .limits import classify_order, fit_order
 from .pointer import (
     PointerModel,
     initial_state,
     qubit_pointer,
     translation_generator,
 )
-from .qcore import StateVector
-
-#: Overlap threshold below which the post-selection detector counts as dark.
-DARK_OVERLAP_TOL = 1e-12
+from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector
+from .schedule import GSchedule, default_g_decade
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,16 @@ class BeamSplitter:
 
     def __post_init__(self):
         if self.mode_a == self.mode_b:
-            raise ValueError("beam splitter needs two distinct modes")
+            raise FieldError("beam splitter needs two distinct modes", "mode_b")
         if not 0.0 < self.transmissivity < 1.0:
-            raise ValueError("transmissivity must lie strictly between 0 and 1")
+            raise FieldError(
+                "transmissivity must lie strictly between 0 and 1", "transmissivity"
+            )
+
+    @property
+    def amplitudes(self) -> tuple[float, complex]:
+        """(transmitted, reflected) amplitude; the reflection carries the phase i."""
+        return math.sqrt(self.transmissivity), 1j * math.sqrt(1.0 - self.transmissivity)
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,11 @@ class TimeSlice:
     def __post_init__(self):
         labels = [label for label, _ in self.arms]
         modes = [mode for _, mode in self.arms]
-        if len(set(labels)) != len(labels):
-            raise ValueError("arm labels must be unique within a slice")
-        if len(set(modes)) != len(modes):
-            raise ValueError("arm modes must be unique within a slice")
+        for index, (label, mode) in enumerate(self.arms):
+            if label in labels[:index]:
+                raise FieldError("arm labels must be unique within a slice", "arms", index)
+            if mode in modes[:index]:
+                raise FieldError("arm modes must be unique within a slice", "arms", index)
 
     @property
     def arm_map(self) -> dict[str, int]:
@@ -97,32 +103,37 @@ class OpticalNetwork:
 
     def __post_init__(self):
         if self.n_modes < 2:
-            raise ValueError("networks need at least two modes")
-        if not 0 <= self.source_mode < self.n_modes:
-            raise ValueError("source mode out of range")
+            raise FieldError("networks need at least two modes", "n_modes")
+        self._check_mode(self.source_mode, "source mode", "source_mode")
         labels = [label for label, _ in self.detectors]
         modes = [mode for _, mode in self.detectors]
-        if len(set(labels)) != len(labels) or len(set(modes)) != len(modes):
-            raise ValueError("detector labels and modes must be unique")
-        if any(not 0 <= mode < self.n_modes for mode in modes):
-            raise ValueError("detector mode out of range")
+        for index, (label, mode) in enumerate(self.detectors):
+            if label in labels[:index] or mode in modes[:index]:
+                raise FieldError(
+                    "detector labels and modes must be unique", "detectors", index
+                )
+            self._check_mode(mode, "detector mode", "detectors", index)
         if self.postselect_detector not in labels:
-            raise ValueError(
-                f"post-selection detector {self.postselect_detector!r} is not "
-                f"among the detectors"
+            raise FieldError(
+                f"post-selection detector {self.postselect_detector!r} is not declared",
+                "postselect_detector",
             )
-        for step in self.steps:
+        for index, step in enumerate(self.steps):
             if isinstance(step, BeamSplitter):
-                if not (0 <= step.mode_a < self.n_modes and 0 <= step.mode_b < self.n_modes):
-                    raise ValueError("beam splitter mode out of range")
+                for field in ("mode_a", "mode_b"):
+                    mode = getattr(step, field)
+                    self._check_mode(mode, "beam splitter mode", "steps", index, field)
             elif isinstance(step, PhaseShift):
-                if not 0 <= step.mode < self.n_modes:
-                    raise ValueError("phase shift mode out of range")
+                self._check_mode(step.mode, "phase shift mode", "steps", index, "mode")
             elif isinstance(step, TimeSlice):
-                if any(not 0 <= mode < self.n_modes for _, mode in step.arms):
-                    raise ValueError("slice arm mode out of range")
+                for arm, (_, mode) in enumerate(step.arms):
+                    self._check_mode(mode, "slice arm mode", "steps", index, "arms", arm)
             else:
-                raise ValueError(f"unknown network step {step!r}")
+                raise FieldError(f"unknown network step {step!r}", "steps", index)
+
+    def _check_mode(self, mode: int, role: str, *path) -> None:
+        if not 0 <= mode < self.n_modes:
+            raise FieldError(f"{role} {mode} out of range", *path)
 
     @property
     def slices(self) -> tuple[tuple[int, TimeSlice], ...]:
@@ -150,13 +161,12 @@ class OpticalNetwork:
 def _element_matrix(step: NetworkStep, n_modes: int) -> np.ndarray:
     matrix = np.eye(n_modes, dtype=np.complex128)
     if isinstance(step, BeamSplitter):
-        t = math.sqrt(step.transmissivity)
-        r = math.sqrt(1.0 - step.transmissivity)
+        t, r = step.amplitudes
         a, b = step.mode_a, step.mode_b
         matrix[a, a] = t
         matrix[b, b] = t
-        matrix[a, b] = 1j * r
-        matrix[b, a] = 1j * r
+        matrix[a, b] = r
+        matrix[b, a] = r
     elif isinstance(step, PhaseShift):
         matrix[step.mode, step.mode] = np.exp(1j * step.phase)
     return matrix
@@ -259,7 +269,7 @@ def arm_slice_index(net: OpticalNetwork, arm: str) -> int:
 
 def _checked_overlap(net: OpticalNetwork) -> complex:
     overlap = network_overlap(net)
-    if abs(overlap) <= DARK_OVERLAP_TOL:
+    if abs(overlap) <= ORTHOGONAL_OVERLAP_TOL:
         raise DarkDetectorError(
             f"post-selection detector {net.postselect_detector!r} is dark: "
             f"|<out|in>| = {abs(overlap):.3e}"
@@ -392,11 +402,10 @@ class _TraceSetup:
 
         for position, step in enumerate(net.steps):
             if isinstance(step, BeamSplitter):
-                t = math.sqrt(step.transmissivity)
-                r = math.sqrt(1.0 - step.transmissivity)
+                t, r = step.amplitudes
                 a, b = step.mode_a, step.mode_b
-                upper = t * state[a] + 1j * r * state[b]
-                lower = 1j * r * state[a] + t * state[b]
+                upper = t * state[a] + r * state[b]
+                lower = r * state[a] + t * state[b]
                 state[a], state[b] = upper, lower
             elif isinstance(step, PhaseShift):
                 state[step.mode] = state[step.mode] * np.exp(1j * step.phase)
@@ -427,7 +436,7 @@ def _trace_from_setup(setup: _TraceSetup, overlap: complex, g: float) -> float:
         return 0.0
     conditional = setup.conditional_environment(g)
     probability = float(np.vdot(conditional, conditional).real)
-    if probability < 1e-300:
+    if probability < ZERO_PROBABILITY_FLOOR:
         raise DarkDetectorError(
             f"post-selection detector dark after coupling at g = {g!r}"
         )
@@ -490,12 +499,9 @@ def classify_presence(
     if model is None:
         model = qubit_pointer()
     if g_schedule is None:
-        g_schedule = default_g_decade()
-    schedule = tuple(float(g) for g in g_schedule)
-    if len(schedule) < 4:
-        raise ScheduleError("presence classification needs at least 4 points")
-    if math.log10(schedule[0] / schedule[-1]) < 1.0 - 1e-9:
-        raise ScheduleError("presence schedule must span at least one decade")
+        schedule = default_g_decade()
+    else:
+        schedule = GSchedule(g_schedule, span_decade=True)
     overlap = _checked_overlap(net)
 
     entries = []

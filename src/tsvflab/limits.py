@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ScheduleError, UnclassifiedOrderError
-from .pointer import PointerModel, gaussian_pointer
+from .pointer import gaussian_pointer
 from .qcore import (
     CouplingEvolution,
     LinearOperator,
@@ -32,7 +32,8 @@ from .qcore import (
     first_order_state,
     tensor_product,
 )
-from .weakmeas import PrePostSelection, _PointerReadout, weak_value
+from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
+from .weakmeas import PointerReadout, PrePostSelection, weak_value
 
 #: Metric values at or below this floor count as identically zero.
 METRIC_FLOOR = 1e-14
@@ -44,27 +45,12 @@ FIRST_ORDER_BAND = (0.75, 1.25)
 SECOND_ORDER_BAND = (1.75, 2.5)
 
 
-def default_g_decade(
-    g_max: float = 1e-2, g_min: float = 1e-4, points: int = 9
-) -> tuple[float, ...]:
-    """Decreasing geometric schedule used for all order fits by default."""
-    if not 0 < g_min < g_max:
-        raise ScheduleError("need 0 < g_min < g_max")
-    if points < 4:
-        raise ScheduleError("need at least 4 schedule points")
-    return tuple(np.geomspace(g_max, g_min, points))
-
-
-def _joint_ready(pre: StateVector, m: StateVector):
-    return tensor_product(pre, m)
-
-
 def continuity_metric(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """|| U(g)(|in> (x) |m>) - |in> (x) |m> ||; zero at g = 0, bounded by 2."""
     evolution = CouplingEvolution(S, P)
-    joint = _joint_ready(pre, m)
+    joint = tensor_product(pre, m)
     evolved = evolution.apply(g, joint)
     return float(np.linalg.norm(evolved.state.amps - joint.state.amps))
 
@@ -78,7 +64,7 @@ def derail_metric(
     evolution = CouplingEvolution(S, P)
     if g == 0.0:
         return 0.0
-    evolved = evolution.apply(g, _joint_ready(pre, m)).as_matrix()
+    evolved = evolution.apply(g, tensor_product(pre, m)).as_matrix()
     overlap = pre.amps.conj() @ evolved  # pointer-space row
     orthogonal = evolved - np.outer(pre.amps, overlap)
     return float(np.linalg.norm(orthogonal))
@@ -89,7 +75,7 @@ def first_order_residual(
 ) -> float:
     """Norm distance between the exact evolution and its O(g) expansion."""
     evolution = CouplingEvolution(S, P)
-    exact = evolution.apply(g, _joint_ready(pre, m))
+    exact = evolution.apply(g, tensor_product(pre, m))
     expansion = first_order_state(pre, m, S, P, g)
     return float(np.linalg.norm(exact.state.amps - expansion.state.amps))
 
@@ -99,29 +85,9 @@ def overlap_deficit(
 ) -> float:
     """1 - |<Psi0|U(g)|Psi0>|."""
     evolution = CouplingEvolution(S, P)
-    joint = _joint_ready(pre, m)
+    joint = tensor_product(pre, m)
     evolved = evolution.apply(g, joint)
     return float(1.0 - abs(np.vdot(joint.state.amps, evolved.state.amps)))
-
-
-def _check_fit_inputs(
-    g_values: Sequence[float], metric_values: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    gs = np.asarray([float(g) for g in g_values])
-    ms = np.asarray([float(v) for v in metric_values])
-    if gs.size != ms.size:
-        raise ValueError("g_values and metric_values lengths differ")
-    if gs.size < 4:
-        raise ScheduleError("need at least 4 sweep points")
-    if np.any(gs <= 0):
-        raise ScheduleError("g values must be positive")
-    if np.any(np.diff(gs) >= 0):
-        raise ScheduleError("schedule must decrease")
-    if np.any(~np.isfinite(ms)) or np.any(ms < 0):
-        raise ValueError("metric values must be finite and non-negative")
-    if math.log10(gs[0] / gs[-1]) < 1.0 - 1e-9:
-        raise ScheduleError("g values must span at least one decade")
-    return gs, ms
 
 
 def fit_order(
@@ -135,7 +101,12 @@ def fit_order(
     the all-floor outcome: (inf, 0.0, 0.0), meaning the metric left no
     trace at any fitted order.
     """
-    gs, ms = _check_fit_inputs(g_values, metric_values)
+    if len(g_values) != len(metric_values):
+        raise ValueError("g_values and metric_values lengths differ")
+    gs = np.array(GSchedule(g_values, span_decade=True))
+    ms = np.asarray([float(v) for v in metric_values])
+    if np.any(~np.isfinite(ms)) or np.any(ms < 0):
+        raise ValueError("metric values must be finite and non-negative")
     usable = ms > METRIC_FLOOR
     if int(np.count_nonzero(usable)) < 4:
         return (ALL_FLOOR_ORDER, 0.0, 0.0)
@@ -160,12 +131,9 @@ class SweepResult:
     def __post_init__(self):
         if len(self.g_values) != len(self.metric_values):
             raise ValueError("g_values and metric_values lengths differ")
-        if len(self.g_values) < 4:
-            raise ValueError("sweeps need at least 4 points")
         if any(v < 0 for v in self.metric_values):
             raise ValueError("metric values must be non-negative")
-        if any(b >= a for a, b in zip(self.g_values, self.g_values[1:])):
-            raise ValueError("g_values must decrease")
+        GSchedule(self.g_values, span_decade=True)
 
     @property
     def all_floor(self) -> bool:
@@ -177,8 +145,9 @@ def sweep_metric(
 ) -> SweepResult:
     """Evaluate ``metric(g)`` along a schedule and fit its leading order."""
     if g_values is None:
-        g_values = default_g_decade()
-    schedule = tuple(float(g) for g in g_values)
+        schedule = default_g_decade()
+    else:
+        schedule = GSchedule(g_values, span_decade=True)
     values = tuple(float(metric(g)) for g in schedule)
     order, coefficient, residual = fit_order(schedule, values)
     floored = sum(1 for v in values if v <= METRIC_FLOOR)
@@ -238,25 +207,16 @@ def compare_limits(
     the pointer, so the two routes are distinct experiments; both must
     converge to the same analytic ratio.
     """
-    spreads = tuple(float(d) for d in spread_schedule)
-    if len(spreads) < 2 or any(d <= 0 for d in spreads):
-        raise ScheduleError("spread schedule must contain positive values")
-    if any(b <= a for a, b in zip(spreads, spreads[1:])):
-        raise ScheduleError("spread schedule must increase")
+    spreads = SpreadSchedule(spread_schedule)
     if fixed_coupling <= 0 or fixed_spread <= 0:
         raise ScheduleError("fixed coupling and spread must be positive")
 
     analytic = weak_value(sel, S)
 
     coupling_model = gaussian_pointer(fixed_spread, n_points)
-    if g_schedule is None:
-        gs: Sequence[float] = tuple(0.02 * fixed_spread / 2.0**i for i in range(5))
-    else:
-        gs = tuple(float(g) for g in g_schedule)
-        if any(g <= 0 for g in gs) or any(b >= a for a, b in zip(gs, gs[1:])):
-            raise ScheduleError("g schedule must be positive and decrease")
+    gs = default_g_schedule(coupling_model) if g_schedule is None else GSchedule(g_schedule)
 
-    readout = _PointerReadout(sel, S, coupling_model)
+    readout = PointerReadout(sel, S, coupling_model)
     coupling_branch = []
     for g in gs:
         r = readout.ratio(g)
@@ -265,7 +225,7 @@ def compare_limits(
     spread_branch = []
     for spread in spreads:
         model = gaussian_pointer(spread, n_points)
-        r = _PointerReadout(sel, S, model).ratio(fixed_coupling)
+        r = PointerReadout(sel, S, model).ratio(fixed_coupling)
         spread_branch.append(LimitPoint(spread, r, abs(r - analytic)))
 
     return LimitComparison(
@@ -276,7 +236,3 @@ def compare_limits(
         tuple(spread_branch),
     )
 
-
-def pointer_model_for_spread(spread: float, n_points: int = 256) -> PointerModel:
-    """Convenience used by sweep front ends."""
-    return gaussian_pointer(spread, n_points)

@@ -27,8 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianOperatorError
-from .qcore import LinearOperator, StateVector, pauli_x, pauli_y, pauli_z
+from .errors import FieldError, NonHermitianOperatorError
+from .qcore import (
+    ZERO_PROBABILITY_FLOOR,
+    LinearOperator,
+    StateVector,
+    pauli_x,
+    pauli_y,
+    pauli_z,
+)
 
 GAUSSIAN_KIND = "gaussian_grid"
 QUBIT_KIND = "qubit"
@@ -62,29 +69,33 @@ class PointerModel:
             if self.spread is None or self.n_points is None or self.half_width is None:
                 raise ValueError("gaussian_grid needs spread, n_points and half_width")
             if not self.spread > 0:
-                raise ValueError("spread must be positive")
+                raise FieldError("spread must be positive", "spread")
             n = self.n_points
             if n < 64 or n > 4096 or (n & (n - 1)) != 0:
-                raise ValueError(
-                    "n_points must be a power of two between 64 and 4096"
+                raise FieldError(
+                    "n_points must be a power of two between 64 and 4096", "n_points"
                 )
             if not math.isfinite(self.spread) or not math.isfinite(self.half_width):
-                raise ValueError("spread and half_width must be finite")
+                raise FieldError("spread and half_width must be finite")
             if self.half_width < 8.0 * self.spread:
-                raise ValueError(
+                raise FieldError(
                     f"half_width {self.half_width} too small for spread "
-                    f"{self.spread}: need half_width >= 8 spread"
+                    f"{self.spread}: need half_width >= 8 spread",
+                    "half_width",
                 )
             if self.grid_spacing > self.spread / 4.0:
-                raise ValueError(
+                raise FieldError(
                     f"grid spacing {self.grid_spacing} does not resolve the "
-                    f"wavepacket: need spacing <= spread / 4"
+                    f"wavepacket: need spacing <= spread / 4",
+                    "n_points",
                 )
         elif self.kind == QUBIT_KIND:
             if self.generator_axis not in _PAULI_BY_AXIS:
-                raise ValueError(f"unknown generator axis {self.generator_axis!r}")
+                raise FieldError(
+                    f"unknown generator axis {self.generator_axis!r}", "generator_axis"
+                )
         else:
-            raise ValueError(f"unknown pointer kind {self.kind!r}")
+            raise FieldError(f"unknown pointer kind {self.kind!r}", "kind")
 
     @property
     def grid_spacing(self) -> float:
@@ -167,7 +178,7 @@ def moments(state: StateVector, op: LinearOperator) -> float:
     if op.dim != state.dim:
         raise ValueError("operator and state dimensions differ")
     norm_sq = float(np.vdot(state.amps, state.amps).real)
-    if norm_sq < 1e-300:
+    if norm_sq < ZERO_PROBABILITY_FLOOR:
         raise ValueError("cannot take moments of a zero-norm state")
     value = complex(np.vdot(state.amps, op.entries @ state.amps)) / norm_sq
     if abs(value.imag) > 1e-10:

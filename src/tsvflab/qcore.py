@@ -26,6 +26,11 @@ from .errors import NonHermitianOperatorError
 STRUCTURAL_TOL = 1e-12
 #: Tolerance promised for unitarity of constructed coupling unitaries.
 UNITARITY_TOL = 1e-10
+#: Squared norms below this floor count as zero (a dark branch, an empty state).
+ZERO_PROBABILITY_FLOOR = 1e-300
+#: Below this |<out|in>| the selection is orthogonal: the detector is dark and
+#: the analytic weak value is undefined.
+ORTHOGONAL_OVERLAP_TOL = 1e-12
 
 
 def _as_complex_vector(values) -> np.ndarray:

@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
+from .errors import FieldError, ScheduleError
 from .interferometer import (
     BeamSplitter,
     OpticalNetwork,
     PhaseShift,
     TimeSlice,
 )
-from .pointer import GAUSSIAN_KIND, PointerModel, QUBIT_KIND, gaussian_pointer, qubit_pointer
+from .pointer import GAUSSIAN_KIND, PointerModel, gaussian_pointer
 from .qcore import (
     LinearOperator,
     StateVector,
@@ -43,6 +44,7 @@ from .qcore import (
     pauli_z,
     projector,
 )
+from .schedule import GSchedule, SpreadSchedule
 
 VERSION_LINE = "tsvf-scenario v1"
 
@@ -374,13 +376,15 @@ def _tokenize_expr(text: str, base_col: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_PAULIS = {"pauli_x": pauli_x, "pauli_y": pauli_y, "pauli_z": pauli_z}
+
+
 class _ExprParser:
     """Recursive-descent evaluator over scalars and operator matrices."""
 
-    def __init__(self, tokens, dim: int, states: dict[str, StateVector]):
+    def __init__(self, tokens, states: dict[str, StateVector]):
         self.tokens = tokens
         self.pos = 0
-        self.dim = dim
         self.states = states
         self.depth = 0
 
@@ -434,7 +438,7 @@ class _ExprParser:
         if tok and tok[0] == "sym" and tok[1] == "-":
             self._next()
             kind, value = self._unary()
-            return (kind, -value if kind == "scalar" else -value)
+            return (kind, -value)
         return self._atom()
 
     def _atom(self):
@@ -451,12 +455,8 @@ class _ExprParser:
         raise _ExprError(col, f"unexpected {text!r}")
 
     def _named(self, name: str, col: int):
-        if name == "pauli_x":
-            return self._pauli(pauli_x(), col)
-        if name == "pauli_y":
-            return self._pauli(pauli_y(), col)
-        if name == "pauli_z":
-            return self._pauli(pauli_z(), col)
+        if name in _PAULIS:
+            return ("matrix", _PAULIS[name]().entries.copy())
         if name == "identity":
             self._expect_sym("(")
             arg = self._next()
@@ -485,9 +485,6 @@ class _ExprParser:
                 raise _ExprError(col, "sqrt needs a non-negative scalar")
             return ("scalar", math.sqrt(value))
         raise _ExprError(col, f"unknown operator builtin {name!r}")
-
-    def _pauli(self, op: LinearOperator, col: int):
-        return ("matrix", op.entries.copy())
 
     @staticmethod
     def _combine(tok, lhs, rhs, add: bool):
@@ -519,13 +516,13 @@ class _ExprParser:
 
 
 def _eval_operator_expr(
-    entry: _Entry, dim: int, states: dict[str, StateVector], diags: list[ParseDiagnostic]
+    entry: _Entry, states: dict[str, StateVector], diags: list[ParseDiagnostic]
 ) -> np.ndarray | None:
     try:
         tokens = _tokenize_expr(entry.value, entry.value_col)
         if not tokens:
             raise _ExprError(entry.value_col, "empty expression")
-        kind, value = _ExprParser(tokens, dim, states).parse()
+        kind, value = _ExprParser(tokens, states).parse()
     except _ExprError as err:
         diags.append(ParseDiagnostic(entry.line, err.col, err.message))
         return None
@@ -591,6 +588,9 @@ def _require_key(
 def _build_network(
     section: _Section, dim: int, diags: list[ParseDiagnostic]
 ) -> OpticalNetwork | None:
+    """Only lexical checks and ``modes == dim`` are made here; the network
+    objects check their own rules and raise a FieldError, whose path
+    ``where`` maps to the offending token."""
     table = _entries_map(
         section,
         ("modes", "source", "seq", "detectors", "postselect"),
@@ -620,18 +620,21 @@ def _build_network(
         )
         return None
 
-    def _mode_in_range(value: int, line: int, col: int) -> bool:
-        if not 0 <= value < n_modes:
-            diags.append(ParseDiagnostic(line, col, f"mode {value} out of range"))
-            return False
-        return True
+    where: dict[tuple, tuple[int, int]] = {
+        ("n_modes",): (modes_entry.line, modes_entry.value_col),
+        ("source_mode",): (source_entry.line, source_entry.value_col),
+        ("postselect_detector",): (postselect_entry.line, postselect_entry.value_col),
+    }
+
+    def report(err: FieldError, *prefix) -> None:
+        line, col = where.get(prefix + err.path, (section.line, section.col))
+        diags.append(ParseDiagnostic(line, col, str(err)))
 
     steps: list = []
     for entry in table.get("seq", []):
         tokens = [
-            (tok, entry.value_col + m.start())
+            (m.group(), entry.value_col + m.start())
             for m in re.finditer(r"\S+", entry.value)
-            for tok in [m.group()]
         ]
         keyword, kcol = tokens[0]
         args = tokens[1:]
@@ -643,28 +646,14 @@ def _build_network(
                 ok = False
                 continue
             try:
-                a, b = int(args[0][0]), int(args[1][0])
-                t = float(args[2][0])
+                values = (int(args[0][0]), int(args[1][0]), float(args[2][0]))
             except ValueError:
                 diags.append(
                     ParseDiagnostic(entry.line, args[0][1], "malformed beam_splitter args")
                 )
                 ok = False
                 continue
-            if not (_mode_in_range(a, entry.line, args[0][1]) and _mode_in_range(b, entry.line, args[1][1])):
-                ok = False
-                continue
-            if a == b or not 0.0 < t < 1.0:
-                diags.append(
-                    ParseDiagnostic(
-                        entry.line,
-                        args[2][1],
-                        "beam_splitter needs distinct modes and 0 < t < 1",
-                    )
-                )
-                ok = False
-                continue
-            steps.append(BeamSplitter(a, b, t))
+            make, fields = BeamSplitter, [("mode_a",), ("mode_b",), ("transmissivity",)]
         elif keyword == "phase_shift":
             if len(args) != 2:
                 diags.append(
@@ -673,47 +662,45 @@ def _build_network(
                 ok = False
                 continue
             try:
-                mode, phase = int(args[0][0]), float(args[1][0])
+                values = (int(args[0][0]), float(args[1][0]))
             except ValueError:
                 diags.append(
                     ParseDiagnostic(entry.line, args[0][1], "malformed phase_shift args")
                 )
                 ok = False
                 continue
-            if not _mode_in_range(mode, entry.line, args[0][1]):
-                ok = False
-                continue
-            steps.append(PhaseShift(mode, phase))
+            make, fields = PhaseShift, [("mode",), ("phase",)]
         elif keyword == "slice":
             arms: list[tuple[str, int]] = []
-            slice_ok = True
             for tok, col in args:
                 label, _, mode_text = tok.partition(":")
                 if not _NAME_RE.fullmatch(label) or not re.fullmatch(r"\d+", mode_text):
                     diags.append(
                         ParseDiagnostic(entry.line, col, f"malformed arm {tok!r} (want label:mode)")
                     )
-                    slice_ok = False
                     continue
-                mode = int(mode_text)
-                if not _mode_in_range(mode, entry.line, col):
-                    slice_ok = False
-                    continue
-                arms.append((label, mode))
-            if not slice_ok or not arms:
+                arms.append((label, int(mode_text)))
+            if len(arms) != len(args) or not arms:
                 if not args:
                     diags.append(ParseDiagnostic(entry.line, kcol, "empty slice"))
                 ok = False
                 continue
-            try:
-                steps.append(TimeSlice(tuple(arms)))
-            except ValueError as err:
-                diags.append(ParseDiagnostic(entry.line, kcol, str(err)))
-                ok = False
+            values = (tuple(arms),)
+            make, fields = TimeSlice, [("arms", index) for index in range(len(arms))]
         else:
             diags.append(
                 ParseDiagnostic(entry.line, kcol, f"unknown network step {keyword!r}")
             )
+            ok = False
+            continue
+        prefix = ("steps", len(steps))
+        where[prefix] = (entry.line, kcol)
+        for field, (_, col) in zip(fields, args):
+            where[prefix + field] = (entry.line, col)
+        try:
+            steps.append(make(*values))
+        except FieldError as err:
+            report(err, *prefix)
             ok = False
 
     detectors: list[tuple[str, int]] = []
@@ -727,24 +714,10 @@ def _build_network(
             )
             ok = False
             continue
-        mode = int(m.group(2))
-        if _mode_in_range(mode, detectors_entry.line, col):
-            detectors.append((m.group(1), mode))
-        else:
-            ok = False
+        where[("detectors", len(detectors))] = (detectors_entry.line, col)
+        detectors.append((m.group(1), int(m.group(2))))
 
     if not ok:
-        return None
-    if not _mode_in_range(source, source_entry.line, source_entry.value_col):
-        return None
-    if postselect_entry.value not in dict(detectors):
-        diags.append(
-            ParseDiagnostic(
-                postselect_entry.line,
-                postselect_entry.value_col,
-                f"post-selection detector {postselect_entry.value!r} is not declared",
-            )
-        )
         return None
     try:
         return OpticalNetwork(
@@ -754,8 +727,8 @@ def _build_network(
             detectors=tuple(detectors),
             postselect_detector=postselect_entry.value,
         )
-    except ValueError as err:
-        diags.append(ParseDiagnostic(section.line, section.col, str(err)))
+    except FieldError as err:
+        report(err)
         return None
 
 
@@ -770,46 +743,31 @@ def _build_pointer(
     kind_entry = _require_key(section, table, "kind", diags)
     if kind_entry is None:
         return None
-    kind = kind_entry.value
-    if kind == QUBIT_KIND:
-        axis_entry = table.get("generator_axis", [kind_entry])[0]
-        axis = axis_entry.value if axis_entry is not kind_entry else "y"
-        try:
-            return qubit_pointer(axis)
-        except ValueError as err:
-            diags.append(
-                ParseDiagnostic(axis_entry.line, axis_entry.value_col, str(err))
-            )
+    where = {(key,): (entries[0].line, entries[0].value_col) for key, entries in table.items()}
+    fields: dict = {}
+    if kind_entry.value == GAUSSIAN_KIND:
+        if _require_key(section, table, "spread", diags) is None:
             return None
-    if kind != GAUSSIAN_KIND:
-        diags.append(
-            ParseDiagnostic(
-                kind_entry.line, kind_entry.value_col, f"unknown pointer kind {kind!r}"
-            )
-        )
-        return None
-    spread_entry = _require_key(section, table, "spread", diags)
-    if spread_entry is None:
-        return None
-    spread = _parse_float_entry(spread_entry, diags)
-    if spread is None:
-        return None
-    n_points = 256
-    if "n_points" in table:
-        parsed = _parse_int_entry(table["n_points"][0], diags)
-        if parsed is None:
-            return None
-        n_points = parsed
-    half_width = None
-    if "half_width" in table:
-        parsed_hw = _parse_float_entry(table["half_width"][0], diags)
-        if parsed_hw is None:
-            return None
-        half_width = parsed_hw
+        for key, parse_value in (
+            ("spread", _parse_float_entry),
+            ("n_points", _parse_int_entry),
+            ("half_width", _parse_float_entry),
+        ):
+            if key in table:
+                fields[key] = parse_value(table[key][0], diags)
+                if fields[key] is None:
+                    return None
+        make = gaussian_pointer
+    else:
+        if "generator_axis" in table:
+            fields["generator_axis"] = table["generator_axis"][0].value
+        fields["kind"] = kind_entry.value
+        make = PointerModel
     try:
-        return gaussian_pointer(spread, n_points, half_width)
-    except ValueError as err:
-        diags.append(ParseDiagnostic(section.line, section.col, str(err)))
+        return make(**fields)
+    except FieldError as err:
+        line, col = where.get(err.path, (section.line, section.col))
+        diags.append(ParseDiagnostic(line, col, str(err)))
         return None
 
 
@@ -1063,7 +1021,7 @@ def parse(text: str) -> ScenarioResult:
             entries = _parse_matrix(entry, diags)
         else:
             entry = table["expr"][0]
-            entries = _eval_operator_expr(entry, dim or 0, states, diags)
+            entries = _eval_operator_expr(entry, states, diags)
         if entries is None:
             continue
         if dim is not None and entries.shape[0] != dim:
@@ -1164,7 +1122,7 @@ def parse(text: str) -> ScenarioResult:
 
 
 def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
-    """Check hermiticity, normalization, and schedule sanity.
+    """Check hermiticity, normalization, and the schedule rules.
 
     Returns the (possibly normalized) document with warnings, or None with
     error diagnostics.
@@ -1211,27 +1169,25 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
                 )
             )
 
-    if plan.g_schedule is not None:
-        line, col = _pos("experiment:g_schedule")
-        if any(g <= 0 for g in plan.g_schedule):
-            diags.append(ParseDiagnostic(line, col, "schedule points must be positive"))
-        elif any(b >= a for a, b in zip(plan.g_schedule, plan.g_schedule[1:])):
-            diags.append(ParseDiagnostic(line, col, "schedule must decrease"))
-        elif plan.kind in ("weakvalue", "sweep", "presence", "compare_limits") and len(
-            plan.g_schedule
-        ) < 4:
-            diags.append(
-                ParseDiagnostic(line, col, "schedule needs at least 4 points")
-            )
+    def _schedule(key: str, make):
+        values = getattr(plan, key)
+        if values is None:
+            return None
+        try:
+            return make(values)
+        except ScheduleError as err:
+            line, col = _pos(f"experiment:{key}")
+            diags.append(ParseDiagnostic(line, col, str(err)))
+            return values
 
-    if plan.spread_schedule is not None:
-        line, col = _pos("experiment:spread_schedule")
-        if any(d <= 0 for d in plan.spread_schedule):
-            diags.append(
-                ParseDiagnostic(line, col, "spread schedule points must be positive")
-            )
-        elif any(b <= a for a, b in zip(plan.spread_schedule, plan.spread_schedule[1:])):
-            diags.append(ParseDiagnostic(line, col, "spread schedule must increase"))
+    # a trace reads any schedule; the order fits of sweeps and presence
+    # classification need a decade
+    if plan.kind == "trace":
+        rules = {"min_points": 1}
+    else:
+        rules = {"span_decade": plan.kind in ("sweep", "presence")}
+    g_schedule = _schedule("g_schedule", lambda values: GSchedule(values, **rules))
+    spread_schedule = _schedule("spread_schedule", SpreadSchedule)
 
     for key, value in (("fixed_g", plan.fixed_g), ("fixed_spread", plan.fixed_spread)):
         if value is not None and value <= 0:
@@ -1248,16 +1204,8 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
 
     if any(d.severity == "error" for d in diags):
         return ScenarioResult(None, tuple(diags))
-    checked = ScenarioDoc(
-        dim=doc.dim,
-        states=states,
-        operators=doc.operators,
-        pointer=doc.pointer,
-        selection=doc.selection,
-        network=doc.network,
-        experiment=doc.experiment,
-        positions=doc.positions,
-    )
+    experiment = replace(plan, g_schedule=g_schedule, spread_schedule=spread_schedule)
+    checked = replace(doc, states=states, experiment=experiment)
     return ScenarioResult(checked, tuple(diags))
 
 

@@ -1,0 +1,78 @@
+"""Coupling and spread schedules: their rules and their defaults.
+
+A g-schedule is positive and strictly decreasing, holds at least 4 points
+wherever g is extrapolated or fitted, and spans at least one decade
+wherever a leading order is fitted.  A spread schedule is positive and
+strictly increasing with at least 2 points.  Every rule is checked here,
+always in that order, so each entry point reports the same message for
+the same schedule.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+from .errors import ScheduleError
+from .pointer import GAUSSIAN_KIND, PointerModel
+
+
+def _ordered(
+    values: Iterable[float], label: str, decreasing: bool, min_points: int
+) -> tuple[float, ...]:
+    points = tuple(float(v) for v in values)
+    if any(v <= 0 for v in points):
+        raise ScheduleError(f"{label} points must be positive")
+    if any(b >= a if decreasing else b <= a for a, b in zip(points, points[1:])):
+        verb = "decrease" if decreasing else "increase"
+        raise ScheduleError(f"{label} must {verb}")
+    if len(points) < min_points:
+        raise ScheduleError(f"{label} needs at least {min_points} points")
+    return points
+
+
+class GSchedule(tuple):
+    """Validated coupling strengths, a tuple of floats.
+
+    Checked in order: positive, strictly decreasing, at least
+    ``min_points`` long, and with ``span_decade`` g_max / g_min >= 10 (the
+    order fits need a decade to tell first from second order).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, values: Iterable[float], min_points: int = 4, span_decade: bool = False
+    ) -> "GSchedule":
+        schedule = super().__new__(cls, _ordered(values, "schedule", True, min_points))
+        if span_decade and math.log10(schedule[0] / schedule[-1]) < 1.0 - 1e-9:
+            raise ScheduleError("schedule must span at least one decade")
+        return schedule
+
+
+class SpreadSchedule(tuple):
+    """Validated pointer spreads: positive, strictly increasing, >= 2 points."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable[float]) -> "SpreadSchedule":
+        return super().__new__(cls, _ordered(values, "spread schedule", False, 2))
+
+
+def default_g_decade(
+    g_max: float = 1e-2, g_min: float = 1e-4, points: int = 9
+) -> GSchedule:
+    """Decreasing geometric schedule used for all order fits by default."""
+    if not 0 < g_min < g_max:
+        raise ScheduleError("need 0 < g_min < g_max")
+    # a negative count is too few points, not a numpy error
+    return GSchedule(np.geomspace(g_max, g_min, max(points, 0)))
+
+
+def default_g_schedule(model: PointerModel, points: int = 5) -> GSchedule:
+    """Geometric schedule, ratio 2, starting at 0.02 * spread (0.02 for qubits)."""
+    scale = model.spread if model.kind == GAUSSIAN_KIND else 1.0
+    start = 0.02 * scale
+    return GSchedule(start / 2.0**i for i in range(points))

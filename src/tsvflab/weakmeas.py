@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DarkDetectorError, OrthogonalSelectionError, ScheduleError
+from .errors import DarkDetectorError, OrthogonalSelectionError
 from .pointer import (
     GAUSSIAN_KIND,
     PointerModel,
@@ -27,6 +27,8 @@ from .pointer import (
     variance,
 )
 from .qcore import (
+    ORTHOGONAL_OVERLAP_TOL,
+    ZERO_PROBABILITY_FLOOR,
     CouplingEvolution,
     LinearOperator,
     StateVector,
@@ -34,11 +36,7 @@ from .qcore import (
     inner,
     tensor_product,
 )
-
-#: Below this overlap magnitude the analytic ratio is considered undefined.
-ORTHOGONAL_OVERLAP_TOL = 1e-12
-#: Post-selected probabilities under this floor signal a genuinely dark detector.
-DARK_PROBABILITY_FLOOR = 1e-300
+from .schedule import GSchedule, default_g_schedule
 
 ESTIMATE_METHODS = ("analytic", "pointer_numeric", "first_order")
 
@@ -114,7 +112,7 @@ def _conditional_branch(
     evolved = evolution.apply(g, joint)
     branch = _project_post(sel.post, evolved.as_matrix())
     probability = float(np.vdot(branch, branch).real)
-    if probability < DARK_PROBABILITY_FLOOR:
+    if probability < ZERO_PROBABILITY_FLOOR:
         raise DarkDetectorError(f"orthogonal post-selection at g = {g!r}")
     return PostSelectedPointer(
         StateVector(branch, normalized=None), probability, float(g)
@@ -154,25 +152,7 @@ def analytic_estimate(sel: PrePostSelection, S: LinearOperator) -> WeakValueEsti
     return WeakValueEstimate(weak_value(sel, S), "analytic", (), 0.0)
 
 
-def default_g_schedule(model: PointerModel, points: int = 5) -> tuple[float, ...]:
-    """Geometric schedule, ratio 2, starting at 0.02 * spread (0.02 for qubits)."""
-    scale = model.spread if model.kind == GAUSSIAN_KIND else 1.0
-    start = 0.02 * scale
-    return tuple(start / 2.0**i for i in range(points))
-
-
-def _check_schedule(g_schedule: Sequence[float]) -> tuple[float, ...]:
-    schedule = tuple(float(g) for g in g_schedule)
-    if len(schedule) < 4:
-        raise ScheduleError("need at least 4 schedule points")
-    if any(g <= 0 for g in schedule):
-        raise ScheduleError("schedule points must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ScheduleError("schedule must decrease")
-    return schedule
-
-
-class _PointerReadout:
+class PointerReadout:
     """Per-g readout machinery shared by the estimator and the limit sweeps."""
 
     def __init__(self, sel: PrePostSelection, S: LinearOperator, model: PointerModel):
@@ -195,7 +175,7 @@ class _PointerReadout:
             self.sel.pre, self.ready, self.S, self.generator, g
         )
         amps = _project_post(self.sel.post, expanded.as_matrix())
-        if float(np.vdot(amps, amps).real) < DARK_PROBABILITY_FLOOR:
+        if float(np.vdot(amps, amps).real) < ZERO_PROBABILITY_FLOOR:
             raise DarkDetectorError(f"orthogonal post-selection at g = {g!r}")
         return StateVector(amps, normalized=None)
 
@@ -219,7 +199,7 @@ def pointer_ratio(
     method: str = "pointer_numeric",
 ) -> complex:
     """Single-g weak-value readout (no extrapolation)."""
-    return _PointerReadout(sel, S, model).ratio(float(g), method)
+    return PointerReadout(sel, S, model).ratio(float(g), method)
 
 
 def estimate_weak_value(
@@ -239,10 +219,8 @@ def estimate_weak_value(
     """
     if method not in ("pointer_numeric", "first_order"):
         raise ValueError(f"unknown pipeline method {method!r}")
-    if g_schedule is None:
-        g_schedule = default_g_schedule(model)
-    schedule = _check_schedule(g_schedule)
-    readout = _PointerReadout(sel, S, model)
+    schedule = default_g_schedule(model) if g_schedule is None else GSchedule(g_schedule)
+    readout = PointerReadout(sel, S, model)
     ratios = np.array([readout.ratio(g, method) for g in schedule])
     gs = np.array(schedule)
     slope_re, intercept_re = np.polyfit(gs, ratios.real, 1)

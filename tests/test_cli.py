@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tsvflab.cli import fmt_complex, main, sci12
 
 DARK_NETWORK_SCENARIO = """tsvf-scenario v1
@@ -186,3 +188,39 @@ class TestFailureModes:
         path.write_text(text)
         assert main(["weakvalue", str(path)]) == 1
         assert "schedule must decrease" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,name,key,value,needle",
+        [
+            ("sweep", "eigenvalue_zero", "g_schedule", "0.01, 0.008, 0.006, 0.004",
+             "schedule must span at least one decade"),
+            ("presence", "nested_mzi_presence", "g_schedule", "0.01, 0.008, 0.006, 0.004",
+             "schedule must span at least one decade"),
+            ("compare-limits", "compare_limits_demo", "spread_schedule", "4.0",
+             "spread schedule needs at least 2 points"),
+        ],
+    )
+    def test_schedule_rule_in_file_exit_1(
+        self, tmp_path, capsys, command, name, key, value, needle
+    ):
+        from tsvflab.scenario import load_corpus_text
+
+        lines = [
+            line for line in load_corpus_text(name).splitlines()
+            if not line.startswith(f"{key} =")
+        ]
+        path = tmp_path / "bad.scn"
+        path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the diagnostic sits on the value of the last line
+        position = f"{len(lines) + 1}:{len(key) + 4}"
+        assert f"{path}:{position}: error: {needle}" in captured.err
+
+    def test_sub_decade_flags_stay_runtime_errors(self, capsys):
+        argv = ["sweep", "--preset", "eigenvalue-zero", "--g-max", "1e-2", "--g-min", "5e-3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: schedule must span at least one decade" in captured.err

@@ -255,6 +255,28 @@ class TestValidateSemantics:
         assert checked.doc is None
         assert any("schedule must decrease" in d.message for d in checked.diagnostics)
 
+    @pytest.mark.parametrize(
+        "name,key,value,fragment",
+        [
+            ("eigenvalue_zero", "g_schedule", "0.01, 0.008, 0.006, 0.004", "one decade"),
+            ("nested_mzi_presence", "g_schedule", "0.01, 0.008, 0.006, 0.004", "one decade"),
+            ("compare_limits_demo", "spread_schedule", "4.0", "at least 2 points"),
+        ],
+    )
+    def test_schedule_rule_reported_at_the_schedule(self, name, key, value, fragment):
+        lines = [
+            line for line in load_corpus_text(name).splitlines()
+            if not line.startswith(f"{key} =")
+        ]
+        lines.append(f"{key} = {value}")
+        parsed = parse("\n".join(lines) + "\n")
+        assert parsed.ok, parsed.diagnostics
+        checked = validate_semantics(parsed.doc)
+        assert checked.doc is None
+        (diag,) = checked.diagnostics
+        assert fragment in diag.message
+        assert (diag.line, diag.column) == (len(lines), len(key) + 4)
+
     def test_qubit_pointer_rejected_for_compare_limits(self):
         text = MINIMAL.replace("plan = weakvalue", "plan = compare_limits").replace(
             "observables = sz", "observable = sz"
@@ -263,6 +285,57 @@ class TestValidateSemantics:
         assert parsed.ok, parsed.diagnostics
         checked = validate_semantics(parsed.doc)
         assert checked.doc is None
+
+
+NETWORK = """tsvf-scenario v1
+[system]
+dim = 2
+[network]
+modes = 2
+source = 0
+seq = beam_splitter 0 1 0.5
+seq = phase_shift 1 0.25
+seq = slice A:0 B:1
+detectors = D1:0, D2:1
+postselect = D1
+"""
+
+# (scenario, line to replace, its replacement, offending token on the
+# replacement's last line, fragment): rules the domain objects check land
+# on the token that breaks them
+DOMAIN_ERRORS = [
+    (NETWORK, "seq = beam_splitter 0 1 0.5", "seq = beam_splitter 0 5 0.5", "5 0.5",
+     "beam splitter mode 5 out of range"),
+    (NETWORK, "seq = beam_splitter 0 1 0.5", "seq = beam_splitter 1 1 0.5", "1 0.5",
+     "distinct modes"),
+    (NETWORK, "seq = beam_splitter 0 1 0.5", "seq = beam_splitter 0 1 1.5", "1.5",
+     "transmissivity"),
+    (NETWORK, "seq = phase_shift 1 0.25", "seq = phase_shift 9 0.25", "9",
+     "phase shift mode 9 out of range"),
+    (NETWORK, "seq = slice A:0 B:1", "seq = slice A:0 A:1", "A:1", "labels must be unique"),
+    (NETWORK, "seq = slice A:0 B:1", "seq = slice A:0 B:7", "B:7",
+     "slice arm mode 7 out of range"),
+    (NETWORK, "detectors = D1:0, D2:1", "detectors = D1:0, D2:4", "D2:4",
+     "detector mode 4 out of range"),
+    (NETWORK, "detectors = D1:0, D2:1", "detectors = D1:0, D1:1", "D1:1", "must be unique"),
+    (NETWORK, "source = 0", "source = 3", "3", "source mode 3 out of range"),
+    (MINIMAL, "spread = 2.0", "spread = -2.0", "-2.0", "spread must be positive"),
+    (MINIMAL, "kind = gaussian_grid", "kind = laser", "laser", "unknown pointer kind"),
+    (MINIMAL, "spread = 2.0", "spread = 2.0\nn_points = 100", "100", "power of two"),
+]
+
+
+class TestDomainErrorPositions:
+    @pytest.mark.parametrize("base,old,new,token,fragment", DOMAIN_ERRORS)
+    def test_error_lands_on_token(self, base, old, new, token, fragment):
+        text = base.replace(old, new)
+        result = parse(text)
+        assert result.doc is None
+        (diag,) = result.diagnostics
+        assert fragment in diag.message
+        line = new.splitlines()[-1]
+        lineno = text.splitlines().index(line) + 1
+        assert (diag.line, diag.column) == (lineno, line.rindex(token) + 1)
 
 
 class TestRoundTrip:
