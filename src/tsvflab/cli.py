@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -34,15 +35,6 @@ PRESETS = {
     "eigenvalue-zero": "eigenvalue_zero",
     "nested-mzi": "nested_mzi_presence",
     "compare-limits": "compare_limits_demo",
-}
-
-#: subcommand -> compatible scenario plans
-_PLAN_FOR_COMMAND = {
-    "weakvalue": ("weakvalue",),
-    "sweep": ("sweep",),
-    "trace": ("trace", "presence"),
-    "presence": ("presence", "trace"),
-    "compare-limits": ("compare_limits",),
 }
 
 
@@ -178,7 +170,7 @@ def _run_compare_limits(doc, args):
     sel = _selection(doc)
     op = doc.operators[doc.experiment.observables[0]]
     plan = doc.experiment
-    kwargs = {}
+    kwargs = {"n_points": doc.pointer.n_points}
     if plan.spread_schedule is not None:
         kwargs["spread_schedule"] = plan.spread_schedule
     if plan.fixed_spread is not None:
@@ -203,12 +195,18 @@ def _run_compare_limits(doc, args):
     return header, rows
 
 
-_RUNNERS = {
-    "weakvalue": _run_weakvalue,
-    "sweep": _run_sweep,
-    "trace": _run_trace,
-    "presence": _run_presence,
-    "compare-limits": _run_compare_limits,
+#: subcommand -> (help, the scenario plans it runs, runner); it validates a
+#: file by the rules of its first plan, the one it runs
+_COMMANDS = {
+    "weakvalue": ("analytic and numeric weak values", ("weakvalue",), _run_weakvalue),
+    "sweep": ("metric vs g table with its fitted order", ("sweep",), _run_sweep),
+    "trace": ("per-arm weak traces", ("trace", "presence"), _run_trace),
+    "presence": (
+        "primary/secondary presence classification", ("presence", "trace"), _run_presence
+    ),
+    "compare-limits": (
+        "g -> 0 vs spread -> infinity trajectories", ("compare_limits",), _run_compare_limits
+    ),
 }
 
 
@@ -218,13 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weak-value laboratory: run scenario files or shipped presets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("weakvalue", "analytic and numeric weak values"),
-        ("sweep", "metric vs g table with its fitted order"),
-        ("trace", "per-arm weak traces"),
-        ("presence", "primary/secondary presence classification"),
-        ("compare-limits", "g -> 0 vs spread -> infinity trajectories"),
-    ):
+    for name, (help_text, _, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", nargs="?", help="scenario (.scn) file")
         cmd.add_argument(
@@ -238,8 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(args) -> tuple:
-    """Returns (doc, source_name) or raises SystemExit-style int via ValueError."""
+def _load_document(args, plans: tuple[str, ...]) -> tuple:
+    """(the validated document or None, the messages for standard error);
+    the document's plan must be one of ``plans`` and is validated as the
+    first of them."""
     if args.preset is not None:
         text = scenario.load_corpus_text(PRESETS[args.preset])
         source = args.preset
@@ -255,34 +249,27 @@ def _load_document(args) -> tuple:
     messages = [f"{source}:{d}" for d in parsed.diagnostics]
     if not parsed.ok:
         return None, messages
-    checked = scenario.validate_semantics(parsed.doc)
-    messages += [f"{source}:{d}" for d in checked.diagnostics]
-    if not checked.ok:
-        return None, messages
-    return (checked.doc, messages), None
+    kind = parsed.doc.experiment.kind
+    if kind not in plans:
+        return None, messages + [
+            f"scenario plan {kind!r} does not fit subcommand {args.command!r}"
+        ]
+    experiment = replace(parsed.doc.experiment, kind=plans[0])
+    checked = scenario.validate_semantics(replace(parsed.doc, experiment=experiment))
+    return checked.doc, messages + [f"{source}:{d}" for d in checked.diagnostics]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    loaded, failure = _load_document(args)
-    if loaded is None:
-        for message in failure:
-            print(message, file=sys.stderr)
-        return 1
-    doc, warnings = loaded
-    for message in warnings:
+    _, plans, run = _COMMANDS[args.command]
+    doc, messages = _load_document(args, plans)
+    for message in messages:
         print(message, file=sys.stderr)
-
-    if doc.experiment.kind not in _PLAN_FOR_COMMAND[args.command]:
-        print(
-            f"scenario plan {doc.experiment.kind!r} does not fit subcommand "
-            f"{args.command!r}",
-            file=sys.stderr,
-        )
+    if doc is None:
         return 1
 
     try:
-        header, rows = _RUNNERS[args.command](doc, args)
+        header, rows = run(doc, args)
     except (DarkDetectorError, UnclassifiedOrderError, OrthogonalSelectionError,
             ScheduleError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Container
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -34,7 +35,13 @@ from .interferometer import (
     PhaseShift,
     TimeSlice,
 )
-from .pointer import GAUSSIAN_KIND, PointerModel, gaussian_pointer
+from .pointer import (
+    GAUSSIAN_KIND,
+    QUBIT_KIND,
+    PointerModel,
+    gaussian_pointer,
+    qubit_pointer,
+)
 from .qcore import (
     LinearOperator,
     StateVector,
@@ -48,8 +55,50 @@ from .schedule import GSchedule, SpreadSchedule
 
 VERSION_LINE = "tsvf-scenario v1"
 
-PLAN_KINDS = ("weakvalue", "sweep", "trace", "presence", "compare_limits")
 METRIC_NAMES = ("continuity", "derail", "first_order_residual", "overlap_deficit")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The rules of one experiment plan, which the parser, the validator
+    and the serializer all read."""
+
+    keys: tuple[str, ...]  # its [experiment] keys besides plan, in reading order
+    required: tuple[str, ...] = ()
+    observable_key: str | None = None  # the key naming its observables
+    observable_arity: int | None = None  # 1, or None for any number
+    sections: tuple[str, ...] = ("selection", "pointer")  # the sections it needs
+    min_points: int = 4  # GSchedule's rules for its g_schedule
+    span_decade: bool = False
+    needs_gaussian: bool = False  # needs a gaussian_grid pointer
+
+
+# a trace reads any schedule; the order fits of sweeps and presence
+# classification need a decade
+_PLANS = {
+    "weakvalue": _Plan(
+        ("observables", "g_schedule"), ("observables",), observable_key="observables"
+    ),
+    "sweep": _Plan(
+        ("observable", "metric", "g_schedule"),
+        ("observable", "metric"),
+        observable_key="observable",
+        observable_arity=1,
+        span_decade=True,
+    ),
+    "trace": _Plan(("arms", "g_schedule"), sections=("network", "pointer"), min_points=1),
+    "presence": _Plan(
+        ("arms", "g_schedule"), sections=("network", "pointer"), span_decade=True
+    ),
+    "compare_limits": _Plan(
+        ("observable", "g_schedule", "spread_schedule", "fixed_g", "fixed_spread"),
+        ("observable",),
+        observable_key="observable",
+        observable_arity=1,
+        needs_gaussian=True,
+    ),
+}
+PLAN_KINDS = tuple(_PLANS)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UNSIGNED_REAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -117,6 +166,10 @@ class _Entry:
     value_col: int
     line: int
 
+    def error(self, message: str, col: int | None = None) -> ParseDiagnostic:
+        """An error on the entry's line, at its value unless ``col`` is given."""
+        return ParseDiagnostic(self.line, self.value_col if col is None else col, message)
+
 
 @dataclass
 class _Section:
@@ -125,6 +178,10 @@ class _Section:
     line: int
     col: int
     entries: list[_Entry]
+
+    def error(self, message: str) -> ParseDiagnostic:
+        """An error at the section header."""
+        return ParseDiagnostic(self.line, self.col, message)
 
 
 def _strip_comment(line: str) -> str:
@@ -242,72 +299,60 @@ def parse_complex_literal(token: str) -> complex | None:
     return None
 
 
+def _complex_items(
+    entry: _Entry, text: str, col: int, diags: list[ParseDiagnostic]
+) -> list[complex] | None:
+    """The comma-separated complex literals of ``text``, a part of ``entry``'s
+    value starting at column ``col``; None after reporting each malformed one."""
+    values = []
+    for token, token_col in _split_items(text, col, ","):
+        value = parse_complex_literal(token)
+        if value is None:
+            diags.append(entry.error(f"malformed complex literal {token!r}", token_col))
+        values.append(value)
+    return None if None in values else values
+
+
 def _parse_vector(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
-    values: list[complex] = []
-    ok = True
-    for token, col in _split_items(entry.value, entry.value_col, ","):
-        parsed = parse_complex_literal(token) if token else None
-        if parsed is None:
-            diags.append(
-                ParseDiagnostic(entry.line, col, f"malformed complex literal {token!r}")
-            )
-            ok = False
-            continue
-        values.append(parsed)
-    return np.array(values, dtype=np.complex128) if ok and values else None
+    values = _complex_items(entry, entry.value, entry.value_col, diags)
+    return None if values is None else np.array(values, dtype=np.complex128)
 
 
 def _parse_matrix(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
-    rows: list[list[complex]] = []
-    ok = True
-    for row_text, row_col in _split_items(entry.value, entry.value_col, ";"):
-        row: list[complex] = []
-        for token, col in _split_items(row_text, row_col, ","):
-            parsed = parse_complex_literal(token) if token else None
-            if parsed is None:
-                diags.append(
-                    ParseDiagnostic(
-                        entry.line, col, f"malformed complex literal {token!r}"
-                    )
-                )
-                ok = False
-                continue
-            row.append(parsed)
-        rows.append(row)
-    if not ok or not rows:
+    rows = [
+        _complex_items(entry, row_text, row_col, diags)
+        for row_text, row_col in _split_items(entry.value, entry.value_col, ";")
+    ]
+    if None in rows:
         return None
-    width = len(rows[0])
-    if any(len(row) != width for row in rows) or len(rows) != width:
-        diags.append(
-            ParseDiagnostic(entry.line, entry.value_col, "matrix must be square")
-        )
+    if any(len(row) != len(rows) for row in rows):
+        diags.append(entry.error("matrix must be square"))
         return None
     return np.array(rows, dtype=np.complex128)
 
 
-def _parse_float_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> float | None:
-    if re.fullmatch(_REAL, entry.value):
-        value = float(entry.value)
-        if math.isfinite(value):
-            return value
-        diags.append(
-            ParseDiagnostic(
-                entry.line, entry.value_col, f"number {entry.value!r} overflows"
-            )
-        )
+def _parse_real(
+    entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
+) -> float | None:
+    """A finite real ``token`` of ``entry``'s value, at column ``col``."""
+    if not re.fullmatch(_REAL, token):
+        diags.append(entry.error(f"malformed number {token!r}", col))
         return None
-    diags.append(
-        ParseDiagnostic(entry.line, entry.value_col, f"malformed number {entry.value!r}")
-    )
-    return None
+    value = float(token)
+    if not math.isfinite(value):
+        diags.append(entry.error(f"number {token!r} overflows", col))
+        return None
+    return value
+
+
+def _parse_float_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> float | None:
+    return _parse_real(entry, entry.value, entry.value_col, diags)
 
 
 def _parse_int_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> int | None:
     if re.fullmatch(r"[+-]?\d+", entry.value):
         return int(entry.value)
-    diags.append(
-        ParseDiagnostic(entry.line, entry.value_col, f"malformed integer {entry.value!r}")
-    )
+    diags.append(entry.error(f"malformed integer {entry.value!r}"))
     return None
 
 
@@ -316,29 +361,11 @@ def _parse_float_list(
 ) -> tuple[float, ...] | None:
     values: list[float] = []
     for token, col in _split_items(entry.value, entry.value_col, ","):
-        if not re.fullmatch(_REAL, token or ""):
-            diags.append(
-                ParseDiagnostic(entry.line, col, f"malformed number {token!r}")
-            )
-            return None
-        value = float(token)
-        if not math.isfinite(value):
-            diags.append(ParseDiagnostic(entry.line, col, f"number {token!r} overflows"))
+        value = _parse_real(entry, token, col, diags)
+        if value is None:
             return None
         values.append(value)
     return tuple(values)
-
-
-def _parse_name_list(
-    entry: _Entry, diags: list[ParseDiagnostic]
-) -> list[tuple[str, int]] | None:
-    names: list[tuple[str, int]] = []
-    for token, col in _split_items(entry.value, entry.value_col, ","):
-        if not token or not _NAME_RE.fullmatch(token):
-            diags.append(ParseDiagnostic(entry.line, col, f"invalid name {token!r}"))
-            return None
-        names.append((token, col))
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +379,12 @@ class _ExprError(Exception):
 
 
 _EXPR_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<number>{_REAL})|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+\-*/,]))"
+    rf"(?P<number>{_REAL})|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+\-*/,])"
 )
 
 
 def _tokenize_expr(text: str, base_col: int) -> list[tuple[str, str, int]]:
+    """(kind, text, column) of each token: a number, a name or a symbol."""
     tokens: list[tuple[str, str, int]] = []
     pos = 0
     while pos < len(text):
@@ -364,14 +392,9 @@ def _tokenize_expr(text: str, base_col: int) -> list[tuple[str, str, int]]:
             pos += 1
             continue
         m = _EXPR_TOKEN_RE.match(text, pos)
-        if not m or m.start() != pos:
+        if not m:
             raise _ExprError(base_col + pos, f"unexpected character {text[pos]!r}")
-        if m.group("number") is not None:
-            tokens.append(("number", m.group("number"), base_col + m.start("number")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), base_col + m.start("name")))
-        else:
-            tokens.append(("sym", m.group("sym"), base_col + m.start("sym")))
+        tokens.append((m.lastgroup, m.group(), base_col + pos))
         pos = m.end()
     return tokens
 
@@ -519,20 +542,17 @@ def _eval_operator_expr(
     entry: _Entry, states: dict[str, StateVector], diags: list[ParseDiagnostic]
 ) -> np.ndarray | None:
     try:
+        # a value is never blank, so it has a token or an unexpected character
         tokens = _tokenize_expr(entry.value, entry.value_col)
-        if not tokens:
-            raise _ExprError(entry.value_col, "empty expression")
         kind, value = _ExprParser(tokens, states).parse()
     except _ExprError as err:
-        diags.append(ParseDiagnostic(entry.line, err.col, err.message))
+        diags.append(entry.error(err.message, err.col))
         return None
     except RecursionError:  # pragma: no cover - depth guard should trip first
-        diags.append(ParseDiagnostic(entry.line, entry.value_col, "expression too complex"))
+        diags.append(entry.error("expression too complex"))
         return None
     if kind != "matrix":
-        diags.append(
-            ParseDiagnostic(entry.line, entry.value_col, "expression is not an operator")
-        )
+        diags.append(entry.error("expression is not an operator"))
         return None
     return value
 
@@ -540,49 +560,110 @@ def _eval_operator_expr(
 # ---------------------------------------------------------------------------
 # Section builders.
 
-def _entries_map(
+def _first(section: _Section, key: str) -> _Entry | None:
+    return next((entry for entry in section.entries if entry.key == key), None)
+
+
+def _needs_key(section: _Section, key: str) -> ParseDiagnostic:
+    return section.error(f"section [{section.kind}] needs key {key!r}")
+
+
+def _read_section(
     section: _Section,
-    allowed: tuple[str, ...],
+    keys: tuple[str, ...],
     diags: list[ParseDiagnostic],
+    required: tuple[str, ...] = (),
     repeatable: tuple[str, ...] = (),
 ) -> dict[str, list[_Entry]] | None:
+    """The section's entries by key.  None after reporting each key not in
+    ``keys`` and each repeat of a key not ``repeatable``, or else each
+    missing ``required`` key."""
     table: dict[str, list[_Entry]] = {}
     ok = True
     for entry in section.entries:
-        if entry.key not in allowed:
-            diags.append(
-                ParseDiagnostic(
-                    entry.line,
-                    entry.key_col,
-                    f"unknown key {entry.key!r} in section [{section.kind}]",
-                )
-            )
-            ok = False
+        if entry.key not in keys:
+            message = f"unknown key {entry.key!r} in section [{section.kind}]"
+        elif entry.key in table and entry.key not in repeatable:
+            message = f"duplicate key {entry.key!r}"
+        else:
+            table.setdefault(entry.key, []).append(entry)
             continue
-        if entry.key in table and entry.key not in repeatable:
-            diags.append(
-                ParseDiagnostic(entry.line, entry.key_col, f"duplicate key {entry.key!r}")
-            )
-            ok = False
-            continue
-        table.setdefault(entry.key, []).append(entry)
-    return table if ok else None
-
-
-def _require_key(
-    section: _Section,
-    table: dict[str, list[_Entry]],
-    key: str,
-    diags: list[ParseDiagnostic],
-) -> _Entry | None:
-    if key not in table:
-        diags.append(
-            ParseDiagnostic(
-                section.line, section.col, f"section [{section.kind}] needs key {key!r}"
-            )
-        )
+        diags.append(entry.error(message, entry.key_col))
+        ok = False
+    if not ok:
         return None
-    return table[key][0]
+    missing = [_needs_key(section, key) for key in required if key not in table]
+    diags += missing
+    return None if missing else table
+
+
+def _read_choice(
+    entry: _Entry, what: str, choices: tuple[str, ...], diags: list[ParseDiagnostic]
+) -> str | None:
+    if entry.value in choices:
+        return entry.value
+    diags.append(
+        entry.error(f"unknown {what} {entry.value!r}; expected one of {', '.join(choices)}")
+    )
+    return None
+
+
+def _read_names(
+    entry: _Entry,
+    known: Container[str],
+    what: str,
+    arity: int | None,
+    diags: list[ParseDiagnostic],
+) -> tuple[str, ...] | None:
+    """A name list of ``arity`` names (None: any number); each name not in
+    ``known`` is reported as an unresolved ``what``, but still returned."""
+    names = _split_items(entry.value, entry.value_col, ",")
+    for token, col in names:
+        if not _NAME_RE.fullmatch(token):
+            diags.append(entry.error(f"invalid name {token!r}", col))
+            return None
+    if arity is not None and len(names) != arity:
+        diags.append(entry.error(f"{entry.key} takes one name"))
+        return None
+    for name, col in names:
+        if name not in known:
+            diags.append(entry.error(f"unresolved {what} {name!r}", col))
+    return tuple(name for name, _ in names)
+
+
+#: network step keyword -> (constructor, argument types, the constructor's
+#: fields the arguments fill, usage)
+_STEPS = {
+    "beam_splitter": (
+        BeamSplitter, (int, int, float), ("mode_a", "mode_b", "transmissivity"), "mode mode t"
+    ),
+    "phase_shift": (PhaseShift, (int, float), ("mode", "phase"), "mode phase"),
+}
+_LABEL_MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):(\d+)")
+
+
+def _label_modes(
+    entry: _Entry, tokens: list[tuple[str, int]], what: str, diags: list[ParseDiagnostic]
+) -> list[tuple[str, int]] | None:
+    """``entry``'s ``label:mode`` tokens as pairs; None after reporting each
+    malformed one."""
+    pairs = []
+    for token, col in tokens:
+        m = _LABEL_MODE_RE.fullmatch(token)
+        if m:
+            pairs.append((m.group(1), int(m.group(2))))
+        else:
+            diags.append(entry.error(f"malformed {what} {token!r} (want label:mode)", col))
+    return pairs if len(pairs) == len(tokens) else None
+
+
+def _field_error(
+    err: FieldError, where: dict[tuple, tuple[int, int]], section: _Section, *prefix
+) -> ParseDiagnostic:
+    """A domain object's error at the token ``where`` maps its field path
+    (after ``prefix``) to, else at the section header."""
+    line, col = where.get(prefix + err.path, (section.line, section.col))
+    return ParseDiagnostic(line, col, str(err))
 
 
 def _build_network(
@@ -591,32 +672,25 @@ def _build_network(
     """Only lexical checks and ``modes == dim`` are made here; the network
     objects check their own rules and raise a FieldError, whose path
     ``where`` maps to the offending token."""
-    table = _entries_map(
+    table = _read_section(
         section,
         ("modes", "source", "seq", "detectors", "postselect"),
         diags,
+        required=("modes", "source", "detectors", "postselect"),
         repeatable=("seq",),
     )
     if table is None:
         return None
-    ok = True
-    modes_entry = _require_key(section, table, "modes", diags)
-    source_entry = _require_key(section, table, "source", diags)
-    detectors_entry = _require_key(section, table, "detectors", diags)
-    postselect_entry = _require_key(section, table, "postselect", diags)
-    if None in (modes_entry, source_entry, detectors_entry, postselect_entry):
-        return None
+    modes_entry, source_entry, detectors_entry, postselect_entry = (
+        table[key][0] for key in ("modes", "source", "detectors", "postselect")
+    )
     n_modes = _parse_int_entry(modes_entry, diags)
     source = _parse_int_entry(source_entry, diags)
     if n_modes is None or source is None:
         return None
     if n_modes != dim:
         diags.append(
-            ParseDiagnostic(
-                modes_entry.line,
-                modes_entry.value_col,
-                f"network has {n_modes} modes but the system dim is {dim}",
-            )
+            modes_entry.error(f"network has {n_modes} modes but the system dim is {dim}")
         )
         return None
 
@@ -625,73 +699,35 @@ def _build_network(
         ("source_mode",): (source_entry.line, source_entry.value_col),
         ("postselect_detector",): (postselect_entry.line, postselect_entry.value_col),
     }
-
-    def report(err: FieldError, *prefix) -> None:
-        line, col = where.get(prefix + err.path, (section.line, section.col))
-        diags.append(ParseDiagnostic(line, col, str(err)))
-
+    errors = len(diags)
     steps: list = []
     for entry in table.get("seq", []):
         tokens = [
             (m.group(), entry.value_col + m.start())
             for m in re.finditer(r"\S+", entry.value)
         ]
-        keyword, kcol = tokens[0]
-        args = tokens[1:]
-        if keyword == "beam_splitter":
-            if len(args) != 3:
-                diags.append(
-                    ParseDiagnostic(entry.line, kcol, "beam_splitter needs: mode mode t")
-                )
-                ok = False
+        (keyword, kcol), args = tokens[0], tokens[1:]
+        if keyword in _STEPS:
+            make, types, names, usage = _STEPS[keyword]
+            if len(args) != len(types):
+                diags.append(entry.error(f"{keyword} needs: {usage}", kcol))
                 continue
             try:
-                values = (int(args[0][0]), int(args[1][0]), float(args[2][0]))
+                values = tuple(kind(token) for kind, (token, _) in zip(types, args))
             except ValueError:
-                diags.append(
-                    ParseDiagnostic(entry.line, args[0][1], "malformed beam_splitter args")
-                )
-                ok = False
+                diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
                 continue
-            make, fields = BeamSplitter, [("mode_a",), ("mode_b",), ("transmissivity",)]
-        elif keyword == "phase_shift":
-            if len(args) != 2:
-                diags.append(
-                    ParseDiagnostic(entry.line, kcol, "phase_shift needs: mode phase")
-                )
-                ok = False
-                continue
-            try:
-                values = (int(args[0][0]), float(args[1][0]))
-            except ValueError:
-                diags.append(
-                    ParseDiagnostic(entry.line, args[0][1], "malformed phase_shift args")
-                )
-                ok = False
-                continue
-            make, fields = PhaseShift, [("mode",), ("phase",)]
+            fields = [(name,) for name in names]
         elif keyword == "slice":
-            arms: list[tuple[str, int]] = []
-            for tok, col in args:
-                label, _, mode_text = tok.partition(":")
-                if not _NAME_RE.fullmatch(label) or not re.fullmatch(r"\d+", mode_text):
-                    diags.append(
-                        ParseDiagnostic(entry.line, col, f"malformed arm {tok!r} (want label:mode)")
-                    )
-                    continue
-                arms.append((label, int(mode_text)))
-            if len(arms) != len(args) or not arms:
-                if not args:
-                    diags.append(ParseDiagnostic(entry.line, kcol, "empty slice"))
-                ok = False
+            if not args:
+                diags.append(entry.error("empty slice", kcol))
+            arms = _label_modes(entry, args, "arm", diags)
+            if not arms:
                 continue
             values = (tuple(arms),)
             make, fields = TimeSlice, [("arms", index) for index in range(len(arms))]
         else:
-            diags.append(
-                ParseDiagnostic(entry.line, kcol, f"unknown network step {keyword!r}")
-            )
-            ok = False
+            diags.append(entry.error(f"unknown network step {keyword!r}", kcol))
             continue
         prefix = ("steps", len(steps))
         where[prefix] = (entry.line, kcol)
@@ -700,25 +736,14 @@ def _build_network(
         try:
             steps.append(make(*values))
         except FieldError as err:
-            report(err, *prefix)
-            ok = False
+            diags.append(_field_error(err, where, section, *prefix))
 
-    detectors: list[tuple[str, int]] = []
-    for tok, col in _split_items(detectors_entry.value, detectors_entry.value_col, ","):
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*):(\d+)", tok or "")
-        if not m:
-            diags.append(
-                ParseDiagnostic(
-                    detectors_entry.line, col, f"malformed detector {tok!r} (want label:mode)"
-                )
-            )
-            ok = False
-            continue
-        where[("detectors", len(detectors))] = (detectors_entry.line, col)
-        detectors.append((m.group(1), int(m.group(2))))
-
-    if not ok:
+    items = _split_items(detectors_entry.value, detectors_entry.value_col, ",")
+    detectors = _label_modes(detectors_entry, items, "detector", diags)
+    if len(diags) > errors:
         return None
+    for index, (_, col) in enumerate(items):
+        where[("detectors", index)] = (detectors_entry.line, col)
     try:
         return OpticalNetwork(
             n_modes=n_modes,
@@ -728,62 +753,59 @@ def _build_network(
             postselect_detector=postselect_entry.value,
         )
     except FieldError as err:
-        report(err)
+        diags.append(_field_error(err, where, section))
         return None
+
+
+#: pointer kind -> (the keys it reads besides kind, the required ones, its factory)
+_POINTER_KINDS = {
+    GAUSSIAN_KIND: (("spread", "n_points", "half_width"), ("spread",), gaussian_pointer),
+    QUBIT_KIND: (("generator_axis",), (), qubit_pointer),
+}
+_POINTER_VALUES = {
+    "spread": _parse_float_entry,
+    "n_points": _parse_int_entry,
+    "half_width": _parse_float_entry,
+    "generator_axis": lambda entry, diags: entry.value,
+}
 
 
 def _build_pointer(
-    section: _Section, diags: list[ParseDiagnostic]
+    section: _Section,
+    diags: list[ParseDiagnostic],
+    positions: dict[str, tuple[int, int]],
 ) -> PointerModel | None:
-    table = _entries_map(
-        section, ("kind", "spread", "n_points", "half_width", "generator_axis"), diags
-    )
+    kind = _first(section, "kind")
+    if kind is not None and kind.value in _POINTER_KINDS:
+        keys, required, make = _POINTER_KINDS[kind.value]
+        allowed = keys
+    else:  # missing, which the reader reports, or unknown, which PointerModel does
+        keys, required, allowed = (), (), tuple(_POINTER_VALUES)
+        make = lambda: PointerModel(kind.value)  # noqa: E731
+    table = _read_section(section, ("kind", *allowed), diags, required=("kind", *required))
     if table is None:
         return None
-    kind_entry = _require_key(section, table, "kind", diags)
-    if kind_entry is None:
-        return None
     where = {(key,): (entries[0].line, entries[0].value_col) for key, entries in table.items()}
+    positions["pointer:kind"] = where[("kind",)]
     fields: dict = {}
-    if kind_entry.value == GAUSSIAN_KIND:
-        if _require_key(section, table, "spread", diags) is None:
-            return None
-        for key, parse_value in (
-            ("spread", _parse_float_entry),
-            ("n_points", _parse_int_entry),
-            ("half_width", _parse_float_entry),
-        ):
-            if key in table:
-                fields[key] = parse_value(table[key][0], diags)
-                if fields[key] is None:
-                    return None
-        make = gaussian_pointer
-    else:
-        if "generator_axis" in table:
-            fields["generator_axis"] = table["generator_axis"][0].value
-        fields["kind"] = kind_entry.value
-        make = PointerModel
+    for key in keys:
+        if key in table:
+            fields[key] = _POINTER_VALUES[key](table[key][0], diags)
+            if fields[key] is None:
+                return None
     try:
         return make(**fields)
     except FieldError as err:
-        line, col = where.get(err.path, (section.line, section.col))
-        diags.append(ParseDiagnostic(line, col, str(err)))
+        diags.append(_field_error(err, where, section))
         return None
 
 
-_PLAN_KEYS: dict[str, tuple[str, ...]] = {
-    "weakvalue": ("plan", "observables", "g_schedule"),
-    "sweep": ("plan", "metric", "observable", "g_schedule"),
-    "trace": ("plan", "arms", "g_schedule"),
-    "presence": ("plan", "arms", "g_schedule"),
-    "compare_limits": (
-        "plan",
-        "observable",
-        "g_schedule",
-        "spread_schedule",
-        "fixed_g",
-        "fixed_spread",
-    ),
+#: the [experiment] keys holding numbers, which validation checks at their position
+_NUMBER_KEYS = {
+    "g_schedule": _parse_float_list,
+    "spread_schedule": _parse_float_list,
+    "fixed_g": _parse_float_entry,
+    "fixed_spread": _parse_float_entry,
 }
 
 
@@ -794,128 +816,42 @@ def _build_experiment(
     diags: list[ParseDiagnostic],
     positions: dict[str, tuple[int, int]],
 ) -> ExperimentPlan | None:
-    plan_entries = [e for e in section.entries if e.key == "plan"]
-    if not plan_entries:
-        diags.append(
-            ParseDiagnostic(section.line, section.col, "section [experiment] needs key 'plan'")
-        )
+    plan_entry = _first(section, "plan")
+    if plan_entry is None:
+        diags.append(_needs_key(section, "plan"))
         return None
-    plan_entry = plan_entries[0]
-    kind = plan_entry.value
-    if kind not in PLAN_KINDS:
-        diags.append(
-            ParseDiagnostic(
-                plan_entry.line,
-                plan_entry.value_col,
-                f"unknown plan {kind!r}; expected one of {', '.join(PLAN_KINDS)}",
-            )
-        )
+    kind = _read_choice(plan_entry, "plan", PLAN_KINDS, diags)
+    if kind is None:
         return None
-    table = _entries_map(section, _PLAN_KEYS[kind], diags)
+    plan = _PLANS[kind]
+    table = _read_section(section, ("plan", *plan.keys), diags, required=plan.required)
     if table is None:
         return None
-    ok = True
-
-    observables: tuple[str, ...] = ()
-    obs_key = "observables" if kind == "weakvalue" else "observable"
-    if kind in ("weakvalue", "sweep", "compare_limits"):
-        entry = _require_key(section, table, obs_key, diags)
-        if entry is None:
+    arms = network.arm_labels if network is not None else ()
+    read = {
+        plan.observable_key: lambda entry: _read_names(
+            entry, operators, "operator", plan.observable_arity, diags
+        ),
+        "metric": lambda entry: _read_choice(entry, "metric", METRIC_NAMES, diags),
+        "arms": lambda entry: _read_names(entry, arms, "arm", None, diags),
+    }
+    errors = len(diags)
+    fields: dict = {}
+    for key in plan.keys:
+        if key not in table:
+            continue
+        entry = table[key][0]
+        if key in _NUMBER_KEYS:
+            value = _NUMBER_KEYS[key](entry, diags)
+            positions[f"experiment:{key}"] = (entry.line, entry.value_col)
+        else:
+            value = read[key](entry)
+        if value is None:
             return None
-        names = _parse_name_list(entry, diags)
-        if names is None:
-            return None
-        if kind != "weakvalue" and len(names) != 1:
-            diags.append(
-                ParseDiagnostic(entry.line, entry.value_col, f"{obs_key} takes one name")
-            )
-            return None
-        for name, col in names:
-            if name not in operators:
-                diags.append(
-                    ParseDiagnostic(entry.line, col, f"unresolved operator {name!r}")
-                )
-                ok = False
-        observables = tuple(name for name, _ in names)
-        positions["experiment:observables"] = (entry.line, entry.value_col)
-
-    metric = None
-    if kind == "sweep":
-        entry = _require_key(section, table, "metric", diags)
-        if entry is None:
-            return None
-        if entry.value not in METRIC_NAMES:
-            diags.append(
-                ParseDiagnostic(
-                    entry.line,
-                    entry.value_col,
-                    f"unknown metric {entry.value!r}; expected one of {', '.join(METRIC_NAMES)}",
-                )
-            )
-            return None
-        metric = entry.value
-
-    arms: tuple[str, ...] = ()
-    if kind in ("trace", "presence") and "arms" in table:
-        entry = table["arms"][0]
-        names = _parse_name_list(entry, diags)
-        if names is None:
-            return None
-        known = network.arm_labels if network is not None else ()
-        for name, col in names:
-            if name not in known:
-                diags.append(
-                    ParseDiagnostic(entry.line, col, f"unresolved arm {name!r}")
-                )
-                ok = False
-        arms = tuple(name for name, _ in names)
-
-    g_schedule = None
-    if "g_schedule" in table:
-        entry = table["g_schedule"][0]
-        g_schedule = _parse_float_list(entry, diags)
-        if g_schedule is None:
-            return None
-        positions["experiment:g_schedule"] = (entry.line, entry.value_col)
-
-    spread_schedule = None
-    if "spread_schedule" in table:
-        entry = table["spread_schedule"][0]
-        spread_schedule = _parse_float_list(entry, diags)
-        if spread_schedule is None:
-            return None
-        positions["experiment:spread_schedule"] = (entry.line, entry.value_col)
-
-    fixed_g = fixed_spread = None
-    if "fixed_g" in table:
-        fixed_g = _parse_float_entry(table["fixed_g"][0], diags)
-        if fixed_g is None:
-            return None
-        positions["experiment:fixed_g"] = (
-            table["fixed_g"][0].line,
-            table["fixed_g"][0].value_col,
-        )
-    if "fixed_spread" in table:
-        fixed_spread = _parse_float_entry(table["fixed_spread"][0], diags)
-        if fixed_spread is None:
-            return None
-        positions["experiment:fixed_spread"] = (
-            table["fixed_spread"][0].line,
-            table["fixed_spread"][0].value_col,
-        )
-
-    if not ok:
+        fields["observables" if key == plan.observable_key else key] = value
+    if len(diags) > errors:  # unresolved names
         return None
-    return ExperimentPlan(
-        kind=kind,
-        observables=observables,
-        metric=metric,
-        arms=arms,
-        g_schedule=g_schedule,
-        spread_schedule=spread_schedule,
-        fixed_g=fixed_g,
-        fixed_spread=fixed_spread,
-    )
+    return ExperimentPlan(kind=kind, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -935,9 +871,7 @@ def parse(text: str) -> ScenarioResult:
         by_kind.setdefault(section.kind, []).append(section)
     for kind in ("system", "pointer", "selection", "network", "experiment"):
         for extra in by_kind.get(kind, [])[1:]:
-            diags.append(
-                ParseDiagnostic(extra.line, extra.col, f"duplicate section [{kind}]")
-            )
+            diags.append(extra.error(f"duplicate section [{kind}]"))
 
     positions: dict[str, tuple[int, int]] = {}
 
@@ -946,52 +880,38 @@ def parse(text: str) -> ScenarioResult:
         if not diags:
             diags.append(ParseDiagnostic(1, 1, "missing [system] section"))
     else:
-        section = by_kind["system"][0]
-        table = _entries_map(section, ("dim",), diags)
+        table = _read_section(by_kind["system"][0], ("dim",), diags, required=("dim",))
         if table is not None:
-            entry = _require_key(section, table, "dim", diags)
-            if entry is not None:
-                parsed = _parse_int_entry(entry, diags)
-                if parsed is not None and not 1 <= parsed <= 4096:
-                    diags.append(
-                        ParseDiagnostic(
-                            entry.line, entry.value_col, "dim must be in [1, 4096]"
-                        )
-                    )
-                elif parsed is not None:
-                    dim = parsed
+            entry = table["dim"][0]
+            parsed = _parse_int_entry(entry, diags)
+            if parsed is not None and not 1 <= parsed <= 4096:
+                diags.append(entry.error("dim must be in [1, 4096]"))
+            elif parsed is not None:
+                dim = parsed
 
     states: dict[str, StateVector] = {}
     for section in by_kind.get("state", []):
         name = section.name
         assert name is not None
         if name in states:
-            diags.append(
-                ParseDiagnostic(section.line, section.col, f"duplicate state {name!r}")
-            )
+            diags.append(section.error(f"duplicate state {name!r}"))
             continue
-        table = _entries_map(section, ("amps",), diags)
+        table = _read_section(section, ("amps",), diags, required=("amps",))
         if table is None:
             continue
-        entry = _require_key(section, table, "amps", diags)
-        if entry is None:
-            continue
+        entry = table["amps"][0]
         amps = _parse_vector(entry, diags)
         if amps is None:
             continue
         if dim is not None and amps.size != dim:
             diags.append(
-                ParseDiagnostic(
-                    entry.line,
-                    entry.value_col,
-                    f"state {name!r} has {amps.size} amplitudes, system dim is {dim}",
-                )
+                entry.error(f"state {name!r} has {amps.size} amplitudes, system dim is {dim}")
             )
             continue
         try:
             states[name] = StateVector(amps)
         except ValueError as err:
-            diags.append(ParseDiagnostic(entry.line, entry.value_col, str(err)))
+            diags.append(entry.error(str(err)))
             continue
         positions[f"state:{name}"] = (entry.line, entry.value_col)
 
@@ -1000,20 +920,14 @@ def parse(text: str) -> ScenarioResult:
         name = section.name
         assert name is not None
         if name in operators:
-            diags.append(
-                ParseDiagnostic(section.line, section.col, f"duplicate operator {name!r}")
-            )
+            diags.append(section.error(f"duplicate operator {name!r}"))
             continue
-        table = _entries_map(section, ("matrix", "expr"), diags)
+        table = _read_section(section, ("matrix", "expr"), diags)
         if table is None:
             continue
         if ("matrix" in table) == ("expr" in table):
             diags.append(
-                ParseDiagnostic(
-                    section.line,
-                    section.col,
-                    f"operator {name!r} needs exactly one of 'matrix' or 'expr'",
-                )
+                section.error(f"operator {name!r} needs exactly one of 'matrix' or 'expr'")
             )
             continue
         if "matrix" in table:
@@ -1026,49 +940,36 @@ def parse(text: str) -> ScenarioResult:
             continue
         if dim is not None and entries.shape[0] != dim:
             diags.append(
-                ParseDiagnostic(
-                    entry.line,
-                    entry.value_col,
-                    f"operator {name!r} is {entries.shape[0]}-dimensional, "
-                    f"system dim is {dim}",
+                entry.error(
+                    f"operator {name!r} is {entries.shape[0]}-dimensional, system dim is {dim}"
                 )
             )
             continue
         try:
             operators[name] = LinearOperator(entries)
         except ValueError as err:
-            diags.append(ParseDiagnostic(entry.line, entry.value_col, str(err)))
+            diags.append(entry.error(str(err)))
             continue
         positions[f"operator:{name}"] = (entry.line, entry.value_col)
 
     pointer = None
     if "pointer" in by_kind:
-        pointer = _build_pointer(by_kind["pointer"][0], diags)
+        pointer = _build_pointer(by_kind["pointer"][0], diags, positions)
 
     selection = None
     if "selection" in by_kind:
-        section = by_kind["selection"][0]
-        table = _entries_map(section, ("pre", "post"), diags)
+        table = _read_section(
+            by_kind["selection"][0], ("pre", "post"), diags, required=("pre", "post")
+        )
         if table is not None:
-            pre_entry = _require_key(section, table, "pre", diags)
-            post_entry = _require_key(section, table, "post", diags)
-            if pre_entry is not None and post_entry is not None:
-                pair = []
-                for entry in (pre_entry, post_entry):
-                    if entry.value not in states:
-                        diags.append(
-                            ParseDiagnostic(
-                                entry.line,
-                                entry.value_col,
-                                f"unresolved state {entry.value!r}",
-                            )
-                        )
-                    else:
-                        pair.append(entry.value)
-                if len(pair) == 2:
-                    selection = (pair[0], pair[1])
-                    positions["selection:pre"] = (pre_entry.line, pre_entry.value_col)
-                    positions["selection:post"] = (post_entry.line, post_entry.value_col)
+            pair = []
+            for entry in (table["pre"][0], table["post"][0]):
+                if entry.value not in states:
+                    diags.append(entry.error(f"unresolved state {entry.value!r}"))
+                else:
+                    pair.append(entry.value)
+            if len(pair) == 2:
+                selection = (pair[0], pair[1])
 
     network = None
     if "network" in by_kind and dim is not None:
@@ -1085,24 +986,13 @@ def parse(text: str) -> ScenarioResult:
 
     if experiment is not None:
         section = by_kind["experiment"][0]
-        needs = {
-            "weakvalue": ("selection", "pointer"),
-            "sweep": ("selection", "pointer"),
-            "compare_limits": ("selection", "pointer"),
-            "trace": ("network", "pointer"),
-            "presence": ("network", "pointer"),
-        }[experiment.kind]
         available = {"selection": selection, "pointer": pointer, "network": network}
-        for requirement in needs:
+        for requirement in _PLANS[experiment.kind].sections:
             if available[requirement] is None and not any(
                 d.severity == "error" for d in diags
             ):
                 diags.append(
-                    ParseDiagnostic(
-                        section.line,
-                        section.col,
-                        f"plan {experiment.kind!r} needs a [{requirement}] section",
-                    )
+                    section.error(f"plan {experiment.kind!r} needs a [{requirement}] section")
                 )
 
     errors = [d for d in diags if d.severity == "error"]
@@ -1130,44 +1020,30 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
     diags: list[ParseDiagnostic] = []
     plan = doc.experiment
 
-    def _pos(key: str) -> tuple[int, int]:
-        return doc.positions.get(key, (1, 1))
+    def _at(key: str, message: str, severity: str = "error") -> ParseDiagnostic:
+        """A diagnostic at the parsed position of ``key``, else at 1:1."""
+        return ParseDiagnostic(*doc.positions.get(key, (1, 1)), message, severity)
 
     states = dict(doc.states)
     if doc.selection is not None:
-        for name in set(doc.selection):
+        for name in dict.fromkeys(doc.selection):  # pre, then post
             state = states[name]
             norm = state.norm()
             off = abs(norm - 1.0)
-            line, col = _pos(f"state:{name}")
             if state.normalized:
                 continue
             if off < 1e-6:
-                diags.append(
-                    ParseDiagnostic(
-                        line,
-                        col,
-                        f"state {name!r} auto-normalized (norm was off by {off:.2e})",
-                        severity="warning",
-                    )
-                )
+                message = f"state {name!r} auto-normalized (norm was off by {off:.2e})"
+                diags.append(_at(f"state:{name}", message, "warning"))
                 states[name] = state.unit()
             else:
-                diags.append(
-                    ParseDiagnostic(
-                        line, col, f"state {name!r} is not normalized (norm {norm!r})"
-                    )
-                )
+                message = f"state {name!r} is not normalized (norm {norm!r})"
+                diags.append(_at(f"state:{name}", message))
 
     for name in plan.observables:
         op = doc.operators[name]
         if not op.hermitian:
-            line, col = _pos(f"operator:{name}")
-            diags.append(
-                ParseDiagnostic(
-                    line, col, f"observable {name!r} is not hermitian"
-                )
-            )
+            diags.append(_at(f"operator:{name}", f"observable {name!r} is not hermitian"))
 
     def _schedule(key: str, make):
         values = getattr(plan, key)
@@ -1176,31 +1052,22 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
         try:
             return make(values)
         except ScheduleError as err:
-            line, col = _pos(f"experiment:{key}")
-            diags.append(ParseDiagnostic(line, col, str(err)))
+            diags.append(_at(f"experiment:{key}", str(err)))
             return values
 
-    # a trace reads any schedule; the order fits of sweeps and presence
-    # classification need a decade
-    if plan.kind == "trace":
-        rules = {"min_points": 1}
-    else:
-        rules = {"span_decade": plan.kind in ("sweep", "presence")}
-    g_schedule = _schedule("g_schedule", lambda values: GSchedule(values, **rules))
+    rules = _PLANS[plan.kind]
+    g_schedule = _schedule(
+        "g_schedule", lambda values: GSchedule(values, rules.min_points, rules.span_decade)
+    )
     spread_schedule = _schedule("spread_schedule", SpreadSchedule)
 
     for key, value in (("fixed_g", plan.fixed_g), ("fixed_spread", plan.fixed_spread)):
         if value is not None and value <= 0:
-            line, col = _pos(f"experiment:{key}")
-            diags.append(ParseDiagnostic(line, col, f"{key} must be positive"))
+            diags.append(_at(f"experiment:{key}", f"{key} must be positive"))
 
-    if plan.kind == "compare_limits" and doc.pointer is not None:
+    if rules.needs_gaussian and doc.pointer is not None:
         if doc.pointer.kind != GAUSSIAN_KIND:
-            diags.append(
-                ParseDiagnostic(
-                    1, 1, "compare_limits needs a gaussian_grid pointer"
-                )
-            )
+            diags.append(_at("pointer:kind", f"{plan.kind} needs a {GAUSSIAN_KIND} pointer"))
 
     if any(d.severity == "error" for d in diags):
         return ScenarioResult(None, tuple(diags))
@@ -1211,6 +1078,14 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
 
 def _format_real(x: float) -> str:
     return repr(float(x))
+
+
+def _format_value(value) -> str:
+    """A key's value as the parser reads it: reals by ``repr``, lists
+    comma-separated."""
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(item) for item in value)
+    return _format_real(value) if isinstance(value, float) else str(value)
 
 
 def _format_complex(z: complex) -> str:
@@ -1239,14 +1114,8 @@ def serialize(doc: ScenarioDoc) -> str:
         lines += ["", f"[operator {name}]", f"matrix = {rows}"]
     if doc.pointer is not None:
         lines += ["", "[pointer]", f"kind = {doc.pointer.kind}"]
-        if doc.pointer.kind == GAUSSIAN_KIND:
-            lines += [
-                f"spread = {_format_real(doc.pointer.spread)}",
-                f"n_points = {doc.pointer.n_points}",
-                f"half_width = {_format_real(doc.pointer.half_width)}",
-            ]
-        else:
-            lines.append(f"generator_axis = {doc.pointer.generator_axis}")
+        for key in _POINTER_KINDS[doc.pointer.kind][0]:
+            lines.append(f"{key} = {_format_value(getattr(doc.pointer, key))}")
     if doc.selection is not None:
         lines += [
             "",
@@ -1258,39 +1127,26 @@ def serialize(doc: ScenarioDoc) -> str:
         net = doc.network
         lines += ["", "[network]", f"modes = {net.n_modes}", f"source = {net.source_mode}"]
         for step in net.steps:
-            if isinstance(step, BeamSplitter):
-                lines.append(
-                    f"seq = beam_splitter {step.mode_a} {step.mode_b} "
-                    f"{_format_real(step.transmissivity)}"
-                )
-            elif isinstance(step, PhaseShift):
-                lines.append(f"seq = phase_shift {step.mode} {_format_real(step.phase)}")
-            else:
+            if isinstance(step, TimeSlice):
                 arms = " ".join(f"{label}:{mode}" for label, mode in step.arms)
                 lines.append(f"seq = slice {arms}")
+                continue
+            keyword, (_, _, names, _) = next(
+                (keyword, row) for keyword, row in _STEPS.items() if isinstance(step, row[0])
+            )
+            args = " ".join(_format_value(getattr(step, name)) for name in names)
+            lines.append(f"seq = {keyword} {args}")
         lines.append(
             "detectors = " + ", ".join(f"{label}:{mode}" for label, mode in net.detectors)
         )
         lines.append(f"postselect = {net.postselect_detector}")
     plan = doc.experiment
+    rules = _PLANS[plan.kind]
     lines += ["", "[experiment]", f"plan = {plan.kind}"]
-    if plan.observables:
-        key = "observables" if plan.kind == "weakvalue" else "observable"
-        lines.append(f"{key} = " + ", ".join(plan.observables))
-    if plan.metric is not None:
-        lines.append(f"metric = {plan.metric}")
-    if plan.arms:
-        lines.append("arms = " + ", ".join(plan.arms))
-    if plan.g_schedule is not None:
-        lines.append("g_schedule = " + ", ".join(_format_real(g) for g in plan.g_schedule))
-    if plan.spread_schedule is not None:
-        lines.append(
-            "spread_schedule = " + ", ".join(_format_real(d) for d in plan.spread_schedule)
-        )
-    if plan.fixed_g is not None:
-        lines.append(f"fixed_g = {_format_real(plan.fixed_g)}")
-    if plan.fixed_spread is not None:
-        lines.append(f"fixed_spread = {_format_real(plan.fixed_spread)}")
+    for key in rules.keys:
+        value = getattr(plan, "observables" if key == rules.observable_key else key)
+        if value not in (None, ()):
+            lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

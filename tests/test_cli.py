@@ -123,6 +123,36 @@ class TestSweepAndLimits:
         assert spread_devs == sorted(spread_devs)
         assert spread_devs[0] <= 1e-3
 
+    def test_compare_limits_reads_the_pointer_grid(self, tmp_path, capsys):
+        from tsvflab.limits import compare_limits
+        from tsvflab.scenario import load_corpus, load_corpus_text
+        from tsvflab.weakmeas import PrePostSelection
+
+        text = load_corpus_text("compare_limits_demo").replace(
+            "n_points = 256", "n_points = 512"
+        ).replace("half_width = 24.0", "half_width = 48.0")
+        path = tmp_path / "fine.scn"
+        path.write_text(text)
+        assert main(["compare-limits", str(path)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        doc = load_corpus("compare_limits_demo")
+        plan = doc.experiment
+        expected = compare_limits(
+            PrePostSelection(doc.states["up_x"], doc.states["up_z"]),
+            doc.operators["splus"],
+            spread_schedule=plan.spread_schedule,
+            g_schedule=plan.g_schedule,
+            fixed_spread=plan.fixed_spread,
+            fixed_coupling=plan.fixed_g,
+            n_points=512,
+        )
+        points = list(expected.coupling_branch) + sorted(
+            expected.spread_branch, key=lambda p: -p.parameter
+        )
+        assert [row[1:4] for row in rows] == [
+            [sci12(p.parameter), fmt_complex(p.estimate), sci12(p.deviation)] for p in points
+        ]
+
 
 class TestDeterminismAndIO:
     def test_byte_identical_runs(self, capsys):
@@ -217,6 +247,22 @@ class TestFailureModes:
         # the diagnostic sits on the value of the last line
         position = f"{len(lines) + 1}:{len(key) + 4}"
         assert f"{path}:{position}: error: {needle}" in captured.err
+
+    def test_file_validated_as_the_plan_the_subcommand_runs(self, tmp_path, capsys):
+        from tsvflab.scenario import load_corpus_text
+
+        text = load_corpus_text("nested_mzi_presence").replace(
+            "plan = presence", "plan = trace"
+        ) + "g_schedule = 0.01, 0.005\n"
+        path = tmp_path / "short.scn"
+        path.write_text(text)
+        assert main(["trace", str(path)]) == 0  # a trace reads any schedule
+        capsys.readouterr()
+        assert main(["presence", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        position = f"{len(text.splitlines())}:{len('g_schedule = ') + 1}"
+        assert f"{path}:{position}: error: schedule needs at least 4 points" in captured.err
 
     def test_sub_decade_flags_stay_runtime_errors(self, capsys):
         argv = ["sweep", "--preset", "eigenvalue-zero", "--g-max", "1e-2", "--g-min", "5e-3"]

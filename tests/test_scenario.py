@@ -241,6 +241,14 @@ class TestValidateSemantics:
         assert warnings and "auto-normalized" in warnings[0].message
         assert checked.doc.states["up_x"].normalized
 
+    def test_selection_states_are_checked_pre_then_post(self):
+        text = MINIMAL.replace(
+            "amps = 0.7071067811865476, 0.7071067811865476", "amps = 0.70710679, 0.70710679"
+        ).replace("amps = 1, 0", "amps = 1.00000001, 0")
+        checked = validate_semantics(parse(text).doc)
+        assert checked.ok
+        assert [d.message.split()[1] for d in checked.diagnostics] == ["'up_x'", "'up_z'"]
+
     def test_badly_denormalized_state_is_an_error(self):
         text = MINIMAL.replace(
             "amps = 0.7071067811865476, 0.7071067811865476", "amps = 0.5, 0.5"
@@ -285,6 +293,28 @@ class TestValidateSemantics:
         assert parsed.ok, parsed.diagnostics
         checked = validate_semantics(parsed.doc)
         assert checked.doc is None
+        (diag,) = checked.diagnostics
+        assert diag.message == "compare_limits needs a gaussian_grid pointer"
+        # on the value of the pointer's kind
+        lineno = text.splitlines().index("kind = qubit") + 1
+        assert (diag.line, diag.column) == (lineno, len("kind = ") + 1)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("kind = gaussian_grid\nspread = 2.0", "kind = qubit\nn_points = 100"),
+            ("spread = 2.0", "spread = 2.0\ngenerator_axis = q"),
+        ],
+    )
+    def test_key_of_another_pointer_kind_rejected(self, old, new):
+        text = MINIMAL.replace(old, new)
+        result = parse(text)
+        assert result.doc is None
+        (diag,) = result.diagnostics
+        line = new.splitlines()[-1]
+        key = line.split(" = ")[0]
+        assert diag.message == f"unknown key {key!r} in section [pointer]"
+        assert (diag.line, diag.column) == (text.splitlines().index(line) + 1, 1)
 
 
 NETWORK = """tsvf-scenario v1
@@ -338,6 +368,93 @@ class TestDomainErrorPositions:
         assert (diag.line, diag.column) == (lineno, line.rindex(token) + 1)
 
 
+SWEEP = MINIMAL.replace(
+    "plan = weakvalue\nobservables = sz", "plan = sweep\nmetric = continuity\nobservable = sz"
+)
+LIMITS = MINIMAL.replace(
+    "plan = weakvalue\nobservables = sz", "plan = compare_limits\nobservable = sz\nfixed_g = 0.5"
+)
+TRACE = NETWORK + "[pointer]\nkind = qubit\n[experiment]\nplan = trace\narms = A, B\n"
+
+# (scenario, every diagnostic of parse, or of validation when it parses,
+# as (message, line, column, severity))
+PINNED_DIAGNOSTICS = [
+    (SWEEP.replace("observable = sz", "observable = sz, sz"),
+     (("observable takes one name", 25, 14, "error"),)),
+    (SWEEP.replace("metric = continuity", "metric = wobble"),
+     (("unknown metric 'wobble'; expected one of continuity, derail, "
+       "first_order_residual, overlap_deficit", 24, 10, "error"),)),
+    (TRACE.replace("arms = A, B", "arms = A, Q"), (("unresolved arm 'Q'", 16, 11, "error"),)),
+    (MINIMAL.replace("observables = sz", "observables = sz, sy"),
+     (("unresolved operator 'sy'", 24, 19, "error"),)),
+    (MINIMAL.replace("amps = 1, 0\n", ""),
+     (("section [state] needs key 'amps'", 8, 1, "error"),
+      ("unresolved state 'up_z'", 19, 8, "error"))),
+    (NETWORK.replace("source = 0\n", "").replace("postselect = D1\n", ""),
+     (("section [network] needs key 'source'", 4, 1, "error"),
+      ("section [network] needs key 'postselect'", 4, 1, "error"))),
+    (MINIMAL.replace("observables = sz\n", ""),
+     (("section [experiment] needs key 'observables'", 22, 1, "error"),)),
+    (MINIMAL.replace("plan = weakvalue\n", ""),
+     (("section [experiment] needs key 'plan'", 22, 1, "error"),)),
+    (MINIMAL.replace("kind = gaussian_grid\n", ""),
+     (("section [pointer] needs key 'kind'", 14, 1, "error"),)),
+    (MINIMAL.replace("[selection]\npre = up_x\npost = up_z\n", ""),
+     (("plan 'weakvalue' needs a [selection] section", 19, 1, "error"),)),
+    (TRACE.replace("[pointer]\nkind = qubit\n", ""),
+     (("plan 'trace' needs a [pointer] section", 12, 1, "error"),)),
+    (MINIMAL.replace("spread = 2.0", "spread = 2.0\nspread = 3.0"),
+     (("duplicate key 'spread'", 17, 1, "error"),)),
+    (MINIMAL.replace("observables = sz", "observables = sz\nmetric = derail"),
+     (("unknown key 'metric' in section [experiment]", 25, 1, "error"),)),
+    (LIMITS.replace("fixed_g = 0.5", "fixed_g = 0"),
+     (("fixed_g must be positive", 25, 11, "error"),)),
+    (MINIMAL.replace("spread = 2.0", "spread = 1e999"),
+     (("number '1e999' overflows", 16, 10, "error"),)),
+    (MINIMAL.replace("expr = pauli_z", "expr = pauli_z\nmatrix = 1, 0; 0, -1"),
+     (("operator 'sz' needs exactly one of 'matrix' or 'expr'", 11, 1, "error"),
+      ("unresolved operator 'sz'", 25, 15, "error"))),
+    (MINIMAL.replace("expr = pauli_z\n", ""),
+     (("operator 'sz' needs exactly one of 'matrix' or 'expr'", 11, 1, "error"),
+      ("unresolved operator 'sz'", 23, 15, "error"))),
+    (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0 one 0.5"),
+     (("malformed beam_splitter args", 7, 21, "error"),)),
+    (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0 1"),
+     (("beam_splitter needs: mode mode t", 7, 7, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1 quarter"),
+     (("malformed phase_shift args", 8, 19, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1"),
+     (("phase_shift needs: mode phase", 8, 7, "error"),)),
+    (NETWORK.replace("seq = slice A:0 B:1", "seq = slice"), (("empty slice", 9, 7, "error"),)),
+    (NETWORK.replace("D2:1", "D2-1"),
+     (("malformed detector 'D2-1' (want label:mode)", 10, 19, "error"),)),
+    (NETWORK.replace("modes = 2", "modes = 3"),
+     (("network has 3 modes but the system dim is 2", 5, 9, "error"),)),
+    (MINIMAL.replace("[pointer]", "[pointer main]"),
+     (("section [pointer] takes no name", 14, 1, "error"),
+      ("assignment outside any section", 15, 1, "error"),
+      ("assignment outside any section", 16, 1, "error"))),
+    (MINIMAL.replace("[state up_z]", "[state]"),
+     (("section [state] needs one valid name", 8, 1, "error"),
+      ("assignment outside any section", 9, 1, "error"),
+      ("unresolved state 'up_z'", 20, 8, "error"))),
+    (MINIMAL.replace("observables = sz", "observables = sz, 9x"),
+     (("invalid name '9x'", 24, 19, "error"),)),
+    (MINIMAL.replace("dim = 2", "dim = 0"), (("dim must be in [1, 4096]", 3, 7, "error"),)),
+]
+
+
+class TestPinnedDiagnostics:
+    @pytest.mark.parametrize("text,expected", PINNED_DIAGNOSTICS)
+    def test_full_diagnostics(self, text, expected):
+        result = parse(text)
+        if result.ok:
+            result = validate_semantics(result.doc)
+        assert result.doc is None
+        got = tuple((d.message, d.line, d.column, d.severity) for d in result.diagnostics)
+        assert got == expected
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", corpus_names())
     def test_corpus_round_trip(self, name):
@@ -348,6 +465,34 @@ class TestRoundTrip:
         assert second.ok, (name, second.diagnostics)
         assert docs_equal(first.doc, second.doc)
         assert serialize(first.doc) == serialize(second.doc)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TRACE.replace("kind = qubit", "kind = qubit\ngenerator_axis = x")
+            + "g_schedule = 0.01, 0.005\n",
+            LIMITS.replace("spread = 2.0", "spread = 2.0\nn_points = 512\nhalf_width = 48.0")
+            + "g_schedule = 0.04, 0.02, 0.01, 0.005\n"
+            "spread_schedule = 1.0, 2.0, 4.0\n"
+            "fixed_spread = 3.0\n",
+        ],
+        ids=["trace", "compare_limits"],
+    )
+    def test_plan_round_trip(self, text):
+        first = parse(text)
+        assert first.ok, first.diagnostics
+        written = serialize(first.doc)
+        second = parse(written)
+        assert second.ok, second.diagnostics
+        assert docs_equal(first.doc, second.doc)
+        assert serialize(second.doc) == written
+        # every key of the source is written back (operators as matrix
+        # literals), before and after validation
+        keys = {line.split(" = ")[0] for line in text.splitlines() if " = " in line} - {"expr"}
+        assert keys <= {line.split(" = ")[0] for line in written.splitlines() if " = " in line}
+        checked = validate_semantics(first.doc)
+        assert checked.ok, checked.diagnostics
+        assert serialize(checked.doc) == written
 
     def test_corpus_is_complete(self):
         assert corpus_names() == (
