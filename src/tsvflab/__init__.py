@@ -55,6 +55,7 @@ from .pointer import (
     moments,
     position_operator,
     qubit_pointer,
+    ready_spectrum,
     translation_generator,
     variance,
 )

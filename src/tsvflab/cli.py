@@ -70,12 +70,13 @@ def _emit_json(header: list[str], rows: list[list[str]]) -> str:
 
 def _g_schedule(args, doc, default):
     """The g-schedule by precedence: the --g-max/--g-min/--points flags (a
-    geometric schedule, unset flags at ``default_g_decade``'s defaults),
-    then the scenario's ``g_schedule``, then ``default``."""
+    geometric schedule, unset flags at ``default_g_decade``'s defaults,
+    checked by the rules of the plan the subcommand runs), then the
+    scenario's ``g_schedule``, then ``default``."""
     flags = {"g_max": args.g_max, "g_min": args.g_min, "points": args.points}
     flags = {key: value for key, value in flags.items() if value is not None}
     if flags:
-        return default_g_decade(**flags)
+        return default_g_decade(**flags, **scenario.g_schedule_rules(doc.experiment.kind))
     if doc.experiment.g_schedule is not None:
         return doc.experiment.g_schedule
     return default

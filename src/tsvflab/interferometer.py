@@ -13,19 +13,38 @@ with arm names at a given instant, which is where arm projectors, two-state
 vectors, and pointer couplings live.
 
 Weak traces follow the environment picture: every labeled arm carries a
-weak coupling exp(-i g Pi_arm (x) G) to its own environment, the target
-arm using the caller's pointer model and the rest minimal qubit
-environments.  The trace of an arm is the norm of the post-selected
-component in which *that arm's* environment has been disturbed, normalized
-by |<out|in>|.  Arms with a nonzero weak value are disturbed at first
-order in g; arms whose forward or backward wave vanishes can only be
-recorded through a second coupling, so where such a chain exists their
-record appears at second order; arms with no amplitude chain to the
-post-selection at all keep an exactly undisturbed environment.
+weak coupling exp(-i g Pi_arm (x) G) to its own environment at its first
+slice, the target arm using the caller's pointer model and the rest
+minimal qubit environments.  The trace of an arm is the norm of the
+post-selected component in which *that arm's* environment has been
+disturbed, normalized by |<out|in>|.  Arms with a nonzero weak value are
+disturbed at first order in g; arms whose forward or backward wave
+vanishes can only be recorded through a second coupling, so where such a
+chain exists their record appears at second order; arms with no amplitude
+chain to the post-selection at all keep an exactly undisturbed
+environment, and their trace is exactly 0.0.
+
+The traces are computed as per-arm channels.  A non-target environment
+couples once and is never touched again, so it is traced out at once: it
+multiplies the coherences between its arm's mode and every other mode by
+alpha(g) = <m|exp(-i g G)|m>, a dephasing of the n_modes x n_modes mode
+density.  Every step after the target's coupling acts on the mode index
+alone, so the target's disturbed weight is
+
+    rho[a,a] * W[a,a] * ||(1 - |m><m|) exp(-i g G)|m>||^2,
+
+with rho the mode density carried forward to the target's slice, W the
+post-selection |out><out| carried back to it through the adjoint steps
+and dephasings, and the last factor the sum over the ready state's
+spectral weights w_k of |s_k - (alpha - 1)|^2, s_k = expm1(-i g mu_k),
+which involves no subtraction of nearly equal numbers.  Memory is
+O(n_modes^2) per coupling slice plus the target pointer's ptr_dim
+spectrum, whatever the number of arms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -34,12 +53,7 @@ import numpy as np
 
 from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_order
-from .pointer import (
-    PointerModel,
-    initial_state,
-    qubit_pointer,
-    translation_generator,
-)
+from .pointer import PointerModel, qubit_pointer, ready_spectrum
 from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector
 from .schedule import GSchedule, default_g_decade
 
@@ -68,6 +82,10 @@ class BeamSplitter:
 class PhaseShift:
     mode: int
     phase: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise FieldError("phase must be finite", "phase")
 
 
 @dataclass(frozen=True)
@@ -346,78 +364,129 @@ def build_nested_mzi(
 
 
 # ---------------------------------------------------------------------------
-# Weak traces via per-arm environments.
+# Weak traces via per-arm channels.
+
+def _alpha_minus_one(spectrum: tuple[np.ndarray, np.ndarray], g: np.ndarray):
+    """(s_gk = exp(-i g mu_k) - 1, alpha_g - 1 = sum_k w_k s_gk) per coupling
+    strength g, where alpha = <m|exp(-i g G)|m>; no digit is lost to 1 - 1."""
+    mu, weights = spectrum
+    s = np.expm1(-1j * g[:, None] * mu)
+    return s, s @ weights
+
+
+def _dephasing_change(n_modes: int, modes: Sequence[int], alpha_minus_one: np.ndarray):
+    """F - 1 per g, where rho -> F * rho (elementwise) traces out one ready
+    environment per mode in ``modes``: a coherence gains a factor alpha per
+    coupled row mode and conj(alpha) per coupled column mode, and the
+    diagonal stays."""
+    d = np.zeros((alpha_minus_one.size, n_modes), dtype=np.complex128)
+    d[:, list(modes)] = alpha_minus_one[:, None]
+    change = d[:, :, None] + d.conj()[:, None, :] + d[:, :, None] * d.conj()[:, None, :]
+    diagonal = np.arange(n_modes)
+    change[:, diagonal, diagonal] = 0.0
+    return change
+
+
+@functools.cache
+def _qubit_environment() -> tuple[np.ndarray, np.ndarray]:
+    """The ready spectrum of every arm's environment but the target's,
+    computed on first use rather than at import; callers only read it."""
+    return ready_spectrum(qubit_pointer())
+
 
 class _TraceSetup:
-    """Prepared tensor machinery for weak traces on one network.
+    """The g-independent parts of one target arm's weak traces on one network.
 
-    Environment axes are ordered by each arm's first slice appearance.
-    The target arm uses the caller's pointer model, every other arm a
-    minimal qubit environment.
+    The mode density is kept as |psi><psi| + delta, the undisturbed state
+    plus what the couplings changed, and the post-selection effect as
+    |phi><phi| + delta_w, so that an arm reached only through the
+    couplings keeps its relative precision.  ``before`` holds, in time
+    order up to the target's slice, (segment unitary, the modes coupling
+    at its end, |psi><psi| there); the other arms of the target's slice
+    couple there too.  ``after`` holds, from the end back to the target's
+    slice, (segment unitary, the modes coupling at its start, |phi><phi|
+    there).
     """
 
     def __init__(self, net: OpticalNetwork, target_arm: str, model: PointerModel):
-        self.net = net
-        self.target_arm = target_arm
-        couplings: list[tuple[str, int, int]] = []  # (arm, step position, mode)
+        coupled: dict[int, list[int]] = {}  # position -> modes of other arms coupling there
         seen: set[str] = set()
+        target = None
         for position, ts in net.slices:
             for label, mode in ts.arms:
-                if label not in seen:
-                    seen.add(label)
-                    couplings.append((label, position, mode))
-        if target_arm not in seen:
+                if label in seen:
+                    continue
+                seen.add(label)
+                if label == target_arm:
+                    target = (position, mode)
+                else:
+                    coupled.setdefault(position, []).append(mode)
+        if target is None:
             raise ValueError(f"arm {target_arm!r} is not labeled in any slice")
-        self.couplings = couplings
-        self.target_axis = next(
-            i for i, (label, _, _) in enumerate(couplings) if label == target_arm
-        )
-        qubit = qubit_pointer()
-        self.ready: list[np.ndarray] = []
-        self._eigs: list[tuple[np.ndarray, np.ndarray]] = []
-        for label, _, _ in couplings:
-            arm_model = model if label == target_arm else qubit
-            self.ready.append(initial_state(arm_model).amps)
-            generator = translation_generator(arm_model).entries
-            self._eigs.append(np.linalg.eigh(generator))
-        self.env_dims = tuple(r.size for r in self.ready)
+        position, self.mode = target
+        self.n_modes = net.n_modes
+        self.spectrum = ready_spectrum(model)
 
-    def _coupling_matrix(self, axis: int, g: float) -> np.ndarray:
-        eigvals, vecs = self._eigs[axis]
-        return (vecs * np.exp(-1j * g * eigvals)) @ vecs.conj().T
+        stops = sorted(set(coupled) | {position})
+        split = stops.index(position)
+        psi = np.zeros(net.n_modes, dtype=np.complex128)
+        psi[net.source_mode] = 1.0
+        self.before = []
+        for start, stop in zip([0] + stops[:split], stops[: split + 1]):
+            u = _unitary_over(net, start, stop)
+            psi = u @ psi
+            self.before.append((u, coupled.get(stop, ()), np.outer(psi, psi.conj())))
+        self.psi = psi
 
-    def conditional_environment(self, g: float) -> np.ndarray:
-        """Post-selected joint environment state, shape env_dims (unnormalized)."""
-        net = self.net
-        shape = (net.n_modes,) + self.env_dims
-        state = np.zeros(shape, dtype=np.complex128)
-        ready_product = self.ready[0]
-        for r in self.ready[1:]:
-            ready_product = np.multiply.outer(ready_product, r)
-        state[net.source_mode] = ready_product
+        later = stops[split:] + [len(net.steps)]
+        phi = np.zeros(net.n_modes, dtype=np.complex128)
+        phi[net.postselect_mode] = 1.0
+        self.after = []
+        for start, stop in reversed(list(zip(later, later[1:]))):
+            u = _unitary_over(net, start, stop)
+            phi = u.conj().T @ phi
+            modes = coupled.get(start, ()) if start != position else ()
+            self.after.append((u, modes, np.outer(phi, phi.conj())))
+        self.phi = phi
 
-        by_position: dict[int, list[int]] = {}
-        for axis, (_, position, _) in enumerate(self.couplings):
-            by_position.setdefault(position, []).append(axis)
 
-        for position, step in enumerate(net.steps):
-            if isinstance(step, BeamSplitter):
-                t, r = step.amplitudes
-                a, b = step.mode_a, step.mode_b
-                upper = t * state[a] + r * state[b]
-                lower = r * state[a] + t * state[b]
-                state[a], state[b] = upper, lower
-            elif isinstance(step, PhaseShift):
-                state[step.mode] = state[step.mode] * np.exp(1j * step.phase)
-            else:
-                for axis in by_position.get(position, ()):
-                    mode = self.couplings[axis][2]
-                    u = self._coupling_matrix(axis, g)
-                    block = np.moveaxis(state[mode], axis, 0)
-                    original = block.shape
-                    block = u @ block.reshape(original[0], -1)
-                    state[mode] = np.moveaxis(block.reshape(original), 0, axis)
-        return state[net.postselect_mode]
+def _traces(setup: _TraceSetup, overlap: complex, g_values: Sequence[float]):
+    """(the weak trace at each g, whether the coupling darkened the detector
+    there); the detection probability is Tr W (F * rho), with F the
+    target's own dephasing."""
+    g = np.asarray(g_values, dtype=float)
+    n = setup.n_modes
+    _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
+    delta = np.zeros((g.size, n, n), dtype=np.complex128)
+    for u, modes, pure in setup.before:
+        delta = u @ delta @ u.conj().T
+        if modes:
+            delta += _dephasing_change(n, modes, qubit_am1) * (pure + delta)
+    delta_w = np.zeros((g.size, n, n), dtype=np.complex128)
+    for u, modes, pure in setup.after:
+        delta_w = u.conj().T @ delta_w @ u
+        if modes:
+            delta_w += _dephasing_change(n, modes, qubit_am1).conj() * (pure + delta_w)
+
+    s, target_am1 = _alpha_minus_one(setup.spectrum, g)
+    rho = np.outer(setup.psi, setup.psi.conj()) + delta
+    effect = np.outer(setup.phi, setup.phi.conj()) + delta_w
+    coupled = rho + _dephasing_change(n, (setup.mode,), target_am1) * rho
+    probability = np.einsum("gxy,gxy->g", effect.conj(), coupled).real
+    # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
+    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ setup.spectrum[1]
+    t = setup.mode
+    weight = (
+        (abs(setup.psi[t]) ** 2 + delta[:, t, t].real)
+        * (abs(setup.phi[t]) ** 2 + delta_w[:, t, t].real)
+        * disturbed
+    )
+    traces = np.sqrt(np.maximum(weight, 0.0)) / abs(overlap)
+    return traces, probability < ZERO_PROBABILITY_FLOOR
+
+
+def _dark_after_coupling(g: float) -> DarkDetectorError:
+    return DarkDetectorError(f"post-selection detector dark after coupling at g = {g!r}")
 
 
 def weak_trace(net: OpticalNetwork, arm: str, model: PointerModel, g: float) -> float:
@@ -427,24 +496,7 @@ def weak_trace(net: OpticalNetwork, arm: str, model: PointerModel, g: float) -> 
     normalized by |<out|in>|.  Zero at g = 0 and exactly zero at every g
     for arms with no amplitude chain through them.
     """
-    setup = _TraceSetup(net, arm, model)
-    return _trace_from_setup(setup, _checked_overlap(net), float(g))
-
-
-def _trace_from_setup(setup: _TraceSetup, overlap: complex, g: float) -> float:
-    if g == 0.0:
-        return 0.0
-    conditional = setup.conditional_environment(g)
-    probability = float(np.vdot(conditional, conditional).real)
-    if probability < ZERO_PROBABILITY_FLOOR:
-        raise DarkDetectorError(
-            f"post-selection detector dark after coupling at g = {g!r}"
-        )
-    block = np.moveaxis(conditional, setup.target_axis, 0)
-    flat = block.reshape(block.shape[0], -1)
-    ready = setup.ready[setup.target_axis]
-    disturbed = flat - np.outer(ready, ready.conj() @ flat)
-    return float(np.linalg.norm(disturbed) / abs(overlap))
+    return weak_trace_sweep(net, arm, model, (g,))[0]
 
 
 def weak_trace_sweep(
@@ -454,8 +506,12 @@ def weak_trace_sweep(
     g_values: Sequence[float],
 ) -> tuple[float, ...]:
     overlap = _checked_overlap(net)
-    setup = _TraceSetup(net, arm, model)
-    return tuple(_trace_from_setup(setup, overlap, float(g)) for g in g_values)
+    g_values = [float(g) for g in g_values]
+    traces, dark = _traces(_TraceSetup(net, arm, model), overlap, g_values)
+    for g, is_dark in zip(g_values, dark):
+        if is_dark:
+            raise _dark_after_coupling(g)
+    return tuple(float(v) for v in traces)
 
 
 @dataclass(frozen=True)
@@ -506,23 +562,11 @@ def classify_presence(
 
     entries = []
     for arm in arms:
-        setup = _TraceSetup(net, arm, model)
-        usable_g: list[float] = []
-        usable_v: list[float] = []
-        dark_error: DarkDetectorError | None = None
-        for g in schedule:
-            try:
-                value = _trace_from_setup(setup, overlap, g)
-            except DarkDetectorError as err:
-                dark_error = err
-                continue
-            usable_g.append(g)
-            usable_v.append(value)
-        if len(usable_g) < 4:
-            raise dark_error or DarkDetectorError(
-                f"fewer than 4 usable trace points for arm {arm!r}"
-            )
-        order, _, _ = fit_order(usable_g, usable_v)
+        traces, dark = _traces(_TraceSetup(net, arm, model), overlap, schedule)
+        usable = [(g, float(v)) for g, v, is_dark in zip(schedule, traces, dark) if not is_dark]
+        if len(usable) < 4:
+            raise _dark_after_coupling(schedule[int(np.flatnonzero(dark)[-1])])
+        order, _, _ = fit_order(*zip(*usable))
         classification = _PRESENCE_BY_ORDER[classify_order(order, f"arm {arm!r}")]
         entries.append((arm, ArmPresence(order, classification)))
     return PresenceReport(tuple(entries))

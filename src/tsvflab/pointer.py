@@ -157,17 +157,39 @@ def position_operator(model: PointerModel) -> LinearOperator:
     return _PAULI_BY_AXIS[readout_axis]()
 
 
+def _grid_momenta(model: PointerModel) -> np.ndarray:
+    """The eigenvalues of the grid generator, in DFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(model.n_points, d=model.grid_spacing)
+
+
 def translation_generator(model: PointerModel) -> LinearOperator:
     """The coupling generator P: spectral momentum on the grid, the chosen
     Pauli for the qubit."""
     if model.kind == QUBIT_KIND:
         return _PAULI_BY_AXIS[model.generator_axis]()
     n = model.n_points
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=model.grid_spacing)
+    k = _grid_momenta(model)
     dft = np.fft.fft(np.eye(n), axis=0) / np.sqrt(n)
     p = dft.conj().T @ (k[:, None] * dft)
     p = (p + p.conj().T) / 2.0
     return LinearOperator(p, hermitian=True)
+
+
+def ready_spectrum(model: PointerModel) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, w): the eigenvalues mu_k of the coupling generator and the
+    weights w_k = |<k|m>|^2 of the ready state on its eigenvectors.
+
+    The grid generator is diagonal in the DFT basis, so its eigenvalues are
+    the grid momenta and the weights the unitary DFT of the ready state;
+    the qubit's come from the 2x2 ``eigh`` of its Pauli.  Any function of
+    the generator in the ready state follows, e.g.
+    <m|exp(-i g G)|m> = sum_k w_k exp(-i g mu_k).
+    """
+    ready = initial_state(model).amps
+    if model.kind == QUBIT_KIND:
+        eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[model.generator_axis]().entries)
+        return eigvals, np.abs(vecs.conj().T @ ready) ** 2
+    return _grid_momenta(model), np.abs(np.fft.fft(ready, norm="ortho")) ** 2
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

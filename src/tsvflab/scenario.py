@@ -100,6 +100,13 @@ _PLANS = {
 }
 PLAN_KINDS = tuple(_PLANS)
 
+
+def g_schedule_rules(kind: str) -> dict:
+    """The ``GSchedule`` rules of plan ``kind``'s g-schedule, as keyword arguments."""
+    rules = _PLANS[kind]
+    return {"min_points": rules.min_points, "span_decade": rules.span_decade}
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UNSIGNED_REAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL = rf"[+-]?{_UNSIGNED_REAL}"
@@ -717,6 +724,14 @@ def _build_network(
             except ValueError:
                 diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
                 continue
+            # the reals follow the decimal grammar, which has no inf or nan
+            reals = [
+                _parse_real(entry, token, col, diags)
+                for kind, (token, col) in zip(types, args)
+                if kind is float
+            ]
+            if None in reals:
+                continue
             fields = [(name,) for name in names]
         elif keyword == "slice":
             if not args:
@@ -1057,7 +1072,7 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
 
     rules = _PLANS[plan.kind]
     g_schedule = _schedule(
-        "g_schedule", lambda values: GSchedule(values, rules.min_points, rules.span_decade)
+        "g_schedule", lambda values: GSchedule(values, **g_schedule_rules(plan.kind))
     )
     spread_schedule = _schedule("spread_schedule", SpreadSchedule)
 

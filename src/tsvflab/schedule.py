@@ -62,13 +62,18 @@ class SpreadSchedule(tuple):
 
 
 def default_g_decade(
-    g_max: float = 1e-2, g_min: float = 1e-4, points: int = 9
+    g_max: float = 1e-2,
+    g_min: float = 1e-4,
+    points: int = 9,
+    min_points: int = 4,
+    span_decade: bool = False,
 ) -> GSchedule:
-    """Decreasing geometric schedule used for all order fits by default."""
+    """Decreasing geometric schedule used for all order fits by default,
+    checked by ``GSchedule`` with ``min_points`` and ``span_decade``."""
     if not 0 < g_min < g_max:
         raise ScheduleError("need 0 < g_min < g_max")
     # a negative count is too few points, not a numpy error
-    return GSchedule(np.geomspace(g_max, g_min, max(points, 0)))
+    return GSchedule(np.geomspace(g_max, g_min, max(points, 0)), min_points, span_decade)
 
 
 def default_g_schedule(model: PointerModel, points: int = 5) -> GSchedule:

@@ -270,3 +270,31 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: schedule must span at least one decade" in captured.err
+
+    @pytest.mark.parametrize("command,code", [("trace", 0), ("presence", 2)])
+    def test_flag_schedule_follows_the_plan_rules(self, capsys, command, code):
+        # a trace reads any schedule; a presence fit needs 4 points
+        argv = [command, "--preset", "nested-mzi", "--points", "2",
+                "--g-max", "1e-2", "--g-min", "1e-3"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert len(captured.out.splitlines()) == 1 + 6 * 2
+        else:
+            assert captured.out == ""
+            assert "error: schedule needs at least 4 points" in captured.err
+
+    def test_non_finite_phase_exit_1(self, tmp_path, capsys):
+        from tsvflab.scenario import load_corpus_text
+
+        text = load_corpus_text("nested_mzi_presence").replace(
+            "seq = slice SRC:0\n", "seq = slice SRC:0\nseq = phase_shift 0 inf\n"
+        )
+        path = tmp_path / "inf.scn"
+        path.write_text(text)
+        assert main(["trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = text.splitlines().index("seq = phase_shift 0 inf") + 1
+        column = len("seq = phase_shift 0 ") + 1
+        assert f"{path}:{line}:{column}: error: malformed number 'inf'" in captured.err

@@ -8,6 +8,7 @@ import pytest
 from tsvflab import (
     BeamSplitter,
     DarkDetectorError,
+    FieldError,
     OpticalNetwork,
     PhaseShift,
     TimeSlice,
@@ -21,16 +22,19 @@ from tsvflab import (
     expectation,
     fit_order,
     gaussian_pointer,
+    initial_state,
     network_overlap,
     projector,
     propagate,
     qubit_pointer,
     slice_weak_values,
+    translation_generator,
     two_state_vector,
     weak_trace,
     weak_trace_sweep,
 )
-from tsvflab.qcore import basis_state
+from tsvflab import interferometer
+from tsvflab.qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, basis_state
 
 
 def _bs_matrix(n, a, b, t):
@@ -58,6 +62,90 @@ def oracle_amplitudes():
     b2 = inner2.conj().T @ b3
     b1 = inner1.conj().T @ b2
     return (f1, f2, f3), (b1, b2, b3), complex(overlap)
+
+
+def tensor_trace(net, target_arm, model, g, overlap=None):
+    """Brute-force weak trace: every arm's environment kept as its own tensor
+    axis, n_modes x ptr_dim x 2^(arms-1) amplitudes, evolved through the
+    network with dense coupling unitaries and post-selected at the end.
+    ``overlap`` defaults to the checked <out|in>."""
+    if overlap is None:
+        overlap = network_overlap(net)
+        if abs(overlap) <= ORTHOGONAL_OVERLAP_TOL:
+            raise DarkDetectorError(
+                f"post-selection detector {net.postselect_detector!r} is dark: "
+                f"|<out|in>| = {abs(overlap):.3e}"
+            )
+    couplings = []  # (arm, step position, mode) at each arm's first slice
+    for position, step in enumerate(net.steps):
+        if isinstance(step, TimeSlice):
+            for label, mode in step.arms:
+                if label not in [c[0] for c in couplings]:
+                    couplings.append((label, position, mode))
+    target_axis = [c[0] for c in couplings].index(target_arm)
+    ready, unitaries = [], []
+    for label, _, _ in couplings:
+        arm_model = model if label == target_arm else qubit_pointer()
+        ready.append(initial_state(arm_model).amps)
+        eigvals, vecs = np.linalg.eigh(translation_generator(arm_model).entries)
+        unitaries.append((vecs * np.exp(-1j * g * eigvals)) @ vecs.conj().T)
+
+    state = np.zeros((net.n_modes,) + tuple(r.size for r in ready), dtype=complex)
+    product = ready[0]
+    for r in ready[1:]:
+        product = np.multiply.outer(product, r)
+    state[net.source_mode] = product
+    for position, step in enumerate(net.steps):
+        if isinstance(step, BeamSplitter):
+            t, r = math.sqrt(step.transmissivity), 1j * math.sqrt(1 - step.transmissivity)
+            a, b = step.mode_a, step.mode_b
+            state[a], state[b] = t * state[a] + r * state[b], r * state[a] + t * state[b]
+        elif isinstance(step, PhaseShift):
+            state[step.mode] = state[step.mode] * np.exp(1j * step.phase)
+        for axis, (_, at, mode) in enumerate(couplings):
+            if at == position:
+                block = np.moveaxis(state[mode], axis, 0)
+                shape = block.shape
+                block = unitaries[axis] @ block.reshape(shape[0], -1)
+                state[mode] = np.moveaxis(block.reshape(shape), 0, axis)
+    conditional = state[net.postselect_mode]
+    if float(np.vdot(conditional, conditional).real) < ZERO_PROBABILITY_FLOOR:
+        raise DarkDetectorError(f"post-selection detector dark after coupling at g = {g!r}")
+    flat = np.moveaxis(conditional, target_axis, 0).reshape(ready[target_axis].size, -1)
+    disturbed = flat - np.outer(ready[target_axis], ready[target_axis].conj() @ flat)
+    return float(np.linalg.norm(disturbed) / abs(overlap))
+
+
+def chain_network(rng, k, probe=False):
+    """k nested interferometers in series, each a copy of the preset's
+    nested MZI with random outer splitters and phases: stage i splits wire 0
+    into A_i and D_i (wire 2i+1), runs D_i through a balanced inner
+    interferometer (B_i, C_i on wires 2i+1, 2i+2) whose output E_i is dark,
+    and recombines.  A probe arm X sits on an untouched last wire."""
+    n_modes = 1 + 2 * k + probe
+    steps = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        steps += [
+            BeamSplitter(0, a, float(rng.uniform(0.2, 0.8))),
+            PhaseShift(0, float(rng.uniform(0, 2 * math.pi))),
+            PhaseShift(a, float(rng.uniform(0, 2 * math.pi))),
+            TimeSlice(((f"A{i}", 0), (f"D{i}", a))),
+            BeamSplitter(a, b, 0.5),
+            TimeSlice(((f"B{i}", a), (f"C{i}", b))
+                      + ((("X", n_modes - 1),) if probe and i == k - 1 else ())),
+            BeamSplitter(a, b, 0.5),
+            PhaseShift(a, float(rng.uniform(0, 2 * math.pi))),
+            TimeSlice(((f"E{i}", a),)),
+            BeamSplitter(0, a, float(rng.uniform(0.2, 0.8))),
+        ]
+    return OpticalNetwork(
+        n_modes=n_modes,
+        steps=tuple(steps),
+        source_mode=0,
+        detectors=(("D1", 0),),
+        postselect_detector="D1",
+    )
 
 
 class TestPresetStructure:
@@ -160,6 +248,12 @@ class TestNetworkValidation:
     def test_distinct_modes(self):
         with pytest.raises(ValueError, match="distinct"):
             BeamSplitter(1, 1, 0.5)
+
+    def test_finite_phase(self):
+        for phase in (math.inf, -math.inf, math.nan):
+            with pytest.raises(FieldError, match="phase must be finite") as err:
+                PhaseShift(0, phase)
+            assert err.value.path == ("phase",)
 
     def test_duplicate_arm_labels(self):
         with pytest.raises(ValueError, match="unique"):
@@ -395,3 +489,74 @@ class TestRandomizedNetworks:
             for arm in ("R", "W"):
                 values = weak_trace_sweep(net, arm, model, schedule)
                 assert max(values) <= 1e-14, arm
+
+
+class TestChannelsAgainstTensorOracle:
+    """The per-arm channel traces against the brute-force tensor."""
+
+    G_VALUES = (1e-2, 3e-3, 1e-3)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("target", ["qubit", "gaussian"])
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_chains_agree(self, k, target, probe):
+        rng = np.random.default_rng(100 * k + 10 * (target == "qubit") + probe)
+        net = chain_network(rng, k, probe)
+        if target == "qubit":
+            model = qubit_pointer(str(rng.choice(["x", "y", "z"])))
+        else:
+            spread = float(rng.uniform(0.5, 2.0))
+            model = gaussian_pointer(spread, 64, 8.0 * spread)
+        for arm in net.arm_labels:
+            traces = weak_trace_sweep(net, arm, model, self.G_VALUES)
+            for g, value in zip(self.G_VALUES, traces):
+                oracle = tensor_trace(net, arm, model, g)
+                if arm == "X":
+                    assert value == 0.0 and oracle <= 1e-14
+                else:
+                    assert value == pytest.approx(oracle, rel=1e-9, abs=0), (arm, g)
+
+    def test_unreachable_arms_are_exactly_zero(self):
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            net = TestRandomizedNetworks()._random_network(rng)
+            for arm in ("R", "W"):
+                for g in self.G_VALUES:
+                    assert weak_trace(net, arm, qubit_pointer(), g) == 0.0
+                    assert tensor_trace(net, arm, qubit_pointer(), g) <= 1e-14
+        net = build_nested_mzi()
+        for model in (qubit_pointer(), gaussian_pointer(1.0, 64, 8.0)):
+            assert weak_trace_sweep(net, "X", model, self.G_VALUES) == (0.0, 0.0, 0.0)
+
+    def test_same_dark_detector_error(self):
+        # the source wire never reaches the post-selected one, so the
+        # detector is dark with and without the couplings
+        net = OpticalNetwork(
+            n_modes=3,
+            steps=(BeamSplitter(0, 1, 0.5), TimeSlice((("U", 0), ("L", 1)))),
+            source_mode=0,
+            detectors=(("DARK", 2),),
+            postselect_detector="DARK",
+        )
+        with pytest.raises(DarkDetectorError) as oracle:
+            tensor_trace(net, "U", qubit_pointer(), 1e-3)
+        with pytest.raises(DarkDetectorError) as channels:
+            weak_trace(net, "U", qubit_pointer(), 1e-3)
+        assert str(channels.value) == str(oracle.value)
+        # past the overlap check, the coupled detection probability is zero
+        with pytest.raises(DarkDetectorError) as oracle:
+            tensor_trace(net, "U", qubit_pointer(), 1e-3, overlap=1.0)
+        setup = interferometer._TraceSetup(net, "U", qubit_pointer())
+        _, dark = interferometer._traces(setup, 1.0, [1e-3])
+        assert dark.tolist() == [True]
+        assert str(interferometer._dark_after_coupling(1e-3)) == str(oracle.value)
+
+
+def test_presence_on_forty_arms():
+    # 2^39 environment amplitudes per mode in the tensor picture
+    net = chain_network(np.random.default_rng(8), 8)
+    assert len(net.arm_labels) == 40
+    report = classify_presence(net)
+    for arm, presence in report.entries:
+        expected = "primary" if arm[0] in "ABC" else "secondary"
+        assert presence.classification == expected, arm

@@ -425,6 +425,10 @@ PINNED_DIAGNOSTICS = [
      (("malformed phase_shift args", 8, 19, "error"),)),
     (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1"),
      (("phase_shift needs: mode phase", 8, 7, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1 inf"),
+     (("malformed number 'inf'", 8, 21, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1 1e999"),
+     (("number '1e999' overflows", 8, 21, "error"),)),
     (NETWORK.replace("seq = slice A:0 B:1", "seq = slice"), (("empty slice", 9, 7, "error"),)),
     (NETWORK.replace("D2:1", "D2-1"),
      (("malformed detector 'D2-1' (want label:mode)", 10, 19, "error"),)),
