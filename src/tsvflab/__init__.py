@@ -33,6 +33,7 @@ from .interferometer import (
     two_state_vector,
     weak_trace,
     weak_trace_sweep,
+    weak_trace_sweeps,
 )
 from .limits import (
     LimitComparison,

@@ -10,6 +10,7 @@ descending, and numbers rendered in fixed 12-digit scientific notation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,11 +143,13 @@ def _network_arms(doc) -> list[str]:
 
 def _run_trace(doc, args):
     schedule = _g_schedule(args, doc, default_g_decade())
+    sweeps = interferometer.weak_trace_sweeps(
+        doc.network, _network_arms(doc), doc.pointer, schedule
+    )
     header = ["arm", "g", "trace"]
-    rows = []
-    for arm in _network_arms(doc):
-        values = interferometer.weak_trace_sweep(doc.network, arm, doc.pointer, schedule)
-        rows += [[arm, sci12(g), sci12(v)] for g, v in zip(schedule, values)]
+    rows = [
+        [arm, sci12(g), sci12(v)] for arm, values in sweeps for g, v in zip(schedule, values)
+    ]
     return header, rows
 
 
@@ -231,6 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in the process, built on the first
+    rather than at import; parsing leaves no state in it."""
+    return build_parser()
+
+
 def _load_document(args, plans: tuple[str, ...]) -> tuple:
     """(the validated document or None, the messages for standard error);
     the document's plan must be one of ``plans`` and is validated as the
@@ -261,7 +271,7 @@ def _load_document(args, plans: tuple[str, ...]) -> tuple:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     _, plans, run = _COMMANDS[args.command]
     doc, messages = _load_document(args, plans)
     for message in messages:

@@ -24,22 +24,28 @@ chain exists their record appears at second order; arms with no amplitude
 chain to the post-selection at all keep an exactly undisturbed
 environment, and their trace is exactly 0.0.
 
-The traces are computed as per-arm channels.  A non-target environment
-couples once and is never touched again, so it is traced out at once: it
+The traces of every arm come from one forward and one backward pass.  An
+environment couples once, at its arm's first slice (the arm's stop), and
+is never touched again, so a non-target one is traced out at once: it
 multiplies the coherences between its arm's mode and every other mode by
 alpha(g) = <m|exp(-i g G)|m>, a dephasing of the n_modes x n_modes mode
-density.  Every step after the target's coupling acts on the mode index
-alone, so the target's disturbed weight is
+density.  The forward pass carries the mode density rho from the source
+through every stop, the backward pass the post-selection effect
+W = |out><out| from the detector through the adjoint steps, each
+dephasing every arm at its stop and keeping its state just before that.
+Since an arm couples only at its stop, every target sees the same
+dephasings before its stop and after it, so a target only dephases the
+other arms of its own stop and reads its disturbed weight there,
 
     rho[a,a] * W[a,a] * ||(1 - |m><m|) exp(-i g G)|m>||^2,
 
-with rho the mode density carried forward to the target's slice, W the
-post-selection |out><out| carried back to it through the adjoint steps
-and dephasings, and the last factor the sum over the ready state's
-spectral weights w_k of |s_k - (alpha - 1)|^2, s_k = expm1(-i g mu_k),
-which involves no subtraction of nearly equal numbers.  Memory is
-O(n_modes^2) per coupling slice plus the target pointer's ptr_dim
-spectrum, whatever the number of arms.
+the last factor being the sum over the ready state's spectral weights w_k
+of |s_k - (alpha - 1)|^2, s_k = expm1(-i g mu_k), which involves no
+subtraction of nearly equal numbers.  With S stops and A requested arms
+this takes O(S + A) numpy operations on (g points) x n_modes x n_modes
+arrays, the segment unitaries, the target pointer's spectrum and the
+qubit environment being built once per call; memory is O(S) such arrays,
+whatever the number of arms.
 """
 
 from __future__ import annotations
@@ -364,7 +370,7 @@ def build_nested_mzi(
 
 
 # ---------------------------------------------------------------------------
-# Weak traces via per-arm channels.
+# Weak traces: per-arm channels, every arm from one forward and one backward pass.
 
 def _alpha_minus_one(spectrum: tuple[np.ndarray, np.ndarray], g: np.ndarray):
     """(s_gk = exp(-i g mu_k) - 1, alpha_g - 1 = sum_k w_k s_gk) per coupling
@@ -394,95 +400,95 @@ def _qubit_environment() -> tuple[np.ndarray, np.ndarray]:
     return ready_spectrum(qubit_pointer())
 
 
-class _TraceSetup:
-    """The g-independent parts of one target arm's weak traces on one network.
+def _arm_traces(
+    net: OpticalNetwork,
+    arms: Sequence[str],
+    model: PointerModel,
+    g_values: Sequence[float],
+    overlap: complex,
+):
+    """Yield, for each of ``arms`` in order, (its weak trace at each g,
+    whether the coupling darkened the detector there); an unlabeled arm
+    raises ValueError when its turn comes, so errors keep the caller's order.
 
-    The mode density is kept as |psi><psi| + delta, the undisturbed state
-    plus what the couplings changed, and the post-selection effect as
-    |phi><phi| + delta_w, so that an arm reached only through the
-    couplings keeps its relative precision.  ``before`` holds, in time
-    order up to the target's slice, (segment unitary, the modes coupling
-    at its end, |psi><psi| there); the other arms of the target's slice
-    couple there too.  ``after`` holds, from the end back to the target's
-    slice, (segment unitary, the modes coupling at its start, |phi><phi|
-    there).
+    Every labeled arm's environment couples at a stop, the position of the
+    arm's first slice.  The mode density is kept as |psi><psi| + delta, the
+    undisturbed state plus what the couplings changed, and the
+    post-selection effect as |phi><phi| + delta_w, so that an arm reached
+    only through the couplings keeps its relative precision.  One forward
+    pass carries the density from the source, one backward pass the effect
+    from the detector, each dephasing every arm at its stop and keeping
+    its state just before that; only as far as the requested arms need.
+    A target then dephases the other arms of its own stop and reads its
+    weight there; the detection probability is Tr W (F * rho), with F the
+    target's own dephasing.
     """
-
-    def __init__(self, net: OpticalNetwork, target_arm: str, model: PointerModel):
-        coupled: dict[int, list[int]] = {}  # position -> modes of other arms coupling there
-        seen: set[str] = set()
-        target = None
-        for position, ts in net.slices:
-            for label, mode in ts.arms:
-                if label in seen:
-                    continue
-                seen.add(label)
-                if label == target_arm:
-                    target = (position, mode)
-                else:
-                    coupled.setdefault(position, []).append(mode)
-        if target is None:
-            raise ValueError(f"arm {target_arm!r} is not labeled in any slice")
-        position, self.mode = target
-        self.n_modes = net.n_modes
-        self.spectrum = ready_spectrum(model)
-
-        stops = sorted(set(coupled) | {position})
-        split = stops.index(position)
-        psi = np.zeros(net.n_modes, dtype=np.complex128)
-        psi[net.source_mode] = 1.0
-        self.before = []
-        for start, stop in zip([0] + stops[:split], stops[: split + 1]):
-            u = _unitary_over(net, start, stop)
-            psi = u @ psi
-            self.before.append((u, coupled.get(stop, ()), np.outer(psi, psi.conj())))
-        self.psi = psi
-
-        later = stops[split:] + [len(net.steps)]
-        phi = np.zeros(net.n_modes, dtype=np.complex128)
-        phi[net.postselect_mode] = 1.0
-        self.after = []
-        for start, stop in reversed(list(zip(later, later[1:]))):
-            u = _unitary_over(net, start, stop)
-            phi = u.conj().T @ phi
-            modes = coupled.get(start, ()) if start != position else ()
-            self.after.append((u, modes, np.outer(phi, phi.conj())))
-        self.phi = phi
-
-
-def _traces(setup: _TraceSetup, overlap: complex, g_values: Sequence[float]):
-    """(the weak trace at each g, whether the coupling darkened the detector
-    there); the detection probability is Tr W (F * rho), with F the
-    target's own dephasing."""
     g = np.asarray(g_values, dtype=float)
-    n = setup.n_modes
+    n = net.n_modes
+    first: dict[str, tuple[int, int]] = {}  # arm -> (stop, mode)
+    for position, ts in net.slices:
+        for label, mode in ts.arms:
+            first.setdefault(label, (position, mode))
+    coupled: dict[int, list[int]] = {}  # stop -> modes of the arms coupling there
+    for position, mode in first.values():
+        coupled.setdefault(position, []).append(mode)
+    wanted = [first[arm][0] for arm in arms if arm in first]
+    last, earliest = max(wanted, default=-1), min(wanted, default=len(net.steps))
+    bounds = [0] + sorted(coupled) + [len(net.steps)]
     _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
-    delta = np.zeros((g.size, n, n), dtype=np.complex128)
-    for u, modes, pure in setup.before:
-        delta = u @ delta @ u.conj().T
-        if modes:
-            delta += _dephasing_change(n, modes, qubit_am1) * (pure + delta)
-    delta_w = np.zeros((g.size, n, n), dtype=np.complex128)
-    for u, modes, pure in setup.after:
-        delta_w = u.conj().T @ delta_w @ u
-        if modes:
-            delta_w += _dephasing_change(n, modes, qubit_am1).conj() * (pure + delta_w)
 
-    s, target_am1 = _alpha_minus_one(setup.spectrum, g)
-    rho = np.outer(setup.psi, setup.psi.conj()) + delta
-    effect = np.outer(setup.phi, setup.phi.conj()) + delta_w
-    coupled = rho + _dephasing_change(n, (setup.mode,), target_am1) * rho
-    probability = np.einsum("gxy,gxy->g", effect.conj(), coupled).real
+    forward = {}  # stop -> (psi, |psi><psi|, delta) before the stop's dephasing
+    psi = np.zeros(n, dtype=np.complex128)
+    psi[net.source_mode] = 1.0
+    delta = np.zeros((g.size, n, n), dtype=np.complex128)
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop > last:
+            break
+        u = _unitary_over(net, start, stop)
+        psi = u @ psi
+        delta = u @ delta @ u.conj().T
+        pure = np.outer(psi, psi.conj())
+        forward[stop] = (psi, pure, delta)
+        delta = delta + _dephasing_change(n, coupled[stop], qubit_am1) * (pure + delta)
+
+    backward = {}  # stop -> (phi, |phi><phi|, delta_w) before the stop's dephasing
+    phi = np.zeros(n, dtype=np.complex128)
+    phi[net.postselect_mode] = 1.0
+    delta_w = np.zeros((g.size, n, n), dtype=np.complex128)
+    for start, stop in reversed(list(zip(bounds[1:], bounds[2:]))):
+        if start < earliest:
+            break
+        u = _unitary_over(net, start, stop)
+        phi = u.conj().T @ phi
+        delta_w = u.conj().T @ delta_w @ u
+        pure_w = np.outer(phi, phi.conj())
+        backward[start] = (phi, pure_w, delta_w)
+        change = _dephasing_change(n, coupled[start], qubit_am1).conj()
+        delta_w = delta_w + change * (pure_w + delta_w)
+
+    spectrum = ready_spectrum(model)
+    s, target_am1 = _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
-    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ setup.spectrum[1]
-    t = setup.mode
-    weight = (
-        (abs(setup.psi[t]) ** 2 + delta[:, t, t].real)
-        * (abs(setup.phi[t]) ** 2 + delta_w[:, t, t].real)
-        * disturbed
-    )
-    traces = np.sqrt(np.maximum(weight, 0.0)) / abs(overlap)
-    return traces, probability < ZERO_PROBABILITY_FLOOR
+    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum[1]
+    for arm in arms:
+        if arm not in first:
+            raise ValueError(f"arm {arm!r} is not labeled in any slice")
+        stop, t = first[arm]
+        psi, pure, delta = forward[stop]
+        phi, pure_w, delta_w = backward[stop]
+        others = [mode for mode in coupled[stop] if mode != t]
+        if others:
+            delta = delta + _dephasing_change(n, others, qubit_am1) * (pure + delta)
+        rho = pure + delta
+        dephased = rho + _dephasing_change(n, (t,), target_am1) * rho
+        probability = np.einsum("gxy,gxy->g", (pure_w + delta_w).conj(), dephased).real
+        weight = (
+            (abs(psi[t]) ** 2 + delta[:, t, t].real)
+            * (abs(phi[t]) ** 2 + delta_w[:, t, t].real)
+            * disturbed
+        )
+        traces = np.sqrt(np.maximum(weight, 0.0)) / abs(overlap)
+        yield traces, probability < ZERO_PROBABILITY_FLOOR
 
 
 def _dark_after_coupling(g: float) -> DarkDetectorError:
@@ -505,13 +511,28 @@ def weak_trace_sweep(
     model: PointerModel,
     g_values: Sequence[float],
 ) -> tuple[float, ...]:
+    return weak_trace_sweeps(net, (arm,), model, g_values)[0][1]
+
+
+def weak_trace_sweeps(
+    net: OpticalNetwork,
+    arms: Iterable[str],
+    model: PointerModel,
+    g_schedule: Sequence[float],
+) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """(arm, its weak trace at each g) for each of ``arms`` in order, all
+    from one forward and one backward pass; the first arm whose coupling
+    darkens the detector at some g raises there."""
     overlap = _checked_overlap(net)
-    g_values = [float(g) for g in g_values]
-    traces, dark = _traces(_TraceSetup(net, arm, model), overlap, g_values)
-    for g, is_dark in zip(g_values, dark):
-        if is_dark:
-            raise _dark_after_coupling(g)
-    return tuple(float(v) for v in traces)
+    arms = list(arms)
+    g_values = [float(g) for g in g_schedule]
+    sweeps = []
+    for arm, (traces, dark) in zip(arms, _arm_traces(net, arms, model, g_values, overlap)):
+        for g, is_dark in zip(g_values, dark):
+            if is_dark:
+                raise _dark_after_coupling(g)
+        sweeps.append((arm, tuple(float(v) for v in traces)))
+    return tuple(sweeps)
 
 
 @dataclass(frozen=True)
@@ -550,8 +571,7 @@ def classify_presence(
     the coupling itself darkens the detector are excluded from the fit and
     only fatal when fewer than four points survive.
     """
-    if arms is None:
-        arms = sorted(net.arm_labels)
+    arms = sorted(net.arm_labels) if arms is None else list(arms)
     if model is None:
         model = qubit_pointer()
     if g_schedule is None:
@@ -561,8 +581,7 @@ def classify_presence(
     overlap = _checked_overlap(net)
 
     entries = []
-    for arm in arms:
-        traces, dark = _traces(_TraceSetup(net, arm, model), overlap, schedule)
+    for arm, (traces, dark) in zip(arms, _arm_traces(net, arms, model, schedule, overlap)):
         usable = [(g, float(v)) for g, v, is_dark in zip(schedule, traces, dark) if not is_dark]
         if len(usable) < 4:
             raise _dark_after_coupling(schedule[int(np.flatnonzero(dark)[-1])])

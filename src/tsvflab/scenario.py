@@ -356,11 +356,18 @@ def _parse_float_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> float | N
     return _parse_real(entry, entry.value, entry.value_col, diags)
 
 
-def _parse_int_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> int | None:
-    if re.fullmatch(r"[+-]?\d+", entry.value):
-        return int(entry.value)
-    diags.append(entry.error(f"malformed integer {entry.value!r}"))
+def _parse_int(
+    entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
+) -> int | None:
+    """An integer ``token`` of ``entry``'s value, at column ``col``."""
+    if re.fullmatch(r"[+-]?\d+", token):
+        return int(token)
+    diags.append(entry.error(f"malformed integer {token!r}", col))
     return None
+
+
+def _parse_int_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> int | None:
+    return _parse_int(entry, entry.value, entry.value_col, diags)
 
 
 def _parse_float_list(
@@ -724,13 +731,12 @@ def _build_network(
             except ValueError:
                 diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
                 continue
-            # the reals follow the decimal grammar, which has no inf or nan
-            reals = [
-                _parse_real(entry, token, col, diags)
+            # the numbers follow the file's grammars, which have no inf, nan or 0_0
+            numbers = [
+                (_parse_real if kind is float else _parse_int)(entry, token, col, diags)
                 for kind, (token, col) in zip(types, args)
-                if kind is float
             ]
-            if None in reals:
+            if None in numbers:
                 continue
             fields = [(name,) for name in names]
         elif keyword == "slice":

@@ -1,11 +1,11 @@
 """Coupling and spread schedules: their rules and their defaults.
 
-A g-schedule is positive and strictly decreasing, holds at least 4 points
-wherever g is extrapolated or fitted, and spans at least one decade
-wherever a leading order is fitted.  A spread schedule is positive and
-strictly increasing with at least 2 points.  Every rule is checked here,
-always in that order, so each entry point reports the same message for
-the same schedule.
+A g-schedule is finite, positive and strictly decreasing, holds at least
+4 points wherever g is extrapolated or fitted, and spans at least one
+decade wherever a leading order is fitted.  A spread schedule is finite,
+positive and strictly increasing with at least 2 points.  Every rule is
+checked here, always in that order, so each entry point reports the same
+message for the same schedule.
 """
 
 from __future__ import annotations
@@ -19,10 +19,16 @@ from .errors import ScheduleError
 from .pointer import GAUSSIAN_KIND, PointerModel
 
 
+def _finite(points: tuple[float, ...], label: str) -> tuple[float, ...]:
+    if not all(math.isfinite(v) for v in points):
+        raise ScheduleError(f"{label} points must be finite")
+    return points
+
+
 def _ordered(
     values: Iterable[float], label: str, decreasing: bool, min_points: int
 ) -> tuple[float, ...]:
-    points = tuple(float(v) for v in values)
+    points = _finite(tuple(float(v) for v in values), label)
     if any(v <= 0 for v in points):
         raise ScheduleError(f"{label} points must be positive")
     if any(b >= a if decreasing else b <= a for a, b in zip(points, points[1:])):
@@ -36,7 +42,7 @@ def _ordered(
 class GSchedule(tuple):
     """Validated coupling strengths, a tuple of floats.
 
-    Checked in order: positive, strictly decreasing, at least
+    Checked in order: finite, positive, strictly decreasing, at least
     ``min_points`` long, and with ``span_decade`` g_max / g_min >= 10 (the
     order fits need a decade to tell first from second order).
     """
@@ -53,7 +59,7 @@ class GSchedule(tuple):
 
 
 class SpreadSchedule(tuple):
-    """Validated pointer spreads: positive, strictly increasing, >= 2 points."""
+    """Validated pointer spreads: finite, positive, strictly increasing, >= 2 points."""
 
     __slots__ = ()
 
@@ -69,7 +75,9 @@ def default_g_decade(
     span_decade: bool = False,
 ) -> GSchedule:
     """Decreasing geometric schedule used for all order fits by default,
-    checked by ``GSchedule`` with ``min_points`` and ``span_decade``."""
+    checked by ``GSchedule`` with ``min_points`` and ``span_decade``; the
+    ends are checked for finiteness first, with ``GSchedule``'s message."""
+    _finite((float(g_max), float(g_min)), "schedule")
     if not 0 < g_min < g_max:
         raise ScheduleError("need 0 < g_min < g_max")
     # a negative count is too few points, not a numpy error

@@ -284,6 +284,39 @@ class TestFailureModes:
             assert captured.out == ""
             assert "error: schedule needs at least 4 points" in captured.err
 
+    @pytest.mark.parametrize("command", ["trace", "presence"])
+    @pytest.mark.parametrize("flag", [["--g-max", "inf"], ["--g-min", "nan"]])
+    def test_non_finite_flag_schedule_exit_2(self, capsys, command, flag):
+        assert main([command, "--preset", "nested-mzi"] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: schedule points must be finite\n"
+
+    def test_calls_share_no_flags(self, tmp_path, capsys):
+        # the parser is built once per process; each call parses afresh
+        from tsvflab.scenario import load_corpus_text
+
+        path = tmp_path / "own.scn"
+        path.write_text(
+            load_corpus_text("nested_mzi_presence").replace("plan = presence", "plan = trace")
+            + "g_schedule = 0.01, 0.005\n"
+        )
+        argv = ["trace", str(path), "--g-max", "0.3", "--g-min", "0.03", "--points", "3"]
+        assert main(argv) == 0
+        flagged = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[1] for row in flagged} == {
+            "3.000000000000e-1", "9.486832980505e-2", "3.000000000000e-2"
+        }
+        assert main(["trace", str(path)]) == 0
+        plain = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[1] for row in plain} == {"1.000000000000e-2", "5.000000000000e-3"}
+        with pytest.raises(SystemExit) as usage:
+            main(["trace", str(path), "--points", "many"])
+        assert usage.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        assert main(["trace", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["g"] == "1.000000000000e-2"
+
     def test_non_finite_phase_exit_1(self, tmp_path, capsys):
         from tsvflab.scenario import load_corpus_text
 

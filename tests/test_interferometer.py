@@ -32,6 +32,7 @@ from tsvflab import (
     two_state_vector,
     weak_trace,
     weak_trace_sweep,
+    weak_trace_sweeps,
 )
 from tsvflab import interferometer
 from tsvflab.qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, basis_state
@@ -546,10 +547,97 @@ class TestChannelsAgainstTensorOracle:
         # past the overlap check, the coupled detection probability is zero
         with pytest.raises(DarkDetectorError) as oracle:
             tensor_trace(net, "U", qubit_pointer(), 1e-3, overlap=1.0)
-        setup = interferometer._TraceSetup(net, "U", qubit_pointer())
-        _, dark = interferometer._traces(setup, 1.0, [1e-3])
+        (_, dark), = interferometer._arm_traces(net, ["U"], qubit_pointer(), [1e-3], 1.0)
         assert dark.tolist() == [True]
         assert str(interferometer._dark_after_coupling(1e-3)) == str(oracle.value)
+
+
+class TestAllArmsAtOnce:
+    """One forward and one backward pass serve every arm: the same bits as
+    one arm at a time, and the caller's arm order for errors."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("target", ["qubit", "gaussian"])
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_every_arm_matches_its_own_sweep(self, k, target, probe):
+        rng = np.random.default_rng(1000 + 100 * k + 10 * (target == "qubit") + probe)
+        net = chain_network(rng, k, probe)
+        if target == "qubit":
+            model = qubit_pointer(str(rng.choice(["x", "y", "z"])))
+        else:
+            spread = float(rng.uniform(0.5, 2.0))
+            model = gaussian_pointer(spread, 64, 8.0 * spread)
+        schedule = default_g_decade(1e-2, 1e-3, 4)
+        arms = list(net.arm_labels)
+        report = classify_presence(net, arms, model, schedule)
+        together = weak_trace_sweeps(net, arms, model, schedule)
+        assert [arm for arm, _ in together] == arms
+        for arm, traces in together:
+            alone = weak_trace_sweep(net, arm, model, schedule)
+            assert traces == alone, arm
+            assert report.leading_order(arm) == fit_order(schedule, alone)[0], arm
+            # the tensor holds 2^(arms-1) * 64 amplitudes per mode: ~120 MB at
+            # k = 3 with a 64-point target, so the oracle checks k <= 2 there
+            if target == "gaussian" and k == 3:
+                continue
+            oracle = tensor_trace(net, arm, model, schedule[-1])
+            if arm == "X":
+                assert alone[-1] == 0.0 and oracle <= 1e-14
+            else:
+                assert alone[-1] == pytest.approx(oracle, rel=1e-9, abs=0), arm
+
+    def test_detection_probability_in_closed_form(self, monkeypatch):
+        # both arms couple at one slice to qubit environments with
+        # alpha = cos g, so the post-selected probability is
+        # |a_U|^2 + |a_L|^2 + 2 Re(conj(a_U) a_L) cos(g)^2, a_x = conj(b_x) f_x;
+        # floors just above and below it pin the dark check to it
+        net = OpticalNetwork(
+            n_modes=2,
+            steps=(
+                BeamSplitter(0, 1, 0.3),
+                TimeSlice((("U", 0), ("L", 1))),
+                BeamSplitter(0, 1, 0.6),
+            ),
+            source_mode=0,
+            detectors=(("D1", 0), ("D2", 1)),
+            postselect_detector="D2",
+        )
+        tsv = two_state_vector(net, 0)
+        a_u, a_l = (tsv.backward_amplitude(x).conjugate() * tsv.forward_amplitude(x)
+                    for x in "UL")
+        g = 0.5
+        probability = (
+            abs(a_u) ** 2 + abs(a_l) ** 2 + 2 * (a_u.conjugate() * a_l).real * math.cos(g) ** 2
+        )
+        for arm in ("U", "L"):
+            for scale, dark in ((1 + 1e-9, True), (1 - 1e-9, False)):
+                monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", probability * scale)
+                (_, flags), = interferometer._arm_traces(
+                    net, [arm], qubit_pointer(), [g], network_overlap(net)
+                )
+                assert flags.tolist() == [dark], (arm, scale)
+
+    def test_errors_keep_the_callers_arm_order(self, monkeypatch):
+        # a floor above every detection probability darkens every point, so
+        # the first listed arm fails its fit before the unlabeled one is read
+        net = build_nested_mzi()
+        schedule = default_g_decade()
+        monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", 2.0)
+        with pytest.raises(DarkDetectorError) as dark:
+            classify_presence(net, ["A", "Q"], qubit_pointer(), schedule)
+        assert str(dark.value) == (
+            f"post-selection detector dark after coupling at g = {schedule[-1]!r}"
+        )
+        with pytest.raises(DarkDetectorError) as swept:
+            weak_trace_sweeps(net, ["A", "Q"], qubit_pointer(), schedule)
+        assert str(swept.value) == (
+            f"post-selection detector dark after coupling at g = {schedule[0]!r}"
+        )
+        for call in (classify_presence, weak_trace_sweeps):
+            with pytest.raises(ValueError, match="arm 'Q' is not labeled in any slice"):
+                call(net, ["Q", "A"], qubit_pointer(), schedule)
+        with pytest.raises(ValueError, match="arm 'Q' is not labeled in any slice"):
+            weak_trace_sweep(net, "Q", qubit_pointer(), schedule)
 
 
 def test_presence_on_forty_arms():

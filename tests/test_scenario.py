@@ -419,6 +419,10 @@ PINNED_DIAGNOSTICS = [
       ("unresolved operator 'sz'", 23, 15, "error"))),
     (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0 one 0.5"),
      (("malformed beam_splitter args", 7, 21, "error"),)),
+    (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0_0 1 0.5"),
+     (("malformed integer '0_0'", 7, 21, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1_0 0.25"),
+     (("malformed integer '1_0'", 8, 19, "error"),)),
     (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0 1"),
      (("beam_splitter needs: mode mode t", 7, 7, "error"),)),
     (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1 quarter"),

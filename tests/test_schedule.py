@@ -1,5 +1,7 @@
 """Schedule rules: one message per broken rule, whichever entry point meets it."""
 
+import math
+
 import pytest
 
 from tsvflab import (
@@ -25,8 +27,12 @@ from tsvflab.scenario import load_corpus_text
 SEL = PrePostSelection(spin_up_x(), spin_up_z())
 
 # (schedule, message of the first broken rule, whether only fits apply it);
-# rules are checked positive -> decreasing -> 4 points -> one decade
+# rules are checked finite -> positive -> decreasing -> 4 points -> one decade
 BAD_G_SCHEDULES = [
+    ((0.02, math.inf, 0.001, 0.0001), "schedule points must be finite", False),
+    ((math.nan, 0.01, 0.001, 0.0001), "schedule points must be finite", False),
+    ((-0.01, 0.02, math.nan), "schedule points must be finite", False),
+    ((0.02, 0.01, 0.005, -math.inf), "schedule points must be finite", False),
     ((0.02, 0.01, -0.005, 0.001), "schedule points must be positive", False),
     ((0.02, 0.0, 0.001, 0.0001), "schedule points must be positive", False),
     ((0.01, 0.02, 0.03, 0.04), "schedule must decrease", False),
@@ -50,16 +56,37 @@ def _with_line(name: str, key: str, values) -> tuple[str, tuple[int, int]]:
 
 def _validate(name: str, key: str, values) -> None:
     """Raise the validator's diagnostic as a ScheduleError, after checking
-    that it sits on the schedule's value."""
+    that it sits on the schedule's value; a point the file grammar cannot
+    spell (inf, nan) is the parser's diagnostic instead, on that point."""
     text, position = _with_line(name, key, values)
     parsed = parse(text)
-    assert parsed.ok, parsed.diagnostics
+    if not parsed.ok:
+        (diag,) = parsed.diagnostics
+        token = _unspellable(values)
+        assert token is not None, parsed.diagnostics
+        line = text.splitlines()[position[0] - 1]
+        assert (diag.line, diag.column) == (position[0], line.index(token) + 1)
+        raise ScheduleError(diag.message)
     checked = validate_semantics(parsed.doc)
     if checked.ok:
         return
     (diag,) = checked.diagnostics
     assert (diag.line, diag.column) == position
     raise ScheduleError(diag.message)
+
+
+def _unspellable(values) -> str | None:
+    """The first point a scenario file cannot spell, as ``_with_line`` writes it."""
+    return next((repr(float(v)) for v in values if not math.isfinite(v)), None)
+
+
+def _expected(entry: str, values, message: str) -> str:
+    """The message ``entry`` reports: a scenario file meets a non-finite
+    point in the parser, which has no number for it."""
+    token = _unspellable(values)
+    if entry.startswith("validate") and token is not None:
+        return f"malformed number {token!r}"
+    return message
 
 
 # entry point -> (call with a g-schedule, whether it fits an order)
@@ -93,7 +120,7 @@ def test_g_schedule_rules_agree(entry, schedule, message, fits_only):
         return
     with pytest.raises(ScheduleError) as info:
         call(schedule)
-    assert str(info.value) == message
+    assert str(info.value) == _expected(entry, schedule, message)
 
 
 def test_trace_plan_reads_any_positive_decreasing_schedule():
@@ -107,6 +134,8 @@ def test_trace_plan_reads_any_positive_decreasing_schedule():
 
 
 BAD_SPREAD_SCHEDULES = [
+    ((2.0, math.inf), "spread schedule points must be finite"),
+    ((math.nan, -4.0, 8.0), "spread schedule points must be finite"),
     ((2.0, -4.0, 8.0), "spread schedule points must be positive"),
     ((4.0, 2.0), "spread schedule must increase"),
     ((2.0, 2.0, 4.0), "spread schedule must increase"),
@@ -125,7 +154,7 @@ SPREAD_ENTRY_POINTS = {
 def test_spread_schedule_rules_agree(entry, schedule, message):
     with pytest.raises(ScheduleError) as info:
         SPREAD_ENTRY_POINTS[entry](schedule)
-    assert str(info.value) == message
+    assert str(info.value) == _expected(entry, schedule, message)
 
 
 def test_schedules_are_tuples_of_floats():
@@ -142,3 +171,13 @@ def test_default_decade_validates_its_points():
     with pytest.raises(ScheduleError, match="at least 4"):
         default_g_decade(points=-1)
     assert isinstance(default_g_decade(), GSchedule)
+
+
+@pytest.mark.parametrize(
+    "ends", [{"g_max": math.inf}, {"g_min": math.nan}, {"g_max": math.nan, "g_min": -1.0}]
+)
+def test_default_decade_checks_finite_ends_first(ends):
+    # else nan ends read as 'need 0 < g_min < g_max' and g_max = inf passes it
+    with pytest.raises(ScheduleError) as info:
+        default_g_decade(**ends)
+    assert str(info.value) == "schedule points must be finite"
