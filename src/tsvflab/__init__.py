@@ -66,8 +66,6 @@ from .qcore import (
     LinearOperator,
     StateVector,
     basis_state,
-    coupling_unitary,
-    evolve,
     first_order_state,
     identity,
     inner,
@@ -94,14 +92,10 @@ from .scenario import (
 )
 from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
 from .weakmeas import (
-    PostSelectedPointer,
     PrePostSelection,
     WeakValueEstimate,
-    analytic_estimate,
     estimate_weak_value,
     expectation,
-    measure_once,
-    pointer_ratio,
     time_reverse,
     weak_value,
 )

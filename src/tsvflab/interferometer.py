@@ -551,9 +551,6 @@ class PresenceReport:
     def leading_order(self, arm: str) -> float:
         return dict(self.entries)[arm].leading_order
 
-    def as_dict(self) -> dict[str, ArmPresence]:
-        return dict(self.entries)
-
 
 _PRESENCE_BY_ORDER = {"first": "primary", "second": "secondary", "none": "none"}
 

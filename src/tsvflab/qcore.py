@@ -1,6 +1,6 @@
 """Exact dense complex linear algebra for small Hilbert spaces.
 
-States, operators, tensor products, and the measurement coupling unitary
+States, operators, tensor products, and the measurement coupling evolution
 exp(-i g S (x) P).  Everything is dense ``complex128``; the supported scale
 is a desk-sized joint space (system dim <= 16, pointer dim <= 256).
 
@@ -16,6 +16,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,6 @@ from .errors import NonHermitianOperatorError
 
 #: Tolerance for structural checks (normalization tags, hermiticity tags).
 STRUCTURAL_TOL = 1e-12
-#: Tolerance promised for unitarity of constructed coupling unitaries.
-UNITARITY_TOL = 1e-10
 #: Squared norms below this floor count as zero (a dark branch, an empty state).
 ZERO_PROBABILITY_FLOOR = 1e-300
 #: Below this |<out|in>| the selection is orthogonal: the detector is dark and
@@ -49,6 +48,11 @@ def _as_complex_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator entries must be finite")
     return arr
+
+
+def _times_pow2(x, exponent: int):
+    # two half steps: 2.0 ** exponent alone overflows for |exponent| > 1023
+    return x * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +87,26 @@ class StateVector:
     def dim(self) -> int:
         return self.amps.size
 
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        """(amps / 2**e, e) for the power of two 2**e nearest the largest
+        component, so the squared norm can neither underflow nor overflow.
+
+        Power-of-two scaling is exact: where the plain norm does not
+        underflow or overflow, the results below match it bit for bit.
+        """
+        exponent = math.frexp(float(np.max(np.abs(self.amps.view(np.float64)))))[1]
+        return _times_pow2(self.amps, -exponent), exponent
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        scaled, exponent = self._scaled()
+        return _times_pow2(float(np.linalg.norm(scaled)), exponent)
 
     def unit(self) -> "StateVector":
-        """Normalized copy; raises on (numerically) zero states."""
-        n = self.norm()
-        if n < 1e-150:
+        """Normalized copy; raises on the all-zero state."""
+        scaled, _ = self._scaled()
+        if not scaled.any():
             raise ValueError("cannot normalize a zero state")
-        return StateVector(self.amps / n)
+        return StateVector(scaled / np.linalg.norm(scaled))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,27 +237,13 @@ class CouplingEvolution:
         self.ptr_dim = pointer_op.dim
         sys_eigvals, sys_vecs = np.linalg.eigh(system_op.entries)
         ptr_eigvals, ptr_vecs = np.linalg.eigh(pointer_op.entries)
-        self._sys_eigvals = sys_eigvals
-        self._ptr_eigvals = ptr_eigvals
         self._sys_vecs = sys_vecs
         self._ptr_vecs = ptr_vecs
         # lambda_i * mu_j laid out as (sys, ptr)
         self._joint_eigvals = np.outer(sys_eigvals, ptr_eigvals)
 
-    def unitary(self, g: float) -> LinearOperator:
-        """Dense exp(-i g S (x) P) on the joint space."""
-        g = _finite_coupling(g)
-        dim = self.sys_dim * self.ptr_dim
-        if g == 0.0:
-            return LinearOperator(np.eye(dim), hermitian=None)
-        basis = np.kron(self._sys_vecs, self._ptr_vecs)
-        # I + V (e^{-ig lambda} - 1) V^dag: eigenvectors with phase exactly 1
-        # (the generator kernel) contribute nothing, not even roundoff.
-        phases = np.exp(-1j * g * self._joint_eigvals.ravel()) - 1.0
-        return LinearOperator(np.eye(dim) + (basis * phases) @ basis.conj().T)
-
     def apply(self, g: float, joint: JointState) -> JointState:
-        """exp(-i g S (x) P) applied to a joint state (no dense unitary built)."""
+        """exp(-i g S (x) P) applied to a joint state."""
         g = _finite_coupling(g)
         if joint.sys_dim != self.sys_dim or joint.ptr_dim != self.ptr_dim:
             raise ValueError("joint state dimensions do not match the coupling")
@@ -265,22 +266,6 @@ def _finite_coupling(g) -> float:
     if not np.isfinite(g):
         raise ValueError("coupling strength must be finite")
     return g
-
-
-def coupling_unitary(S: LinearOperator, P: LinearOperator, g: float) -> LinearOperator:
-    """exp(-i g S (x) P) for hermitian S (system) and P (pointer)."""
-    return CouplingEvolution(S, P).unitary(g)
-
-
-def evolve(generator: LinearOperator, t: float, state: StateVector) -> StateVector:
-    """exp(-i t H)|psi> for hermitian H, via eigendecomposition."""
-    _require_hermitian(generator, "evolution generator")
-    t = _finite_coupling(t)
-    if t == 0.0:
-        return state
-    eigvals, vecs = np.linalg.eigh(generator.entries)
-    coeffs = vecs.conj().T @ state.amps
-    return StateVector(vecs @ (np.exp(-1j * t * eigvals) * coeffs))
 
 
 def first_order_state(

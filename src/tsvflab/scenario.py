@@ -115,6 +115,8 @@ _COMPLEX_IMAG_RE = re.compile(rf"({_REAL})i\Z")
 _COMPLEX_REAL_RE = re.compile(rf"({_REAL})\Z")
 
 _MAX_EXPR_DEPTH = 64
+#: Largest system dimension, and so the largest ``identity(n)``.
+_MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -501,8 +503,8 @@ class _ExprParser:
                 raise _ExprError(arg[2], "identity needs an integer dimension")
             self._expect_sym(")")
             n = int(float(arg[1]))
-            if n < 1:
-                raise _ExprError(arg[2], "identity needs a positive dimension")
+            if not 1 <= n <= _MAX_DIM:
+                raise _ExprError(arg[2], f"identity dimension must be in [1, {_MAX_DIM}]")
             return ("matrix", identity(n).entries.copy())
         if name == "projector":
             self._expect_sym("(")
@@ -513,6 +515,8 @@ class _ExprParser:
             state = self.states.get(arg[1])
             if state is None:
                 raise _ExprError(arg[2], f"unresolved state {arg[1]!r}")
+            if not state.amps.any():
+                raise _ExprError(arg[2], f"cannot project onto the zero state {arg[1]!r}")
             return ("matrix", projector(state).entries.copy())
         if name == "sqrt":
             self._expect_sym("(")
@@ -905,8 +909,8 @@ def parse(text: str) -> ScenarioResult:
         if table is not None:
             entry = table["dim"][0]
             parsed = _parse_int_entry(entry, diags)
-            if parsed is not None and not 1 <= parsed <= 4096:
-                diags.append(entry.error("dim must be in [1, 4096]"))
+            if parsed is not None and not 1 <= parsed <= _MAX_DIM:
+                diags.append(entry.error(f"dim must be in [1, {_MAX_DIM}]"))
             elif parsed is not None:
                 dim = parsed
 

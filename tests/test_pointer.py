@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import single_factor_evolution
 from tsvflab import (
     LinearOperator,
     NonHermitianOperatorError,
     PointerModel,
     StateVector,
-    evolve,
     gaussian_pointer,
     grid_coordinates,
     initial_state,
@@ -110,7 +110,7 @@ class TestGridOperators:
         ready = initial_state(model)
         p = translation_generator(model)
         g = 0.75
-        shifted = evolve(p, g, ready)
+        shifted = single_factor_evolution(p, g, ready)
         peak = grid_coordinates(model)[int(np.argmax(np.abs(shifted.amps)))]
         assert abs(peak - g) <= model.grid_spacing
 
@@ -119,7 +119,7 @@ class TestGridOperators:
         ready = initial_state(model)
         p = translation_generator(model)
         g = 0.31
-        shifted = evolve(p, g, ready)
+        shifted = single_factor_evolution(p, g, ready)
         assert moments(shifted, position_operator(model)) == pytest.approx(
             g, abs=model.grid_spacing
         )
@@ -130,8 +130,8 @@ class TestGridOperators:
         p = translation_generator(model)
         state = initial_state(model)
         for _ in range(4):
-            state = evolve(p, 0.2, state)
-        direct = evolve(p, 0.8, initial_state(model))
+            state = single_factor_evolution(p, 0.2, state)
+        direct = single_factor_evolution(p, 0.8, initial_state(model))
         assert np.linalg.norm(state.amps - direct.amps) <= 1e-9
 
 

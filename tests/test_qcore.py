@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, single_factor_evolution
 from tsvflab import (
     CouplingEvolution,
     JointState,
@@ -15,8 +15,6 @@ from tsvflab import (
     NonHermitianOperatorError,
     StateVector,
     basis_state,
-    coupling_unitary,
-    evolve,
     first_order_state,
     fit_order,
     gaussian_pointer,
@@ -32,9 +30,11 @@ from tsvflab import (
     tensor_product,
     translation_generator,
 )
-from tsvflab.qcore import STRUCTURAL_TOL, UNITARITY_TOL
+from tsvflab.qcore import STRUCTURAL_TOL
 
 INV_SQRT2 = 0.7071067811865476  # hand value of 1/sqrt(2)
+#: Unitarity promised for the coupling evolution.
+UNITARITY_DEFECT = 1e-10
 
 
 def _complex_vectors(min_dim=1, max_dim=6):
@@ -164,34 +164,53 @@ class TestInner:
         assert inner(sa, scaled) == pytest.approx(scale * inner(sa, sb), abs=1e-9)
 
 
-class TestCouplingUnitary:
+def _columns(evolution: CouplingEvolution, g: float) -> np.ndarray:
+    """exp(-i g S (x) P) as a matrix, one ``apply`` per joint basis state."""
+    dim = evolution.sys_dim * evolution.ptr_dim
+    return np.column_stack([
+        evolution.apply(
+            g, JointState(evolution.sys_dim, evolution.ptr_dim, basis_state(dim, k))
+        ).state.amps
+        for k in range(dim)
+    ])
+
+
+class TestCouplingEvolution:
     def test_zero_coupling_is_identity(self):
-        u = coupling_unitary(pauli_z(), pauli_x(), 0.0)
-        np.testing.assert_array_equal(u.entries, np.eye(4))
+        u = _columns(CouplingEvolution(pauli_z(), pauli_x()), 0.0)
+        np.testing.assert_array_equal(u, np.eye(4))
 
     def test_unitarity(self, rng):
         for _ in range(10):
             s = random_hermitian(rng, 3)
             p = random_hermitian(rng, 4)
-            u = coupling_unitary(s, p, rng.uniform(0.01, 2.0))
-            defect = np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(12)))
-            assert defect <= UNITARITY_TOL
+            u = _columns(CouplingEvolution(s, p), rng.uniform(0.01, 2.0))
+            defect = np.max(np.abs(u @ u.conj().T - np.eye(12)))
+            assert defect <= UNITARITY_DEFECT
 
     def test_rejects_non_hermitian(self):
         lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NonHermitianOperatorError):
-            coupling_unitary(lower, pauli_x(), 0.1)
+            CouplingEvolution(lower, pauli_x())
         with pytest.raises(NonHermitianOperatorError):
-            coupling_unitary(pauli_z(), lower, 0.1)
+            CouplingEvolution(pauli_z(), lower)
 
     def test_exponential_additivity(self, rng):
         s = random_hermitian(rng, 2)
         p = random_hermitian(rng, 5)
         evolution = CouplingEvolution(s, p)
-        u1 = evolution.unitary(0.3).entries
-        u2 = evolution.unitary(0.45).entries
-        u12 = evolution.unitary(0.75).entries
-        assert np.max(np.abs(u1 @ u2 - u12)) <= UNITARITY_TOL
+        u1 = _columns(evolution, 0.3)
+        u2 = _columns(evolution, 0.45)
+        u12 = _columns(evolution, 0.75)
+        assert np.max(np.abs(u1 @ u2 - u12)) <= UNITARITY_DEFECT
+
+    def test_single_factor_matches_dense_exponential(self, rng):
+        h = random_hermitian(rng, 4)
+        v = random_state(rng, 4)
+        direct = single_factor_evolution(h, 0.7, v)
+        eigvals, vecs = np.linalg.eigh(h.entries)
+        dense = (vecs * np.exp(-1j * 0.7 * eigvals)) @ vecs.conj().T
+        np.testing.assert_allclose(direct.amps, dense @ v.amps, atol=1e-12)
 
     def test_zero_eigenvalue_state_is_fixed(self):
         # S|in> = 0 means the interaction does nothing at all, at any g
@@ -236,8 +255,9 @@ class TestCouplingUnitary:
         ) == 0.0
 
     def test_rejects_non_finite_coupling(self):
-        with pytest.raises(ValueError):
-            coupling_unitary(pauli_z(), pauli_x(), math.inf)
+        joint = tensor_product(spin_up_z(), spin_up_x())
+        with pytest.raises(ValueError, match="finite"):
+            CouplingEvolution(pauli_z(), pauli_x()).apply(math.inf, joint)
 
 
 class TestFirstOrderState:
@@ -286,13 +306,3 @@ class TestFirstOrderState:
                 translation_generator(model),
                 0.1,
             )
-
-
-class TestEvolve:
-    def test_matches_dense_unitary(self, rng):
-        h = random_hermitian(rng, 4)
-        v = random_state(rng, 4)
-        direct = evolve(h, 0.7, v)
-        eigvals, vecs = np.linalg.eigh(h.entries)
-        dense = (vecs * np.exp(-1j * 0.7 * eigvals)) @ vecs.conj().T
-        np.testing.assert_allclose(direct.amps, dense @ v.amps, atol=1e-12)

@@ -449,6 +449,13 @@ PINNED_DIAGNOSTICS = [
     (MINIMAL.replace("observables = sz", "observables = sz, 9x"),
      (("invalid name '9x'", 24, 19, "error"),)),
     (MINIMAL.replace("dim = 2", "dim = 0"), (("dim must be in [1, 4096]", 3, 7, "error"),)),
+    (MINIMAL.replace("expr = pauli_z", "expr = identity(10000000)"),
+     (("identity dimension must be in [1, 4096]", 12, 17, "error"),
+      ("unresolved operator 'sz'", 24, 15, "error"))),
+    (MINIMAL.replace("amps = 1, 0", "amps = 0, 0")
+     .replace("expr = pauli_z", "expr = projector(up_z)"),
+     (("cannot project onto the zero state 'up_z'", 12, 18, "error"),
+      ("unresolved operator 'sz'", 24, 15, "error"))),
 ]
 
 
@@ -534,6 +541,30 @@ class TestTotality:
     @given(st.integers(0, len(MINIMAL)))
     def test_truncations_never_crash(self, cut):
         parse(MINIMAL[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # sizes 9..4096 are valid and would allocate, so they are never drawn
+        st.one_of(st.integers(-3, 8), st.integers(4097, 10**12)),
+        st.lists(
+            st.one_of(
+                st.just("0"),
+                st.builds("{}1e{}".format, st.sampled_from("+-"), st.integers(-300, 300)),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_identity_and_projector_arguments_never_crash(self, k, amps):
+        result = parse(MINIMAL.replace("expr = pauli_z", f"expr = identity({k})"))
+        assert result.ok == (k == 2)
+        state = f"[state v]\namps = {', '.join(amps)}\n"
+        result = parse(MINIMAL + state + "[operator p]\nexpr = projector(v)\n")
+        assert result.ok == any(float(a) != 0.0 for a in amps)
+        if result.ok:
+            p = result.doc.operators["p"].entries
+            assert np.max(np.abs(p @ p - p)) <= 1e-12
+            assert abs(np.trace(p) - 1.0) <= 1e-12
 
     def test_deep_expression_nesting_is_rejected_not_fatal(self):
         text = MINIMAL.replace(

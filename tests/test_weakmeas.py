@@ -11,22 +11,20 @@ from tsvflab import (
     LinearOperator,
     NonHermitianOperatorError,
     OrthogonalSelectionError,
-    PostSelectedPointer,
     PrePostSelection,
     ScheduleError,
     StateVector,
     WeakValueEstimate,
-    analytic_estimate,
     default_g_schedule,
     estimate_weak_value,
     expectation,
+    first_order_state,
     fit_order,
     gaussian_pointer,
-    measure_once,
+    initial_state,
     moments,
     pauli_x,
     pauli_z,
-    pointer_ratio,
     position_operator,
     projector,
     qubit_pointer,
@@ -34,8 +32,11 @@ from tsvflab import (
     spin_up_x,
     spin_up_z,
     time_reverse,
+    translation_generator,
+    variance,
     weak_value,
 )
+from tsvflab.weakmeas import PointerReadout
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -50,6 +51,23 @@ def s_plus() -> LinearOperator:
 
 def s_minus() -> LinearOperator:
     return (pauli_z() - pauli_x()) / math.sqrt(2)
+
+
+def conditional_branch(sel, S, model, g) -> StateVector:
+    """The post-selected pointer branch the estimator reads at coupling g."""
+    return PointerReadout(sel, S, model)._conditional_branch(g)
+
+
+def first_order_ratio(sel, S, model, g) -> complex:
+    """Gaussian-pointer readout of the O(g) expansion: ``first_order_state``,
+    then the projection onto |out>, then the pointer moments."""
+    ready = initial_state(model)
+    p = translation_generator(model)
+    expanded = first_order_state(sel.pre, ready, S, p, g)
+    branch = StateVector(sel.post.amps.conj() @ expanded.as_matrix())
+    re = moments(branch, position_operator(model)) / g
+    im = moments(branch, p) / (2.0 * g * variance(ready, p))
+    return complex(re, im)
 
 
 def oracle_weak_value(post, S, pre) -> complex:
@@ -144,51 +162,43 @@ class TestTimeReverse:
             assert abs(flipped - np.conj(weak_value(sel, s))) <= 1e-12
 
 
-class TestMeasureOnce:
+class TestConditionalBranch:
     def test_zero_coupling(self):
         sel = spin_selection()
         model = gaussian_pointer(2.0)
-        branch = measure_once(sel, pauli_z(), model, 0.0)
-        from tsvflab import initial_state
-
+        branch = conditional_branch(sel, pauli_z(), model, 0.0)
         expected = sel.overlap * initial_state(model).amps
-        np.testing.assert_array_equal(branch.pointer_state.amps, expected)
-        assert branch.probability == pytest.approx(abs(sel.overlap) ** 2, abs=1e-15)
+        np.testing.assert_array_equal(branch.amps, expected)
+        assert branch.norm() ** 2 == pytest.approx(abs(sel.overlap) ** 2, abs=1e-15)
 
     def test_zero_eigenvalue_branch_unchanged(self):
-        from tsvflab import initial_state
-
         model = gaussian_pointer(1.0, 128)
         sel = PrePostSelection(spin_up_z(), spin_up_x())
         s = projector(spin_down_z())
         for g in (0.1, 1.0, 10.0):
-            branch = measure_once(sel, s, model, g)
+            branch = conditional_branch(sel, s, model, g)
             expected = sel.overlap * initial_state(model).amps
-            assert np.linalg.norm(branch.pointer_state.amps - expected) <= 1e-13
+            assert np.linalg.norm(branch.amps - expected) <= 1e-13
 
     def test_conditional_mean_matches_weak_value(self):
         sel = spin_selection()
         model = gaussian_pointer(2.0)
         g = 0.01
-        branch = measure_once(sel, pauli_z(), model, g)
-        shift = moments(branch.pointer_state, position_operator(model))
+        branch = conditional_branch(sel, pauli_z(), model, g)
+        shift = moments(branch, position_operator(model))
         analytic = weak_value(sel, pauli_z())
         assert shift == pytest.approx(g * analytic.real, rel=0.02)
 
-    def test_probability_tag_consistent(self):
-        sel = spin_selection()
-        branch = measure_once(sel, pauli_z(), gaussian_pointer(1.0, 128), 0.05)
-        assert branch.probability == pytest.approx(
-            float(np.vdot(branch.pointer_state.amps, branch.pointer_state.amps).real),
-            abs=1e-15,
-        )
-        with pytest.raises(ValueError, match="squared norm"):
-            PostSelectedPointer(branch.pointer_state, 0.9, 0.05)
+    def test_probability_above_one_is_a_fault(self):
+        readout = PointerReadout(spin_selection(), pauli_z(), gaussian_pointer(1.0, 128))
+        readout.ready = StateVector(2.0 * readout.ready.amps)  # not a unit pointer
+        with pytest.raises(ValueError, match="exceeds 1"):
+            readout.ratio(0.05)
 
     def test_dark_postselection(self):
         sel = PrePostSelection(spin_up_z(), spin_down_z())
         with pytest.raises(DarkDetectorError, match="orthogonal post-selection"):
-            measure_once(sel, pauli_z(), gaussian_pointer(1.0, 128), 0.0)
+            conditional_branch(sel, pauli_z(), gaussian_pointer(1.0, 128), 0.0)
 
 
 class TestEstimateWeakValue:
@@ -215,13 +225,22 @@ class TestEstimateWeakValue:
         estimate = estimate_weak_value(sel, s_plus(), qubit_pointer())
         assert abs(estimate.value - math.sqrt(2)) <= 1e-3
 
-    def test_first_order_pipeline_agrees(self):
-        sel = spin_selection()
-        estimate = estimate_weak_value(
-            sel, pauli_z(), gaussian_pointer(2.0), method="first_order"
-        )
-        assert estimate.method == "first_order"
-        assert abs(estimate.value - 1.0) <= 1e-3
+    @pytest.mark.parametrize(
+        "sel",
+        [spin_selection(), PrePostSelection(spin_up_z(), spin_up_z())],
+        ids=["spin", "eigenstate"],
+    )
+    def test_first_order_oracle_agrees(self, sel):
+        # the O(g) expansion read the same way gives the same g -> 0 value;
+        # its branch norm exceeds |<out|in>|^2 for the eigenstate selection
+        model = gaussian_pointer(2.0)
+        schedule = default_g_schedule(model)
+        ratios = np.array([first_order_ratio(sel, pauli_z(), model, g) for g in schedule])
+        re, im = (np.polyfit(schedule, part, 1)[1] for part in (ratios.real, ratios.imag))
+        intercept = complex(re, im)
+        assert abs(intercept - 1.0) <= 1e-3
+        estimate = estimate_weak_value(sel, pauli_z(), model, schedule)
+        assert abs(estimate.value - intercept) <= 1e-3
 
     def test_default_schedule(self):
         model = gaussian_pointer(2.0)
@@ -253,27 +272,23 @@ class TestEstimateWeakValue:
         gs = np.geomspace(1e-1, 1e-2, 9)
         gaps = []
         for g in gs:
-            branch = measure_once(sel, s_plus(), model, g)
-            shift = moments(branch.pointer_state, position_operator(model))
+            branch = conditional_branch(sel, s_plus(), model, g)
+            shift = moments(branch, position_operator(model))
             gaps.append(abs(shift - g * analytic.real))
         order, _, _ = fit_order(gs, gaps)
         assert order >= 2.0 - 0.1
 
     def test_estimate_value_object(self):
-        sel = spin_selection()
-        est = analytic_estimate(sel, pauli_z())
-        assert est.method == "analytic"
-        assert est.extrapolation_residual == 0.0
-        assert est.g_schedule == ()
+        schedule = (0.02, 0.01, 0.005, 0.0025)
+        est = estimate_weak_value(spin_selection(), pauli_z(), gaussian_pointer(2.0), schedule)
+        assert est.g_schedule == schedule
+        assert 0.0 <= est.extrapolation_residual <= 1e-3
         with pytest.raises(ValueError, match="residual"):
-            WeakValueEstimate(1.0 + 0j, "analytic", (), 0.5)
-        with pytest.raises(ValueError, match="method"):
-            WeakValueEstimate(1.0 + 0j, "psychic", (), 0.0)
+            WeakValueEstimate(1.0 + 0j, (), -0.5)
 
-    def test_pointer_ratio_single_point(self):
-        sel = spin_selection()
-        ratio = pointer_ratio(sel, pauli_z(), gaussian_pointer(2.0), 0.02)
-        assert ratio == pytest.approx(1.0, abs=1e-10)
+    def test_readout_single_point(self):
+        readout = PointerReadout(spin_selection(), pauli_z(), gaussian_pointer(2.0))
+        assert readout.ratio(0.02) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSelectionType:
@@ -316,12 +331,3 @@ class TestCorpusAgreement:
                 assert abs(estimate.value - analytic) <= 1e-3, (name, op_name)
                 checked += 1
         assert checked >= 6  # sz, sz/splus/sminus, flipped sz, zero, splus
-
-
-def test_first_order_method_handles_eigenstate_selection():
-    # the O(g) branch norm exceeds |<out|in>|^2 here; must not be rejected
-    sel = PrePostSelection(spin_up_z(), spin_up_z())
-    estimate = estimate_weak_value(
-        sel, pauli_z(), gaussian_pointer(2.0), method="first_order"
-    )
-    assert abs(estimate.value - 1.0) <= 1e-3
