@@ -4,7 +4,8 @@ Output is deterministic: fixed column orders, arms alphabetical, g
 descending, and numbers rendered in fixed 12-digit scientific notation
 (complex values as ``re+imi``).  Data goes to standard output (or
 ``--out``); diagnostics go to standard error.  Exit codes: 0 success,
-1 parse/validation diagnostics, 2 runtime errors such as a dark detector.
+1 parse/validation diagnostics, 2 runtime errors such as a dark detector
+or an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -287,10 +288,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     text = _emit_csv(header, rows) if args.format == "csv" else _emit_json(header, rows)
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"error: {args.out}: {err.strerror or err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -216,16 +216,14 @@ def compare_limits(
     coupling_model = gaussian_pointer(fixed_spread, n_points)
     gs = default_g_schedule(coupling_model) if g_schedule is None else GSchedule(g_schedule)
 
-    readout = PointerReadout(sel, S, coupling_model)
-    coupling_branch = []
-    for g in gs:
-        r = readout.ratio(g)
-        coupling_branch.append(LimitPoint(g, r, abs(r - analytic)))
-
+    coupling_branch = [
+        LimitPoint(g, r, abs(r - analytic))
+        for g, r in zip(gs, PointerReadout(sel, S, coupling_model).ratios(gs).tolist())
+    ]
     spread_branch = []
     for spread in spreads:
         model = gaussian_pointer(spread, n_points)
-        r = PointerReadout(sel, S, model).ratio(fixed_coupling)
+        (r,) = PointerReadout(sel, S, model).ratios((fixed_coupling,)).tolist()
         spread_branch.append(LimitPoint(spread, r, abs(r - analytic)))
 
     return LimitComparison(

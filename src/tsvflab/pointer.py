@@ -7,7 +7,10 @@ a real, centered Gaussian with amplitude proportional to
 standard deviation.  The translation generator P is realized spectrally
 through the discrete Fourier transform (periodic boundary), which keeps it
 exactly hermitian and makes exp(-i g P) an exact band-limited translation
-on the grid.
+on the grid.  ``pointer_spectrum`` gives that DFT eigenbasis directly, so
+the readout never forms the n_points^2 matrices of ``translation_generator``
+and ``position_operator``; those dense forms remain for the metric sweeps
+and as oracles.
 
 The qubit pointer is the minimal discrete measuring device: the coupling
 generator is one Pauli axis (default y), the readout is the next axis in
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import FieldError, NonHermitianOperatorError
 from .qcore import (
     ZERO_PROBABILITY_FLOOR,
+    Eigenbasis,
     LinearOperator,
     StateVector,
     pauli_x,
@@ -148,13 +152,16 @@ def initial_state(model: PointerModel) -> StateVector:
     return StateVector(plus)
 
 
+def _readout_pauli(model: PointerModel) -> LinearOperator:
+    return _PAULI_BY_AXIS[_QUBIT_ROLES[model.generator_axis][0]]()
+
+
 def position_operator(model: PointerModel) -> LinearOperator:
     """The readout conjugate to the generator: Q on the grid, the readout
     Pauli for the qubit."""
     if model.kind == GAUSSIAN_KIND:
         return LinearOperator(np.diag(grid_coordinates(model)), hermitian=True)
-    readout_axis = _QUBIT_ROLES[model.generator_axis][0]
-    return _PAULI_BY_AXIS[readout_axis]()
+    return _readout_pauli(model)
 
 
 def _grid_momenta(model: PointerModel) -> np.ndarray:
@@ -175,21 +182,63 @@ def translation_generator(model: PointerModel) -> LinearOperator:
     return LinearOperator(p, hermitian=True)
 
 
+class _GridBasis(Eigenbasis):
+    """The grid generator's eigenbasis: the unitary DFT, with the grid
+    momenta as eigenvalues."""
+
+    def to_eigen(self, amps: np.ndarray) -> np.ndarray:
+        return np.fft.fft(amps, norm="ortho")
+
+    def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(coeffs, norm="ortho")
+
+
+@dataclass(frozen=True, eq=False)
+class PointerSpectrum:
+    """A pointer seen from its coupling generator's eigenbasis.
+
+    ``basis`` holds the generator's eigenvalues mu_k and the transforms to
+    and from its eigenvectors; ``ready`` holds the ready state's amplitudes.
+    """
+
+    model: PointerModel
+    basis: Eigenbasis
+    ready: np.ndarray
+
+    def weights(self, rows: np.ndarray) -> np.ndarray:
+        """|<k|b>|^2 on the eigenvectors for each row b, so that
+        <b|G|b> = weights(b) @ mu (unnormalized)."""
+        return np.abs(self.basis.to_eigen(rows)) ** 2
+
+    def readout_means(self, rows: np.ndarray) -> np.ndarray:
+        """<b|Q|b> for each row b (unnormalized): the grid coordinate, read
+        on the grid, or the qubit's readout Pauli."""
+        if self.model.kind == GAUSSIAN_KIND:
+            return np.abs(rows) ** 2 @ grid_coordinates(self.model)
+        readout = _readout_pauli(self.model).entries
+        return np.einsum("gi,ij,gj->g", rows.conj(), readout, rows).real
+
+
+def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
+    """The device in its generator's eigenbasis: the DFT with the grid
+    momenta ``2 pi fftfreq`` for the grid, the 2x2 ``eigh`` of the Pauli
+    for the qubit."""
+    if model.kind == QUBIT_KIND:
+        basis = Eigenbasis.of(_PAULI_BY_AXIS[model.generator_axis]())
+    else:
+        basis = _GridBasis(_grid_momenta(model))
+    return PointerSpectrum(model, basis, initial_state(model).amps)
+
+
 def ready_spectrum(model: PointerModel) -> tuple[np.ndarray, np.ndarray]:
     """(mu, w): the eigenvalues mu_k of the coupling generator and the
     weights w_k = |<k|m>|^2 of the ready state on its eigenvectors.
 
-    The grid generator is diagonal in the DFT basis, so its eigenvalues are
-    the grid momenta and the weights the unitary DFT of the ready state;
-    the qubit's come from the 2x2 ``eigh`` of its Pauli.  Any function of
-    the generator in the ready state follows, e.g.
+    Any function of the generator in the ready state follows, e.g.
     <m|exp(-i g G)|m> = sum_k w_k exp(-i g mu_k).
     """
-    ready = initial_state(model).amps
-    if model.kind == QUBIT_KIND:
-        eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[model.generator_axis]().entries)
-        return eigvals, np.abs(vecs.conj().T @ ready) ** 2
-    return _grid_momenta(model), np.abs(np.fft.fft(ready, norm="ortho")) ** 2
+    spectrum = pointer_spectrum(model)
+    return spectrum.basis.eigvals, spectrum.weights(spectrum.ready)
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

@@ -1,8 +1,12 @@
 """Exact dense complex linear algebra for small Hilbert spaces.
 
 States, operators, tensor products, and the measurement coupling evolution
-exp(-i g S (x) P).  Everything is dense ``complex128``; the supported scale
-is a desk-sized joint space (system dim <= 16, pointer dim <= 256).
+exp(-i g S (x) P).  States and operators are dense ``complex128``; the
+supported scale is a desk-sized joint space (system dim <= 16).  The
+coupling works in the pointer factor's eigenbasis: a dense pointer
+generator is diagonalized at O(n^3), which keeps the metric sweeps to
+pointer dim <= 256, while a pointer that supplies its own basis (the
+grid's DFT) reaches pointer dim 4096 without any n x n matrix.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -219,46 +223,95 @@ def _require_hermitian(op: LinearOperator, role: str) -> None:
         raise NonHermitianOperatorError(f"{role} must be hermitian")
 
 
+class Eigenbasis:
+    """The eigenpairs of a hermitian factor, used as transforms along the
+    last axis of an amplitude array: ``to_eigen`` gives the coefficients
+    <w_j|psi> on the eigenvectors w_j, ``from_eigen`` maps them back.
+
+    ``Eigenbasis.of`` diagonalizes a dense operator with ``eigh``; a factor
+    whose eigenvectors are known in closed form (the grid pointer's DFT
+    basis) supplies its own transforms by overriding the two methods.
+    """
+
+    def __init__(self, eigvals: np.ndarray, vecs: np.ndarray | None = None):
+        self.eigvals = eigvals
+        self._vecs = vecs
+
+    @classmethod
+    def of(cls, op: LinearOperator, role: str = "operator") -> "Eigenbasis":
+        _require_hermitian(op, role)
+        return cls(*np.linalg.eigh(op.entries))
+
+    @property
+    def dim(self) -> int:
+        return self.eigvals.size
+
+    def to_eigen(self, amps: np.ndarray) -> np.ndarray:
+        return amps @ self._vecs.conj()
+
+    def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs @ self._vecs.T
+
+
 class CouplingEvolution:
     """Measurement coupling exp(-i g S (x) P), diagonalized once, reusable per g.
 
-    The hermitian factors are eigendecomposed separately; their eigenpairs
+    The hermitian factors are diagonalized separately; their eigenpairs
     assemble the full eigensystem of S (x) P (eigenvalue lambda_i * mu_j,
     eigenvector v_i (x) w_j in system-major order).  Besides being cheaper
     than diagonalizing the joint generator, this keeps product kernels
     exact: if S|in> = 0 the joint product state is a true fixed point at
     every coupling strength, not just a numerical approximation.
+
+    ``pointer`` is either the generator P itself, diagonalized here with
+    ``eigh`` at O(ptr_dim^3), or its ``Eigenbasis``, such as the DFT basis
+    a grid pointer supplies (``pointer.pointer_spectrum``), which costs
+    O(ptr_dim log ptr_dim) per system row and builds no ptr_dim^2 matrix.
     """
 
-    def __init__(self, system_op: LinearOperator, pointer_op: LinearOperator):
+    def __init__(self, system_op: LinearOperator, pointer: LinearOperator | Eigenbasis):
         _require_hermitian(system_op, "system observable")
-        _require_hermitian(pointer_op, "pointer generator")
+        if isinstance(pointer, LinearOperator):
+            pointer = Eigenbasis.of(pointer, "pointer generator")
         self.sys_dim = system_op.dim
-        self.ptr_dim = pointer_op.dim
-        sys_eigvals, sys_vecs = np.linalg.eigh(system_op.entries)
-        ptr_eigvals, ptr_vecs = np.linalg.eigh(pointer_op.entries)
-        self._sys_vecs = sys_vecs
-        self._ptr_vecs = ptr_vecs
+        self.ptr_dim = pointer.dim
+        sys_eigvals, self._sys_vecs = np.linalg.eigh(system_op.entries)
+        self._pointer = pointer
         # lambda_i * mu_j laid out as (sys, ptr)
-        self._joint_eigvals = np.outer(sys_eigvals, ptr_eigvals)
+        self._joint_eigvals = np.outer(sys_eigvals, pointer.eigvals)
+
+    def _check(self, joint: JointState) -> None:
+        if joint.sys_dim != self.sys_dim or joint.ptr_dim != self.ptr_dim:
+            raise ValueError("joint state dimensions do not match the coupling")
+
+    def _evolve(self, g, mat: np.ndarray) -> np.ndarray:
+        """exp(-i g S (x) P) on (sys, ptr) amplitudes; an array g of shape
+        (n, 1, 1) gives the (n, sys, ptr) stack of every g at once."""
+        # Psi = V_s C W^T  =>  C = V_s^dag Psi conj(W)
+        coeffs = self._pointer.to_eigen(self._sys_vecs.conj().T @ mat)
+        coeffs = coeffs * (np.exp(-1j * g * self._joint_eigvals) - 1.0)
+        return mat + self._pointer.from_eigen(self._sys_vecs @ coeffs)
 
     def apply(self, g: float, joint: JointState) -> JointState:
         """exp(-i g S (x) P) applied to a joint state."""
         g = _finite_coupling(g)
-        if joint.sys_dim != self.sys_dim or joint.ptr_dim != self.ptr_dim:
-            raise ValueError("joint state dimensions do not match the coupling")
+        self._check(joint)
         if g == 0.0:
             return joint
-        mat = joint.as_matrix()
-        # Psi = V_s C V_p^T  =>  C = V_s^dag Psi conj(V_p)
-        coeffs = self._sys_vecs.conj().T @ mat @ self._ptr_vecs.conj()
-        coeffs = coeffs * (np.exp(-1j * g * self._joint_eigvals) - 1.0)
-        out = mat + self._sys_vecs @ coeffs @ self._ptr_vecs.T
+        out = self._evolve(g, joint.as_matrix())
         return JointState(
             self.sys_dim,
             self.ptr_dim,
             StateVector(out.ravel(), normalized=None),
         )
+
+    def apply_schedule(self, g_values, joint: JointState) -> np.ndarray:
+        """exp(-i g S (x) P) applied to a joint state at every g of
+        ``g_values`` in one batched pass: the (len(g_values), sys_dim,
+        ptr_dim) stack of evolved amplitudes, unchecked for normalization."""
+        gs = np.array([_finite_coupling(g) for g in g_values], dtype=float)
+        self._check(joint)
+        return self._evolve(gs[:, None, None], joint.as_matrix())
 
 
 def _finite_coupling(g) -> float:

@@ -191,6 +191,15 @@ class TestFailureModes:
         assert main(["weakvalue", "nosuch.scn"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        target = tmp_path / "absent" / "x.csv" if where == "missing-dir" else tmp_path
+        assert main(["weakvalue", "--preset", "spin-sz", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        assert captured.err == f"error: {target}: {reason}\n"
+
     def test_no_input(self, capsys):
         assert main(["weakvalue"]) == 1
         assert "preset" in capsys.readouterr().err

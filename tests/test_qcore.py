@@ -30,6 +30,7 @@ from tsvflab import (
     tensor_product,
     translation_generator,
 )
+from tsvflab.pointer import pointer_spectrum
 from tsvflab.qcore import STRUCTURAL_TOL
 
 INV_SQRT2 = 0.7071067811865476  # hand value of 1/sqrt(2)
@@ -258,6 +259,19 @@ class TestCouplingEvolution:
         joint = tensor_product(spin_up_z(), spin_up_x())
         with pytest.raises(ValueError, match="finite"):
             CouplingEvolution(pauli_z(), pauli_x()).apply(math.inf, joint)
+
+    def test_schedule_in_dft_basis_matches_dense_apply(self, rng):
+        model = gaussian_pointer(1.0, 64, half_width=8.0)
+        s = random_hermitian(rng, 3)
+        joint = tensor_product(random_state(rng, 3), initial_state(model))
+        dense = CouplingEvolution(s, translation_generator(model))
+        spectral = CouplingEvolution(s, pointer_spectrum(model).basis)
+        schedule = (0.5, 0.05, 0.0)
+        for g, amps in zip(schedule, spectral.apply_schedule(schedule, joint)):
+            expected = dense.apply(g, joint).as_matrix()
+            np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            spectral.apply_schedule((0.1, math.nan), joint)
 
 
 class TestFirstOrderState:

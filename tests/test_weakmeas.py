@@ -1,12 +1,17 @@
 """Measurement pipeline: expectations, weak values, pointer estimates."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
 from tsvflab import (
+    CouplingEvolution,
     DarkDetectorError,
     LinearOperator,
     NonHermitianOperatorError,
@@ -31,11 +36,13 @@ from tsvflab import (
     spin_down_z,
     spin_up_x,
     spin_up_z,
+    tensor_product,
     time_reverse,
     translation_generator,
     variance,
     weak_value,
 )
+from tsvflab.scenario import load_corpus_text, parse
 from tsvflab.weakmeas import PointerReadout
 
 INV_SQRT2 = 0.7071067811865476
@@ -55,19 +62,36 @@ def s_minus() -> LinearOperator:
 
 def conditional_branch(sel, S, model, g) -> StateVector:
     """The post-selected pointer branch the estimator reads at coupling g."""
-    return PointerReadout(sel, S, model)._conditional_branch(g)
+    branches, _ = PointerReadout(sel, S, model)._branches((g,))
+    return StateVector(branches[0], normalized=None)
+
+
+def dense_read(branch: StateVector, model, g) -> complex:
+    """The pointer moments of a conditional branch through the dense n x n
+    readout Q and generator P, calibrated as the estimator calibrates them."""
+    ready = initial_state(model)
+    p = translation_generator(model)
+    q = position_operator(model)
+    if model.kind == "qubit":
+        return complex(-moments(branch, q) / (2.0 * g), moments(branch, p) / (2.0 * g))
+    return complex(moments(branch, q) / g, moments(branch, p) / (2.0 * g * variance(ready, p)))
+
+
+def dense_ratio(sel, S, model, g) -> complex:
+    """The readout oracle: the coupling through ``eigh`` of the dense
+    generator, then the projection onto |out>, then the dense moments."""
+    joint = tensor_product(sel.pre, initial_state(model))
+    evolved = CouplingEvolution(S, translation_generator(model)).apply(g, joint)
+    return dense_read(StateVector(sel.post.amps.conj() @ evolved.as_matrix()), model, g)
 
 
 def first_order_ratio(sel, S, model, g) -> complex:
     """Gaussian-pointer readout of the O(g) expansion: ``first_order_state``,
     then the projection onto |out>, then the pointer moments."""
-    ready = initial_state(model)
-    p = translation_generator(model)
-    expanded = first_order_state(sel.pre, ready, S, p, g)
-    branch = StateVector(sel.post.amps.conj() @ expanded.as_matrix())
-    re = moments(branch, position_operator(model)) / g
-    im = moments(branch, p) / (2.0 * g * variance(ready, p))
-    return complex(re, im)
+    expanded = first_order_state(
+        sel.pre, initial_state(model), S, translation_generator(model), g
+    )
+    return dense_read(StateVector(sel.post.amps.conj() @ expanded.as_matrix()), model, g)
 
 
 def oracle_weak_value(post, S, pre) -> complex:
@@ -191,9 +215,14 @@ class TestConditionalBranch:
 
     def test_probability_above_one_is_a_fault(self):
         readout = PointerReadout(spin_selection(), pauli_z(), gaussian_pointer(1.0, 128))
-        readout.ready = StateVector(2.0 * readout.ready.amps)  # not a unit pointer
+        # not a unit pointer
+        readout.spectrum = dataclasses.replace(
+            readout.spectrum, ready=2.0 * readout.spectrum.ready
+        )
         with pytest.raises(ValueError, match="exceeds 1"):
-            readout.ratio(0.05)
+            readout._branches((0.05,))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            readout.ratios((0.05,))
 
     def test_dark_postselection(self):
         sel = PrePostSelection(spin_up_z(), spin_down_z())
@@ -288,7 +317,57 @@ class TestEstimateWeakValue:
 
     def test_readout_single_point(self):
         readout = PointerReadout(spin_selection(), pauli_z(), gaussian_pointer(2.0))
-        assert readout.ratio(0.02) == pytest.approx(1.0, abs=1e-10)
+        (ratio,) = readout.ratios((0.02,))
+        assert ratio == pytest.approx(1.0, abs=1e-10)
+
+    def test_4096_point_grid_is_light(self):
+        # the readout holds no n x n matrix: the dense generator alone
+        # would be 4096^2 complex128 amplitudes, 256 MB
+        text = load_corpus_text("spin_sz").replace("n_points = 256", "n_points = 4096")
+        doc = parse(text).doc
+        assert doc.pointer.n_points == 4096
+        sel = PrePostSelection(*(doc.states[name] for name in doc.selection))
+        tracemalloc.start()
+        try:
+            estimate = estimate_weak_value(
+                sel, doc.operators["sz"], doc.pointer, doc.experiment.g_schedule
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(estimate.value - 1.0) <= 1e-3
+        assert peak < 8 * 2**20
+
+
+class TestDenseReadoutOracle:
+    """The spectral readout against the dense one it replaced: ``eigh`` of
+    the n x n generator, a dense Q and ``moments``/``variance``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        pointer=st.sampled_from(
+            [("grid", 64), ("grid", 128), ("qubit", "x"), ("qubit", "y"), ("qubit", "z")]
+        ),
+        spread=st.floats(0.5, 3.0),
+        g=st.floats(1e-3, 0.5),
+    )
+    def test_per_g_ratios_match_dense_readout(self, seed, dim, pointer, spread, g):
+        rng = np.random.default_rng(seed)
+        sel = PrePostSelection(random_state(rng, dim), random_state(rng, dim))
+        assume(abs(sel.overlap) >= 0.1)
+        S = random_hermitian(rng, dim)
+        kind, size = pointer
+        if kind == "grid":
+            model = gaussian_pointer(spread, size, half_width=8.0 * spread * size / 64)
+        else:
+            model = qubit_pointer(size)
+        schedule = (g, g / 2.0, g / 4.0)
+        ratios = PointerReadout(sel, S, model).ratios(schedule)
+        for gi, ratio in zip(schedule, ratios):
+            oracle = dense_ratio(sel, S, model, gi)
+            assert abs(ratio - oracle) <= 1e-10 * max(1.0, abs(oracle)), (gi, ratio, oracle)
 
 
 class TestSelectionType:
