@@ -375,6 +375,14 @@ LIMITS = MINIMAL.replace(
     "plan = weakvalue\nobservables = sz", "plan = compare_limits\nobservable = sz\nfixed_g = 0.5"
 )
 TRACE = NETWORK + "[pointer]\nkind = qubit\n[experiment]\nplan = trace\narms = A, B\n"
+# an operator expression on line 7, its value at column 8
+EXPR = "tsvf-scenario v1\n[system]\ndim = 2\n[state up]\namps = 1, 0\n[operator m]\nexpr = pauli_z\n"
+EXPR3 = EXPR.replace("dim = 2", "dim = 3").replace("1, 0", "1, 0, 0")
+
+
+def _expr(expr: str, text: str = EXPR) -> str:
+    return text.replace("expr = pauli_z", f"expr = {expr}")
+
 
 # (scenario, every diagnostic of parse, or of validation when it parses,
 # as (message, line, column, severity))
@@ -456,6 +464,27 @@ PINNED_DIAGNOSTICS = [
      .replace("expr = pauli_z", "expr = projector(up_z)"),
      (("cannot project onto the zero state 'up_z'", 12, 18, "error"),
       ("unresolved operator 'sz'", 24, 15, "error"))),
+    # the operator-expression evaluator's own messages, at their tokens
+    (_expr("pauli_z + 1"), (("cannot add a scalar and an operator", 7, 16, "error"),)),
+    (_expr("2 - pauli_z"), (("cannot add a scalar and an operator", 7, 10, "error"),)),
+    (_expr("identity(3) * pauli_z", EXPR3), (("operator dimensions differ", 7, 20, "error"),)),
+    (_expr("pauli_z + identity(3)", EXPR3), (("operator dimensions differ", 7, 16, "error"),)),
+    (_expr("pauli_z / pauli_x"), (("can only divide by a scalar", 7, 16, "error"),)),
+    (_expr("2 / pauli_x"), (("can only divide by a scalar", 7, 10, "error"),)),
+    (_expr("sqrt(-1) * pauli_z"), (("sqrt needs a non-negative scalar", 7, 8, "error"),)),
+    (_expr("pauli_x * sqrt(pauli_z)"), (("sqrt needs a non-negative scalar", 7, 18, "error"),)),
+    (_expr("2 * 3"), (("expression is not an operator", 7, 8, "error"),)),
+    (_expr("pauli_z pauli_x"), (("unexpected trailing 'pauli_x'", 7, 16, "error"),)),
+    (_expr("identity(2 3)"), (("expected ')'", 7, 19, "error"),)),
+    (_expr("identity(2.5)"), (("identity needs an integer dimension", 7, 17, "error"),)),
+    (_expr("projector(1)"), (("projector needs a state name", 7, 18, "error"),)),
+    (_expr("pauli_z & pauli_x"), (("unexpected character '&'", 7, 16, "error"),)),
+    (_expr("(" * 65 + "pauli_z" + ")" * 65), (("expression too deeply nested", 7, 71, "error"),)),
+    (EXPR + "[operator m]\nexpr = pauli_x\n", (("duplicate operator 'm'", 8, 1, "error"),)),
+    (EXPR.replace("1, 0", "1, 0, 0"),
+     (("state 'up' has 3 amplitudes, system dim is 2", 5, 8, "error"),)),
+    (EXPR.replace("expr = pauli_z", "matrix = 1, 0, 0; 0, 1, 0; 0, 0, 1"),
+     (("operator 'm' is 3-dimensional, system dim is 2", 7, 10, "error"),)),
 ]
 
 
