@@ -54,11 +54,9 @@ from .pointer import (
     grid_coordinates,
     initial_state,
     moments,
-    position_operator,
     qubit_pointer,
     ready_spectrum,
     translation_generator,
-    variance,
 )
 from .qcore import (
     CouplingEvolution,

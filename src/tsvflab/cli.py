@@ -110,12 +110,7 @@ def _run_weakvalue(doc, args):
     return header, rows
 
 
-_METRFN = {
-    "continuity": limits.continuity_metric,
-    "derail": limits.derail_metric,
-    "first_order_residual": limits.first_order_residual,
-    "overlap_deficit": limits.overlap_deficit,
-}
+_METRFN = limits.METRICS
 
 
 def _run_sweep(doc, args):

@@ -90,6 +90,15 @@ def overlap_deficit(
     return float(1.0 - abs(np.vdot(joint.state.amps, evolved.state.amps)))
 
 
+#: metric name -> its value at one g, as a function of (pre, m, S, P, g)
+METRICS = {
+    "continuity": continuity_metric,
+    "derail": derail_metric,
+    "first_order_residual": first_order_residual,
+    "overlap_deficit": overlap_deficit,
+}
+
+
 def fit_order(
     g_values: Sequence[float], metric_values: Sequence[float]
 ) -> tuple[float, float, float]:

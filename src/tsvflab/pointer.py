@@ -8,9 +8,8 @@ standard deviation.  The translation generator P is realized spectrally
 through the discrete Fourier transform (periodic boundary), which keeps it
 exactly hermitian and makes exp(-i g P) an exact band-limited translation
 on the grid.  ``pointer_spectrum`` gives that DFT eigenbasis directly, so
-the readout never forms the n_points^2 matrices of ``translation_generator``
-and ``position_operator``; those dense forms remain for the metric sweeps
-and as oracles.
+the readout never forms an n_points^2 matrix; the metric sweeps still
+couple through the dense ``translation_generator``.
 
 The qubit pointer is the minimal discrete measuring device: the coupling
 generator is one Pauli axis (default y), the readout is the next axis in
@@ -156,14 +155,6 @@ def _readout_pauli(model: PointerModel) -> LinearOperator:
     return _PAULI_BY_AXIS[_QUBIT_ROLES[model.generator_axis][0]]()
 
 
-def position_operator(model: PointerModel) -> LinearOperator:
-    """The readout conjugate to the generator: Q on the grid, the readout
-    Pauli for the qubit."""
-    if model.kind == GAUSSIAN_KIND:
-        return LinearOperator(np.diag(grid_coordinates(model)), hermitian=True)
-    return _readout_pauli(model)
-
-
 def _grid_momenta(model: PointerModel) -> np.ndarray:
     """The eigenvalues of the grid generator, in DFT order."""
     return 2.0 * np.pi * np.fft.fftfreq(model.n_points, d=model.grid_spacing)
@@ -258,10 +249,3 @@ def moments(state: StateVector, op: LinearOperator) -> float:
             f"(imaginary residue {value.imag!r})"
         )
     return float(value.real)
-
-
-def variance(state: StateVector, op: LinearOperator) -> float:
-    """Var(op) in the given state."""
-    mean = moments(state, op)
-    second = moments(state, LinearOperator(op.entries @ op.entries))
-    return second - mean**2

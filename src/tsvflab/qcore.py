@@ -123,8 +123,11 @@ class LinearOperator:
     def __post_init__(self):
         arr = _as_complex_matrix(self.entries)
         with np.errstate(over="ignore"):
-            # an overflowing deviation is simply "not hermitian"
-            deviation = float(np.max(np.abs(arr - arr.conj().T)))
+            # an overflowing deviation is simply "not hermitian"; A^dag - A,
+            # exactly -(A - A^dag), is formed in place to save an n x n copy
+            diff = arr.conj().T
+            diff -= arr
+            deviation = float(np.max(np.abs(diff)))
         tag = self.hermitian
         if tag is None:
             tag = deviation <= STRUCTURAL_TOL
@@ -160,6 +163,10 @@ class LinearOperator:
         if other.dim != self.dim:
             raise ValueError("operator dimensions differ")
         return LinearOperator(self.entries - other.entries)
+
+    def __neg__(self) -> "LinearOperator":
+        # not ``self * -1``, which gives zeros of other signs
+        return LinearOperator(-self.entries)
 
     def __mul__(self, scalar) -> "LinearOperator":
         if not isinstance(scalar, (int, float, complex)):

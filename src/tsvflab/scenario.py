@@ -10,8 +10,9 @@ Values: complex literals are ``a``, ``bi``, ``a+bi`` or ``a-bi`` with
 decimal reals; vectors are comma-separated complex lists; matrices are
 ``;``-separated rows.  Operators may instead be built from an expression
 over ``pauli_x``, ``pauli_y``, ``pauli_z``, ``identity(n)``,
-``projector(<state>)`` with ``+ - *`` arithmetic, real scalars, ``sqrt``
-and scalar division, e.g. ``(pauli_z + pauli_x) / sqrt(2)``.
+``projector(<state>)``, real scalars and ``sqrt``, e.g.
+``(pauli_z + pauli_x) / sqrt(2)``: ``*`` of two operators is their
+product, and ``/`` takes scalars only.
 
 Parsing is total: any input yields either a document or diagnostics with
 1-based line/column positions, never an exception and never a partial
@@ -21,6 +22,7 @@ document.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Container
 from dataclasses import dataclass, field, replace
@@ -35,6 +37,7 @@ from .interferometer import (
     PhaseShift,
     TimeSlice,
 )
+from .limits import METRICS
 from .pointer import (
     GAUSSIAN_KIND,
     QUBIT_KIND,
@@ -55,7 +58,7 @@ from .schedule import GSchedule, SpreadSchedule
 
 VERSION_LINE = "tsvf-scenario v1"
 
-METRIC_NAMES = ("continuity", "derail", "first_order_residual", "overlap_deficit")
+METRIC_NAMES = tuple(METRICS)
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,14 @@ _COMPLEX_REAL_RE = re.compile(rf"({_REAL})\Z")
 _MAX_EXPR_DEPTH = 64
 #: Largest system dimension, and so the largest ``identity(n)``.
 _MAX_DIM = 4096
+
+#: the sections a file holds at most one of, in the order parse reads them
+_SINGLE_SECTIONS = ("system", "pointer", "selection", "network", "experiment")
+#: named section kind -> (its domain constructor, the text of a dim mismatch)
+_NAMED_SECTIONS = {
+    "state": (StateVector, "state {name!r} has {n} amplitudes, system dim is {dim}"),
+    "operator": (LinearOperator, "operator {name!r} is {n}-dimensional, system dim is {dim}"),
+}
 
 
 @dataclass(frozen=True)
@@ -260,14 +271,14 @@ def _parse_header(
         diags.append(ParseDiagnostic(line, col, "empty section header"))
         return None
     kind = parts[0]
-    if kind in ("system", "pointer", "selection", "network", "experiment"):
+    if kind in _SINGLE_SECTIONS:
         if len(parts) != 1:
             diags.append(
                 ParseDiagnostic(line, col, f"section [{kind}] takes no name")
             )
             return None
         return _Section(kind, None, line, col, [])
-    if kind in ("state", "operator"):
+    if kind in _NAMED_SECTIONS:
         if len(parts) != 2 or not _NAME_RE.fullmatch(parts[1]):
             diags.append(
                 ParseDiagnostic(line, col, f"section [{kind}] needs one valid name")
@@ -388,7 +399,9 @@ def _parse_float_list(
 # Operator expressions.
 
 class _ExprError(Exception):
-    def __init__(self, col: int, message: str):
+    """An expression error at column ``col``, or at the value when None."""
+
+    def __init__(self, col: int | None, message: str):
         super().__init__(message)
         self.col = col
         self.message = message
@@ -418,13 +431,31 @@ def _tokenize_expr(text: str, base_col: int) -> list[tuple[str, str, int]]:
 _PAULIS = {"pauli_x": pauli_x, "pauli_y": pauli_y, "pauli_z": pauli_z}
 
 
-class _ExprParser:
-    """Recursive-descent evaluator over scalars and operator matrices."""
+def _times(lhs, rhs):
+    """``*`` of two operators is their product; with a scalar it scales."""
+    both = isinstance(lhs, LinearOperator) and isinstance(rhs, LinearOperator)
+    return lhs @ rhs if both else lhs * rhs
 
-    def __init__(self, tokens, states: dict[str, StateVector]):
+
+#: binary symbol -> (its function, the message when it cannot take a scalar
+#: and an operator)
+_BINARY = {
+    "+": (operator.add, "cannot add a scalar and an operator"),
+    "-": (operator.sub, "cannot add a scalar and an operator"),
+    "*": (_times, None),
+    "/": (operator.truediv, "can only divide by a scalar"),
+}
+
+
+class _ExprParser:
+    """Recursive-descent evaluator over real scalars (``float``) and
+    ``LinearOperator``s, which combine by the operators' own arithmetic."""
+
+    def __init__(self, tokens, states: dict[str, StateVector], dim: int | None):
         self.tokens = tokens
         self.pos = 0
         self.states = states
+        self.dim = dim
         self.depth = 0
 
     def _peek(self):
@@ -455,36 +486,37 @@ class _ExprParser:
         if self.depth > _MAX_EXPR_DEPTH:
             raise _ExprError(self.tokens[self.pos - 1][2], "expression too deeply nested")
         try:
-            value = self._term()
-            while (tok := self._peek()) and tok[0] == "sym" and tok[1] in "+-":
-                self._next()
-                rhs = self._term()
-                value = self._combine(tok, value, rhs, add=tok[1] == "+")
-            return value
+            return self._binary("+-", self._term)
         finally:
             self.depth -= 1
 
     def _term(self):
-        value = self._unary()
-        while (tok := self._peek()) and tok[0] == "sym" and tok[1] in "*/":
+        return self._binary("*/", self._unary)
+
+    def _binary(self, symbols: str, operand):
+        """``operand`` values joined left to right by the symbols in ``symbols``."""
+        value = operand()
+        while (tok := self._peek()) and tok[0] == "sym" and tok[1] in symbols:
             self._next()
-            rhs = self._unary()
-            value = self._mul_div(tok, value, rhs)
+            rhs = operand()
+            if tok[1] == "/" and rhs == 0:  # only a scalar equals 0
+                raise _ExprError(tok[2], "division by zero")
+            apply, mixed = _BINARY[tok[1]]
+            try:
+                value = apply(value, rhs)
+            except TypeError:
+                raise _ExprError(tok[2], mixed) from None
+            except ValueError as err:  # LinearOperator's: dimensions differ, or not finite
+                col = tok[2] if str(err) == "operator dimensions differ" else None
+                raise _ExprError(col, str(err)) from None
         return value
 
     def _unary(self):
-        tok = self._peek()
-        if tok and tok[0] == "sym" and tok[1] == "-":
-            self._next()
-            kind, value = self._unary()
-            return (kind, -value)
-        return self._atom()
-
-    def _atom(self):
-        token = self._next()
-        kind, text, col = token
+        kind, text, col = self._next()
+        if kind == "sym" and text == "-":
+            return -self._unary()
         if kind == "number":
-            return ("scalar", float(text))
+            return float(text)
         if kind == "sym" and text == "(":
             value = self._expr()
             self._expect_sym(")")
@@ -495,7 +527,7 @@ class _ExprParser:
 
     def _named(self, name: str, col: int):
         if name in _PAULIS:
-            return ("matrix", _PAULIS[name]().entries.copy())
+            return _PAULIS[name]()
         if name == "identity":
             self._expect_sym("(")
             arg = self._next()
@@ -505,7 +537,9 @@ class _ExprParser:
             n = int(float(arg[1]))
             if not 1 <= n <= _MAX_DIM:
                 raise _ExprError(arg[2], f"identity dimension must be in [1, {_MAX_DIM}]")
-            return ("matrix", identity(n).entries.copy())
+            if self.dim is not None and n != self.dim:  # rejected before it is allocated
+                raise _ExprError(arg[2], f"identity is {n}-dimensional, system dim is {self.dim}")
+            return identity(n)
         if name == "projector":
             self._expect_sym("(")
             arg = self._next()
@@ -517,62 +551,35 @@ class _ExprParser:
                 raise _ExprError(arg[2], f"unresolved state {arg[1]!r}")
             if not state.amps.any():
                 raise _ExprError(arg[2], f"cannot project onto the zero state {arg[1]!r}")
-            return ("matrix", projector(state).entries.copy())
+            return projector(state)
         if name == "sqrt":
             self._expect_sym("(")
-            kind, value = self._expr()
+            value = self._expr()
             self._expect_sym(")")
-            if kind != "scalar" or value < 0:
+            if isinstance(value, LinearOperator) or value < 0:
                 raise _ExprError(col, "sqrt needs a non-negative scalar")
-            return ("scalar", math.sqrt(value))
+            return math.sqrt(value)
         raise _ExprError(col, f"unknown operator builtin {name!r}")
-
-    @staticmethod
-    def _combine(tok, lhs, rhs, add: bool):
-        (lk, lv), (rk, rv) = lhs, rhs
-        if lk != rk:
-            raise _ExprError(tok[2], "cannot add a scalar and an operator")
-        if lk == "matrix" and lv.shape != rv.shape:
-            raise _ExprError(tok[2], "operator dimensions differ")
-        return (lk, lv + rv if add else lv - rv)
-
-    @staticmethod
-    def _mul_div(tok, lhs, rhs):
-        (lk, lv), (rk, rv) = lhs, rhs
-        if tok[1] == "*":
-            if lk == "matrix" and rk == "matrix":
-                if lv.shape != rv.shape:
-                    raise _ExprError(tok[2], "operator dimensions differ")
-                return ("matrix", lv @ rv)
-            if lk == "matrix" or rk == "matrix":
-                mat = lv if lk == "matrix" else rv
-                scalar = rv if lk == "matrix" else lv
-                return ("matrix", mat * scalar)
-            return ("scalar", lv * rv)
-        if rk != "scalar":
-            raise _ExprError(tok[2], "can only divide by a scalar")
-        if rv == 0:
-            raise _ExprError(tok[2], "division by zero")
-        return (lk, lv / rv)
 
 
 def _eval_operator_expr(
-    entry: _Entry, states: dict[str, StateVector], diags: list[ParseDiagnostic]
+    entry: _Entry, states: dict, dim: int | None, diags: list[ParseDiagnostic]
 ) -> np.ndarray | None:
     try:
         # a value is never blank, so it has a token or an unexpected character
         tokens = _tokenize_expr(entry.value, entry.value_col)
-        kind, value = _ExprParser(tokens, states).parse()
+        with np.errstate(all="ignore"):  # LinearOperator rejects what is not finite
+            value = _ExprParser(tokens, states, dim).parse()
     except _ExprError as err:
         diags.append(entry.error(err.message, err.col))
         return None
     except RecursionError:  # pragma: no cover - depth guard should trip first
         diags.append(entry.error("expression too complex"))
         return None
-    if kind != "matrix":
+    if not isinstance(value, LinearOperator):
         diags.append(entry.error("expression is not an operator"))
         return None
-    return value
+    return value.entries
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +886,43 @@ def _build_experiment(
     return ExperimentPlan(kind=kind, **fields)
 
 
+def _read_named(
+    sections: list[_Section], readers: dict, dim: int | None, diags: list, positions: dict
+) -> dict:
+    """The domain objects of named sections of one kind, by name.  A section
+    holds exactly one key of ``readers`` (a lone key is required), whose
+    reader maps its entry to a value or to None."""
+    keys = tuple(readers)
+    objects: dict = {}
+    for section in sections:
+        kind, name = section.kind, section.name
+        make, mismatch = _NAMED_SECTIONS[kind]
+        if name in objects:
+            diags.append(section.error(f"duplicate {kind} {name!r}"))
+            continue
+        table = _read_section(section, keys, diags, required=keys if len(keys) == 1 else ())
+        if table is None:
+            continue
+        if len(table) != 1:
+            choices = " or ".join(map(repr, keys))
+            diags.append(section.error(f"{kind} {name!r} needs exactly one of {choices}"))
+            continue
+        [(key, [entry])] = table.items()
+        value = readers[key](entry, diags)
+        if value is None:
+            continue
+        if dim is not None and len(value) != dim:
+            diags.append(entry.error(mismatch.format(name=name, n=len(value), dim=dim)))
+            continue
+        try:
+            objects[name] = make(value)
+        except ValueError as err:
+            diags.append(entry.error(str(err)))
+            continue
+        positions[f"{kind}:{name}"] = (entry.line, entry.value_col)
+    return objects
+
+
 # ---------------------------------------------------------------------------
 # parse / validate / serialize.
 
@@ -894,7 +938,7 @@ def parse(text: str) -> ScenarioResult:
     by_kind: dict[str, list[_Section]] = {}
     for section in sections:
         by_kind.setdefault(section.kind, []).append(section)
-    for kind in ("system", "pointer", "selection", "network", "experiment"):
+    for kind in _SINGLE_SECTIONS:
         for extra in by_kind.get(kind, [])[1:]:
             diags.append(extra.error(f"duplicate section [{kind}]"))
 
@@ -914,68 +958,12 @@ def parse(text: str) -> ScenarioResult:
             elif parsed is not None:
                 dim = parsed
 
-    states: dict[str, StateVector] = {}
-    for section in by_kind.get("state", []):
-        name = section.name
-        assert name is not None
-        if name in states:
-            diags.append(section.error(f"duplicate state {name!r}"))
-            continue
-        table = _read_section(section, ("amps",), diags, required=("amps",))
-        if table is None:
-            continue
-        entry = table["amps"][0]
-        amps = _parse_vector(entry, diags)
-        if amps is None:
-            continue
-        if dim is not None and amps.size != dim:
-            diags.append(
-                entry.error(f"state {name!r} has {amps.size} amplitudes, system dim is {dim}")
-            )
-            continue
-        try:
-            states[name] = StateVector(amps)
-        except ValueError as err:
-            diags.append(entry.error(str(err)))
-            continue
-        positions[f"state:{name}"] = (entry.line, entry.value_col)
-
-    operators: dict[str, LinearOperator] = {}
-    for section in by_kind.get("operator", []):
-        name = section.name
-        assert name is not None
-        if name in operators:
-            diags.append(section.error(f"duplicate operator {name!r}"))
-            continue
-        table = _read_section(section, ("matrix", "expr"), diags)
-        if table is None:
-            continue
-        if ("matrix" in table) == ("expr" in table):
-            diags.append(
-                section.error(f"operator {name!r} needs exactly one of 'matrix' or 'expr'")
-            )
-            continue
-        if "matrix" in table:
-            entry = table["matrix"][0]
-            entries = _parse_matrix(entry, diags)
-        else:
-            entry = table["expr"][0]
-            entries = _eval_operator_expr(entry, states, diags)
-        if entries is None:
-            continue
-        if dim is not None and entries.shape[0] != dim:
-            diags.append(
-                entry.error(
-                    f"operator {name!r} is {entries.shape[0]}-dimensional, system dim is {dim}"
-                )
-            )
-            continue
-        try:
-            operators[name] = LinearOperator(entries)
-        except ValueError as err:
-            diags.append(entry.error(str(err)))
-            continue
-        positions[f"operator:{name}"] = (entry.line, entry.value_col)
+    # each named section: duplicate name, keys, value, dim check, domain
+    # constructor (its ValueError reported at the value), position
+    states = _read_named(by_kind.get("state", []), {"amps": _parse_vector}, dim, diags, positions)
+    expr = lambda entry, diags: _eval_operator_expr(entry, states, dim, diags)  # noqa: E731
+    readers = {"matrix": _parse_matrix, "expr": expr}
+    operators = _read_named(by_kind.get("operator", []), readers, dim, diags, positions)
 
     pointer = None
     if "pointer" in by_kind:

@@ -84,8 +84,9 @@ def default_g_decade(
     return GSchedule(np.geomspace(g_max, g_min, max(points, 0)), min_points, span_decade)
 
 
-def default_g_schedule(model: PointerModel, points: int = 5) -> GSchedule:
-    """Geometric schedule, ratio 2, starting at 0.02 * spread (0.02 for qubits)."""
+def default_g_schedule(model: PointerModel) -> GSchedule:
+    """Geometric schedule of 5 points, ratio 2, starting at 0.02 * spread
+    (0.02 for qubits)."""
     scale = model.spread if model.kind == GAUSSIAN_KIND else 1.0
     start = 0.02 * scale
-    return GSchedule(start / 2.0**i for i in range(points))
+    return GSchedule(start / 2.0**i for i in range(5))

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from tsvflab import CouplingEvolution, JointState, LinearOperator, StateVector, identity
+from tsvflab import (
+    CouplingEvolution,
+    JointState,
+    LinearOperator,
+    PointerModel,
+    StateVector,
+    grid_coordinates,
+    identity,
+    moments,
+    pauli_x,
+    pauli_y,
+    pauli_z,
+)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -20,6 +32,20 @@ def single_factor_evolution(
     """exp(-i t H)|psi>: the coupling exp(-i t S (x) H) with a 1x1 system S = 1."""
     joint = JointState(1, state.dim, state)
     return CouplingEvolution(identity(1), generator).apply(t, joint).state
+
+
+def position_operator(model: PointerModel) -> LinearOperator:
+    """Dense readout oracle: diag(grid) for the grid pointer, and for the
+    qubit the Pauli after the generator axis in cyclic order."""
+    if model.kind == "gaussian_grid":
+        return LinearOperator(np.diag(grid_coordinates(model)), hermitian=True)
+    return {"x": pauli_y, "y": pauli_z, "z": pauli_x}[model.generator_axis]()
+
+
+def variance(state: StateVector, op: LinearOperator) -> float:
+    """Dense oracle for Var(op) in ``state``, through the n x n product op @ op."""
+    mean = moments(state, op)
+    return moments(state, LinearOperator(op.entries @ op.entries)) - mean**2
 
 
 @pytest.fixture

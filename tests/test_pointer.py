@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import single_factor_evolution
+from conftest import position_operator, single_factor_evolution, variance
 from tsvflab import (
     LinearOperator,
     NonHermitianOperatorError,
@@ -16,10 +16,8 @@ from tsvflab import (
     pauli_x,
     pauli_y,
     pauli_z,
-    position_operator,
     qubit_pointer,
     translation_generator,
-    variance,
 )
 
 

@@ -1,13 +1,14 @@
 """Scenario format: parsing, diagnostics, validation, round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvflab import build_nested_mzi, parse, serialize, validate_semantics
+from tsvflab import build_nested_mzi, parse, pauli_z, serialize, validate_semantics
 from tsvflab.scenario import (
     ParseDiagnostic,
     corpus_names,
@@ -125,6 +126,24 @@ class TestExpressions:
         text = MINIMAL.replace("expr = pauli_z", "expr = pauli_z + pauli_x * 0")
         doc = parse(text).doc
         np.testing.assert_array_equal(doc.operators["sz"].entries, np.diag([1.0, -1.0]))
+
+    def test_negation_flips_every_sign(self):
+        # -A, not A * -1, which would leave the zero imaginary parts positive
+        doc = parse(MINIMAL.replace("expr = pauli_z", "expr = -pauli_z")).doc
+        signs = np.signbit(doc.operators["sz"].entries.view(float))
+        assert np.array_equal(signs, ~np.signbit(pauli_z().entries.view(float)))
+
+    def test_identity_of_another_dim_is_rejected_before_it_is_allocated(self):
+        tracemalloc.start()
+        try:
+            result = parse(MINIMAL.replace("expr = pauli_z", "expr = identity(4096)"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics[0] == ParseDiagnostic(
+            12, 17, "identity is 4096-dimensional, system dim is 2"
+        )
+        assert peak < 2**22  # the 4096 x 4096 identity alone takes 2**28 bytes
 
     def test_scalar_only_expression_rejected(self):
         text = MINIMAL.replace("expr = pauli_z", "expr = sqrt(2)")
@@ -376,7 +395,9 @@ LIMITS = MINIMAL.replace(
 )
 TRACE = NETWORK + "[pointer]\nkind = qubit\n[experiment]\nplan = trace\narms = A, B\n"
 # an operator expression on line 7, its value at column 8
-EXPR = "tsvf-scenario v1\n[system]\ndim = 2\n[state up]\namps = 1, 0\n[operator m]\nexpr = pauli_z\n"
+EXPR = (
+    "tsvf-scenario v1\n[system]\ndim = 2\n[state up]\namps = 1, 0\n[operator m]\nexpr = pauli_z\n"
+)
 EXPR3 = EXPR.replace("dim = 2", "dim = 3").replace("1, 0", "1, 0, 0")
 
 
@@ -485,6 +506,10 @@ PINNED_DIAGNOSTICS = [
      (("state 'up' has 3 amplitudes, system dim is 2", 5, 8, "error"),)),
     (EXPR.replace("expr = pauli_z", "matrix = 1, 0, 0; 0, 1, 0; 0, 0, 1"),
      (("operator 'm' is 3-dimensional, system dim is 2", 7, 10, "error"),)),
+    # an identity of another dim at its argument, a non-finite intermediate at the value
+    (_expr("pauli_z + identity(3)"),
+     (("identity is 3-dimensional, system dim is 2", 7, 27, "error"),)),
+    (_expr("pauli_x * 1e308 * 10 + 1"), (("operator entries must be finite", 7, 8, "error"),)),
 ]
 
 

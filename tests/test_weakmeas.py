@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_state
+from conftest import position_operator, random_hermitian, random_state, variance
 from tsvflab import (
     CouplingEvolution,
     DarkDetectorError,
@@ -30,7 +30,6 @@ from tsvflab import (
     moments,
     pauli_x,
     pauli_z,
-    position_operator,
     projector,
     qubit_pointer,
     spin_down_z,
@@ -39,7 +38,6 @@ from tsvflab import (
     tensor_product,
     time_reverse,
     translation_generator,
-    variance,
     weak_value,
 )
 from tsvflab.scenario import load_corpus_text, parse
