@@ -55,7 +55,6 @@ from .pointer import (
     initial_state,
     moments,
     qubit_pointer,
-    ready_spectrum,
     translation_generator,
 )
 from .qcore import (

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_order
-from .pointer import PointerModel, qubit_pointer, ready_spectrum
+from .pointer import PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
 from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector
 from .schedule import GSchedule, default_g_decade
 
@@ -169,13 +169,17 @@ class OpticalNetwork:
         )
 
     @property
+    def arm_stops(self) -> dict[str, tuple[int, int]]:
+        """arm -> (step position, mode) of its first slice, its stop, in order of appearance."""
+        stops: dict[str, tuple[int, int]] = {}
+        for position, ts in self.slices:
+            for label, mode in ts.arms:
+                stops.setdefault(label, (position, mode))
+        return stops
+
+    @property
     def arm_labels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for _, ts in self.slices:
-            for label, _ in ts.arms:
-                if label not in seen:
-                    seen.append(label)
-        return tuple(seen)
+        return tuple(self.arm_stops)
 
     @property
     def postselect_mode(self) -> int:
@@ -285,10 +289,10 @@ def two_state_vector(net: OpticalNetwork, slice_index: int) -> TwoStateVector:
 
 
 def arm_slice_index(net: OpticalNetwork, arm: str) -> int:
-    for index, (_, ts) in enumerate(net.slices):
-        if arm in ts.arm_map:
-            return index
-    raise ValueError(f"arm {arm!r} is not labeled in any slice")
+    stops = net.arm_stops
+    if arm not in stops:
+        raise ValueError(f"arm {arm!r} is not labeled in any slice")
+    return [position for position, _ in net.slices].index(stops[arm][0])
 
 
 def _checked_overlap(net: OpticalNetwork) -> complex:
@@ -303,11 +307,8 @@ def _checked_overlap(net: OpticalNetwork) -> complex:
 
 def arm_weak_value(net: OpticalNetwork, arm: str) -> complex:
     """(Pi_arm)_w = conj(backward) * forward / <out|in> at the arm's slice."""
-    overlap = _checked_overlap(net)
-    tsv = two_state_vector(net, arm_slice_index(net, arm))
-    return complex(
-        tsv.backward_amplitude(arm).conjugate() * tsv.forward_amplitude(arm) / overlap
-    )
+    _checked_overlap(net)  # a dark detector is reported before an unlabeled arm
+    return slice_weak_values(net, arm_slice_index(net, arm))[arm]
 
 
 def slice_weak_values(net: OpticalNetwork, slice_index: int) -> dict[str, complex]:
@@ -372,12 +373,11 @@ def build_nested_mzi(
 # ---------------------------------------------------------------------------
 # Weak traces: per-arm channels, every arm from one forward and one backward pass.
 
-def _alpha_minus_one(spectrum: tuple[np.ndarray, np.ndarray], g: np.ndarray):
+def _alpha_minus_one(spectrum: PointerSpectrum, g: np.ndarray):
     """(s_gk = exp(-i g mu_k) - 1, alpha_g - 1 = sum_k w_k s_gk) per coupling
     strength g, where alpha = <m|exp(-i g G)|m>; no digit is lost to 1 - 1."""
-    mu, weights = spectrum
-    s = np.expm1(-1j * g[:, None] * mu)
-    return s, s @ weights
+    s = np.expm1(-1j * g[:, None] * spectrum.basis.eigvals)
+    return s, s @ spectrum.weights(spectrum.ready)
 
 
 def _dephasing_change(n_modes: int, modes: Sequence[int], alpha_minus_one: np.ndarray):
@@ -394,10 +394,10 @@ def _dephasing_change(n_modes: int, modes: Sequence[int], alpha_minus_one: np.nd
 
 
 @functools.cache
-def _qubit_environment() -> tuple[np.ndarray, np.ndarray]:
-    """The ready spectrum of every arm's environment but the target's,
-    computed on first use rather than at import; callers only read it."""
-    return ready_spectrum(qubit_pointer())
+def _qubit_environment() -> PointerSpectrum:
+    """The spectrum of every arm's environment but the target's, computed
+    on first use rather than at import; callers only read it."""
+    return pointer_spectrum(qubit_pointer())
 
 
 def _arm_traces(
@@ -425,10 +425,7 @@ def _arm_traces(
     """
     g = np.asarray(g_values, dtype=float)
     n = net.n_modes
-    first: dict[str, tuple[int, int]] = {}  # arm -> (stop, mode)
-    for position, ts in net.slices:
-        for label, mode in ts.arms:
-            first.setdefault(label, (position, mode))
+    first = net.arm_stops
     coupled: dict[int, list[int]] = {}  # stop -> modes of the arms coupling there
     for position, mode in first.values():
         coupled.setdefault(position, []).append(mode)
@@ -466,10 +463,10 @@ def _arm_traces(
         change = _dephasing_change(n, coupled[start], qubit_am1).conj()
         delta_w = delta_w + change * (pure_w + delta_w)
 
-    spectrum = ready_spectrum(model)
+    spectrum = pointer_spectrum(model)
     s, target_am1 = _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
-    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum[1]
+    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.weights(spectrum.ready)
     for arm in arms:
         if arm not in first:
             raise ValueError(f"arm {arm!r} is not labeled in any slice")

@@ -45,13 +45,18 @@ FIRST_ORDER_BAND = (0.75, 1.25)
 SECOND_ORDER_BAND = (1.75, 2.5)
 
 
+def _coupled(pre, m, S, P, g):
+    """(Psi0, U(g) Psi0) with Psi0 = |in> (x) |m>, as joint states."""
+    evolution = CouplingEvolution(S, P)
+    joint = tensor_product(pre, m)
+    return joint, evolution.apply(g, joint)
+
+
 def continuity_metric(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """|| U(g)(|in> (x) |m>) - |in> (x) |m> ||; zero at g = 0, bounded by 2."""
-    evolution = CouplingEvolution(S, P)
-    joint = tensor_product(pre, m)
-    evolved = evolution.apply(g, joint)
+    joint, evolved = _coupled(pre, m, S, P, g)
     return float(np.linalg.norm(evolved.state.amps - joint.state.amps))
 
 
@@ -61,10 +66,9 @@ def derail_metric(
     """Norm of the component of U(g) Psi0 orthogonal to |in> on the system factor."""
     if not pre.normalized:
         raise ValueError("derail metric requires a normalized system state")
-    evolution = CouplingEvolution(S, P)
+    evolved = _coupled(pre, m, S, P, g)[1].as_matrix()
     if g == 0.0:
         return 0.0
-    evolved = evolution.apply(g, tensor_product(pre, m)).as_matrix()
     overlap = pre.amps.conj() @ evolved  # pointer-space row
     orthogonal = evolved - np.outer(pre.amps, overlap)
     return float(np.linalg.norm(orthogonal))
@@ -74,8 +78,7 @@ def first_order_residual(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """Norm distance between the exact evolution and its O(g) expansion."""
-    evolution = CouplingEvolution(S, P)
-    exact = evolution.apply(g, tensor_product(pre, m))
+    _, exact = _coupled(pre, m, S, P, g)
     expansion = first_order_state(pre, m, S, P, g)
     return float(np.linalg.norm(exact.state.amps - expansion.state.amps))
 
@@ -84,9 +87,7 @@ def overlap_deficit(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """1 - |<Psi0|U(g)|Psi0>|."""
-    evolution = CouplingEvolution(S, P)
-    joint = tensor_product(pre, m)
-    evolved = evolution.apply(g, joint)
+    joint, evolved = _coupled(pre, m, S, P, g)
     return float(1.0 - abs(np.vdot(joint.state.amps, evolved.state.amps)))
 
 

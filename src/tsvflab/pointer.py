@@ -52,7 +52,8 @@ _QUBIT_ROLES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
 class PointerModel:
     """Description of a measuring device.
 
-    gaussian_grid kind: ``spread`` (> 0), ``n_points`` (power of two,
+    gaussian_grid kind: ``spread`` in [1e-100, 1e100] (so that q^2 and
+    4 spread^2 stay finite and nonzero), ``n_points`` (power of two,
     >= 64) and ``half_width`` with grid spacing ``2 half_width / n_points``
     at most ``spread / 4`` and ``half_width >= 8 spread`` so the wavepacket
     is resolved and its tails are negligible.
@@ -80,6 +81,8 @@ class PointerModel:
                 )
             if not math.isfinite(self.spread) or not math.isfinite(self.half_width):
                 raise FieldError("spread and half_width must be finite")
+            if not 1e-100 <= self.spread <= 1e100:
+                raise FieldError("spread must lie in [1e-100, 1e100]", "spread")
             if self.half_width < 8.0 * self.spread:
                 raise FieldError(
                     f"half_width {self.half_width} too small for spread "
@@ -219,17 +222,6 @@ def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
     else:
         basis = _GridBasis(_grid_momenta(model))
     return PointerSpectrum(model, basis, initial_state(model).amps)
-
-
-def ready_spectrum(model: PointerModel) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, w): the eigenvalues mu_k of the coupling generator and the
-    weights w_k = |<k|m>|^2 of the ready state on its eigenvectors.
-
-    Any function of the generator in the ready state follows, e.g.
-    <m|exp(-i g G)|m> = sum_k w_k exp(-i g mu_k).
-    """
-    spectrum = pointer_spectrum(model)
-    return spectrum.basis.eigvals, spectrum.weights(spectrum.ready)
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

@@ -150,19 +150,18 @@ class LinearOperator:
             )
         return StateVector(self.entries @ state.amps)
 
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
+    def _combine(self, other, ufunc) -> "LinearOperator":
         if not isinstance(other, LinearOperator):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("operator dimensions differ")
-        return LinearOperator(self.entries + other.entries)
+        return LinearOperator(ufunc(self.entries, other.entries))
+
+    def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("operator dimensions differ")
-        return LinearOperator(self.entries - other.entries)
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "LinearOperator":
         # not ``self * -1``, which gives zeros of other signs
@@ -181,11 +180,7 @@ class LinearOperator:
         return LinearOperator(self.entries / complex(scalar))
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("operator dimensions differ")
-        return LinearOperator(self.entries @ other.entries)
+        return self._combine(other, np.matmul)
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,11 +111,11 @@ def g_schedule_rules(kind: str) -> dict:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_UNSIGNED_REAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# [0-9], not \d, which matches every Unicode decimal digit
+_UNSIGNED_REAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _REAL = rf"[+-]?{_UNSIGNED_REAL}"
-_COMPLEX_BOTH_RE = re.compile(rf"({_REAL})([+-]{_UNSIGNED_REAL})i\Z")
-_COMPLEX_IMAG_RE = re.compile(rf"({_REAL})i\Z")
-_COMPLEX_REAL_RE = re.compile(rf"({_REAL})\Z")
+# an imaginary part needs its sign only after a real part
+_COMPLEX_RE = re.compile(rf"({_REAL})?(?:((?(1)[+-]|[+-]?){_UNSIGNED_REAL})i)?")
 
 _MAX_EXPR_DEPTH = 64
 #: Largest system dimension, and so the largest ``identity(n)``.
@@ -210,8 +210,9 @@ def _strip_comment(line: str) -> str:
 
 
 def _scan(text: str, diags: list[ParseDiagnostic]) -> list[_Section]:
-    lines = text.splitlines()
-    if not lines or _strip_comment(lines[0]).strip() != VERSION_LINE:
+    # str.splitlines would also end a line at a form feed, U+2028 and the like
+    lines = re.split(r"\r\n|\r|\n", text)
+    if _strip_comment(lines[0]).strip() != VERSION_LINE:
         diags.append(
             ParseDiagnostic(1, 1, f"first line must be {VERSION_LINE!r}")
         )
@@ -307,16 +308,11 @@ def _split_items(value: str, base_col: int, separator: str) -> list[tuple[str, i
 
 def parse_complex_literal(token: str) -> complex | None:
     """``a``, ``bi``, ``a+bi`` or ``a-bi`` with decimal reals, else None."""
-    m = _COMPLEX_BOTH_RE.fullmatch(token)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    m = _COMPLEX_IMAG_RE.fullmatch(token)
-    if m:
-        return complex(0.0, float(m.group(1)))
-    m = _COMPLEX_REAL_RE.fullmatch(token)
-    if m:
-        return complex(float(m.group(1)), 0.0)
-    return None
+    m = _COMPLEX_RE.fullmatch(token)
+    if m is None or not token:
+        return None
+    real, imag = m.groups()
+    return complex(float(real or 0.0), float(imag or 0.0))
 
 
 def _complex_items(
@@ -373,7 +369,7 @@ def _parse_int(
     entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
 ) -> int | None:
     """An integer ``token`` of ``entry``'s value, at column ``col``."""
-    if re.fullmatch(r"[+-]?\d+", token):
+    if re.fullmatch(r"[+-]?[0-9]+", token):
         return int(token)
     diags.append(entry.error(f"malformed integer {token!r}", col))
     return None
@@ -664,7 +660,7 @@ _STEPS = {
     ),
     "phase_shift": (PhaseShift, (int, float), ("mode", "phase"), "mode phase"),
 }
-_LABEL_MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):(\d+)")
+_LABEL_MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):([0-9]+)")
 
 
 def _label_modes(

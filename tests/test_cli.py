@@ -326,6 +326,20 @@ class TestFailureModes:
         assert main(["trace", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)[0]["g"] == "1.000000000000e-2"
 
+    def test_spread_out_of_range_exit_2(self, tmp_path, capsys):
+        # a spread schedule is checked only when its pointers are built
+        from tsvflab.scenario import load_corpus_text
+
+        text = load_corpus_text("compare_limits_demo").replace(
+            "spread_schedule = 1.0, 2.0, 4.0, 8.0, 16.0", "spread_schedule = 1.0, 1e200"
+        )
+        path = tmp_path / "wide.scn"
+        path.write_text(text)
+        assert main(["compare-limits", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spread must lie in [1e-100, 1e100]\n"
+
     def test_non_finite_phase_exit_1(self, tmp_path, capsys):
         from tsvflab.scenario import load_corpus_text
 

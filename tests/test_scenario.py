@@ -81,6 +81,21 @@ class TestParseBasics:
         text = MINIMAL.replace("[system]", "# a comment\n\n[system]  # trailing")
         assert parse(text).ok
 
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, separator):
+        # a separator inside a comment neither ends it nor shifts later lines
+        text = MINIMAL.replace(
+            "[system]\ndim = 2", f"# a comment{separator}dim = 3\n[system]\ndim = two"
+        )
+        assert parse(text).diagnostics == (ParseDiagnostic(4, 7, "malformed integer 'two'"),)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_a_line(self, newline):
+        text = MINIMAL.replace("dim = 2", "dim = two").replace("\n", newline)
+        assert parse(text).diagnostics == (ParseDiagnostic(3, 7, "malformed integer 'two'"),)
+
     def test_complex_literals(self):
         assert parse_complex_literal("1") == 1
         assert parse_complex_literal("-0.5") == -0.5
@@ -371,6 +386,8 @@ DOMAIN_ERRORS = [
     (MINIMAL, "spread = 2.0", "spread = -2.0", "-2.0", "spread must be positive"),
     (MINIMAL, "kind = gaussian_grid", "kind = laser", "laser", "unknown pointer kind"),
     (MINIMAL, "spread = 2.0", "spread = 2.0\nn_points = 100", "100", "power of two"),
+    (MINIMAL, "spread = 2.0", "spread = 1e200", "1e200", "spread must lie in [1e-100, 1e100]"),
+    (MINIMAL, "spread = 2.0", "spread = 1e-200", "1e-200", "spread must lie in [1e-100, 1e100]"),
 ]
 
 
@@ -510,6 +527,17 @@ PINNED_DIAGNOSTICS = [
     (_expr("pauli_z + identity(3)"),
      (("identity is 3-dimensional, system dim is 2", 7, 27, "error"),)),
     (_expr("pauli_x * 1e308 * 10 + 1"), (("operator entries must be finite", 7, 8, "error"),)),
+    # numbers are ASCII digits in every grammar, not any Unicode decimal digit
+    (MINIMAL.replace("spread = 2.0", "spread = \u0662.\u0665"),
+     (("malformed number '\u0662.\u0665'", 16, 10, "error"),)),
+    (MINIMAL.replace("dim = 2", "dim = \u0662"), (("malformed integer '\u0662'", 3, 7, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", "phase_shift \u0661 0.25"),
+     (("malformed integer '\u0661'", 8, 19, "error"),)),
+    (NETWORK.replace("seq = slice A:0 B:1", "seq = slice A:0 B:\u0661"),
+     (("malformed arm 'B:\u0661' (want label:mode)", 9, 17, "error"),)),
+    (EXPR.replace("amps = 1, 0", "amps = \u0661, 0"),
+     (("malformed complex literal '\u0661'", 5, 8, "error"),)),
+    (_expr("identity(\u0662)"), (("unexpected character '\u0662'", 7, 17, "error"),)),
 ]
 
 
