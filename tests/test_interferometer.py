@@ -295,6 +295,23 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="cover"):
             two_state_vector(broken, 2)
 
+    def test_uncovered_mode_message(self):
+        # the slice labels mode 0 only, while the crossover sends all of the
+        # post-selected pairing through mode 1
+        net = OpticalNetwork(
+            n_modes=2,
+            steps=(BeamSplitter(0, 1, 0.5), TimeSlice((("A", 0),)), BeamSplitter(0, 1, 0.5)),
+            source_mode=0,
+            detectors=(("D1", 0), ("D2", 1)),
+            postselect_detector="D1",
+        )
+        with pytest.raises(ValueError) as err:
+            two_state_vector(net, 0)
+        assert str(err.value) == (
+            "slice 0 arms do not cover the occupied modes: "
+            "arm pairing (0.5000000000000001+0j) vs full pairing 0j"
+        )
+
 
 class TestWeakTrace:
     def test_zero_at_zero_coupling(self):
