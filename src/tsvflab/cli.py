@@ -167,18 +167,16 @@ def _run_compare_limits(doc, args):
     g_schedule = _g_schedule(args, doc)
     comparison = limits.compare_limits(sel, op, g_schedule=g_schedule, **kwargs)
     header = ["branch", "parameter", "estimate", "deviation", "analytic"]
-    rows = []
     analytic = fmt_complex(comparison.analytic)
-    for point in comparison.coupling_branch:
-        rows.append(
-            ["g_to_zero", sci12(point.parameter), fmt_complex(point.estimate),
-             sci12(point.deviation), analytic]
-        )
-    for point in sorted(comparison.spread_branch, key=lambda p: -p.parameter):
-        rows.append(
-            ["spread_to_infinity", sci12(point.parameter), fmt_complex(point.estimate),
-             sci12(point.deviation), analytic]
-        )
+    branches = (
+        ("g_to_zero", comparison.coupling_branch),
+        ("spread_to_infinity", sorted(comparison.spread_branch, key=lambda p: -p.parameter)),
+    )
+    rows = [
+        [branch, sci12(p.parameter), fmt_complex(p.estimate), sci12(p.deviation), analytic]
+        for branch, points in branches
+        for p in points
+    ]
     return header, rows
 
 
@@ -197,7 +195,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in the process, built on the first
+    rather than at import; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="tsvflab",
         description="Weak-value laboratory: run scenario files or shipped presets.",
@@ -217,13 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call in the process, built on the first
-    rather than at import; parsing leaves no state in it."""
-    return build_parser()
-
-
 def _load_document(args, plans: tuple[str, ...]) -> tuple:
     """(the validated document or None, the messages for standard error);
     the document's plan must be one of ``plans`` and is validated as the
@@ -235,7 +229,7 @@ def _load_document(args, plans: tuple[str, ...]) -> tuple:
         source = args.file
         try:
             text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             return None, [f"{source}: {err}"]
     else:
         return None, ["provide a scenario file or --preset"]
@@ -254,7 +248,7 @@ def _load_document(args, plans: tuple[str, ...]) -> tuple:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     _, plans, run = _COMMANDS[args.command]
     doc, messages = _load_document(args, plans)
     for message in messages:

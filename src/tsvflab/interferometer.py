@@ -61,7 +61,7 @@ from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_order
 from .pointer import PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
 from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector
-from .schedule import GSchedule, default_g_decade
+from .schedule import fit_schedule
 
 
 @dataclass(frozen=True)
@@ -271,21 +271,21 @@ class TwoStateVector:
 
 
 def two_state_vector(net: OpticalNetwork, slice_index: int) -> TwoStateVector:
-    position = _slice_position(net, slice_index)
-    ts = net.steps[position]
-    assert isinstance(ts, TimeSlice)
+    ts = net.steps[_slice_position(net, slice_index)]
     forward = propagate(net, slice_index).amps
     backward = back_propagate(net, slice_index).amps
-    f_pairs = tuple((label, complex(forward[mode])) for label, mode in ts.arms)
-    b_pairs = tuple((label, complex(backward[mode])) for label, mode in ts.arms)
-    covered = sum(b.conjugate() * f for (_, f), (_, b) in zip(f_pairs, b_pairs))
+    tsv = TwoStateVector(
+        slice_index,
+        tuple((label, complex(forward[mode])) for label, mode in ts.arms),
+        tuple((label, complex(backward[mode])) for label, mode in ts.arms),
+    )
     total = complex(np.vdot(backward, forward))
-    if abs(covered - total) > 1e-12 * max(1.0, abs(total)):
+    if abs(tsv.pairing - total) > 1e-12 * max(1.0, abs(total)):
         raise ValueError(
             f"slice {slice_index} arms do not cover the occupied modes: "
-            f"arm pairing {covered} vs full pairing {total}"
+            f"arm pairing {tsv.pairing} vs full pairing {total}"
         )
-    return TwoStateVector(slice_index, f_pairs, b_pairs)
+    return tsv
 
 
 def arm_slice_index(net: OpticalNetwork, arm: str) -> int:
@@ -400,6 +400,27 @@ def _qubit_environment() -> PointerSpectrum:
     return pointer_spectrum(qubit_pointer())
 
 
+def _propagate(
+    n_modes: int, segments, mode: int, coupled: dict, alpha_minus_one: np.ndarray
+) -> dict:
+    """stop -> (v, |v><v|, delta) just before the stop's dephasing: the pure
+    state v, from the basis state ``mode``, and the change delta, from 0,
+    carried through each (unitary, stop) of ``segments`` in turn, with the
+    arms ``coupled`` at each stop dephased there by ``alpha_minus_one``."""
+    vec = np.zeros(n_modes, dtype=np.complex128)
+    vec[mode] = 1.0
+    delta = np.zeros((alpha_minus_one.size, n_modes, n_modes), dtype=np.complex128)
+    states = {}
+    for u, stop in segments:
+        vec = u @ vec
+        delta = u @ delta @ u.conj().T
+        pure = np.outer(vec, vec.conj())
+        states[stop] = (vec, pure, delta)
+        change = _dephasing_change(n_modes, coupled[stop], alpha_minus_one)
+        delta = delta + change * (pure + delta)
+    return states
+
+
 def _arm_traces(
     net: OpticalNetwork,
     arms: Sequence[str],
@@ -415,10 +436,10 @@ def _arm_traces(
     arm's first slice.  The mode density is kept as |psi><psi| + delta, the
     undisturbed state plus what the couplings changed, and the
     post-selection effect as |phi><phi| + delta_w, so that an arm reached
-    only through the couplings keeps its relative precision.  One forward
-    pass carries the density from the source, one backward pass the effect
-    from the detector, each dephasing every arm at its stop and keeping
-    its state just before that; only as far as the requested arms need.
+    only through the couplings keeps its relative precision.  One pass
+    carries the density forward from the source, the same pass the effect
+    backward from the detector, each dephasing every arm at its stop and
+    keeping its state just before that.
     A target then dephases the other arms of its own stop and reads its
     weight there; the detection probability is Tr W (F * rho), with F the
     target's own dephasing.
@@ -429,39 +450,14 @@ def _arm_traces(
     coupled: dict[int, list[int]] = {}  # stop -> modes of the arms coupling there
     for position, mode in first.values():
         coupled.setdefault(position, []).append(mode)
-    wanted = [first[arm][0] for arm in arms if arm in first]
-    last, earliest = max(wanted, default=-1), min(wanted, default=len(net.steps))
     bounds = [0] + sorted(coupled) + [len(net.steps)]
+    segments = [(a, b, _unitary_over(net, a, b)) for a, b in zip(bounds, bounds[1:])]
     _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
-
-    forward = {}  # stop -> (psi, |psi><psi|, delta) before the stop's dephasing
-    psi = np.zeros(n, dtype=np.complex128)
-    psi[net.source_mode] = 1.0
-    delta = np.zeros((g.size, n, n), dtype=np.complex128)
-    for start, stop in zip(bounds, bounds[1:]):
-        if stop > last:
-            break
-        u = _unitary_over(net, start, stop)
-        psi = u @ psi
-        delta = u @ delta @ u.conj().T
-        pure = np.outer(psi, psi.conj())
-        forward[stop] = (psi, pure, delta)
-        delta = delta + _dephasing_change(n, coupled[stop], qubit_am1) * (pure + delta)
-
-    backward = {}  # stop -> (phi, |phi><phi|, delta_w) before the stop's dephasing
-    phi = np.zeros(n, dtype=np.complex128)
-    phi[net.postselect_mode] = 1.0
-    delta_w = np.zeros((g.size, n, n), dtype=np.complex128)
-    for start, stop in reversed(list(zip(bounds[1:], bounds[2:]))):
-        if start < earliest:
-            break
-        u = _unitary_over(net, start, stop)
-        phi = u.conj().T @ phi
-        delta_w = u.conj().T @ delta_w @ u
-        pure_w = np.outer(phi, phi.conj())
-        backward[start] = (phi, pure_w, delta_w)
-        change = _dephasing_change(n, coupled[start], qubit_am1).conj()
-        delta_w = delta_w + change * (pure_w + delta_w)
+    forward_steps = [(u, stop) for _, stop, u in segments[:-1]]
+    # the effect passes the adjoint segments, which conjugate the dephasing too
+    backward_steps = [(u.conj().T, start) for start, _, u in segments[:0:-1]]
+    forward = _propagate(n, forward_steps, net.source_mode, coupled, qubit_am1)
+    backward = _propagate(n, backward_steps, net.postselect_mode, coupled, qubit_am1.conj())
 
     spectrum = pointer_spectrum(model)
     s, target_am1 = _alpha_minus_one(spectrum, g)
@@ -568,10 +564,7 @@ def classify_presence(
     arms = sorted(net.arm_labels) if arms is None else list(arms)
     if model is None:
         model = qubit_pointer()
-    if g_schedule is None:
-        schedule = default_g_decade()
-    else:
-        schedule = GSchedule(g_schedule, span_decade=True)
+    schedule = fit_schedule(g_schedule)
     overlap = _checked_overlap(net)
 
     entries = []

@@ -32,7 +32,7 @@ from .qcore import (
     first_order_state,
     tensor_product,
 )
-from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
+from .schedule import GSchedule, SpreadSchedule, default_g_schedule, fit_schedule
 from .weakmeas import PointerReadout, PrePostSelection, weak_value
 
 #: Metric values at or below this floor count as identically zero.
@@ -113,7 +113,7 @@ def fit_order(
     """
     if len(g_values) != len(metric_values):
         raise ValueError("g_values and metric_values lengths differ")
-    gs = np.array(GSchedule(g_values, span_decade=True))
+    gs = np.array(fit_schedule(g_values))
     ms = np.asarray([float(v) for v in metric_values])
     if np.any(~np.isfinite(ms)) or np.any(ms < 0):
         raise ValueError("metric values must be finite and non-negative")
@@ -143,7 +143,7 @@ class SweepResult:
             raise ValueError("g_values and metric_values lengths differ")
         if any(v < 0 for v in self.metric_values):
             raise ValueError("metric values must be non-negative")
-        GSchedule(self.g_values, span_decade=True)
+        fit_schedule(self.g_values)
 
     @property
     def all_floor(self) -> bool:
@@ -154,10 +154,7 @@ def sweep_metric(
     metric: Callable[[float], float], g_values: Sequence[float] | None = None
 ) -> SweepResult:
     """Evaluate ``metric(g)`` along a schedule and fit its leading order."""
-    if g_values is None:
-        schedule = default_g_decade()
-    else:
-        schedule = GSchedule(g_values, span_decade=True)
+    schedule = fit_schedule(g_values)
     values = tuple(float(metric(g)) for g in schedule)
     order, coefficient, residual = fit_order(schedule, values)
     floored = sum(1 for v in values if v <= METRIC_FLOOR)

@@ -282,38 +282,23 @@ class CouplingEvolution:
         # lambda_i * mu_j laid out as (sys, ptr)
         self._joint_eigvals = np.outer(sys_eigvals, pointer.eigvals)
 
-    def _check(self, joint: JointState) -> None:
-        if joint.sys_dim != self.sys_dim or joint.ptr_dim != self.ptr_dim:
-            raise ValueError("joint state dimensions do not match the coupling")
-
-    def _evolve(self, g, mat: np.ndarray) -> np.ndarray:
-        """exp(-i g S (x) P) on (sys, ptr) amplitudes; an array g of shape
-        (n, 1, 1) gives the (n, sys, ptr) stack of every g at once."""
-        # Psi = V_s C W^T  =>  C = V_s^dag Psi conj(W)
-        coeffs = self._pointer.to_eigen(self._sys_vecs.conj().T @ mat)
-        coeffs = coeffs * (np.exp(-1j * g * self._joint_eigvals) - 1.0)
-        return mat + self._pointer.from_eigen(self._sys_vecs @ coeffs)
-
     def apply(self, g: float, joint: JointState) -> JointState:
-        """exp(-i g S (x) P) applied to a joint state."""
-        g = _finite_coupling(g)
-        self._check(joint)
-        if g == 0.0:
-            return joint
-        out = self._evolve(g, joint.as_matrix())
-        return JointState(
-            self.sys_dim,
-            self.ptr_dim,
-            StateVector(out.ravel(), normalized=None),
-        )
+        """exp(-i g S (x) P) applied to a joint state: the one-point schedule."""
+        (out,) = self.apply_schedule((g,), joint)
+        return JointState(self.sys_dim, self.ptr_dim, StateVector(out.ravel(), normalized=None))
 
     def apply_schedule(self, g_values, joint: JointState) -> np.ndarray:
         """exp(-i g S (x) P) applied to a joint state at every g of
         ``g_values`` in one batched pass: the (len(g_values), sys_dim,
         ptr_dim) stack of evolved amplitudes, unchecked for normalization."""
         gs = np.array([_finite_coupling(g) for g in g_values], dtype=float)
-        self._check(joint)
-        return self._evolve(gs[:, None, None], joint.as_matrix())
+        if joint.sys_dim != self.sys_dim or joint.ptr_dim != self.ptr_dim:
+            raise ValueError("joint state dimensions do not match the coupling")
+        mat = joint.as_matrix()
+        # Psi = V_s C W^T  =>  C = V_s^dag Psi conj(W)
+        coeffs = self._pointer.to_eigen(self._sys_vecs.conj().T @ mat)
+        coeffs = coeffs * (np.exp(-1j * gs[:, None, None] * self._joint_eigvals) - 1.0)
+        return mat + self._pointer.from_eigen(self._sys_vecs @ coeffs)
 
 
 def _finite_coupling(g) -> float:

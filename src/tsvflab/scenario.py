@@ -478,13 +478,7 @@ class _ExprParser:
         return value
 
     def _expr(self):
-        self.depth += 1
-        if self.depth > _MAX_EXPR_DEPTH:
-            raise _ExprError(self.tokens[self.pos - 1][2], "expression too deeply nested")
-        try:
-            return self._binary("+-", self._term)
-        finally:
-            self.depth -= 1
+        return self._binary("+-", self._term)
 
     def _term(self):
         return self._binary("*/", self._unary)
@@ -508,6 +502,16 @@ class _ExprParser:
         return value
 
     def _unary(self):
+        # every recursion of the grammar passes here; an error abandons the
+        # parser, so only a return undoes the count
+        self.depth += 1
+        if self.depth > _MAX_EXPR_DEPTH:
+            raise _ExprError(self.tokens[self.pos - 1][2], "expression too deeply nested")
+        value = self._operand()
+        self.depth -= 1
+        return value
+
+    def _operand(self):
         kind, text, col = self._next()
         if kind == "sym" and text == "-":
             return -self._unary()
@@ -568,9 +572,6 @@ def _eval_operator_expr(
             value = _ExprParser(tokens, states, dim).parse()
     except _ExprError as err:
         diags.append(entry.error(err.message, err.col))
-        return None
-    except RecursionError:  # pragma: no cover - depth guard should trip first
-        diags.append(entry.error("expression too complex"))
         return None
     if not isinstance(value, LinearOperator):
         diags.append(entry.error("expression is not an operator"))

@@ -84,6 +84,12 @@ def default_g_decade(
     return GSchedule(np.geomspace(g_max, g_min, max(points, 0)), min_points, span_decade)
 
 
+def fit_schedule(g_values: Iterable[float] | None = None) -> GSchedule:
+    """The schedule of an order fit: ``default_g_decade()`` when None,
+    else ``g_values`` checked by ``GSchedule`` to span a decade."""
+    return default_g_decade() if g_values is None else GSchedule(g_values, span_decade=True)
+
+
 def default_g_schedule(model: PointerModel) -> GSchedule:
     """Geometric schedule of 5 points, ratio 2, starting at 0.02 * spread
     (0.02 for qubits)."""

@@ -191,6 +191,17 @@ class TestFailureModes:
         assert main(["weakvalue", "nosuch.scn"]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "x.scn"
+        path.write_bytes(b"tsvf-scenario v1\n# caf\xe9\n")
+        assert main(["weakvalue", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 22: "
+            "invalid continuation byte\n"
+        )
+
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
         target = tmp_path / "absent" / "x.csv" if where == "missing-dir" else tmp_path

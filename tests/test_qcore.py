@@ -255,6 +255,16 @@ class TestCouplingEvolution:
             evolution.apply(0.0, joint).state.amps - joint.state.amps
         ) == 0.0
 
+    def test_apply_is_the_one_point_schedule(self, rng):
+        evolution = CouplingEvolution(random_hermitian(rng, 3), random_hermitian(rng, 4))
+        joint = tensor_product(random_state(rng, 3), random_state(rng, 4))
+        for g in (0.3, 0.0):
+            (batched,) = evolution.apply_schedule((g,), joint)
+            applied = evolution.apply(g, joint)
+            assert applied is not joint
+            assert np.array_equal(applied.as_matrix(), batched)
+        assert np.array_equal(applied.state.amps, joint.state.amps)
+
     def test_rejects_non_finite_coupling(self):
         joint = tensor_product(spin_up_z(), spin_up_x())
         with pytest.raises(ValueError, match="finite"):

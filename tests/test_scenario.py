@@ -142,6 +142,10 @@ class TestExpressions:
         doc = parse(text).doc
         np.testing.assert_array_equal(doc.operators["sz"].entries, np.diag([1.0, -1.0]))
 
+    def test_unary_minus_nests_63_deep(self):
+        doc = parse(MINIMAL.replace("expr = pauli_z", "expr = " + "-" * 63 + "pauli_z")).doc
+        np.testing.assert_array_equal(doc.operators["sz"].entries, -pauli_z().entries)
+
     def test_negation_flips_every_sign(self):
         # -A, not A * -1, which would leave the zero imaginary parts positive
         doc = parse(MINIMAL.replace("expr = pauli_z", "expr = -pauli_z")).doc
@@ -518,6 +522,8 @@ PINNED_DIAGNOSTICS = [
     (_expr("projector(1)"), (("projector needs a state name", 7, 18, "error"),)),
     (_expr("pauli_z & pauli_x"), (("unexpected character '&'", 7, 16, "error"),)),
     (_expr("(" * 65 + "pauli_z" + ")" * 65), (("expression too deeply nested", 7, 71, "error"),)),
+    # a unary minus nests like a parenthesis: the 64th is one level too deep
+    (_expr("-" * 64 + "pauli_z"), (("expression too deeply nested", 7, 71, "error"),)),
     (EXPR + "[operator m]\nexpr = pauli_x\n", (("duplicate operator 'm'", 8, 1, "error"),)),
     (EXPR.replace("1, 0", "1, 0, 0"),
      (("state 'up' has 3 amplitudes, system dim is 2", 5, 8, "error"),)),
@@ -655,6 +661,12 @@ class TestTotality:
         result = parse(text)
         assert result.doc is None
         assert any("nested" in d.message for d in result.diagnostics)
+
+    def test_deep_unary_minus_is_rejected_at_the_depth_limit(self):
+        # far beyond the interpreter's recursion limit, still the depth guard
+        result = parse(MINIMAL.replace("expr = pauli_z", "expr = " + "-" * 5000 + "pauli_z"))
+        assert result.doc is None
+        assert result.diagnostics[0] == ParseDiagnostic(12, 71, "expression too deeply nested")
 
     def test_diagnostic_str(self):
         diag = ParseDiagnostic(3, 7, "boom")

@@ -181,3 +181,12 @@ def test_default_decade_checks_finite_ends_first(ends):
     with pytest.raises(ScheduleError) as info:
         default_g_decade(**ends)
     assert str(info.value) == "schedule points must be finite"
+
+
+def test_fit_schedule_defaults_to_the_decade_and_checks_the_span():
+    from tsvflab.schedule import fit_schedule
+
+    assert fit_schedule() == default_g_decade()
+    assert fit_schedule([0.1, 0.05, 0.02, 0.01]) == (0.1, 0.05, 0.02, 0.01)
+    with pytest.raises(ScheduleError, match="span at least one decade"):
+        fit_schedule([0.04, 0.02, 0.01, 0.005])
