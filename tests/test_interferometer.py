@@ -11,6 +11,7 @@ from tsvflab import (
     FieldError,
     OpticalNetwork,
     PhaseShift,
+    ScheduleError,
     TimeSlice,
     UnclassifiedOrderError,
     arm_weak_value,
@@ -569,6 +570,30 @@ class TestChannelsAgainstTensorOracle:
         assert str(interferometer._dark_after_coupling(1e-3)) == str(oracle.value)
 
 
+def one_slice_network():
+    """Two arms U, L coupling at one slice between two splitters."""
+    return OpticalNetwork(
+        n_modes=2,
+        steps=(
+            BeamSplitter(0, 1, 0.3),
+            TimeSlice((("U", 0), ("L", 1))),
+            BeamSplitter(0, 1, 0.6),
+        ),
+        source_mode=0,
+        detectors=(("D1", 0), ("D2", 1)),
+        postselect_detector="D2",
+    )
+
+
+def one_slice_probability(net, g):
+    """The closed-form detection probability of ``one_slice_network`` with
+    qubit environments (alpha = cos g)."""
+    tsv = two_state_vector(net, 0)
+    a_u, a_l = (tsv.backward_amplitude(x).conjugate() * tsv.forward_amplitude(x)
+                for x in "UL")
+    return abs(a_u) ** 2 + abs(a_l) ** 2 + 2 * (a_u.conjugate() * a_l).real * math.cos(g) ** 2
+
+
 class TestAllArmsAtOnce:
     """One forward and one backward pass serve every arm: the same bits as
     one arm at a time, and the caller's arm order for errors."""
@@ -608,24 +633,9 @@ class TestAllArmsAtOnce:
         # alpha = cos g, so the post-selected probability is
         # |a_U|^2 + |a_L|^2 + 2 Re(conj(a_U) a_L) cos(g)^2, a_x = conj(b_x) f_x;
         # floors just above and below it pin the dark check to it
-        net = OpticalNetwork(
-            n_modes=2,
-            steps=(
-                BeamSplitter(0, 1, 0.3),
-                TimeSlice((("U", 0), ("L", 1))),
-                BeamSplitter(0, 1, 0.6),
-            ),
-            source_mode=0,
-            detectors=(("D1", 0), ("D2", 1)),
-            postselect_detector="D2",
-        )
-        tsv = two_state_vector(net, 0)
-        a_u, a_l = (tsv.backward_amplitude(x).conjugate() * tsv.forward_amplitude(x)
-                    for x in "UL")
+        net = one_slice_network()
         g = 0.5
-        probability = (
-            abs(a_u) ** 2 + abs(a_l) ** 2 + 2 * (a_u.conjugate() * a_l).real * math.cos(g) ** 2
-        )
+        probability = one_slice_probability(net, g)
         for arm in ("U", "L"):
             for scale, dark in ((1 + 1e-9, True), (1 - 1e-9, False)):
                 monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", probability * scale)
@@ -655,6 +665,48 @@ class TestAllArmsAtOnce:
                 call(net, ["Q", "A"], qubit_pointer(), schedule)
         with pytest.raises(ValueError, match="arm 'Q' is not labeled in any slice"):
             weak_trace_sweep(net, "Q", qubit_pointer(), schedule)
+
+
+class TestPartlyDarkSchedule:
+    """A floor between two points' detection probabilities darkens only
+    some of the schedule: presence fits the rest, if enough is left."""
+
+    SCHEDULE = default_g_decade(1e-1, 1e-3, 9)
+
+    def _darken(self, monkeypatch, net, count):
+        # the probability rises as g falls, so a floor between the
+        # count-th and the next point darkens the count largest g
+        probabilities = [one_slice_probability(net, g) for g in self.SCHEDULE]
+        assert probabilities == sorted(probabilities)
+        floor = (probabilities[count - 1] + probabilities[count]) / 2
+        monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", floor)
+
+    def test_order_fitted_over_the_lit_points(self, monkeypatch):
+        net = one_slice_network()
+        traces = dict(weak_trace_sweeps(net, ["U", "L"], qubit_pointer(), self.SCHEDULE))
+        self._darken(monkeypatch, net, 2)
+        report = classify_presence(net, ["U", "L"], qubit_pointer(), self.SCHEDULE)
+        for arm in ("U", "L"):
+            lit = fit_order(self.SCHEDULE[2:], traces[arm][2:])[0]
+            assert report.leading_order(arm) == pytest.approx(lit, rel=1e-12, abs=0)
+            assert report.leading_order(arm) != fit_order(self.SCHEDULE, traces[arm])[0]
+            assert report.classification(arm) == "primary"
+
+    def test_lit_points_must_span_a_decade(self, monkeypatch):
+        net = one_slice_network()
+        self._darken(monkeypatch, net, 5)
+        with pytest.raises(ScheduleError) as short:
+            classify_presence(net, ["U", "L"], qubit_pointer(), self.SCHEDULE)
+        assert str(short.value) == "schedule must span at least one decade"
+
+    def test_fewer_than_four_lit_points_is_dark(self, monkeypatch):
+        net = one_slice_network()
+        self._darken(monkeypatch, net, 6)
+        with pytest.raises(DarkDetectorError) as dark:
+            classify_presence(net, ["U", "L"], qubit_pointer(), self.SCHEDULE)
+        assert str(dark.value) == (
+            f"post-selection detector dark after coupling at g = {self.SCHEDULE[5]!r}"
+        )
 
 
 def test_presence_on_forty_arms():
