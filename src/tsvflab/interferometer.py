@@ -29,28 +29,26 @@ environment couples once, at its arm's first slice (the arm's stop), and
 is never touched again, so a non-target one is traced out at once: it
 multiplies the coherences between its arm's mode and every other mode by
 alpha(g) = <m|exp(-i g G)|m>, a dephasing of the n_modes x n_modes mode
-density.  The forward pass carries the mode density rho from the source
-through every stop, the backward pass the post-selection effect
-W = |out><out| from the detector through the adjoint steps, each
-dephasing every arm at its stop and keeping its state just before that.
-Since an arm couples only at its stop, every target sees the same
-dephasings before its stop and after it, so a target only dephases the
-other arms of its own stop and reads its disturbed weight there,
+density.  The forward pass carries the mode density rho from the source,
+the backward pass the post-selection effect W = |out><out| from the
+detector through the adjoint steps, each dephasing every arm at its stop
+and keeping its state just before that.  Every target sees the same
+dephasings before its stop and after it, and a dephasing keeps the
+diagonal, so all targets are read together from those states: arm a's
+disturbed weight is
 
     rho[a,a] * W[a,a] * ||(1 - |m><m|) exp(-i g G)|m>||^2,
 
 the last factor being the sum over the ready state's spectral weights w_k
 of |s_k - (alpha - 1)|^2, s_k = expm1(-i g mu_k), which involves no
-subtraction of nearly equal numbers.  With S stops and A requested arms
-this takes O(S + A) numpy operations on (g points) x n_modes x n_modes
-arrays, the segment unitaries, the target pointer's spectrum and the
-qubit environment being built once per call; memory is O(S) such arrays,
-whatever the number of arms.
+subtraction of nearly equal numbers.  With S stops the passes take O(S)
+numpy operations on (g points) x n_modes x n_modes arrays and the readout
+of all A requested arms a fixed number more; memory is O(S + A) such
+arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,7 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DarkDetectorError, FieldError
-from .limits import classify_order, fit_order
+from .limits import classify_order, fit_orders
 from .pointer import PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
 from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector
 from .schedule import fit_schedule
@@ -186,20 +184,6 @@ class OpticalNetwork:
         return dict(self.detectors)[self.postselect_detector]
 
 
-def _element_matrix(step: NetworkStep, n_modes: int) -> np.ndarray:
-    matrix = np.eye(n_modes, dtype=np.complex128)
-    if isinstance(step, BeamSplitter):
-        t, r = step.amplitudes
-        a, b = step.mode_a, step.mode_b
-        matrix[a, a] = t
-        matrix[b, b] = t
-        matrix[a, b] = r
-        matrix[b, a] = r
-    elif isinstance(step, PhaseShift):
-        matrix[step.mode, step.mode] = np.exp(1j * step.phase)
-    return matrix
-
-
 def _slice_position(net: OpticalNetwork, slice_index: int) -> int:
     slices = net.slices
     if not 0 <= slice_index < len(slices):
@@ -210,12 +194,20 @@ def _slice_position(net: OpticalNetwork, slice_index: int) -> int:
 
 
 def _unitary_over(net: OpticalNetwork, start: int, stop: int) -> np.ndarray:
-    u = np.eye(net.n_modes, dtype=np.complex128)
+    """The product of the steps in [start, stop), each applied as an update
+    of the rows it acts on: a beam splitter mixes its two rows, a phase
+    shift scales its one."""
+    rows = list(np.eye(net.n_modes, dtype=np.complex128))
     for step in net.steps[start:stop]:
-        if isinstance(step, TimeSlice):
-            continue
-        u = _element_matrix(step, net.n_modes) @ u
-    return u
+        if isinstance(step, BeamSplitter):
+            t, r = step.amplitudes
+            # a 2 x 2 product over the rows in mode order sums as the n x n
+            # product of step matrices would, roundoff included
+            a, b = sorted((step.mode_a, step.mode_b))
+            rows[a], rows[b] = np.array([[t, r], [r, t]]) @ (rows[a], rows[b])
+        elif isinstance(step, PhaseShift):
+            rows[step.mode] = np.exp(1j * step.phase) * rows[step.mode]
+    return np.array(rows)
 
 
 def propagate(net: OpticalNetwork, slice_index: int) -> StateVector:
@@ -288,11 +280,8 @@ def two_state_vector(net: OpticalNetwork, slice_index: int) -> TwoStateVector:
     return tsv
 
 
-def arm_slice_index(net: OpticalNetwork, arm: str) -> int:
-    stops = net.arm_stops
-    if arm not in stops:
-        raise ValueError(f"arm {arm!r} is not labeled in any slice")
-    return [position for position, _ in net.slices].index(stops[arm][0])
+def _unlabeled(arm: str) -> ValueError:
+    return ValueError(f"arm {arm!r} is not labeled in any slice")
 
 
 def _checked_overlap(net: OpticalNetwork) -> complex:
@@ -308,7 +297,10 @@ def _checked_overlap(net: OpticalNetwork) -> complex:
 def arm_weak_value(net: OpticalNetwork, arm: str) -> complex:
     """(Pi_arm)_w = conj(backward) * forward / <out|in> at the arm's slice."""
     _checked_overlap(net)  # a dark detector is reported before an unlabeled arm
-    return slice_weak_values(net, arm_slice_index(net, arm))[arm]
+    stops = net.arm_stops
+    if arm not in stops:
+        raise _unlabeled(arm)
+    return slice_weak_values(net, [p for p, _ in net.slices].index(stops[arm][0]))[arm]
 
 
 def slice_weak_values(net: OpticalNetwork, slice_index: int) -> dict[str, complex]:
@@ -380,45 +372,36 @@ def _alpha_minus_one(spectrum: PointerSpectrum, g: np.ndarray):
     return s, s @ spectrum.weights(spectrum.ready)
 
 
-def _dephasing_change(n_modes: int, modes: Sequence[int], alpha_minus_one: np.ndarray):
-    """F - 1 per g, where rho -> F * rho (elementwise) traces out one ready
-    environment per mode in ``modes``: a coherence gains a factor alpha per
-    coupled row mode and conj(alpha) per coupled column mode, and the
-    diagonal stays."""
-    d = np.zeros((alpha_minus_one.size, n_modes), dtype=np.complex128)
-    d[:, list(modes)] = alpha_minus_one[:, None]
-    change = d[:, :, None] + d.conj()[:, None, :] + d[:, :, None] * d.conj()[:, None, :]
-    diagonal = np.arange(n_modes)
-    change[:, diagonal, diagonal] = 0.0
+def _dephasing_change(coupled: np.ndarray, alpha_minus_one: np.ndarray) -> np.ndarray:
+    """F - 1 per stop and g, where rho -> F * rho (elementwise) traces out
+    one ready environment per mode that the (stops, modes) mask ``coupled``
+    marks: a coherence gains a factor alpha per coupled row mode and
+    conj(alpha) per coupled column mode, and the diagonal stays."""
+    d = np.where(coupled[:, None, :], alpha_minus_one[:, None], 0.0)
+    row, column = d[..., :, None], d.conj()[..., None, :]
+    change = row + column + row * column
+    diagonal = np.arange(coupled.shape[1])
+    change[..., diagonal, diagonal] = 0.0
     return change
 
 
-@functools.cache
-def _qubit_environment() -> PointerSpectrum:
-    """The spectrum of every arm's environment but the target's, computed
-    on first use rather than at import; callers only read it."""
-    return pointer_spectrum(qubit_pointer())
-
-
-def _propagate(
-    n_modes: int, segments, mode: int, coupled: dict, alpha_minus_one: np.ndarray
-) -> dict:
-    """stop -> (v, |v><v|, delta) just before the stop's dephasing: the pure
-    state v, from the basis state ``mode``, and the change delta, from 0,
-    carried through each (unitary, stop) of ``segments`` in turn, with the
-    arms ``coupled`` at each stop dephased there by ``alpha_minus_one``."""
+def _propagate(steps, mode: int, shape: tuple[int, int]):
+    """The pure state v, from the basis state ``mode``, and the change
+    delta, from zeros of ``shape`` (g points, modes), just before each
+    dephasing rho -> rho + change * rho of ``steps``, a sequence of
+    (unitary, its adjoint, change); both stacked along a first axis."""
+    points, n_modes = shape
     vec = np.zeros(n_modes, dtype=np.complex128)
     vec[mode] = 1.0
-    delta = np.zeros((alpha_minus_one.size, n_modes, n_modes), dtype=np.complex128)
-    states = {}
-    for u, stop in segments:
+    delta = np.zeros((points, n_modes, n_modes), dtype=np.complex128)
+    vecs, deltas = [], []
+    for u, adjoint, change in steps:
         vec = u @ vec
-        delta = u @ delta @ u.conj().T
-        pure = np.outer(vec, vec.conj())
-        states[stop] = (vec, pure, delta)
-        change = _dephasing_change(n_modes, coupled[stop], alpha_minus_one)
-        delta = delta + change * (pure + delta)
-    return states
+        delta = u @ delta @ adjoint
+        vecs.append(vec)
+        deltas.append(delta)
+        delta = delta + change * (vec[:, None] * vec.conj() + delta)
+    return np.array(vecs), np.array(deltas)
 
 
 def _arm_traces(
@@ -427,61 +410,65 @@ def _arm_traces(
     model: PointerModel,
     g_values: Sequence[float],
     overlap: complex,
-):
-    """Yield, for each of ``arms`` in order, (its weak trace at each g,
-    whether the coupling darkened the detector there); an unlabeled arm
-    raises ValueError when its turn comes, so errors keep the caller's order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(traces, dark), each of shape (len(arms), len(g_values)): each of
+    ``arms``' weak trace at each g, and whether its coupling darkened the
+    detector there; the rows of unlabeled arms hold 0.0 and False, for the
+    caller to report in its own order.
 
-    Every labeled arm's environment couples at a stop, the position of the
-    arm's first slice.  The mode density is kept as |psi><psi| + delta, the
-    undisturbed state plus what the couplings changed, and the
-    post-selection effect as |phi><phi| + delta_w, so that an arm reached
-    only through the couplings keeps its relative precision.  One pass
-    carries the density forward from the source, the same pass the effect
-    backward from the detector, each dephasing every arm at its stop and
-    keeping its state just before that.
-    A target then dephases the other arms of its own stop and reads its
-    weight there; the detection probability is Tr W (F * rho), with F the
-    target's own dephasing.
+    The density is kept as |psi><psi| + delta, the undisturbed state plus
+    what the couplings changed, and the effect as |phi><phi| + delta_w, so
+    an arm reached only through the couplings keeps its relative precision.
+    A target t's detection probability is Tr W (F_t * rho), F_t[x, y] being
+    a_t[x] conj(a_t[y]) off the diagonal and 1 on it, where a_t holds the
+    target pointer's alpha at t, the qubit's at the stop's other arms and 1
+    elsewhere.
     """
     g = np.asarray(g_values, dtype=float)
     n = net.n_modes
     first = net.arm_stops
-    coupled: dict[int, list[int]] = {}  # stop -> modes of the arms coupling there
+    traces, dark = np.zeros((len(arms), g.size)), np.zeros((len(arms), g.size), dtype=bool)
+    rows = [row for row, arm in enumerate(arms) if arm in first]
+    if not rows:
+        return traces, dark
+    stops = sorted({position for position, _ in first.values()})
+    coupled = np.zeros((len(stops), n), dtype=bool)  # the arms' modes at each stop
     for position, mode in first.values():
-        coupled.setdefault(position, []).append(mode)
-    bounds = [0] + sorted(coupled) + [len(net.steps)]
-    segments = [(a, b, _unitary_over(net, a, b)) for a, b in zip(bounds, bounds[1:])]
-    _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
-    forward_steps = [(u, stop) for _, stop, u in segments[:-1]]
+        coupled[stops.index(position), mode] = True
+    bounds = [0, *stops, len(net.steps)]
+    unitaries = np.array([_unitary_over(net, a, b) for a, b in zip(bounds, bounds[1:])])
+    adjoints = unitaries.conj().transpose(0, 2, 1)
+    _, qubit_am1 = _alpha_minus_one(pointer_spectrum(qubit_pointer()), g)
+    changes = _dephasing_change(coupled, qubit_am1)
+    psi, delta = _propagate(zip(unitaries, adjoints, changes), net.source_mode, (g.size, n))
     # the effect passes the adjoint segments, which conjugate the dephasing too
-    backward_steps = [(u.conj().T, start) for start, _, u in segments[:0:-1]]
-    forward = _propagate(n, forward_steps, net.source_mode, coupled, qubit_am1)
-    backward = _propagate(n, backward_steps, net.postselect_mode, coupled, qubit_am1.conj())
+    backward = zip(adjoints[:0:-1], unitaries[:0:-1], changes.conj()[::-1])
+    phi, delta_w = (a[::-1] for a in _propagate(backward, net.postselect_mode, (g.size, n)))
 
     spectrum = pointer_spectrum(model)
     s, target_am1 = _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
     disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.weights(spectrum.ready)
-    for arm in arms:
-        if arm not in first:
-            raise ValueError(f"arm {arm!r} is not labeled in any slice")
-        stop, t = first[arm]
-        psi, pure, delta = forward[stop]
-        phi, pure_w, delta_w = backward[stop]
-        others = [mode for mode in coupled[stop] if mode != t]
-        if others:
-            delta = delta + _dephasing_change(n, others, qubit_am1) * (pure + delta)
-        rho = pure + delta
-        dephased = rho + _dephasing_change(n, (t,), target_am1) * rho
-        probability = np.einsum("gxy,gxy->g", (pure_w + delta_w).conj(), dephased).real
-        weight = (
-            (abs(psi[t]) ** 2 + delta[:, t, t].real)
-            * (abs(phi[t]) ** 2 + delta_w[:, t, t].real)
-            * disturbed
-        )
-        traces = np.sqrt(np.maximum(weight, 0.0)) / abs(overlap)
-        yield traces, probability < ZERO_PROBABILITY_FLOOR
+    at = [stops.index(first[arms[row]][0]) for row in rows]
+    targets = [first[arms[row]][1] for row in rows]
+    weight = (
+        (np.abs(psi[at, targets, None]) ** 2 + delta[at, :, targets, targets].real)
+        * (np.abs(phi[at, targets, None]) ** 2 + delta_w[at, :, targets, targets].real)
+        * disturbed
+    )
+    traces[rows] = np.sqrt(np.maximum(weight, 0.0)) / abs(overlap)
+
+    pure = psi[:, None, :, None] * psi[:, None, None, :].conj()
+    pure_w = phi[:, None, :, None] * phi[:, None, None, :].conj()
+    weighted = (pure_w + delta_w).conj() * (pure + delta)  # (stop, g, x, y)
+    diagonal = np.arange(n)
+    kept = weighted[:, :, diagonal, diagonal].real.sum(axis=2)
+    weighted[:, :, diagonal, diagonal] = 0.0
+    factors = np.where(coupled[at, None, :], 1.0 + qubit_am1[:, None], 1.0 + 0j)
+    factors[np.arange(len(rows)), :, targets] = 1.0 + target_am1
+    coherent = np.einsum("tgx,tgxy,tgy->tg", factors, weighted[at], factors.conj())
+    dark[rows] = kept[at] + coherent.real < ZERO_PROBABILITY_FLOOR
+    return traces, dark
 
 
 def _dark_after_coupling(g: float) -> DarkDetectorError:
@@ -499,10 +486,7 @@ def weak_trace(net: OpticalNetwork, arm: str, model: PointerModel, g: float) -> 
 
 
 def weak_trace_sweep(
-    net: OpticalNetwork,
-    arm: str,
-    model: PointerModel,
-    g_values: Sequence[float],
+    net: OpticalNetwork, arm: str, model: PointerModel, g_values: Sequence[float]
 ) -> tuple[float, ...]:
     return weak_trace_sweeps(net, (arm,), model, g_values)[0][1]
 
@@ -519,13 +503,14 @@ def weak_trace_sweeps(
     overlap = _checked_overlap(net)
     arms = list(arms)
     g_values = [float(g) for g in g_schedule]
-    sweeps = []
-    for arm, (traces, dark) in zip(arms, _arm_traces(net, arms, model, g_values, overlap)):
-        for g, is_dark in zip(g_values, dark):
-            if is_dark:
-                raise _dark_after_coupling(g)
-        sweeps.append((arm, tuple(float(v) for v in traces)))
-    return tuple(sweeps)
+    traces, dark = _arm_traces(net, arms, model, g_values, overlap)
+    labeled = net.arm_stops
+    for arm, row in zip(arms, dark):
+        if arm not in labeled:
+            raise _unlabeled(arm)
+        if row.any():
+            raise _dark_after_coupling(g_values[int(np.argmax(row))])
+    return tuple((arm, tuple(row)) for arm, row in zip(arms, traces.tolist()))
 
 
 @dataclass(frozen=True)
@@ -567,12 +552,18 @@ def classify_presence(
     schedule = fit_schedule(g_schedule)
     overlap = _checked_overlap(net)
 
+    traces, dark = _arm_traces(net, arms, model, schedule, overlap)
+    orders, _, _ = fit_orders(schedule, traces, include=~dark)
+    labeled = net.arm_stops
     entries = []
-    for arm, (traces, dark) in zip(arms, _arm_traces(net, arms, model, schedule, overlap)):
-        usable = [(g, float(v)) for g, v, is_dark in zip(schedule, traces, dark) if not is_dark]
-        if len(usable) < 4:
-            raise _dark_after_coupling(schedule[int(np.flatnonzero(dark)[-1])])
-        order, _, _ = fit_order(*zip(*usable))
+    for arm, order, row in zip(arms, orders.tolist(), dark):
+        if arm not in labeled:
+            raise _unlabeled(arm)
+        if row.any():
+            lit = [g for g, is_dark in zip(schedule, row) if not is_dark]
+            if len(lit) < 4:
+                raise _dark_after_coupling(schedule[int(np.flatnonzero(row)[-1])])
+            fit_schedule(lit)  # the lit points must still span a decade
         classification = _PRESENCE_BY_ORDER[classify_order(order, f"arm {arm!r}")]
         entries.append((arm, ArmPresence(order, classification)))
     return PresenceReport(tuple(entries))

@@ -40,6 +40,10 @@ METRIC_FLOOR = 1e-14
 #: Sentinel order for all-floor sweeps: no trace at any fitted order.
 ALL_FLOOR_ORDER = math.inf
 
+#: compare_limits' spread schedule and fixed spread when none are given.
+DEFAULT_SPREADS = (2.0, 4.0, 8.0, 16.0, 32.0)
+DEFAULT_FIXED_SPREAD = 2.0
+
 #: Fitted-order classification bands.
 FIRST_ORDER_BAND = (0.75, 1.25)
 SECOND_ORDER_BAND = (1.75, 2.5)
@@ -100,6 +104,38 @@ METRICS = {
 }
 
 
+def fit_orders(
+    g_values: Sequence[float], values, include=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fit_order`` of every row of ``values`` at once, as (orders,
+    coefficients, residuals) arrays, each row fitted over its points that
+    ``include`` marks (default all) and that lie above the floor.  A row's
+    result does not depend on the others, to the bit; ``g_values`` is taken
+    as a checked schedule."""
+    values = np.asarray(values, dtype=float)
+    if np.any(~np.isfinite(values)) or np.any(values < 0):
+        raise ValueError("metric values must be finite and non-negative")
+    usable = values > METRIC_FLOOR
+    if include is not None:
+        usable &= include
+    count = np.count_nonzero(usable, axis=1)
+    fitted, n = count >= 4, np.maximum(count, 1)
+    # a centred line per row through its usable points; the others weigh 0
+    log_g = np.where(usable, np.log(np.asarray(g_values, dtype=float)), 0.0)
+    log_v = np.log(np.where(usable, values, 1.0))
+    mean_g, mean_v = log_g.sum(axis=1) / n, log_v.sum(axis=1) / n
+    dg = np.where(usable, log_g - mean_g[:, None], 0.0)
+    dv = np.where(usable, log_v - mean_v[:, None], 0.0)
+    slope = (dg * dv).sum(axis=1) / np.where(fitted, (dg * dg).sum(axis=1), 1.0)
+    intercept = np.where(fitted, mean_v - slope * mean_g, 0.0)
+    residuals = np.abs(slope[:, None] * dg - dv).max(axis=1)
+    return (
+        np.where(fitted, slope, ALL_FLOOR_ORDER),
+        np.where(fitted, np.exp(intercept), 0.0),
+        np.where(fitted, residuals, 0.0),
+    )
+
+
 def fit_order(
     g_values: Sequence[float], metric_values: Sequence[float]
 ) -> tuple[float, float, float]:
@@ -113,18 +149,8 @@ def fit_order(
     """
     if len(g_values) != len(metric_values):
         raise ValueError("g_values and metric_values lengths differ")
-    gs = np.array(fit_schedule(g_values))
-    ms = np.asarray([float(v) for v in metric_values])
-    if np.any(~np.isfinite(ms)) or np.any(ms < 0):
-        raise ValueError("metric values must be finite and non-negative")
-    usable = ms > METRIC_FLOOR
-    if int(np.count_nonzero(usable)) < 4:
-        return (ALL_FLOOR_ORDER, 0.0, 0.0)
-    log_g = np.log(gs[usable])
-    log_m = np.log(ms[usable])
-    slope, intercept = np.polyfit(log_g, log_m, 1)
-    residual = float(np.max(np.abs(slope * log_g + intercept - log_m)))
-    return (float(slope), float(math.exp(intercept)), residual)
+    fit = fit_orders(fit_schedule(g_values), [[float(v) for v in metric_values]])
+    return tuple(float(column[0]) for column in fit)
 
 
 @dataclass(frozen=True)
@@ -200,9 +226,9 @@ class LimitComparison:
 def compare_limits(
     sel: PrePostSelection,
     S: LinearOperator,
-    spread_schedule: Sequence[float] = (2.0, 4.0, 8.0, 16.0, 32.0),
+    spread_schedule: Sequence[float] = DEFAULT_SPREADS,
     g_schedule: Sequence[float] | None = None,
-    fixed_spread: float = 2.0,
+    fixed_spread: float = DEFAULT_FIXED_SPREAD,
     fixed_coupling: float = 0.5,
     n_points: int = 256,
 ) -> LimitComparison:

@@ -37,7 +37,7 @@ from .interferometer import (
     PhaseShift,
     TimeSlice,
 )
-from .limits import METRICS
+from .limits import DEFAULT_FIXED_SPREAD, DEFAULT_SPREADS, METRICS
 from .pointer import (
     GAUSSIAN_KIND,
     QUBIT_KIND,
@@ -815,7 +815,7 @@ def _build_pointer(
     if table is None:
         return None
     where = {(key,): (entries[0].line, entries[0].value_col) for key, entries in table.items()}
-    positions["pointer:kind"] = where[("kind",)]
+    positions.update((f"pointer:{key}", where[(key,)]) for key in table)
     fields: dict = {}
     for key in keys:
         if key in table:
@@ -1078,6 +1078,18 @@ def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
     if rules.needs_gaussian and doc.pointer is not None:
         if doc.pointer.kind != GAUSSIAN_KIND:
             diags.append(_at("pointer:kind", f"{plan.kind} needs a {GAUSSIAN_KIND} pointer"))
+        else:
+            # the run builds a pointer on this grid at its fixed spread, then
+            # one per spread: the first to reject the grid is an error here
+            fixed = DEFAULT_FIXED_SPREAD if plan.fixed_spread is None else plan.fixed_spread
+            for spread in (fixed, *(spread_schedule or DEFAULT_SPREADS)):
+                try:
+                    gaussian_pointer(spread, doc.pointer.n_points)
+                except FieldError as err:  # another field's fault stops the run there
+                    if err.path == ("n_points",):
+                        message = f"{plan.kind} pointer at spread {spread!r}: {err}"
+                        diags.append(_at("pointer:n_points", message))
+                    break
 
     if any(d.severity == "error" for d in diags):
         return ScenarioResult(None, tuple(diags))

@@ -351,6 +351,26 @@ class TestFailureModes:
         assert captured.out == ""
         assert captured.err == "error: spread must lie in [1e-100, 1e100]\n"
 
+    def test_unresolved_limit_pointer_exit_1(self, tmp_path, capsys):
+        # the file's own grid resolves its spread, but the pointers the run
+        # builds span 12 spreads each side: 64 points cannot resolve them
+        from tsvflab.scenario import load_corpus_text
+
+        text = load_corpus_text("compare_limits_demo").replace(
+            "n_points = 256", "n_points = 64"
+        ).replace("half_width = 24.0", "half_width = 16.0")
+        path = tmp_path / "coarse.scn"
+        path.write_text(text)
+        assert main(["compare-limits", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = text.splitlines().index("n_points = 64") + 1
+        assert captured.err == (
+            f"{path}:{line}:{len('n_points = ') + 1}: error: compare_limits pointer at "
+            "spread 2.0: grid spacing 0.75 does not resolve the wavepacket: "
+            "need spacing <= spread / 4\n"
+        )
+
     def test_non_finite_phase_exit_1(self, tmp_path, capsys):
         from tsvflab.scenario import load_corpus_text
 

@@ -565,7 +565,7 @@ class TestChannelsAgainstTensorOracle:
         # past the overlap check, the coupled detection probability is zero
         with pytest.raises(DarkDetectorError) as oracle:
             tensor_trace(net, "U", qubit_pointer(), 1e-3, overlap=1.0)
-        (_, dark), = interferometer._arm_traces(net, ["U"], qubit_pointer(), [1e-3], 1.0)
+        _, (dark,) = interferometer._arm_traces(net, ["U"], qubit_pointer(), [1e-3], 1.0)
         assert dark.tolist() == [True]
         assert str(interferometer._dark_after_coupling(1e-3)) == str(oracle.value)
 
@@ -639,7 +639,7 @@ class TestAllArmsAtOnce:
         for arm in ("U", "L"):
             for scale, dark in ((1 + 1e-9, True), (1 - 1e-9, False)):
                 monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", probability * scale)
-                (_, flags), = interferometer._arm_traces(
+                _, (flags,) = interferometer._arm_traces(
                     net, [arm], qubit_pointer(), [g], network_overlap(net)
                 )
                 assert flags.tolist() == [dark], (arm, scale)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
+from tsvflab.limits import METRIC_FLOOR, fit_orders
 from tsvflab import (
     PrePostSelection,
     ScheduleError,
@@ -164,6 +167,57 @@ class TestFitOrder:
     def test_monotonicity_required(self):
         with pytest.raises(ScheduleError, match="decrease"):
             fit_order([1e-4, 1e-3, 1e-2, 1e-1], [1, 1, 1, 1])
+
+
+class TestFitOrders:
+    """A batch of rows, each with its own mask, fitted at once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        points=st.integers(4, 12),
+    )
+    def test_rows_match_polyfit_alone_and_in_a_batch(self, seed, rows, points):
+        rng = np.random.default_rng(seed)
+        gs = np.geomspace(10 ** rng.uniform(-3, 0), 10 ** rng.uniform(-7, -4), points)
+        exponents = rng.uniform(0.5, 3.0, (rows, 1))
+        noise = 0.01 * rng.uniform(0.1, 1.0) * rng.standard_normal((rows, points))
+        values = 10 ** rng.uniform(-3, 3, (rows, 1)) * gs**exponents * np.exp(noise)
+        values[rng.random((rows, points)) < 0.1] = 0.0  # below the floor
+        # some rows keep at most 3 points, the rest about two thirds
+        keep = np.where(rng.random((rows, 1)) < 0.3, 3.5 / points, 0.7)
+        include = rng.random((rows, points)) < keep
+        orders, coefficients, residuals = fit_orders(gs, values, include)
+        for row in range(rows):
+            alone = fit_orders(gs, values[row:row + 1], include[row:row + 1])
+            assert (alone[0][0], alone[1][0], alone[2][0]) == (
+                orders[row], coefficients[row], residuals[row]
+            )
+            usable = include[row] & (values[row] > METRIC_FLOOR)
+            if np.count_nonzero(usable) < 4:
+                assert (orders[row], coefficients[row], residuals[row]) == (math.inf, 0.0, 0.0)
+                continue
+            log_g, log_v = np.log(gs[usable]), np.log(values[row][usable])
+            slope, intercept = np.polyfit(log_g, log_v, 1)
+            residual = np.max(np.abs(slope * log_g + intercept - log_v))
+            assert orders[row] == pytest.approx(slope, rel=1e-12, abs=0)
+            assert coefficients[row] == pytest.approx(math.exp(intercept), rel=1e-12, abs=0)
+            # a residual is a difference of log values, exact to their scale
+            scale = np.max(np.abs(log_v))
+            assert residuals[row] == pytest.approx(residual, rel=0, abs=1e-12 * scale)
+
+    def test_fit_order_is_the_one_row_case(self):
+        values = [3.0 * g**2 for g in GS]
+        values[-2:] = [0.0, 0.0]
+        batch = fit_orders(GS, [values, [0.0] * len(GS)])
+        assert fit_order(GS, values) == (batch[0][0], batch[1][0], batch[2][0])
+        assert fit_order(GS, [0.0] * len(GS)) == (math.inf, 0.0, 0.0)
+
+    def test_values_checked(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                fit_orders(GS, [[1.0] * (len(GS) - 1) + [bad]])
 
 
 class TestFirstOrderResidual:
