@@ -43,8 +43,8 @@ the last factor being the sum over the ready state's spectral weights w_k
 of |s_k - (alpha - 1)|^2, s_k = expm1(-i g mu_k), which involves no
 subtraction of nearly equal numbers.  With S stops the passes take O(S)
 numpy operations on (g points) x n_modes x n_modes arrays and the readout
-of all A requested arms a fixed number more; memory is O(S + A) such
-arrays.
+of all A requested arms a fixed number more; memory is O(S) such arrays,
+whatever A is.
 """
 
 from __future__ import annotations
@@ -462,11 +462,17 @@ def _arm_traces(
     pure_w = phi[:, None, :, None] * phi[:, None, None, :].conj()
     weighted = (pure_w + delta_w).conj() * (pure + delta)  # (stop, g, x, y)
     diagonal = np.arange(n)
-    kept = weighted[:, :, diagonal, diagonal].real.sum(axis=2)
-    weighted[:, :, diagonal, diagonal] = 0.0
-    factors = np.where(coupled[at, None, :], 1.0 + qubit_am1[:, None], 1.0 + 0j)
-    factors[np.arange(len(rows)), :, targets] = 1.0 + target_am1
-    coherent = np.einsum("tgx,tgxy,tgy->tg", factors, weighted[at], factors.conj())
+    kept = weighted[..., diagonal, diagonal].real.sum(axis=2)
+    weighted[..., diagonal, diagonal] = 0.0
+    # a_t = b + (alpha_target - alpha_qubit) e_t, b holding the qubit's alpha
+    # on every arm of the stop, so each target only corrects its own row
+    # and column of the stop's form b^T M conj(b)
+    b = np.where(coupled[:, None, :], 1.0 + qubit_am1[:, None], 1.0 + 0j)
+    right = (weighted @ b.conj()[..., None])[..., 0]
+    left = (b[..., None, :] @ weighted)[..., 0, :]
+    form = np.einsum("sgx,sgx->sg", b, right)
+    c = target_am1 - qubit_am1
+    coherent = form[at] + c * right[at, :, targets] + c.conj() * left[at, :, targets]
     dark[rows] = kept[at] + coherent.real < ZERO_PROBABILITY_FLOOR
     return traces, dark
 
