@@ -466,7 +466,7 @@ def _arm_traces(
     weighted[..., diagonal, diagonal] = 0.0
     # a_t = b + (alpha_target - alpha_qubit) e_t, b holding the qubit's alpha
     # on every arm of the stop, so each target only corrects its own row
-    # and column of the stop's form b^T M conj(b)
+    # and column of the stop's form sum_xy b[x] weighted[x, y] conj(b[y])
     b = np.where(coupled[:, None, :], 1.0 + qubit_am1[:, None], 1.0 + 0j)
     right = (weighted @ b.conj()[..., None])[..., 0]
     left = (b[..., None, :] @ weighted)[..., 0, :]
