@@ -49,6 +49,7 @@ whatever A is.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -385,6 +386,13 @@ def _dephasing_change(coupled: np.ndarray, alpha_minus_one: np.ndarray) -> np.nd
     return change
 
 
+@functools.cache
+def _qubit_environment() -> PointerSpectrum:
+    """The spectrum of every arm's environment but the target's, computed
+    on first use rather than at import; callers only read it."""
+    return pointer_spectrum(qubit_pointer())
+
+
 def _propagate(steps, mode: int, shape: tuple[int, int]):
     """The pure state v, from the basis state ``mode``, and the change
     delta, from zeros of ``shape`` (g points, modes), just before each
@@ -438,7 +446,7 @@ def _arm_traces(
     bounds = [0, *stops, len(net.steps)]
     unitaries = np.array([_unitary_over(net, a, b) for a, b in zip(bounds, bounds[1:])])
     adjoints = unitaries.conj().transpose(0, 2, 1)
-    _, qubit_am1 = _alpha_minus_one(pointer_spectrum(qubit_pointer()), g)
+    _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
     changes = _dephasing_change(coupled, qubit_am1)
     psi, delta = _propagate(zip(unitaries, adjoints, changes), net.source_mode, (g.size, n))
     # the effect passes the adjoint segments, which conjugate the dephasing too
@@ -559,7 +567,7 @@ def classify_presence(
     overlap = _checked_overlap(net)
 
     traces, dark = _arm_traces(net, arms, model, schedule, overlap)
-    orders, _, _ = fit_orders(schedule, traces, include=~dark)
+    orders, _, _ = fit_orders(schedule, np.where(dark, 0.0, traces))
     labeled = net.arm_stops
     entries = []
     for arm, order, row in zip(arms, orders.tolist(), dark):

@@ -105,23 +105,22 @@ METRICS = {
 
 
 def fit_orders(
-    g_values: Sequence[float], values, include=None
+    g_values: Sequence[float], values
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``fit_order`` of every row of ``values`` at once, as (orders,
-    coefficients, residuals) arrays, each row fitted over its points that
-    ``include`` marks (default all) and that lie above the floor.  A row's
-    result does not depend on the others, to the bit; ``g_values`` is taken
-    as a checked schedule."""
+    coefficients, residuals) arrays, with ``fit_order``'s checks in its
+    order.  A row's result does not depend on the others, to the bit."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(g_values):
+        raise ValueError("g_values and metric_values lengths differ")
+    log_g = np.log(np.array(fit_schedule(g_values)))
     if np.any(~np.isfinite(values)) or np.any(values < 0):
         raise ValueError("metric values must be finite and non-negative")
     usable = values > METRIC_FLOOR
-    if include is not None:
-        usable &= include
     count = np.count_nonzero(usable, axis=1)
     fitted, n = count >= 4, np.maximum(count, 1)
     # a centred line per row through its usable points; the others weigh 0
-    log_g = np.where(usable, np.log(np.asarray(g_values, dtype=float)), 0.0)
+    log_g = np.where(usable, log_g, 0.0)
     log_v = np.log(np.where(usable, values, 1.0))
     mean_g, mean_v = log_g.sum(axis=1) / n, log_v.sum(axis=1) / n
     dg = np.where(usable, log_g - mean_g[:, None], 0.0)
@@ -147,9 +146,7 @@ def fit_order(
     the all-floor outcome: (inf, 0.0, 0.0), meaning the metric left no
     trace at any fitted order.
     """
-    if len(g_values) != len(metric_values):
-        raise ValueError("g_values and metric_values lengths differ")
-    fit = fit_orders(fit_schedule(g_values), [[float(v) for v in metric_values]])
+    fit = fit_orders(g_values, [metric_values])
     return tuple(float(column[0]) for column in fit)
 
 

@@ -24,7 +24,6 @@ eigenvalue of the measured observable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -214,20 +213,15 @@ class PointerSpectrum:
         return np.einsum("gi,ij,gj->g", rows.conj(), readout, rows).real
 
 
-@functools.lru_cache(maxsize=16)
 def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
     """The device in its generator's eigenbasis: the DFT with the grid
     momenta ``2 pi fftfreq`` for the grid, the 2x2 ``eigh`` of the Pauli
-    for the qubit.  Memoized per model, so its arrays are read-only."""
+    for the qubit."""
     if model.kind == QUBIT_KIND:
-        generator = _PAULI_BY_AXIS[model.generator_axis]().entries
-        basis_type, arrays = Eigenbasis, np.linalg.eigh(generator)
+        basis = Eigenbasis.of(_PAULI_BY_AXIS[model.generator_axis]())
     else:
-        basis_type, arrays = _GridBasis, (_grid_momenta(model),)
-    ready = initial_state(model).amps
-    for array in (*arrays, ready):
-        array.setflags(write=False)
-    return PointerSpectrum(model, basis_type(*arrays), ready)
+        basis = _GridBasis(_grid_momenta(model))
+    return PointerSpectrum(model, basis, initial_state(model).amps)
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

@@ -170,7 +170,7 @@ class TestFitOrder:
 
 
 class TestFitOrders:
-    """A batch of rows, each with its own mask, fitted at once."""
+    """A batch of rows, each with its own floored points, fitted at once."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -184,17 +184,17 @@ class TestFitOrders:
         exponents = rng.uniform(0.5, 3.0, (rows, 1))
         noise = 0.01 * rng.uniform(0.1, 1.0) * rng.standard_normal((rows, points))
         values = 10 ** rng.uniform(-3, 3, (rows, 1)) * gs**exponents * np.exp(noise)
-        values[rng.random((rows, points)) < 0.1] = 0.0  # below the floor
-        # some rows keep at most 3 points, the rest about two thirds
+        # some rows keep at most 3 points above the floor, the rest about two thirds
         keep = np.where(rng.random((rows, 1)) < 0.3, 3.5 / points, 0.7)
-        include = rng.random((rows, points)) < keep
-        orders, coefficients, residuals = fit_orders(gs, values, include)
+        floored = rng.random((rows, points)) >= keep
+        values[floored] = rng.choice([0.0, METRIC_FLOOR], np.count_nonzero(floored))
+        orders, coefficients, residuals = fit_orders(gs, values)
         for row in range(rows):
-            alone = fit_orders(gs, values[row:row + 1], include[row:row + 1])
+            alone = fit_orders(gs, values[row:row + 1])
             assert (alone[0][0], alone[1][0], alone[2][0]) == (
                 orders[row], coefficients[row], residuals[row]
             )
-            usable = include[row] & (values[row] > METRIC_FLOOR)
+            usable = values[row] > METRIC_FLOOR
             if np.count_nonzero(usable) < 4:
                 assert (orders[row], coefficients[row], residuals[row]) == (math.inf, 0.0, 0.0)
                 continue
@@ -218,6 +218,18 @@ class TestFitOrders:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 fit_orders(GS, [[1.0] * (len(GS) - 1) + [bad]])
+
+    def test_shapes_and_schedule_checked_in_fit_orders_order(self):
+        # a row length off the schedule, or values that are not rows, come
+        # first; then the schedule itself, then the values
+        for values in ([[1.0] * (len(GS) - 1)], [1.0] * len(GS), [[[1.0] * len(GS)]]):
+            with pytest.raises(ValueError, match="^g_values and metric_values lengths differ$"):
+                fit_orders(GS, values)
+        with pytest.raises(ValueError, match="lengths differ"):
+            fit_order(GS, [-1.0] * (len(GS) - 1))
+        for gs, message in (([1e-3] * 4, "must decrease"), (GS[:1], "at least 4 points")):
+            with pytest.raises(ScheduleError, match=message):
+                fit_orders(gs, [[-1.0] * len(gs)])
 
 
 class TestFirstOrderResidual:

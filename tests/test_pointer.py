@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import position_operator, single_factor_evolution, variance
-from tsvflab.pointer import pointer_spectrum
 from tsvflab import (
     LinearOperator,
     NonHermitianOperatorError,
@@ -161,18 +160,6 @@ class TestQubitPointer:
             assert abs(moments(ready, position_operator(model))) <= 1e-12
             third = {"x": pauli_z, "y": pauli_x, "z": pauli_y}[axis]()
             assert moments(ready, third) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPointerSpectrum:
-    def test_shared_per_model_and_read_only(self):
-        # an equal model built anew gets the same spectrum, which no caller
-        # can then change for the others
-        for make in (lambda: gaussian_pointer(1.0, 64, 8.0), lambda: qubit_pointer("x")):
-            spectrum = pointer_spectrum(make())
-            assert pointer_spectrum(make()) is spectrum
-            for array in (spectrum.ready, spectrum.basis.eigvals):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
 
 
 class TestMoments:
