@@ -79,13 +79,15 @@ from .qcore import (
 from .scenario import (
     ExperimentPlan,
     ParseDiagnostic,
+    PlanResult,
+    RunPlan,
     ScenarioDoc,
     ScenarioResult,
     load_corpus,
     load_corpus_text,
     parse,
+    plan,
     serialize,
-    validate_semantics,
 )
 from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
 from .weakmeas import (

@@ -4,8 +4,9 @@ Output is deterministic: fixed column orders, arms alphabetical, g
 descending, and numbers rendered in fixed 12-digit scientific notation
 (complex values as ``re+imi``).  Data goes to standard output (or
 ``--out``); diagnostics go to standard error.  Exit codes: 0 success,
-1 parse/validation diagnostics, 2 runtime errors such as a dark detector
-or an ``--out`` path that cannot be written.
+1 diagnostics of the file, from parsing or planning the run, 2 errors
+in the flags or at run time, such as a dark detector or an ``--out`` path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from . import interferometer, limits, scenario, weakmeas
 from .errors import DarkDetectorError, UnclassifiedOrderError
 from .pointer import initial_state, translation_generator
-from .schedule import default_g_decade
-from .weakmeas import PrePostSelection
 
 PRESETS = {
     "spin-sz": "spin_sz",
@@ -56,117 +54,62 @@ def fmt_complex(z: complex) -> str:
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _emit_json(header: list[str], rows: list[list[str]]) -> str:
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
-def _g_schedule(args, doc):
-    """The g-schedule by precedence: the --g-max/--g-min/--points flags (a
-    geometric schedule, unset flags at ``default_g_decade``'s defaults,
-    checked by the rules of the plan the subcommand runs), then the
-    scenario's ``g_schedule``, else None for the library's own default."""
-    flags = {"g_max": args.g_max, "g_min": args.g_min, "points": args.points}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    if flags:
-        return default_g_decade(**flags, **scenario.g_schedule_rules(doc.experiment.kind))
-    return doc.experiment.g_schedule
-
-
-def _selection(doc) -> PrePostSelection:
-    pre, post = doc.selection
-    return PrePostSelection(doc.states[pre], doc.states[post])
-
-
-def _run_weakvalue(doc, args):
-    sel = _selection(doc)
-    schedule = _g_schedule(args, doc)
-    header = ["observable", "analytic", "numeric", "deviation", "residual"]
+def _run_weakvalue(plan):
     rows = []
-    for name in sorted(doc.experiment.observables):
-        op = doc.operators[name]
-        analytic = weakmeas.weak_value(sel, op)
-        estimate = weakmeas.estimate_weak_value(sel, op, doc.pointer, schedule)
-        rows.append(
-            [
-                name,
-                fmt_complex(analytic),
-                fmt_complex(estimate.value),
-                sci12(abs(estimate.value - analytic)),
-                sci12(estimate.extrapolation_residual),
-            ]
-        )
-    return header, rows
+    for name, op in plan.observables:
+        analytic = weakmeas.weak_value(plan.selection, op)
+        estimate = weakmeas.estimate_weak_value(plan.selection, op, plan.pointer, plan.g_schedule)
+        value, residual = estimate.value, estimate.extrapolation_residual
+        rows.append([name, fmt_complex(analytic), fmt_complex(value),
+                     sci12(abs(value - analytic)), sci12(residual)])
+    return ["observable", "analytic", "numeric", "deviation", "residual"], rows
 
 
+#: the metric table, by the name the benchmark's tracer self-test reads
 _METRFN = limits.METRICS
 
 
-def _run_sweep(doc, args):
-    sel = _selection(doc)
-    op = doc.operators[doc.experiment.observables[0]]
-    metric_fn = _METRFN[doc.experiment.metric]
-    ready = initial_state(doc.pointer)
-    generator = translation_generator(doc.pointer)
-    schedule = _g_schedule(args, doc)
+def _run_sweep(plan):
+    [(_, op)] = plan.observables
+    ready = initial_state(plan.pointer)
+    generator = translation_generator(plan.pointer)
     result = limits.sweep_metric(
-        lambda g: metric_fn(sel.pre, ready, op, generator, g), schedule
+        lambda g: plan.metric(plan.selection.pre, ready, op, generator, g), plan.g_schedule
     )
-    header = ["g", "metric", "fitted_order", "fitted_coefficient", "fit_residual"]
-    order = sci12(result.fitted_order)
-    rows = [
-        [sci12(g), sci12(v), order, sci12(result.fitted_coefficient), sci12(result.fit_residual)]
-        for g, v in zip(result.g_values, result.metric_values)
-    ]
-    return header, rows
+    fit = (result.fitted_order, result.fitted_coefficient, result.fit_residual)
+    values = zip(result.g_values, result.metric_values)
+    rows = [[sci12(x) for x in (g, v, *fit)] for g, v in values]
+    return ["g", "metric", "fitted_order", "fitted_coefficient", "fit_residual"], rows
 
 
-def _network_arms(doc) -> list[str]:
-    arms = doc.experiment.arms or doc.network.arm_labels
-    return sorted(arms)
+def _run_trace(plan):
+    gs = plan.g_schedule
+    sweeps = interferometer.weak_trace_sweeps(plan.network, plan.arms, plan.pointer, gs)
+    rows = [[arm, sci12(g), sci12(v)] for arm, values in sweeps for g, v in zip(gs, values)]
+    return ["arm", "g", "trace"], rows
 
 
-def _run_trace(doc, args):
-    schedule = _g_schedule(args, doc) or default_g_decade()
-    sweeps = interferometer.weak_trace_sweeps(
-        doc.network, _network_arms(doc), doc.pointer, schedule
-    )
-    header = ["arm", "g", "trace"]
-    rows = [
-        [arm, sci12(g), sci12(v)] for arm, values in sweeps for g, v in zip(schedule, values)
-    ]
-    return header, rows
-
-
-def _run_presence(doc, args):
-    # perfbench's tracer counts the trace points from this argument
-    schedule = _g_schedule(args, doc) or default_g_decade()
+def _run_presence(plan):
     report = interferometer.classify_presence(
-        doc.network, _network_arms(doc), doc.pointer, schedule
+        plan.network, plan.arms, plan.pointer, plan.g_schedule
     )
-    header = ["arm", "leading_order", "classification"]
     rows = [[arm, sci12(p.leading_order), p.classification] for arm, p in report.entries]
-    return header, rows
+    return ["arm", "leading_order", "classification"], rows
 
 
-def _run_compare_limits(doc, args):
-    sel = _selection(doc)
-    op = doc.operators[doc.experiment.observables[0]]
-    plan = doc.experiment
-    kwargs = {"n_points": doc.pointer.n_points}
-    if plan.spread_schedule is not None:
-        kwargs["spread_schedule"] = plan.spread_schedule
-    if plan.fixed_spread is not None:
-        kwargs["fixed_spread"] = plan.fixed_spread
-    if plan.fixed_g is not None:
-        kwargs["fixed_coupling"] = plan.fixed_g
-    g_schedule = _g_schedule(args, doc)
-    comparison = limits.compare_limits(sel, op, g_schedule=g_schedule, **kwargs)
-    header = ["branch", "parameter", "estimate", "deviation", "analytic"]
+def _run_compare_limits(plan):
+    [(_, op)] = plan.observables
+    comparison = limits.compare_limits(
+        plan.selection, op, g_schedule=plan.g_schedule, fixed_coupling=plan.fixed_g,
+        pointers=(plan.pointer, *plan.spread_pointers),
+    )
     analytic = fmt_complex(comparison.analytic)
     branches = (
         ("g_to_zero", comparison.coupling_branch),
@@ -177,11 +120,11 @@ def _run_compare_limits(doc, args):
         for branch, points in branches
         for p in points
     ]
-    return header, rows
+    return ["branch", "parameter", "estimate", "deviation", "analytic"], rows
 
 
-#: subcommand -> (help, the scenario plans it runs, runner); it validates a
-#: file by the rules of its first plan, the one it runs
+#: subcommand -> (help, the scenario plans it runs, runner); a file of any
+#: of those plans runs as the first, the one the subcommand runs
 _COMMANDS = {
     "weakvalue": ("analytic and numeric weak values", ("weakvalue",), _run_weakvalue),
     "sweep": ("metric vs g table with its fitted order", ("sweep",), _run_sweep),
@@ -218,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(args, plans: tuple[str, ...]) -> tuple:
-    """(the validated document or None, the messages for standard error);
-    the document's plan must be one of ``plans`` and is validated as the
-    first of them."""
+def _load_plan(args, plans: tuple[str, ...]) -> tuple:
+    """(the run plan or None, the messages for standard error, the exit
+    code when None); the document's plan must be one of ``plans`` and runs
+    as the first of them."""
     if args.preset is not None:
         text = scenario.load_corpus_text(PRESETS[args.preset])
         source = args.preset
@@ -230,34 +173,36 @@ def _load_document(args, plans: tuple[str, ...]) -> tuple:
         try:
             text = Path(args.file).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as err:
-            return None, [f"{source}: {err}"]
+            return None, [f"{source}: {err}"], 1
     else:
-        return None, ["provide a scenario file or --preset"]
+        return None, ["provide a scenario file or --preset"], 1
     parsed = scenario.parse(text)
     messages = [f"{source}:{d}" for d in parsed.diagnostics]
     if not parsed.ok:
-        return None, messages
+        return None, messages, 1
     kind = parsed.doc.experiment.kind
     if kind not in plans:
-        return None, messages + [
-            f"scenario plan {kind!r} does not fit subcommand {args.command!r}"
-        ]
-    experiment = replace(parsed.doc.experiment, kind=plans[0])
-    checked = scenario.validate_semantics(replace(parsed.doc, experiment=experiment))
-    return checked.doc, messages + [f"{source}:{d}" for d in checked.diagnostics]
+        mismatch = f"scenario plan {kind!r} does not fit subcommand {args.command!r}"
+        return None, [*messages, mismatch], 1
+    flags = {"g_max": args.g_max, "g_min": args.g_min, "points": args.points}
+    planned = scenario.plan(parsed.doc, plans[0], flags)
+    messages += [f"{source}:{d}" for d in planned.diagnostics]
+    if planned.flag_error is not None:
+        return None, messages + [f"error: {planned.flag_error}"], 2
+    return planned.plan, messages, 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _, plans, run = _COMMANDS[args.command]
-    doc, messages = _load_document(args, plans)
+    plan, messages, code = _load_plan(args, plans)
     for message in messages:
         print(message, file=sys.stderr)
-    if doc is None:
-        return 1
+    if plan is None:
+        return code
 
     try:
-        header, rows = run(doc, args)
+        header, rows = run(plan)
     except (DarkDetectorError, UnclassifiedOrderError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

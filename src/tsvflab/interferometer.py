@@ -285,8 +285,9 @@ def _unlabeled(arm: str) -> ValueError:
     return ValueError(f"arm {arm!r} is not labeled in any slice")
 
 
-def _checked_overlap(net: OpticalNetwork) -> complex:
-    overlap = network_overlap(net)
+def _checked_overlap(net: OpticalNetwork, overlap: complex | None = None) -> complex:
+    """<out|in>, ``network_overlap`` unless given; a dark detector raises."""
+    overlap = network_overlap(net) if overlap is None else overlap
     if abs(overlap) <= ORTHOGONAL_OVERLAP_TOL:
         raise DarkDetectorError(
             f"post-selection detector {net.postselect_detector!r} is dark: "
@@ -413,16 +414,13 @@ def _propagate(steps, mode: int, shape: tuple[int, int]):
 
 
 def _arm_traces(
-    net: OpticalNetwork,
-    arms: Sequence[str],
-    model: PointerModel,
-    g_values: Sequence[float],
-    overlap: complex,
+    net: OpticalNetwork, arms: Sequence[str], model: PointerModel, g_values: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(traces, dark), each of shape (len(arms), len(g_values)): each of
     ``arms``' weak trace at each g, and whether its coupling darkened the
     detector there; the rows of unlabeled arms hold 0.0 and False, for the
-    caller to report in its own order.
+    caller to report in its own order.  A dark detector raises first, with
+    <out|in> taken from the product of the segment unitaries.
 
     The density is kept as |psi><psi| + delta, the undisturbed state plus
     what the couplings changed, and the effect as |phi><phi| + delta_w, so
@@ -435,16 +433,20 @@ def _arm_traces(
     g = np.asarray(g_values, dtype=float)
     n = net.n_modes
     first = net.arm_stops
+    stops = sorted({position for position, _ in first.values()})
+    bounds = [0, *stops, len(net.steps)]
+    unitaries = np.array([_unitary_over(net, a, b) for a, b in zip(bounds, bounds[1:])])
+    amps = np.eye(n, dtype=np.complex128)[net.source_mode]
+    for u in unitaries:
+        amps = u @ amps
+    overlap = _checked_overlap(net, complex(amps[net.postselect_mode]))
     traces, dark = np.zeros((len(arms), g.size)), np.zeros((len(arms), g.size), dtype=bool)
     rows = [row for row, arm in enumerate(arms) if arm in first]
     if not rows:
         return traces, dark
-    stops = sorted({position for position, _ in first.values()})
     coupled = np.zeros((len(stops), n), dtype=bool)  # the arms' modes at each stop
     for position, mode in first.values():
         coupled[stops.index(position), mode] = True
-    bounds = [0, *stops, len(net.steps)]
-    unitaries = np.array([_unitary_over(net, a, b) for a, b in zip(bounds, bounds[1:])])
     adjoints = unitaries.conj().transpose(0, 2, 1)
     _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
     changes = _dephasing_change(coupled, qubit_am1)
@@ -514,10 +516,9 @@ def weak_trace_sweeps(
     """(arm, its weak trace at each g) for each of ``arms`` in order, all
     from one forward and one backward pass; the first arm whose coupling
     darkens the detector at some g raises there."""
-    overlap = _checked_overlap(net)
     arms = list(arms)
     g_values = [float(g) for g in g_schedule]
-    traces, dark = _arm_traces(net, arms, model, g_values, overlap)
+    traces, dark = _arm_traces(net, arms, model, g_values)
     labeled = net.arm_stops
     for arm, row in zip(arms, dark):
         if arm not in labeled:
@@ -564,9 +565,7 @@ def classify_presence(
     if model is None:
         model = qubit_pointer()
     schedule = fit_schedule(g_schedule)
-    overlap = _checked_overlap(net)
-
-    traces, dark = _arm_traces(net, arms, model, schedule, overlap)
+    traces, dark = _arm_traces(net, arms, model, schedule)
     orders, _, _ = fit_orders(schedule, np.where(dark, 0.0, traces))
     labeled = net.arm_stops
     entries = []

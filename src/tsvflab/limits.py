@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ScheduleError, UnclassifiedOrderError
-from .pointer import gaussian_pointer
+from .errors import FieldError, UnclassifiedOrderError
+from .pointer import PointerModel, gaussian_pointer
 from .qcore import (
     CouplingEvolution,
     LinearOperator,
@@ -40,9 +40,11 @@ METRIC_FLOOR = 1e-14
 #: Sentinel order for all-floor sweeps: no trace at any fitted order.
 ALL_FLOOR_ORDER = math.inf
 
-#: compare_limits' spread schedule and fixed spread when none are given.
+#: compare_limits' spread schedule, fixed spread and fixed coupling when
+#: none are given.
 DEFAULT_SPREADS = (2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_FIXED_SPREAD = 2.0
+DEFAULT_FIXED_COUPLING = 0.5
 
 #: Fitted-order classification bands.
 FIRST_ORDER_BAND = (0.75, 1.25)
@@ -220,30 +222,51 @@ class LimitComparison:
     spread_branch: tuple[LimitPoint, ...]  # spread -> infinity at fixed g
 
 
+def limit_pointers(
+    spread_schedule: Sequence[float] = DEFAULT_SPREADS,
+    fixed_spread: float = DEFAULT_FIXED_SPREAD,
+    n_points: int = 256,
+) -> tuple[PointerModel, ...]:
+    """``compare_limits``' pointers on an ``n_points`` grid: the g -> 0
+    route's at ``fixed_spread``, then one per spread of the checked
+    schedule.  The first that cannot be built raises its FieldError, naming
+    the spread, with the path of what is at fault: ("n_points",), or the
+    spread's source, ("fixed_spread",) or ("spread_schedule",)."""
+    sources = [("fixed_spread", fixed_spread)]
+    sources += [("spread_schedule", spread) for spread in SpreadSchedule(spread_schedule)]
+    pointers = []
+    for source, spread in sources:
+        try:
+            pointers.append(gaussian_pointer(spread, n_points))
+        except FieldError as err:
+            at = err.path if err.path == ("n_points",) else (source,)
+            raise FieldError(f"compare_limits pointer at spread {spread!r}: {err}", *at) from None
+    return tuple(pointers)
+
+
 def compare_limits(
     sel: PrePostSelection,
     S: LinearOperator,
     spread_schedule: Sequence[float] = DEFAULT_SPREADS,
     g_schedule: Sequence[float] | None = None,
     fixed_spread: float = DEFAULT_FIXED_SPREAD,
-    fixed_coupling: float = 0.5,
+    fixed_coupling: float = DEFAULT_FIXED_COUPLING,
     n_points: int = 256,
+    pointers: Sequence[PointerModel] | None = None,
 ) -> LimitComparison:
     """Estimate the weak value along g -> 0 (fixed spread) and along
-    spread -> infinity (fixed g), reporting each single-point readout and
-    its deviation from the analytic value.
+    spread -> infinity (fixed g > 0), reporting each single-point readout
+    and its deviation from the analytic value.  ``pointers`` from
+    ``limit_pointers`` replaces the arguments it is built from.
 
     g is a property of the interaction while the spread is a property of
     the pointer, so the two routes are distinct experiments; both must
     converge to the same analytic ratio.
     """
-    spreads = SpreadSchedule(spread_schedule)
-    if fixed_coupling <= 0 or fixed_spread <= 0:
-        raise ScheduleError("fixed coupling and spread must be positive")
-
+    if pointers is None:
+        pointers = limit_pointers(spread_schedule, fixed_spread, n_points)
+    coupling_model, *spread_models = pointers
     analytic = weak_value(sel, S)
-
-    coupling_model = gaussian_pointer(fixed_spread, n_points)
     gs = default_g_schedule(coupling_model) if g_schedule is None else GSchedule(g_schedule)
 
     coupling_branch = [
@@ -251,16 +274,9 @@ def compare_limits(
         for g, r in zip(gs, PointerReadout(sel, S, coupling_model).ratios(gs).tolist())
     ]
     spread_branch = []
-    for spread in spreads:
-        model = gaussian_pointer(spread, n_points)
+    for model in spread_models:
         (r,) = PointerReadout(sel, S, model).ratios((fixed_coupling,)).tolist()
-        spread_branch.append(LimitPoint(spread, r, abs(r - analytic)))
+        spread_branch.append(LimitPoint(model.spread, r, abs(r - analytic)))
 
-    return LimitComparison(
-        analytic,
-        fixed_spread,
-        fixed_coupling,
-        tuple(coupling_branch),
-        tuple(spread_branch),
-    )
-
+    branches = (tuple(coupling_branch), tuple(spread_branch))
+    return LimitComparison(analytic, coupling_model.spread, fixed_coupling, *branches)

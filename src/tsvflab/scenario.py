@@ -1,4 +1,4 @@
-"""Plain-text scenario format: parser, validator, and serializer.
+"""Plain-text scenario format: parser, run planner, and serializer.
 
 A scenario file is line oriented.  The first line must be the version
 stamp ``tsvf-scenario v1``.  Comments run from ``#`` to the end of the
@@ -16,7 +16,13 @@ product, and ``/`` takes scalars only.
 
 Parsing is total: any input yields either a document or diagnostics with
 1-based line/column positions, never an exception and never a partial
-document.
+document.  ``plan`` is as total: before anything evolves it turns a
+document into the ``RunPlan`` of one subcommand (the normalized
+selection, the observables, the one g-schedule, every pointer the run
+couples, the network and its sorted arms), rejects a Gaussian pointer
+that a shift would wrap around its grid or hide below the readout's
+roundoff, and reports the file's errors at their positions and the flags'
+errors apart.
 """
 
 from __future__ import annotations
@@ -24,47 +30,29 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections.abc import Container
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Container, Mapping, Sequence
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .errors import FieldError, ScheduleError
-from .interferometer import (
-    BeamSplitter,
-    OpticalNetwork,
-    PhaseShift,
-    TimeSlice,
+from .interferometer import BeamSplitter, OpticalNetwork, PhaseShift, TimeSlice
+from .limits import (
+    DEFAULT_FIXED_COUPLING, DEFAULT_FIXED_SPREAD, DEFAULT_SPREADS, METRICS, limit_pointers
 )
-from .limits import DEFAULT_FIXED_SPREAD, DEFAULT_SPREADS, METRICS
-from .pointer import (
-    GAUSSIAN_KIND,
-    QUBIT_KIND,
-    PointerModel,
-    gaussian_pointer,
-    qubit_pointer,
-)
-from .qcore import (
-    LinearOperator,
-    StateVector,
-    identity,
-    pauli_x,
-    pauli_y,
-    pauli_z,
-    projector,
-)
-from .schedule import GSchedule, SpreadSchedule
+from .pointer import GAUSSIAN_KIND, QUBIT_KIND, PointerModel, gaussian_pointer, qubit_pointer
+from .qcore import LinearOperator, StateVector, identity, pauli_x, pauli_y, pauli_z, projector
+from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
+from .weakmeas import PrePostSelection
 
 VERSION_LINE = "tsvf-scenario v1"
-
-METRIC_NAMES = tuple(METRICS)
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """The rules of one experiment plan, which the parser, the validator
-    and the serializer all read."""
+    """The rules of one experiment plan, which the parser, ``plan`` and
+    the serializer all read."""
 
     keys: tuple[str, ...]  # its [experiment] keys besides plan, in reading order
     required: tuple[str, ...] = ()
@@ -74,13 +62,14 @@ class _Plan:
     min_points: int = 4  # GSchedule's rules for its g_schedule
     span_decade: bool = False
     needs_gaussian: bool = False  # needs a gaussian_grid pointer
+    readout: bool = False  # reads weak values off its pointer, by default on its own schedule
 
 
 # a trace reads any schedule; the order fits of sweeps and presence
 # classification need a decade
 _PLANS = {
     "weakvalue": _Plan(
-        ("observables", "g_schedule"), ("observables",), observable_key="observables"
+        ("observables", "g_schedule"), ("observables",), observable_key="observables", readout=True
     ),
     "sweep": _Plan(
         ("observable", "metric", "g_schedule"),
@@ -99,15 +88,10 @@ _PLANS = {
         observable_key="observable",
         observable_arity=1,
         needs_gaussian=True,
+        readout=True,
     ),
 }
 PLAN_KINDS = tuple(_PLANS)
-
-
-def g_schedule_rules(kind: str) -> dict:
-    """The ``GSchedule`` rules of plan ``kind``'s g-schedule, as keyword arguments."""
-    rules = _PLANS[kind]
-    return {"min_points": rules.min_points, "span_decade": rules.span_decade}
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -173,6 +157,31 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return self.doc is not None
+
+
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """Every object one run uses, built and checked before any evolution."""
+
+    g_schedule: GSchedule
+    pointer: PointerModel  # the file's, or compare_limits' at its fixed spread
+    spread_pointers: tuple[PointerModel, ...] = ()  # compare_limits', one per spread
+    selection: PrePostSelection | None = None
+    observables: tuple[tuple[str, LinearOperator], ...] = ()  # by name
+    metric: Callable | None = None
+    network: OpticalNetwork | None = None
+    arms: tuple[str, ...] = ()  # sorted
+    fixed_g: float = DEFAULT_FIXED_COUPLING
+
+
+@dataclass(frozen=True)
+class PlanResult:
+    """A run plan, or why there is none: the file's error diagnostics
+    (exit 1), or else a flag the run cannot take (exit 2)."""
+
+    plan: RunPlan | None
+    diagnostics: tuple[ParseDiagnostic, ...]
+    flag_error: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +838,7 @@ def _build_pointer(
         return None
 
 
-#: the [experiment] keys holding numbers, which validation checks at their position
+#: the [experiment] keys holding numbers, which ``plan`` checks at their position
 _NUMBER_KEYS = {
     "g_schedule": _parse_float_list,
     "spread_schedule": _parse_float_list,
@@ -852,21 +861,21 @@ def _build_experiment(
     kind = _read_choice(plan_entry, "plan", PLAN_KINDS, diags)
     if kind is None:
         return None
-    plan = _PLANS[kind]
-    table = _read_section(section, ("plan", *plan.keys), diags, required=plan.required)
+    rules = _PLANS[kind]
+    table = _read_section(section, ("plan", *rules.keys), diags, required=rules.required)
     if table is None:
         return None
     arms = network.arm_labels if network is not None else ()
     read = {
-        plan.observable_key: lambda entry: _read_names(
-            entry, operators, "operator", plan.observable_arity, diags
+        rules.observable_key: lambda entry: _read_names(
+            entry, operators, "operator", rules.observable_arity, diags
         ),
-        "metric": lambda entry: _read_choice(entry, "metric", METRIC_NAMES, diags),
+        "metric": lambda entry: _read_choice(entry, "metric", tuple(METRICS), diags),
         "arms": lambda entry: _read_names(entry, arms, "arm", None, diags),
     }
     errors = len(diags)
     fields: dict = {}
-    for key in plan.keys:
+    for key in rules.keys:
         if key not in table:
             continue
         entry = table[key][0]
@@ -877,7 +886,7 @@ def _build_experiment(
             value = read[key](entry)
         if value is None:
             return None
-        fields["observables" if key == plan.observable_key else key] = value
+        fields["observables" if key == rules.observable_key else key] = value
     if len(diags) > errors:  # unresolved names
         return None
     return ExperimentPlan(kind=kind, **fields)
@@ -972,14 +981,10 @@ def parse(text: str) -> ScenarioResult:
             by_kind["selection"][0], ("pre", "post"), diags, required=("pre", "post")
         )
         if table is not None:
-            pair = []
-            for entry in (table["pre"][0], table["post"][0]):
-                if entry.value not in states:
-                    diags.append(entry.error(f"unresolved state {entry.value!r}"))
-                else:
-                    pair.append(entry.value)
-            if len(pair) == 2:
-                selection = (pair[0], pair[1])
+            pre, post = table["pre"][0], table["post"][0]
+            unresolved = [entry for entry in (pre, post) if entry.value not in states]
+            diags += [entry.error(f"unresolved state {entry.value!r}") for entry in unresolved]
+            selection = None if unresolved else (pre.value, post.value)
 
     network = None
     if "network" in by_kind and dim is not None:
@@ -998,104 +1003,144 @@ def parse(text: str) -> ScenarioResult:
         section = by_kind["experiment"][0]
         available = {"selection": selection, "pointer": pointer, "network": network}
         for requirement in _PLANS[experiment.kind].sections:
-            if available[requirement] is None and not any(
-                d.severity == "error" for d in diags
-            ):
-                diags.append(
-                    section.error(f"plan {experiment.kind!r} needs a [{requirement}] section")
-                )
+            if available[requirement] is None and not any(d.severity == "error" for d in diags):
+                message = f"plan {experiment.kind!r} needs a [{requirement}] section"
+                diags.append(section.error(message))
 
     errors = [d for d in diags if d.severity == "error"]
     if errors or dim is None or experiment is None:
         return ScenarioResult(None, tuple(diags))
-    doc = ScenarioDoc(
-        dim=dim,
-        states=states,
-        operators=operators,
-        pointer=pointer,
-        selection=selection,
-        network=network,
-        experiment=experiment,
-        positions=positions,
-    )
+    doc = ScenarioDoc(dim, states, operators, pointer, selection, network, experiment, positions)
     return ScenarioResult(doc, tuple(diags))
 
 
-def validate_semantics(doc: ScenarioDoc) -> ScenarioResult:
-    """Check hermiticity, normalization, and the schedule rules.
+#: The largest roundoff a readout may carry, relative to its smallest
+#: shift: <Q> is read to about eps * half_width on a grid pointer, and the
+#: smallest shift is g_min * max|lambda|.  Their ratio reads about 100
+#: times the measured error, so this admits errors up to about 1e-4.
+READOUT_ACCURACY = 1e-2
 
-    Returns the (possibly normalized) document with warnings, or None with
-    error diagnostics.
+
+def _coupling_fault(pointer: PointerModel, g_values, lam: float, readout: bool) -> str | None:
+    """Why coupling the Gaussian ``pointer`` at ``g_values`` to observables
+    of largest |eigenvalue| ``lam`` gives no trustworthy number, or None:
+    a shift that carries the tails, 8 spreads out, around the periodic
+    grid, or, in a readout, a smallest shift lost in <Q>'s roundoff."""
+    spread, half_width = pointer.spread, pointer.half_width
+    shift, least = max(g_values) * lam, min(g_values) * lam
+    if shift + 8.0 * spread > half_width:
+        return (f"pointer at spread {spread!r}: largest shift {shift!r} (g_max max|lambda|) "
+                f"plus 8 spreads exceeds half_width {half_width!r}: it wraps around the grid")
+    roundoff = math.ulp(1.0) * half_width  # eps half_width
+    if readout and lam > 0 and roundoff > READOUT_ACCURACY * least:
+        return (f"pointer at spread {spread!r}: readout roundoff {roundoff:.3g} (eps "
+                f"half_width) exceeds {READOUT_ACCURACY} of the smallest shift {least!r} "
+                "(g_min max|lambda|)")
+    return None
+
+
+def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResult:
+    """The run of ``doc`` as plan ``kind`` (its own, or the one its
+    subcommand runs in its place), built before any evolution.
+
+    Selection states must be normalized (within 1e-6 they are, with a
+    warning) and observables hermitian.  The g-schedule is the geometric
+    one of ``flags`` ({"g_max", "g_min", "points"} -> value or None) when
+    any is set, the rest at ``default_g_decade``'s defaults, else the
+    file's, else the plan's default, checked by plan ``kind``'s rules.
+    Every pointer the run couples is built, and a Gaussian one must pass
+    ``_coupling_fault``.  The file's warnings and errors come back as
+    diagnostics at their line:column; an error of the flags, once the file
+    has none, as ``flag_error``.
     """
     diags: list[ParseDiagnostic] = []
-    plan = doc.experiment
+    experiment, rules = doc.experiment, _PLANS[kind]
 
-    def _at(key: str, message: str, severity: str = "error") -> ParseDiagnostic:
-        """A diagnostic at the parsed position of ``key``, else at 1:1."""
-        return ParseDiagnostic(*doc.positions.get(key, (1, 1)), message, severity)
+    def _at(message: str, *keys: str, severity: str = "error") -> ParseDiagnostic:
+        """A diagnostic at the first of ``keys`` the file holds, else at 1:1."""
+        where = next((doc.positions[key] for key in keys if key in doc.positions), (1, 1))
+        return ParseDiagnostic(*where, message, severity)
 
-    states = dict(doc.states)
-    if doc.selection is not None:
-        for name in dict.fromkeys(doc.selection):  # pre, then post
-            state = states[name]
-            norm = state.norm()
-            off = abs(norm - 1.0)
-            if state.normalized:
-                continue
-            if off < 1e-6:
-                message = f"state {name!r} auto-normalized (norm was off by {off:.2e})"
-                diags.append(_at(f"state:{name}", message, "warning"))
-                states[name] = state.unit()
-            else:
-                message = f"state {name!r} is not normalized (norm {norm!r})"
-                diags.append(_at(f"state:{name}", message))
-
-    for name in plan.observables:
-        op = doc.operators[name]
-        if not op.hermitian:
-            diags.append(_at(f"operator:{name}", f"observable {name!r} is not hermitian"))
+    states = {}
+    for name in dict.fromkeys(doc.selection or ()):  # pre, then post
+        state = states[name] = doc.states[name]
+        if state.normalized:
+            continue
+        norm = state.norm()
+        if abs(norm - 1.0) < 1e-6:
+            message = f"state {name!r} auto-normalized (norm was off by {abs(norm - 1.0):.2e})"
+            diags.append(_at(message, f"state:{name}", severity="warning"))
+            states[name] = state.unit()
+        else:
+            diags.append(_at(f"state {name!r} is not normalized (norm {norm!r})", f"state:{name}"))
+    for name in experiment.observables:
+        if not doc.operators[name].hermitian:
+            diags.append(_at(f"observable {name!r} is not hermitian", f"operator:{name}"))
 
     def _schedule(key: str, make):
-        values = getattr(plan, key)
-        if values is None:
-            return None
+        values = getattr(experiment, key)
         try:
-            return make(values)
-        except ScheduleError as err:
-            diags.append(_at(f"experiment:{key}", str(err)))
-            return values
+            return None if values is None else make(values)
+        except ScheduleError as err:  # reported, and no schedule
+            diags.append(_at(str(err), f"experiment:{key}"))
 
-    rules = _PLANS[plan.kind]
-    g_schedule = _schedule(
-        "g_schedule", lambda values: GSchedule(values, **g_schedule_rules(plan.kind))
-    )
-    spread_schedule = _schedule("spread_schedule", SpreadSchedule)
-
-    for key, value in (("fixed_g", plan.fixed_g), ("fixed_spread", plan.fixed_spread)):
-        if value is not None and value <= 0:
-            diags.append(_at(f"experiment:{key}", f"{key} must be positive"))
-
-    if rules.needs_gaussian and doc.pointer is not None:
-        if doc.pointer.kind != GAUSSIAN_KIND:
-            diags.append(_at("pointer:kind", f"{plan.kind} needs a {GAUSSIAN_KIND} pointer"))
-        else:
-            # the run builds a pointer on this grid at its fixed spread, then
-            # one per spread: the first to reject the grid is an error here
-            fixed = DEFAULT_FIXED_SPREAD if plan.fixed_spread is None else plan.fixed_spread
-            for spread in (fixed, *(spread_schedule or DEFAULT_SPREADS)):
-                try:
-                    gaussian_pointer(spread, doc.pointer.n_points)
-                except FieldError as err:  # another field's fault stops the run there
-                    if err.path == ("n_points",):
-                        message = f"{plan.kind} pointer at spread {spread!r}: {err}"
-                        diags.append(_at("pointer:n_points", message))
-                    break
-
+    file_g = _schedule("g_schedule", lambda v: GSchedule(v, rules.min_points, rules.span_decade))
+    spreads = _schedule("spread_schedule", SpreadSchedule)
+    fixed_g = DEFAULT_FIXED_COUPLING if experiment.fixed_g is None else experiment.fixed_g
+    if fixed_g <= 0:
+        diags.append(_at("fixed_g must be positive", "experiment:fixed_g"))
+    pointer, spread_pointers = doc.pointer, []
+    if rules.needs_gaussian and pointer.kind != GAUSSIAN_KIND:
+        diags.append(_at(f"{kind} needs a {GAUSSIAN_KIND} pointer", "pointer:kind"))
+    elif rules.needs_gaussian:
+        fixed = experiment.fixed_spread
+        try:
+            pointer, *spread_pointers = limit_pointers(
+                spreads or DEFAULT_SPREADS,
+                DEFAULT_FIXED_SPREAD if fixed is None else fixed,
+                pointer.n_points,
+            )
+        except FieldError as err:  # the first pointer it cannot build stops the run there
+            source = "pointer" if err.path == ("n_points",) else "experiment"
+            diags.append(_at(str(err), f"{source}:{err.path[0]}"))
     if any(d.severity == "error" for d in diags):
-        return ScenarioResult(None, tuple(diags))
-    experiment = replace(plan, g_schedule=g_schedule, spread_schedule=spread_schedule)
-    checked = replace(doc, states=states, experiment=experiment)
-    return ScenarioResult(checked, tuple(diags))
+        return PlanResult(None, tuple(diags))
+
+    given = {key: value for key, value in (flags or {}).items() if value is not None}
+    try:
+        g_schedule = (
+            default_g_decade(**given, min_points=rules.min_points, span_decade=rules.span_decade)
+            if given
+            else file_g or (default_g_schedule(pointer) if rules.readout else default_g_decade())
+        )
+    except ScheduleError as err:
+        return PlanResult(None, tuple(diags), str(err))
+
+    observables = tuple((name, doc.operators[name]) for name in sorted(experiment.observables))
+    if pointer.kind == GAUSSIAN_KIND:
+        # a trace couples arm projectors, whose eigenvalues are 0 and 1
+        lam = max(
+            (float(np.abs(np.linalg.eigvalsh(op.entries)).max()) for _, op in observables),
+            default=1.0,
+        )
+        couplings = [(pointer, g_schedule, "g_schedule", bool(given))]
+        couplings += [(p, (fixed_g,), "fixed_g", False) for p in spread_pointers]
+        for model, g_values, key, flagged in couplings:
+            fault = _coupling_fault(model, g_values, lam, rules.readout)
+            if fault is not None and flagged:
+                return PlanResult(None, tuple(diags), fault)
+            if fault is not None:
+                where = _at(fault, f"experiment:{key}", "pointer:half_width", "pointer:spread")
+                return PlanResult(None, (*diags, where))
+
+    selection = PrePostSelection(*map(states.get, doc.selection)) if doc.selection else None
+    arms = tuple(sorted(experiment.arms or doc.network.arm_labels)) if doc.network else ()
+    run = RunPlan(
+        g_schedule=g_schedule, pointer=pointer, spread_pointers=tuple(spread_pointers),
+        selection=selection, observables=observables, metric=METRICS.get(experiment.metric),
+        network=doc.network, arms=arms, fixed_g=fixed_g,
+    )
+    return PlanResult(run, tuple(diags))
 
 
 def _format_real(x: float) -> str:
@@ -1120,31 +1165,24 @@ def _format_complex(z: complex) -> str:
     return f"{_format_real(z.real)}{sign}{_format_real(abs(z.imag))}i"
 
 
+def _format_complex_list(values) -> str:
+    return ", ".join(_format_complex(z) for z in values)
+
+
 def serialize(doc: ScenarioDoc) -> str:
     """Render a document back to scenario text (matrix literals throughout)."""
     lines = [VERSION_LINE, "", "[system]", f"dim = {doc.dim}"]
     for name, state in doc.states.items():
-        lines += [
-            "",
-            f"[state {name}]",
-            "amps = " + ", ".join(_format_complex(a) for a in state.amps),
-        ]
+        lines += ["", f"[state {name}]", f"amps = {_format_complex_list(state.amps)}"]
     for name, op in doc.operators.items():
-        rows = "; ".join(
-            ", ".join(_format_complex(v) for v in row) for row in op.entries
-        )
+        rows = "; ".join(_format_complex_list(row) for row in op.entries)
         lines += ["", f"[operator {name}]", f"matrix = {rows}"]
     if doc.pointer is not None:
         lines += ["", "[pointer]", f"kind = {doc.pointer.kind}"]
         for key in _POINTER_KINDS[doc.pointer.kind][0]:
             lines.append(f"{key} = {_format_value(getattr(doc.pointer, key))}")
     if doc.selection is not None:
-        lines += [
-            "",
-            "[selection]",
-            f"pre = {doc.selection[0]}",
-            f"post = {doc.selection[1]}",
-        ]
+        lines += ["", "[selection]", f"pre = {doc.selection[0]}", f"post = {doc.selection[1]}"]
     if doc.network is not None:
         net = doc.network
         lines += ["", "[network]", f"modes = {net.n_modes}", f"source = {net.source_mode}"]
@@ -1158,15 +1196,13 @@ def serialize(doc: ScenarioDoc) -> str:
             )
             args = " ".join(_format_value(getattr(step, name)) for name in names)
             lines.append(f"seq = {keyword} {args}")
-        lines.append(
-            "detectors = " + ", ".join(f"{label}:{mode}" for label, mode in net.detectors)
-        )
-        lines.append(f"postselect = {net.postselect_detector}")
-    plan = doc.experiment
-    rules = _PLANS[plan.kind]
-    lines += ["", "[experiment]", f"plan = {plan.kind}"]
+        detectors = ", ".join(f"{label}:{mode}" for label, mode in net.detectors)
+        lines += [f"detectors = {detectors}", f"postselect = {net.postselect_detector}"]
+    experiment = doc.experiment
+    rules = _PLANS[experiment.kind]
+    lines += ["", "[experiment]", f"plan = {experiment.kind}"]
     for key in rules.keys:
-        value = getattr(plan, "observables" if key == rules.observable_key else key)
+        value = getattr(experiment, "observables" if key == rules.observable_key else key)
         if value not in (None, ()):
             lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
@@ -1186,11 +1222,12 @@ def load_corpus_text(name: str) -> str:
 
 
 def load_corpus(name: str) -> ScenarioDoc:
-    """Parse and validate a shipped scenario; raises on internal corpus bugs."""
+    """Parse a shipped scenario and check that it plans; raises on internal
+    corpus bugs."""
     parsed = parse(load_corpus_text(name))
     if not parsed.ok:
         raise RuntimeError(f"corpus scenario {name!r} failed to parse: {parsed.diagnostics}")
-    checked = validate_semantics(parsed.doc)
-    if not checked.ok:
-        raise RuntimeError(f"corpus scenario {name!r} failed validation: {checked.diagnostics}")
-    return checked.doc
+    planned = plan(parsed.doc, parsed.doc.experiment.kind)
+    if planned.plan is None:
+        raise RuntimeError(f"corpus scenario {name!r} failed validation: {planned.diagnostics}")
+    return parsed.doc

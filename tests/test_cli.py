@@ -337,8 +337,8 @@ class TestFailureModes:
         assert main(["trace", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)[0]["g"] == "1.000000000000e-2"
 
-    def test_spread_out_of_range_exit_2(self, tmp_path, capsys):
-        # a spread schedule is checked only when its pointers are built
+    def test_spread_out_of_range_exit_1(self, tmp_path, capsys):
+        # the plan builds every pointer of the run, one per spread
         from tsvflab.scenario import load_corpus_text
 
         text = load_corpus_text("compare_limits_demo").replace(
@@ -346,10 +346,14 @@ class TestFailureModes:
         )
         path = tmp_path / "wide.scn"
         path.write_text(text)
-        assert main(["compare-limits", str(path)]) == 2
+        assert main(["compare-limits", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: spread must lie in [1e-100, 1e100]\n"
+        line = text.splitlines().index("spread_schedule = 1.0, 1e200") + 1
+        assert captured.err == (
+            f"{path}:{line}:{len('spread_schedule = ') + 1}: error: compare_limits pointer "
+            "at spread 1e+200: spread must lie in [1e-100, 1e100]\n"
+        )
 
     def test_unresolved_limit_pointer_exit_1(self, tmp_path, capsys):
         # the file's own grid resolves its spread, but the pointers the run
@@ -385,3 +389,62 @@ class TestFailureModes:
         line = text.splitlines().index("seq = phase_shift 0 inf") + 1
         column = len("seq = phase_shift 0 ") + 1
         assert f"{path}:{line}:{column}: error: malformed number 'inf'" in captured.err
+
+    @staticmethod
+    def _spin_sz(tmp_path, *edits) -> tuple:
+        """A copy of spin_sz.scn with each (old, new) edit, and its path."""
+        from tsvflab.scenario import load_corpus_text
+
+        text = load_corpus_text("spin_sz")
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "spin.scn"
+        path.write_text(text)
+        return text, path
+
+    def test_wrapping_shift_exit_1_at_the_schedule(self, tmp_path, capsys):
+        # a shift of 30 carries the tails of a spread-2 pointer, 8 spreads
+        # out, around a grid 24 wide; the run printed 1.358 for the weak value 1
+        text, path = self._spin_sz(
+            tmp_path,
+            ("pre = up_x\npost = up_z", "pre = up_z\npost = up_x"),
+            ("g_schedule = 0.04, 0.02, 0.01, 0.005, 0.0025", "g_schedule = 30, 20, 10, 1"),
+        )
+        assert main(["weakvalue", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = text.splitlines().index("g_schedule = 30, 20, 10, 1") + 1
+        assert captured.err == (
+            f"{path}:{line}:{len('g_schedule = ') + 1}: error: pointer at spread 2.0: largest "
+            "shift 30.0 (g_max max|lambda|) plus 8 spreads exceeds half_width 24.0: it wraps "
+            "around the grid\n"
+        )
+        # the same schedule from the flags is an error of the flags
+        argv = ["weakvalue", "--preset", "spin-sz", "--g-max", "30", "--g-min", "1"]
+        assert main(argv + ["--points", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pointer at spread 2.0: largest shift 30.0")
+
+    @pytest.mark.parametrize("spread,code", [("1e8", 0), ("1e12", 1), ("1e14", 1)])
+    def test_unresolved_shift_exit_1_at_the_schedule(self, tmp_path, capsys, spread, code):
+        # on a grid 12 spreads wide, <Q>'s roundoff eps * half_width hides a
+        # smallest shift of 0.0025; at 1e14 the run printed 0.504+0.700i for 1
+        text, path = self._spin_sz(
+            tmp_path, ("half_width = 24.0\n", ""), ("spread = 2.0", f"spread = {spread}")
+        )
+        assert main(["weakvalue", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            deviation = float(captured.out.splitlines()[1].split(",")[3])
+            assert deviation < 1e-6
+            return
+        assert captured.out == ""
+        line = text.splitlines().index("g_schedule = 0.04, 0.02, 0.01, 0.005, 0.0025") + 1
+        assert captured.err.startswith(
+            f"{path}:{line}:{len('g_schedule = ') + 1}: error: pointer at spread "
+            f"{float(spread)!r}: readout roundoff "
+        )
+        assert captured.err.endswith(
+            "(eps half_width) exceeds 0.01 of the smallest shift 0.0025 (g_min max|lambda|)\n"
+        )

@@ -1,4 +1,4 @@
-"""Scenario format: parsing, diagnostics, validation, round-trips."""
+"""Scenario format: parsing, diagnostics, run plans, round-trips."""
 
 import math
 import tracemalloc
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvflab import build_nested_mzi, parse, pauli_z, serialize, validate_semantics
+from tsvflab import build_nested_mzi, parse, pauli_z, plan, serialize
 from tsvflab.scenario import (
     ParseDiagnostic,
     corpus_names,
@@ -42,6 +42,11 @@ post = up_z
 plan = weakvalue
 observables = sz
 """
+
+
+def plan_own(doc):
+    """``plan`` of a document as its own plan, with no flags."""
+    return plan(doc, doc.experiment.kind)
 
 
 def docs_equal(a, b) -> bool:
@@ -259,8 +264,8 @@ class TestValidateSemantics:
         text = MINIMAL.replace("expr = pauli_z", "matrix = 0, 1; 0, 0")
         parsed = parse(text)
         assert parsed.ok
-        checked = validate_semantics(parsed.doc)
-        assert checked.doc is None
+        checked = plan_own(parsed.doc)
+        assert checked.plan is None
         assert any(
             "'sz' is not hermitian" in d.message for d in checked.diagnostics
         )
@@ -273,32 +278,32 @@ class TestValidateSemantics:
         )
         parsed = parse(text)
         assert parsed.ok
-        checked = validate_semantics(parsed.doc)
-        assert checked.ok
+        checked = plan_own(parsed.doc)
+        assert checked.plan is not None
         warnings = [d for d in checked.diagnostics if d.severity == "warning"]
         assert warnings and "auto-normalized" in warnings[0].message
-        assert checked.doc.states["up_x"].normalized
+        assert checked.plan.selection.pre.normalized
 
     def test_selection_states_are_checked_pre_then_post(self):
         text = MINIMAL.replace(
             "amps = 0.7071067811865476, 0.7071067811865476", "amps = 0.70710679, 0.70710679"
         ).replace("amps = 1, 0", "amps = 1.00000001, 0")
-        checked = validate_semantics(parse(text).doc)
-        assert checked.ok
+        checked = plan_own(parse(text).doc)
+        assert checked.plan is not None
         assert [d.message.split()[1] for d in checked.diagnostics] == ["'up_x'", "'up_z'"]
 
     def test_badly_denormalized_state_is_an_error(self):
         text = MINIMAL.replace(
             "amps = 0.7071067811865476, 0.7071067811865476", "amps = 0.5, 0.5"
         )
-        checked = validate_semantics(parse(text).doc)
-        assert checked.doc is None
+        checked = plan_own(parse(text).doc)
+        assert checked.plan is None
         assert any("not normalized" in d.message for d in checked.diagnostics)
 
     def test_increasing_schedule_rejected(self):
         text = MINIMAL + "g_schedule = 0.01, 0.02\n"
-        checked = validate_semantics(parse(text).doc)
-        assert checked.doc is None
+        checked = plan_own(parse(text).doc)
+        assert checked.plan is None
         assert any("schedule must decrease" in d.message for d in checked.diagnostics)
 
     @pytest.mark.parametrize(
@@ -317,8 +322,8 @@ class TestValidateSemantics:
         lines.append(f"{key} = {value}")
         parsed = parse("\n".join(lines) + "\n")
         assert parsed.ok, parsed.diagnostics
-        checked = validate_semantics(parsed.doc)
-        assert checked.doc is None
+        checked = plan_own(parsed.doc)
+        assert checked.plan is None
         (diag,) = checked.diagnostics
         assert fragment in diag.message
         assert (diag.line, diag.column) == (len(lines), len(key) + 4)
@@ -329,8 +334,8 @@ class TestValidateSemantics:
         ).replace("kind = gaussian_grid\nspread = 2.0", "kind = qubit")
         parsed = parse(text)
         assert parsed.ok, parsed.diagnostics
-        checked = validate_semantics(parsed.doc)
-        assert checked.doc is None
+        checked = plan_own(parsed.doc)
+        assert checked.plan is None
         (diag,) = checked.diagnostics
         assert diag.message == "compare_limits needs a gaussian_grid pointer"
         # on the value of the pointer's kind
@@ -552,8 +557,10 @@ class TestPinnedDiagnostics:
     def test_full_diagnostics(self, text, expected):
         result = parse(text)
         if result.ok:
-            result = validate_semantics(result.doc)
-        assert result.doc is None
+            result = plan_own(result.doc)
+            assert result.plan is None
+        else:
+            assert result.doc is None
         got = tuple((d.message, d.line, d.column, d.severity) for d in result.diagnostics)
         assert got == expected
 
@@ -590,12 +597,11 @@ class TestRoundTrip:
         assert docs_equal(first.doc, second.doc)
         assert serialize(second.doc) == written
         # every key of the source is written back (operators as matrix
-        # literals), before and after validation
+        # literals), and the document plans
         keys = {line.split(" = ")[0] for line in text.splitlines() if " = " in line} - {"expr"}
         assert keys <= {line.split(" = ")[0] for line in written.splitlines() if " = " in line}
-        checked = validate_semantics(first.doc)
-        assert checked.ok, checked.diagnostics
-        assert serialize(checked.doc) == written
+        checked = plan_own(first.doc)
+        assert checked.plan is not None, checked.diagnostics
 
     def test_corpus_is_complete(self):
         assert corpus_names() == (
@@ -720,3 +726,63 @@ class TestGeneratedRoundTrip:
         second = parse(serialize(first.doc))
         assert second.ok, second.diagnostics
         assert docs_equal(first.doc, second.doc)
+
+
+#: characters a mutation writes into a corpus file: the grammar's own, so
+#: that many mutants still parse and reach ``plan``
+_MUTATION_CHARS = "0123456789.+-eE,;=[]#:_ ixyz\n"
+
+
+@st.composite
+def _mutated_corpus(draw):
+    """A shipped scenario with one to four characters replaced, inserted or deleted."""
+    text = load_corpus_text(draw(st.sampled_from(corpus_names())))
+    for _ in range(draw(st.integers(1, 4))):
+        cut = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        char = "" if edit == "delete" else draw(st.sampled_from(_MUTATION_CHARS))
+        text = text[:cut] + char + text[cut + (edit != "insert"):]
+    return text
+
+
+def _traced(call):
+    """(call(), the peak bytes it allocated)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPlanTotality:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _mutated_corpus(),
+        st.one_of(st.none(), st.floats()),
+        st.one_of(st.none(), st.floats()),
+        # a flag schedule holds `points` floats, so its size stays small here
+        st.one_of(st.none(), st.integers(-3, 64)),
+    )
+    def test_mutated_corpus_and_flags_plan_or_diagnose(self, text, g_max, g_min, points):
+        parsed = parse(text)
+        if not parsed.ok:
+            return
+        flags = {"g_max": g_max, "g_min": g_min, "points": points}
+        kind = parsed.doc.experiment.kind
+        result, peak = _traced(lambda: plan(parsed.doc, kind, flags))
+        errors = [d for d in result.diagnostics if d.severity == "error"]
+        assert (result.plan is None) == bool(errors or result.flag_error)
+        assert not (errors and result.flag_error)
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("name", ["spin_sz", "eigenvalue_zero", "compare_limits_demo"])
+    def test_plan_allocates_nothing_of_grid_size(self, name):
+        # a 4096-point grid holds 2**15 bytes of coordinates and 2**16 of amplitudes
+        text = load_corpus_text(name).replace("n_points = 256", "n_points = 4096")
+        text = text.replace("half_width = 24.0", "half_width = 256.0")
+        doc = parse(text).doc
+        result, peak = _traced(lambda: plan(doc, doc.experiment.kind))
+        assert result.plan is not None, result.diagnostics
+        assert result.plan.pointer.n_points == 4096
+        assert peak < 2**14

@@ -20,9 +20,8 @@ from tsvflab import (
     qubit_pointer,
     spin_up_x,
     spin_up_z,
-    validate_semantics,
 )
-from tsvflab.scenario import load_corpus_text
+from tsvflab.scenario import load_corpus_text, plan
 
 SEL = PrePostSelection(spin_up_x(), spin_up_z())
 
@@ -55,7 +54,7 @@ def _with_line(name: str, key: str, values) -> tuple[str, tuple[int, int]]:
 
 
 def _validate(name: str, key: str, values) -> None:
-    """Raise the validator's diagnostic as a ScheduleError, after checking
+    """Raise the run plan's diagnostic as a ScheduleError, after checking
     that it sits on the schedule's value; a point the file grammar cannot
     spell (inf, nan) is the parser's diagnostic instead, on that point."""
     text, position = _with_line(name, key, values)
@@ -67,8 +66,8 @@ def _validate(name: str, key: str, values) -> None:
         line = text.splitlines()[position[0] - 1]
         assert (diag.line, diag.column) == (position[0], line.index(token) + 1)
         raise ScheduleError(diag.message)
-    checked = validate_semantics(parsed.doc)
-    if checked.ok:
+    checked = plan(parsed.doc, parsed.doc.experiment.kind)
+    if checked.plan is not None:
         return
     (diag,) = checked.diagnostics
     assert (diag.line, diag.column) == position
@@ -127,10 +126,10 @@ def test_trace_plan_reads_any_positive_decreasing_schedule():
     text = load_corpus_text("nested_mzi_presence").replace(
         "plan = presence", "plan = trace"
     ) + "g_schedule = 0.01, 0.008\n"
-    checked = validate_semantics(parse(text).doc)
-    assert checked.ok, checked.diagnostics
-    assert checked.doc.experiment.g_schedule == (0.01, 0.008)
-    assert isinstance(checked.doc.experiment.g_schedule, GSchedule)
+    checked = plan(parse(text).doc, "trace")
+    assert checked.plan is not None, checked.diagnostics
+    assert checked.plan.g_schedule == (0.01, 0.008)
+    assert isinstance(checked.plan.g_schedule, GSchedule)
 
 
 BAD_SPREAD_SCHEDULES = [
