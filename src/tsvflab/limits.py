@@ -9,6 +9,10 @@ from the uncoupled one:
 * ``first_order_residual``|| U(g) Psi0 - (Psi0 - i g S|in> (x) P|m>) ||
 * ``overlap_deficit``     1 - |<Psi0| U(g) Psi0>|
 
+When S|in> is computed as exactly zero, Psi0 is a fixed point of U(g) at
+every g, and each metric returns exactly 0.0 once the coupling's checks
+pass, without diagonalizing S or P (``qcore.fixes_product``).
+
 Fitting log(metric) against log(g) gives the leading order in g.  Metric
 values at or below ``METRIC_FLOOR`` are treated as identically zero: they
 are excluded from the fit and counted, so exact invariance is never
@@ -30,7 +34,7 @@ from .qcore import (
     LinearOperator,
     StateVector,
     first_order_state,
-    tensor_product,
+    fixes_product,
 )
 from .schedule import GSchedule, SpreadSchedule, default_g_schedule, fit_schedule
 from .weakmeas import PointerReadout, PrePostSelection, weak_value
@@ -52,17 +56,23 @@ SECOND_ORDER_BAND = (1.75, 2.5)
 
 
 def _coupled(pre, m, S, P, g):
-    """(Psi0, U(g) Psi0) with Psi0 = |in> (x) |m>, as joint states."""
-    evolution = CouplingEvolution(S, P)
-    joint = tensor_product(pre, m)
-    return joint, evolution.apply(g, joint)
+    """(Psi0, U(g) Psi0) with Psi0 = |in> (x) |m>, as joint states, or None
+    when ``fixes_product`` finds Psi0 an exact fixed point (S|in> computed
+    as exactly zero): no coupling is then built, and every metric is 0.0."""
+    joint, fixed = fixes_product(S, P, (g,), pre, m)
+    if fixed:
+        return None
+    return joint, CouplingEvolution(S, P).apply(g, joint)
 
 
 def continuity_metric(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """|| U(g)(|in> (x) |m>) - |in> (x) |m> ||; zero at g = 0, bounded by 2."""
-    joint, evolved = _coupled(pre, m, S, P, g)
+    coupled = _coupled(pre, m, S, P, g)
+    if coupled is None:
+        return 0.0
+    joint, evolved = coupled
     return float(np.linalg.norm(evolved.state.amps - joint.state.amps))
 
 
@@ -72,9 +82,10 @@ def derail_metric(
     """Norm of the component of U(g) Psi0 orthogonal to |in> on the system factor."""
     if not pre.normalized:
         raise ValueError("derail metric requires a normalized system state")
-    evolved = _coupled(pre, m, S, P, g)[1].as_matrix()
-    if g == 0.0:
+    coupled = _coupled(pre, m, S, P, g)
+    if coupled is None or g == 0.0:
         return 0.0
+    evolved = coupled[1].as_matrix()
     overlap = pre.amps.conj() @ evolved  # pointer-space row
     orthogonal = evolved - np.outer(pre.amps, overlap)
     return float(np.linalg.norm(orthogonal))
@@ -84,16 +95,21 @@ def first_order_residual(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """Norm distance between the exact evolution and its O(g) expansion."""
-    _, exact = _coupled(pre, m, S, P, g)
+    coupled = _coupled(pre, m, S, P, g)
+    if coupled is None:
+        return 0.0
     expansion = first_order_state(pre, m, S, P, g)
-    return float(np.linalg.norm(exact.state.amps - expansion.state.amps))
+    return float(np.linalg.norm(coupled[1].state.amps - expansion.state.amps))
 
 
 def overlap_deficit(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """1 - |<Psi0|U(g)|Psi0>|."""
-    joint, evolved = _coupled(pre, m, S, P, g)
+    coupled = _coupled(pre, m, S, P, g)
+    if coupled is None:
+        return 0.0
+    joint, evolved = coupled
     return float(1.0 - abs(np.vdot(joint.state.amps, evolved.state.amps)))
 
 

@@ -260,10 +260,10 @@ class CouplingEvolution:
 
     The hermitian factors are diagonalized separately; their eigenpairs
     assemble the full eigensystem of S (x) P (eigenvalue lambda_i * mu_j,
-    eigenvector v_i (x) w_j in system-major order).  Besides being cheaper
-    than diagonalizing the joint generator, this keeps product kernels
-    exact: if S|in> = 0 the joint product state is a true fixed point at
-    every coupling strength, not just a numerical approximation.
+    eigenvector v_i (x) w_j in system-major order), which is cheaper than
+    diagonalizing the joint generator.  A product state whose system
+    factor S annihilates is a fixed point at every coupling strength;
+    ``fixes_product`` finds it exactly, before any of this is built.
 
     ``pointer`` is either the generator P itself, diagonalized here with
     ``eigh`` at O(ptr_dim^3), or its ``Eigenbasis``, such as the DFT basis
@@ -272,11 +272,9 @@ class CouplingEvolution:
     """
 
     def __init__(self, system_op: LinearOperator, pointer: LinearOperator | Eigenbasis):
-        _require_hermitian(system_op, "system observable")
+        self.sys_dim, self.ptr_dim = _coupling_dims(system_op, pointer)
         if isinstance(pointer, LinearOperator):
-            pointer = Eigenbasis.of(pointer, "pointer generator")
-        self.sys_dim = system_op.dim
-        self.ptr_dim = pointer.dim
+            pointer = Eigenbasis.of(pointer)
         sys_eigvals, self._sys_vecs = np.linalg.eigh(system_op.entries)
         self._pointer = pointer
         # lambda_i * mu_j laid out as (sys, ptr)
@@ -291,9 +289,7 @@ class CouplingEvolution:
         """exp(-i g S (x) P) applied to a joint state at every g of
         ``g_values`` in one batched pass: the (len(g_values), sys_dim,
         ptr_dim) stack of evolved amplitudes, unchecked for normalization."""
-        gs = np.array([_finite_coupling(g) for g in g_values], dtype=float)
-        if joint.sys_dim != self.sys_dim or joint.ptr_dim != self.ptr_dim:
-            raise ValueError("joint state dimensions do not match the coupling")
+        gs = _coupling_strengths(g_values, joint, (self.sys_dim, self.ptr_dim))
         mat = joint.as_matrix()
         # Psi = V_s C W^T  =>  C = V_s^dag Psi conj(W)
         coeffs = self._pointer.to_eigen(self._sys_vecs.conj().T @ mat)
@@ -301,11 +297,50 @@ class CouplingEvolution:
         return mat + self._pointer.from_eigen(self._sys_vecs @ coeffs)
 
 
+def _coupling_dims(system_op: LinearOperator, pointer) -> tuple[int, int]:
+    """(sys_dim, ptr_dim) of a coupling, once S and then a dense P are
+    checked hermitian."""
+    _require_hermitian(system_op, "system observable")
+    if isinstance(pointer, LinearOperator):
+        _require_hermitian(pointer, "pointer generator")
+    return system_op.dim, pointer.dim
+
+
 def _finite_coupling(g) -> float:
     g = float(g)
     if not np.isfinite(g):
         raise ValueError("coupling strength must be finite")
     return g
+
+
+def _coupling_strengths(g_values, joint: JointState, dims: tuple[int, int]) -> np.ndarray:
+    """``g_values`` as a float array, each checked finite, and then
+    ``joint`` checked against the coupling's (sys_dim, ptr_dim)."""
+    gs = np.array([_finite_coupling(g) for g in g_values], dtype=float)
+    if (joint.sys_dim, joint.ptr_dim) != dims:
+        raise ValueError("joint state dimensions do not match the coupling")
+    return gs
+
+
+def fixes_product(
+    system_op: LinearOperator,
+    pointer: LinearOperator | Eigenbasis,
+    g_values,
+    pre: StateVector,
+    m: StateVector,
+) -> tuple[JointState, bool]:
+    """(|in> (x) |m>, whether it is an exact fixed point of exp(-i g S (x) P)
+    at every g of ``g_values``), with |in> = ``pre``.
+
+    It is one when S|in> is computed as exactly zero: every power of the
+    generator then annihilates the state.  ``CouplingEvolution``'s checks
+    come first, in its order (S hermitian, P hermitian, each g finite, the
+    joint dimensions), and neither factor is diagonalized.
+    """
+    dims = _coupling_dims(system_op, pointer)
+    joint = tensor_product(pre, m)
+    _coupling_strengths(g_values, joint, dims)
+    return joint, not np.any(system_op.entries @ pre.amps)
 
 
 def first_order_state(

@@ -1,8 +1,9 @@
 """Coupling and spread schedules: their rules and their defaults.
 
 A g-schedule is finite, positive and strictly decreasing, holds at least
-4 points wherever g is extrapolated or fitted, and spans at least one
-decade wherever a leading order is fitted.  A spread schedule is finite,
+4 points wherever g is extrapolated or fitted and at most
+``MAX_SCHEDULE_POINTS``, and spans at least one decade wherever a leading
+order is fitted.  A spread schedule is finite,
 positive and strictly increasing with at least 2 points.  Every rule is
 checked here, always in that order, so each entry point reports the same
 message for the same schedule.
@@ -17,6 +18,10 @@ import numpy as np
 
 from .errors import ScheduleError
 from .pointer import GAUSSIAN_KIND, PointerModel
+
+#: The most points a g-schedule may hold: over 100 times any schedule the
+#: presets or an order fit use, and a bound on the per-g arrays of a run.
+MAX_SCHEDULE_POINTS = 1024
 
 
 def _finite(points: tuple[float, ...], label: str) -> tuple[float, ...]:
@@ -39,11 +44,16 @@ def _ordered(
     return points
 
 
+def _bounded(count: int) -> None:
+    if count > MAX_SCHEDULE_POINTS:
+        raise ScheduleError(f"schedule allows at most {MAX_SCHEDULE_POINTS} points")
+
+
 class GSchedule(tuple):
     """Validated coupling strengths, a tuple of floats.
 
     Checked in order: finite, positive, strictly decreasing, at least
-    ``min_points`` long, and with ``span_decade`` g_max / g_min >= 10 (the
+    ``min_points`` and at most ``MAX_SCHEDULE_POINTS`` long, and with ``span_decade`` g_max / g_min >= 10 (the
     order fits need a decade to tell first from second order).
     """
 
@@ -53,6 +63,7 @@ class GSchedule(tuple):
         cls, values: Iterable[float], min_points: int = 4, span_decade: bool = False
     ) -> "GSchedule":
         schedule = super().__new__(cls, _ordered(values, "schedule", True, min_points))
+        _bounded(len(schedule))
         if span_decade and math.log10(schedule[0] / schedule[-1]) < 1.0 - 1e-9:
             raise ScheduleError("schedule must span at least one decade")
         return schedule
@@ -76,10 +87,13 @@ def default_g_decade(
 ) -> GSchedule:
     """Decreasing geometric schedule used for all order fits by default,
     checked by ``GSchedule`` with ``min_points`` and ``span_decade``; the
-    ends are checked for finiteness first, with ``GSchedule``'s message."""
+    ends are checked for finiteness first, and ``points`` against
+    ``MAX_SCHEDULE_POINTS`` before any is computed, with ``GSchedule``'s
+    messages."""
     _finite((float(g_max), float(g_min)), "schedule")
     if not 0 < g_min < g_max:
         raise ScheduleError("need 0 < g_min < g_max")
+    _bounded(points)
     # a negative count is too few points, not a numpy error
     return GSchedule(np.geomspace(g_max, g_min, max(points, 0)), min_points, span_decade)
 

@@ -107,8 +107,34 @@ class TestSweepAndLimits:
         assert lines[0] == "g,metric,fitted_order,fitted_coefficient,fit_residual"
         for line in lines[1:]:
             fields = line.split(",")
-            assert float(fields[1]) <= 1e-14
+            assert fields[1] == "0.000000000000e0"  # an exact fixed point
             assert fields[2] == "inf"
+
+    @pytest.mark.parametrize("spread,n_points", [("0.7", None), ("1.3", "128")])
+    def test_kernel_overlap_deficit_is_exactly_zero(self, tmp_path, capsys, spread, n_points):
+        # 1 - |<Psi0|Psi0>| rounded below zero on these pointers, and the
+        # negative value failed the whole sweep with exit 2
+        from tsvflab.scenario import load_corpus_text
+
+        lines = []
+        for line in load_corpus_text("eigenvalue_zero").splitlines():
+            if line.startswith("half_width"):
+                continue  # the default, 12 spreads
+            line = {"metric = continuity": "metric = overlap_deficit",
+                    "spread = 1.0": f"spread = {spread}"}.get(line, line)
+            if n_points is not None and line.startswith("n_points"):
+                line = f"n_points = {n_points}"
+            lines.append(line)
+        path = tmp_path / "kernel.scn"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["sweep", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert len(rows) == 9
+        for row in rows:
+            assert row[1:] == ["0.000000000000e0", "inf", "0.000000000000e0",
+                               "0.000000000000e0"]
 
     def test_compare_limits_preset(self, capsys):
         assert main(["compare-limits", "--preset", "compare-limits"]) == 0
@@ -303,6 +329,21 @@ class TestFailureModes:
         else:
             assert captured.out == ""
             assert "error: schedule needs at least 4 points" in captured.err
+
+    def test_points_flag_bounded_before_the_schedule_is_built(self, capsys):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code = main(["trace", "--preset", "nested-mzi", "--points", str(10**9)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 8 * 2**20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: schedule allows at most 1024 points\n"
 
     @pytest.mark.parametrize("command", ["trace", "presence"])
     @pytest.mark.parametrize("flag", [["--g-max", "inf"], ["--g-min", "nan"]])

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
-from tsvflab.limits import METRIC_FLOOR, fit_orders
+from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders
 from tsvflab import (
+    CouplingEvolution,
+    LinearOperator,
+    NonHermitianOperatorError,
     PrePostSelection,
     ScheduleError,
+    StateVector,
     SweepResult,
     UnclassifiedOrderError,
     classify_order,
@@ -27,10 +31,12 @@ from tsvflab import (
     pauli_x,
     pauli_z,
     projector,
+    spin_down_x,
     spin_down_z,
     spin_up_x,
     spin_up_z,
     sweep_metric,
+    tensor_product,
     translation_generator,
 )
 
@@ -51,7 +57,7 @@ class TestContinuityMetric:
         m, p, _ = _spin_setting(1.0, 128)
         s = projector(spin_down_z())
         for g in (0.01, 0.5, 5.0):
-            assert continuity_metric(spin_up_z(), m, s, p, g) <= 1e-14
+            assert continuity_metric(spin_up_z(), m, s, p, g) == 0.0
 
     def test_first_order_vanishing_expectation_case(self):
         # <in|S|in> = 0 yet the state merges smoothly: metric ~ g^1
@@ -102,8 +108,6 @@ class TestDerailMetric:
         assert order >= 2.0
 
     def test_requires_normalized(self):
-        from tsvflab import StateVector
-
         m, p, _ = _spin_setting(1.0, 128)
         with pytest.raises(ValueError, match="normalized"):
             derail_metric(StateVector(np.array([2.0, 0.0])), m, pauli_z(), p, 0.1)
@@ -244,7 +248,7 @@ class TestFirstOrderResidual:
     def test_exact_for_zero_eigenvalue(self):
         m, p, _ = _spin_setting(1.0, 128)
         s = projector(spin_down_z())
-        assert first_order_residual(spin_up_z(), m, s, p, 2.0) <= 1e-14
+        assert first_order_residual(spin_up_z(), m, s, p, 2.0) == 0.0
 
 
 class TestSweepResult:
@@ -328,3 +332,95 @@ class TestRandomContinuity:
             p = random_hermitian(rng, 4)
             values = [continuity_metric(pre, m, s, p, g) for g in GS]
             assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
+
+
+def _reference_metrics(pre, m, s, p, g) -> dict:
+    """The four metrics as defined in the module docstring, each from a
+    ``CouplingEvolution`` built directly, with no fixed-point test."""
+    joint = tensor_product(pre, m)
+    psi0 = joint.state.amps
+    evolved = CouplingEvolution(s, p).apply(g, joint)
+    mat = evolved.as_matrix()
+    expansion = psi0 - 1j * g * np.kron(s.entries @ pre.amps, p.entries @ m.amps)
+    return {
+        "continuity": float(np.linalg.norm(evolved.state.amps - psi0)),
+        "derail": float(np.linalg.norm(mat - np.outer(pre.amps, pre.amps.conj() @ mat))),
+        "first_order_residual": float(np.linalg.norm(evolved.state.amps - expansion)),
+        "overlap_deficit": float(1.0 - abs(np.vdot(psi0, evolved.state.amps))),
+    }
+
+
+def _kernel_setting(rng, dim: int):
+    """(|in>, S) with S|in> exactly zero: a basis state and a random
+    hermitian S with that state's row and column zeroed."""
+    k = int(rng.integers(dim))
+    entries = random_hermitian(rng, dim).entries.copy()
+    entries[k, :] = entries[:, k] = 0.0
+    pre = StateVector(np.eye(dim)[k])
+    return pre, LinearOperator(entries, hermitian=True)
+
+
+class TestFixedPoint:
+    """S|in> computed as exactly zero: |in> (x) |m> is a fixed point, and
+    every metric is exactly 0.0 without diagonalizing either factor."""
+
+    G_VALUES = (0.0, 1e-6, 0.01, 0.7, 30.0, -2.0)
+
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        def eigh(*_):
+            raise AssertionError("a fixed point diagonalizes nothing")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    def test_random_kernels_are_exact_zeros(self, rng, no_eigh):
+        m, p, _ = _spin_setting(1.0, 128)
+        settings = [(spin_down_x(), projector(spin_up_x()), m, p)]
+        for _ in range(12):
+            dim, n = int(rng.integers(2, 17)), int(rng.integers(2, 33))
+            pre, s = _kernel_setting(rng, dim)
+            settings.append((pre, s, random_state(rng, n), random_hermitian(rng, n)))
+        for pre, s, m, p in settings:
+            for g in self.G_VALUES:
+                for name, metric in METRICS.items():
+                    value = metric(pre, m, s, p, g)
+                    assert type(value) is float and value == 0.0, (name, g)
+
+    def test_non_kernel_inputs_keep_their_bits(self, rng):
+        for _ in range(12):
+            dim, n = int(rng.integers(2, 9)), int(rng.integers(2, 33))
+            pre, m = random_state(rng, dim), random_state(rng, n)
+            s, p = random_hermitian(rng, dim), random_hermitian(rng, n)
+            for g in (1e-4, 0.03, 1.5):
+                expected = _reference_metrics(pre, m, s, p, g)
+                for name, metric in METRICS.items():
+                    assert metric(pre, m, s, p, g) == expected[name], (name, g)
+
+    def test_checks_come_first_in_the_couplings_order(self, rng):
+        m, p, _ = _spin_setting(1.0, 128)
+        lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))  # annihilates up_z
+        s = projector(spin_down_z())
+        cases = [
+            ((spin_up_z(), m, lower, p, np.nan), NonHermitianOperatorError,
+             "system observable must be hermitian"),
+            ((spin_up_z(), m, s, LinearOperator(np.triu(np.ones((128, 128)))), np.nan),
+             NonHermitianOperatorError, "pointer generator must be hermitian"),
+            ((spin_up_z(), m, s, p, np.nan), ValueError, "coupling strength must be finite"),
+            ((spin_up_z(), m, s, p, np.inf), ValueError, "coupling strength must be finite"),
+            ((spin_up_z(), random_state(rng, 64), s, p, 0.1), ValueError,
+             "joint state dimensions do not match the coupling"),
+            ((StateVector(np.eye(3)[0]), m, s, p, 0.1), ValueError,
+             "joint state dimensions do not match the coupling"),
+        ]
+        for args, error, message in cases:
+            for name, metric in METRICS.items():
+                with pytest.raises(error) as info:
+                    metric(*args)
+                assert str(info.value) == message, name
+
+    def test_derail_checks_normalization_first(self):
+        m, p, _ = _spin_setting(1.0, 128)
+        lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError) as info:
+            derail_metric(StateVector(np.array([2.0, 0.0])), m, lower, p, np.nan)
+        assert str(info.value) == "derail metric requires a normalized system state"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tsvflab import (
@@ -22,11 +23,13 @@ from tsvflab import (
     spin_up_z,
 )
 from tsvflab.scenario import load_corpus_text, plan
+from tsvflab.schedule import MAX_SCHEDULE_POINTS
 
 SEL = PrePostSelection(spin_up_x(), spin_up_z())
 
 # (schedule, message of the first broken rule, whether only fits apply it);
-# rules are checked finite -> positive -> decreasing -> 4 points -> one decade
+# rules are checked finite -> positive -> decreasing -> 4 points -> at most
+# MAX_SCHEDULE_POINTS -> one decade
 BAD_G_SCHEDULES = [
     ((0.02, math.inf, 0.001, 0.0001), "schedule points must be finite", False),
     ((math.nan, 0.01, 0.001, 0.0001), "schedule points must be finite", False),
@@ -39,6 +42,8 @@ BAD_G_SCHEDULES = [
     ((0.01, 0.02), "schedule must decrease", False),
     ((-0.01, 0.02), "schedule points must be positive", False),
     ((0.02, 0.01, 0.001), "schedule needs at least 4 points", False),
+    (tuple(np.geomspace(1e-2, 1e-6, 1025)), "schedule allows at most 1024 points", False),
+    ((0.01, 0.005) * 513, "schedule must decrease", False),
     ((0.01, 0.008, 0.006, 0.004), "schedule must span at least one decade", True),
 ]
 
@@ -170,6 +175,10 @@ def test_default_decade_validates_its_points():
     with pytest.raises(ScheduleError, match="at least 4"):
         default_g_decade(points=-1)
     assert isinstance(default_g_decade(), GSchedule)
+    assert len(default_g_decade(points=MAX_SCHEDULE_POINTS)) == MAX_SCHEDULE_POINTS
+    with pytest.raises(ScheduleError) as info:
+        default_g_decade(points=10**12)  # refused before any point is computed
+    assert str(info.value) == f"schedule allows at most {MAX_SCHEDULE_POINTS} points"
 
 
 @pytest.mark.parametrize(
