@@ -3,10 +3,10 @@
 A g-schedule is finite, positive and strictly decreasing, holds at least
 4 points wherever g is extrapolated or fitted and at most
 ``MAX_SCHEDULE_POINTS``, and spans at least one decade wherever a leading
-order is fitted.  A spread schedule is finite,
-positive and strictly increasing with at least 2 points.  Every rule is
-checked here, always in that order, so each entry point reports the same
-message for the same schedule.
+order is fitted.  A spread schedule is finite, positive and strictly
+increasing with at least 2 points.  Every rule is checked here, always in
+that order, so each entry point reports the same message for the same
+schedule.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class GSchedule(tuple):
     """Validated coupling strengths, a tuple of floats.
 
     Checked in order: finite, positive, strictly decreasing, at least
-    ``min_points`` and at most ``MAX_SCHEDULE_POINTS`` long, and with ``span_decade`` g_max / g_min >= 10 (the
-    order fits need a decade to tell first from second order).
+    ``min_points`` and at most ``MAX_SCHEDULE_POINTS`` long, and with
+    ``span_decade`` g_max / g_min >= 10 (the order fits need a decade to
+    tell first from second order).
     """
 
     __slots__ = ()
