@@ -21,7 +21,6 @@ from typing import Sequence
 
 from . import interferometer, limits, scenario, weakmeas
 from .errors import DarkDetectorError, UnclassifiedOrderError
-from .pointer import initial_state, translation_generator
 
 PRESETS = {
     "spin-sz": "spin_sz",
@@ -78,10 +77,8 @@ _METRFN = limits.METRICS
 
 def _run_sweep(plan):
     [(_, op)] = plan.observables
-    ready = initial_state(plan.pointer)
-    generator = translation_generator(plan.pointer)
-    result = limits.sweep_metric(
-        lambda g: plan.metric(plan.selection.pre, ready, op, generator, g), plan.g_schedule
+    result = limits.sweep_coupling(
+        plan.metric, plan.selection, op, plan.pointer, plan.g_schedule
     )
     fit = (result.fitted_order, result.fitted_coefficient, result.fit_residual)
     values = zip(result.g_values, result.metric_values)

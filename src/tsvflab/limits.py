@@ -12,6 +12,9 @@ from the uncoupled one:
 When S|in> is computed as exactly zero, Psi0 is a fixed point of U(g) at
 every g, and each metric returns exactly 0.0 once the coupling's checks
 pass, without diagonalizing S or P (``qcore.fixes_product``).
+``sweep_coupling`` decides that once for a whole sweep, from the pointer's
+spectrum, and builds the dense pointer generator only for a sweep that is
+not a fixed point.
 
 Fitting log(metric) against log(g) gives the leading order in g.  Metric
 values at or below ``METRIC_FLOOR`` are treated as identically zero: they
@@ -28,7 +31,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FieldError, UnclassifiedOrderError
-from .pointer import PointerModel, gaussian_pointer
+from .pointer import (
+    PointerModel,
+    gaussian_pointer,
+    pointer_spectrum,
+    translation_generator,
+)
 from .qcore import (
     CouplingEvolution,
     LinearOperator,
@@ -200,6 +208,33 @@ def sweep_metric(
     order, coefficient, residual = fit_order(schedule, values)
     floored = sum(1 for v in values if v <= METRIC_FLOOR)
     return SweepResult(schedule, values, order, coefficient, residual, floored)
+
+
+def sweep_coupling(
+    metric: Callable[..., float],
+    sel: PrePostSelection,
+    S: LinearOperator,
+    model: PointerModel,
+    g_values: Sequence[float] | None = None,
+) -> SweepResult:
+    """``sweep_metric`` of ``metric(sel.pre, m, S, P, g)``, one of
+    ``METRICS``, with |m> the ready state and P the generator of ``model``.
+
+    Whether |in> (x) |m> is a fixed point at every g of the schedule is
+    decided once, from the pointer's spectrum, after the coupling's checks
+    (S hermitian, each g finite, the joint dimensions).  A fixed point
+    sweeps to exactly 0.0 without calling ``metric``, so no n x n generator
+    is built; any other sweep builds one ``translation_generator`` and
+    calls ``metric`` at each g.
+    """
+    schedule = fit_schedule(g_values)
+    spectrum = pointer_spectrum(model)
+    ready = StateVector(spectrum.ready)
+    _, fixed = fixes_product(S, spectrum.basis, schedule, sel.pre, ready)
+    if fixed:
+        return sweep_metric(lambda g: 0.0, schedule)
+    generator = translation_generator(model)
+    return sweep_metric(lambda g: metric(sel.pre, ready, S, generator, g), schedule)
 
 
 def classify_order(order: float, context: str = "metric") -> str:
