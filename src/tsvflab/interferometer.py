@@ -49,7 +49,6 @@ whatever A is.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -387,13 +386,6 @@ def _dephasing_change(coupled: np.ndarray, alpha_minus_one: np.ndarray) -> np.nd
     return change
 
 
-@functools.cache
-def _qubit_environment() -> PointerSpectrum:
-    """The spectrum of every arm's environment but the target's, computed
-    on first use rather than at import; callers only read it."""
-    return pointer_spectrum(qubit_pointer())
-
-
 def _propagate(steps, mode: int, shape: tuple[int, int]):
     """The pure state v, from the basis state ``mode``, and the change
     delta, from zeros of ``shape`` (g points, modes), just before each
@@ -448,7 +440,8 @@ def _arm_traces(
     for position, mode in first.values():
         coupled[stops.index(position), mode] = True
     adjoints = unitaries.conj().transpose(0, 2, 1)
-    _, qubit_am1 = _alpha_minus_one(_qubit_environment(), g)
+    # every arm's environment but the target's is a qubit
+    _, qubit_am1 = _alpha_minus_one(pointer_spectrum(qubit_pointer()), g)
     changes = _dephasing_change(coupled, qubit_am1)
     psi, delta = _propagate(zip(unitaries, adjoints, changes), net.source_mode, (g.size, n))
     # the effect passes the adjoint segments, which conjugate the dephasing too

@@ -24,6 +24,7 @@ eigenvalue of the measured observable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -213,15 +214,25 @@ class PointerSpectrum:
         return np.einsum("gi,ij,gj->g", rows.conj(), readout, rows).real
 
 
+@functools.cache
+def _qubit_spectrum(generator_axis: str) -> tuple[Eigenbasis, np.ndarray]:
+    """The qubit's generator eigenbasis and ready amplitudes for one axis,
+    computed once per process; every caller shares them, so they are
+    read-only."""
+    eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[generator_axis]().entries)
+    ready = initial_state(qubit_pointer(generator_axis)).amps
+    for arr in (eigvals, vecs, ready):
+        arr.setflags(write=False)
+    return Eigenbasis(eigvals, vecs), ready
+
+
 def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
     """The device in its generator's eigenbasis: the DFT with the grid
     momenta ``2 pi fftfreq`` for the grid, the 2x2 ``eigh`` of the Pauli
-    for the qubit."""
+    for the qubit, shared per generator axis."""
     if model.kind == QUBIT_KIND:
-        basis = Eigenbasis.of(_PAULI_BY_AXIS[model.generator_axis]())
-    else:
-        basis = _GridBasis(_grid_momenta(model))
-    return PointerSpectrum(model, basis, initial_state(model).amps)
+        return PointerSpectrum(model, *_qubit_spectrum(model.generator_axis))
+    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), initial_state(model).amps)
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:
