@@ -98,6 +98,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # [0-9], not \d, which matches every Unicode decimal digit
 _UNSIGNED_REAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _REAL = rf"[+-]?{_UNSIGNED_REAL}"
+_REAL_RE = re.compile(_REAL)
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+# str.splitlines would also end a line at a form feed, U+2028 and the like
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
+_TOKEN_RE = re.compile(r"\S+")
 # an imaginary part needs its sign only after a real part
 _COMPLEX_RE = re.compile(rf"({_REAL})?(?:((?(1)[+-]|[+-]?){_UNSIGNED_REAL})i)?")
 
@@ -219,8 +224,7 @@ def _strip_comment(line: str) -> str:
 
 
 def _scan(text: str, diags: list[ParseDiagnostic]) -> list[_Section]:
-    # str.splitlines would also end a line at a form feed, U+2028 and the like
-    lines = re.split(r"\r\n|\r|\n", text)
+    lines = _LINE_BREAK_RE.split(text)
     if _strip_comment(lines[0]).strip() != VERSION_LINE:
         diags.append(
             ParseDiagnostic(1, 1, f"first line must be {VERSION_LINE!r}")
@@ -360,7 +364,7 @@ def _parse_real(
     entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
 ) -> float | None:
     """A finite real ``token`` of ``entry``'s value, at column ``col``."""
-    if not re.fullmatch(_REAL, token):
+    if not _REAL_RE.fullmatch(token):
         diags.append(entry.error(f"malformed number {token!r}", col))
         return None
     value = float(token)
@@ -378,10 +382,14 @@ def _parse_int(
     entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
 ) -> int | None:
     """An integer ``token`` of ``entry``'s value, at column ``col``."""
-    if re.fullmatch(r"[+-]?[0-9]+", token):
+    if not _INT_RE.fullmatch(token):
+        diags.append(entry.error(f"malformed integer {token!r}", col))
+        return None
+    try:
         return int(token)
-    diags.append(entry.error(f"malformed integer {token!r}", col))
-    return None
+    except ValueError:  # more digits than Python converts
+        diags.append(entry.error(f"integer {token!r} overflows", col))
+        return None
 
 
 def _parse_int_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> int | None:
@@ -681,11 +689,21 @@ def _label_modes(
     pairs = []
     for token, col in tokens:
         m = _LABEL_MODE_RE.fullmatch(token)
-        if m:
-            pairs.append((m.group(1), int(m.group(2))))
-        else:
+        if not m:
             diags.append(entry.error(f"malformed {what} {token!r} (want label:mode)", col))
+            continue
+        mode = _parse_int(entry, m.group(2), col + m.start(2), diags)
+        if mode is not None:
+            pairs.append((m.group(1), mode))
     return pairs if len(pairs) == len(tokens) else None
+
+
+def _python_reads(kind: type, token: str) -> bool:
+    try:
+        kind(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _field_error(
@@ -733,27 +751,26 @@ def _build_network(
     errors = len(diags)
     steps: list = []
     for entry in table.get("seq", []):
-        tokens = [
-            (m.group(), entry.value_col + m.start())
-            for m in re.finditer(r"\S+", entry.value)
-        ]
+        tokens = [(m.group(), entry.value_col + m.start()) for m in _TOKEN_RE.finditer(entry.value)]
         (keyword, kcol), args = tokens[0], tokens[1:]
         if keyword in _STEPS:
             make, types, names, usage = _STEPS[keyword]
             if len(args) != len(types):
                 diags.append(entry.error(f"{keyword} needs: {usage}", kcol))
                 continue
-            try:
-                values = tuple(kind(token) for kind, (token, _) in zip(types, args))
-            except ValueError:
-                diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
-                continue
-            # the numbers follow the file's grammars, which have no inf, nan or 0_0
-            numbers = [
-                (_parse_real if kind is float else _parse_int)(entry, token, col, diags)
+            # the numbers follow the file's grammars, which have no inf, nan or
+            # 0_0; a token that Python cannot read as its type at all makes
+            # the whole step malformed instead
+            faults: list[ParseDiagnostic] = []
+            values = tuple(
+                (_parse_real if kind is float else _parse_int)(entry, token, col, faults)
                 for kind, (token, col) in zip(types, args)
-            ]
-            if None in numbers:
+            )
+            if faults:
+                if all(_python_reads(kind, token) for kind, (token, _) in zip(types, args)):
+                    diags.extend(faults)
+                else:
+                    diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
                 continue
             fields = [(name,) for name in names]
         elif keyword == "slice":

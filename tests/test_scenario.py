@@ -419,6 +419,8 @@ SWEEP = MINIMAL.replace(
 LIMITS = MINIMAL.replace(
     "plan = weakvalue\nobservables = sz", "plan = compare_limits\nobservable = sz\nfixed_g = 0.5"
 )
+# more digits than Python converts to an int
+LONG_INT = "7" * 5000
 TRACE = NETWORK + "[pointer]\nkind = qubit\n[experiment]\nplan = trace\narms = A, B\n"
 # an operator expression on line 7, its value at column 8
 EXPR = (
@@ -488,6 +490,18 @@ PINNED_DIAGNOSTICS = [
      (("malformed number 'inf'", 8, 21, "error"),)),
     (NETWORK.replace("phase_shift 1 0.25", "phase_shift 1 1e999"),
      (("number '1e999' overflows", 8, 21, "error"),)),
+    # a token Python cannot read at all outranks the other tokens' faults
+    (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0_0 1 half"),
+     (("malformed beam_splitter args", 7, 21, "error"),)),
+    (NETWORK.replace("beam_splitter 0 1 0.5", "beam_splitter 0_0 1 1e999"),
+     (("malformed integer '0_0'", 7, 21, "error"), ("number '1e999' overflows", 7, 27, "error"))),
+    # integers longer than Python converts: a diagnostic, not a traceback
+    (MINIMAL.replace("dim = 2", f"dim = {LONG_INT}"),
+     ((f"integer '{LONG_INT}' overflows", 3, 7, "error"),)),
+    (NETWORK.replace("seq = slice A:0 B:1", f"seq = slice A:0 B:{LONG_INT}"),
+     ((f"integer '{LONG_INT}' overflows", 9, 19, "error"),)),
+    (NETWORK.replace("phase_shift 1 0.25", f"phase_shift {LONG_INT} 0.25"),
+     (("malformed phase_shift args", 8, 19, "error"),)),
     (NETWORK.replace("seq = slice A:0 B:1", "seq = slice"), (("empty slice", 9, 7, "error"),)),
     (NETWORK.replace("D2:1", "D2-1"),
      (("malformed detector 'D2-1' (want label:mode)", 10, 19, "error"),)),
