@@ -8,8 +8,10 @@ standard deviation.  The translation generator P is realized spectrally
 through the discrete Fourier transform (periodic boundary), which keeps it
 exactly hermitian and makes exp(-i g P) an exact band-limited translation
 on the grid.  ``pointer_spectrum`` gives that DFT eigenbasis directly, so
-the readout never forms an n_points^2 matrix; the metric sweeps still
-couple through the dense ``translation_generator``.
+the readout never forms an n_points^2 matrix, and neither does a metric
+sweep whose product state is a fixed point (``limits.sweep_coupling``);
+only the other metric sweeps couple through the dense
+``translation_generator``.
 
 The qubit pointer is the minimal discrete measuring device: the coupling
 generator is one Pauli axis (default y), the readout is the next axis in

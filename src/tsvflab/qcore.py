@@ -6,7 +6,9 @@ supported scale is a desk-sized joint space (system dim <= 16).  The
 coupling works in the pointer factor's eigenbasis: a dense pointer
 generator is diagonalized at O(n^3), which keeps the metric sweeps to
 pointer dim <= 256, while a pointer that supplies its own basis (the
-grid's DFT) reaches pointer dim 4096 without any n x n matrix.
+grid's DFT) reaches pointer dim 4096 without any n x n matrix.  Only a
+metric sweep that is not a fixed point builds the dense generator:
+``fixes_product`` decides that from the pointer's basis alone.
 
 Conventions fixed here and relied on everywhere else:
 

@@ -751,7 +751,9 @@ def _build_network(
     errors = len(diags)
     steps: list = []
     for entry in table.get("seq", []):
-        tokens = [(m.group(), entry.value_col + m.start()) for m in _TOKEN_RE.finditer(entry.value)]
+        tokens = [
+            (m.group(), entry.value_col + m.start()) for m in _TOKEN_RE.finditer(entry.value)
+        ]
         (keyword, kcol), args = tokens[0], tokens[1:]
         if keyword in _STEPS:
             make, types, names, usage = _STEPS[keyword]

@@ -1,10 +1,13 @@
 """Command-line front end: deterministic CSV/JSON emission and exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from tsvflab import cli, limits, pointer
 from tsvflab.cli import fmt_complex, main, sci12
+from tsvflab.scenario import load_corpus_text
 
 DARK_NETWORK_SCENARIO = """tsvf-scenario v1
 [system]
@@ -114,8 +117,6 @@ class TestSweepAndLimits:
     def test_kernel_overlap_deficit_is_exactly_zero(self, tmp_path, capsys, spread, n_points):
         # 1 - |<Psi0|Psi0>| rounded below zero on these pointers, and the
         # negative value failed the whole sweep with exit 2
-        from tsvflab.scenario import load_corpus_text
-
         lines = []
         for line in load_corpus_text("eigenvalue_zero").splitlines():
             if line.startswith("half_width"):
@@ -136,6 +137,44 @@ class TestSweepAndLimits:
             assert row[1:] == ["0.000000000000e0", "inf", "0.000000000000e0",
                                "0.000000000000e0"]
 
+    @pytest.fixture
+    def no_generator(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("a fixed-point sweep builds no pointer generator")
+
+        for module in (pointer, limits, cli):
+            monkeypatch.setattr(module, "translation_generator", refuse, raising=False)
+
+    @staticmethod
+    def _all_zero_rows(out: str) -> None:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 9
+        for row in rows:
+            assert row[1:] == ["0.000000000000e0", "inf", "0.000000000000e0",
+                               "0.000000000000e0"]
+
+    def test_kernel_sweep_builds_no_generator(self, capsys, no_generator):
+        assert main(["sweep", "--preset", "eigenvalue-zero"]) == 0
+        self._all_zero_rows(capsys.readouterr().out)
+
+    def test_kernel_sweep_on_the_largest_grid(self, tmp_path, capsys, no_generator):
+        # a dense generator of this grid alone would be 256 MiB
+        text = load_corpus_text("eigenvalue_zero").replace("n_points = 256", "n_points = 4096")
+        assert "n_points = 4096" in text
+        path = tmp_path / "kernel4096.scn"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            code = main(["sweep", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        self._all_zero_rows(captured.out)
+
     def test_compare_limits_preset(self, capsys):
         assert main(["compare-limits", "--preset", "compare-limits"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -151,7 +190,7 @@ class TestSweepAndLimits:
 
     def test_compare_limits_reads_the_pointer_grid(self, tmp_path, capsys):
         from tsvflab.limits import compare_limits
-        from tsvflab.scenario import load_corpus, load_corpus_text
+        from tsvflab.scenario import load_corpus
         from tsvflab.weakmeas import PrePostSelection
 
         text = load_corpus_text("compare_limits_demo").replace(
@@ -195,8 +234,6 @@ class TestDeterminismAndIO:
         assert target.read_text().startswith("observable,")
 
     def test_scenario_file_runs(self, tmp_path, capsys):
-        from tsvflab.scenario import load_corpus_text
-
         path = tmp_path / "spin.scn"
         path.write_text(load_corpus_text("spin_sz"))
         assert main(["weakvalue", str(path)]) == 0
@@ -254,8 +291,6 @@ class TestFailureModes:
         assert "dark" in captured.err
 
     def test_validation_error_exit_1(self, tmp_path, capsys):
-        from tsvflab.scenario import load_corpus_text
-
         text = load_corpus_text("spin_sz").replace(
             "g_schedule = 0.04, 0.02, 0.01, 0.005, 0.0025",
             "g_schedule = 0.01, 0.02",
@@ -279,8 +314,6 @@ class TestFailureModes:
     def test_schedule_rule_in_file_exit_1(
         self, tmp_path, capsys, command, name, key, value, needle
     ):
-        from tsvflab.scenario import load_corpus_text
-
         lines = [
             line for line in load_corpus_text(name).splitlines()
             if not line.startswith(f"{key} =")
@@ -295,8 +328,6 @@ class TestFailureModes:
         assert f"{path}:{position}: error: {needle}" in captured.err
 
     def test_file_validated_as_the_plan_the_subcommand_runs(self, tmp_path, capsys):
-        from tsvflab.scenario import load_corpus_text
-
         text = load_corpus_text("nested_mzi_presence").replace(
             "plan = presence", "plan = trace"
         ) + "g_schedule = 0.01, 0.005\n"
@@ -355,8 +386,6 @@ class TestFailureModes:
 
     def test_calls_share_no_flags(self, tmp_path, capsys):
         # the parser is built once per process; each call parses afresh
-        from tsvflab.scenario import load_corpus_text
-
         path = tmp_path / "own.scn"
         path.write_text(
             load_corpus_text("nested_mzi_presence").replace("plan = presence", "plan = trace")
@@ -380,8 +409,6 @@ class TestFailureModes:
 
     def test_spread_out_of_range_exit_1(self, tmp_path, capsys):
         # the plan builds every pointer of the run, one per spread
-        from tsvflab.scenario import load_corpus_text
-
         text = load_corpus_text("compare_limits_demo").replace(
             "spread_schedule = 1.0, 2.0, 4.0, 8.0, 16.0", "spread_schedule = 1.0, 1e200"
         )
@@ -399,8 +426,6 @@ class TestFailureModes:
     def test_unresolved_limit_pointer_exit_1(self, tmp_path, capsys):
         # the file's own grid resolves its spread, but the pointers the run
         # builds span 12 spreads each side: 64 points cannot resolve them
-        from tsvflab.scenario import load_corpus_text
-
         text = load_corpus_text("compare_limits_demo").replace(
             "n_points = 256", "n_points = 64"
         ).replace("half_width = 24.0", "half_width = 16.0")
@@ -417,8 +442,6 @@ class TestFailureModes:
         )
 
     def test_non_finite_phase_exit_1(self, tmp_path, capsys):
-        from tsvflab.scenario import load_corpus_text
-
         text = load_corpus_text("nested_mzi_presence").replace(
             "seq = slice SRC:0\n", "seq = slice SRC:0\nseq = phase_shift 0 inf\n"
         )
@@ -434,8 +457,6 @@ class TestFailureModes:
     @staticmethod
     def _spin_sz(tmp_path, *edits) -> tuple:
         """A copy of spin_sz.scn with each (old, new) edit, and its path."""
-        from tsvflab.scenario import load_corpus_text
-
         text = load_corpus_text("spin_sz")
         for old, new in edits:
             text = text.replace(old, new)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
-from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders
+from tsvflab import limits
+from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders, sweep_coupling
 from tsvflab import (
     CouplingEvolution,
     LinearOperator,
@@ -31,6 +32,7 @@ from tsvflab import (
     pauli_x,
     pauli_z,
     projector,
+    qubit_pointer,
     spin_down_x,
     spin_down_z,
     spin_up_x,
@@ -424,3 +426,55 @@ class TestFixedPoint:
         with pytest.raises(ValueError) as info:
             derail_metric(StateVector(np.array([2.0, 0.0])), m, lower, p, np.nan)
         assert str(info.value) == "derail metric requires a normalized system state"
+
+
+class TestSweepCoupling:
+    """A sweep decides its fixed point once, before any pointer generator."""
+
+    @pytest.fixture
+    def generators(self, monkeypatch):
+        """The models ``translation_generator`` was called with."""
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return translation_generator(model)
+
+        monkeypatch.setattr(limits, "translation_generator", counted)
+        return calls
+
+    def test_fixed_point_calls_neither_generator_nor_metric(self, generators):
+        def metric(*_):
+            raise AssertionError("a fixed-point sweep calls no metric")
+
+        sel = PrePostSelection(spin_up_z(), spin_up_x())
+        for model in (gaussian_pointer(1.0, 4096), qubit_pointer("x")):
+            result = sweep_coupling(metric, sel, projector(spin_down_z()), model, GS)
+            assert result == sweep_metric(lambda g: 0.0, GS)
+        assert generators == []
+
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    def test_other_sweeps_build_one_generator_and_keep_their_bits(self, generators, name):
+        sel = PrePostSelection(spin_up_x(), spin_down_z())
+        for model in (gaussian_pointer(2.0, 128), qubit_pointer()):
+            m, p = initial_state(model), translation_generator(model)
+            expected = sweep_metric(lambda g: METRICS[name](sel.pre, m, pauli_z(), p, g), GS)
+            assert sweep_coupling(METRICS[name], sel, pauli_z(), model, GS) == expected
+        assert generators == [gaussian_pointer(2.0, 128), qubit_pointer()]
+
+    def test_checks_keep_their_order(self, generators):
+        model = gaussian_pointer(1.0, 128)
+        sel = PrePostSelection(spin_up_z(), spin_up_x())
+        lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))  # annihilates up_z
+        three = StateVector(np.eye(3)[0])
+        cases = [
+            ((lower, sel, (0.01, 0.02)), ScheduleError, None),
+            ((lower, sel, GS), NonHermitianOperatorError, "system observable must be hermitian"),
+            ((projector(spin_down_z()), PrePostSelection(three, three), GS), ValueError,
+             "joint state dimensions do not match the coupling"),
+        ]
+        for (s, selection, schedule), error, message in cases:
+            with pytest.raises(error) as info:
+                sweep_coupling(continuity_metric, selection, s, model, schedule)
+            assert message is None or str(info.value) == message
+        assert generators == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import position_operator, single_factor_evolution, variance
+from tsvflab.pointer import pointer_spectrum
 from tsvflab import (
     LinearOperator,
     NonHermitianOperatorError,
@@ -160,6 +161,18 @@ class TestQubitPointer:
             assert abs(moments(ready, position_operator(model))) <= 1e-12
             third = {"x": pauli_z, "y": pauli_x, "z": pauli_y}[axis]()
             assert moments(ready, third) == pytest.approx(1.0, abs=1e-12)
+
+    def test_spectrum_is_shared_per_axis_and_read_only(self):
+        for axis in "xyz":
+            first, second = (pointer_spectrum(qubit_pointer(axis)) for _ in range(2))
+            assert first.basis is second.basis and first.ready is second.ready
+            eigvals, vecs = np.linalg.eigh(translation_generator(qubit_pointer(axis)).entries)
+            np.testing.assert_array_equal(first.basis.eigvals, eigvals)
+            np.testing.assert_array_equal(first.basis.from_eigen(np.eye(2)), vecs.T)
+            np.testing.assert_array_equal(first.ready, initial_state(qubit_pointer(axis)).amps)
+            for arr in (first.basis.eigvals, first.ready):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
 
 
 class TestMoments:
