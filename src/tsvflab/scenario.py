@@ -698,14 +698,6 @@ def _label_modes(
     return pairs if len(pairs) == len(tokens) else None
 
 
-def _python_reads(kind: type, token: str) -> bool:
-    try:
-        kind(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _field_error(
     err: FieldError, where: dict[tuple, tuple[int, int]], section: _Section, *prefix
 ) -> ParseDiagnostic:
@@ -769,10 +761,13 @@ def _build_network(
                 for kind, (token, col) in zip(types, args)
             )
             if faults:
-                if all(_python_reads(kind, token) for kind, (token, _) in zip(types, args)):
-                    diags.extend(faults)
-                else:
+                try:
+                    for kind, (token, _) in zip(types, args):
+                        kind(token)
+                except ValueError:
                     diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
+                else:
+                    diags.extend(faults)
                 continue
             fields = [(name,) for name in names]
         elif keyword == "slice":

@@ -104,14 +104,27 @@ class TestPresenceAndTrace:
 
 
 class TestSweepAndLimits:
-    def test_eigenvalue_zero_sweep_reports_all_floor(self, capsys):
+    @pytest.fixture
+    def no_generator(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("a fixed-point sweep builds no pointer generator")
+
+        for module in (pointer, limits, cli):
+            monkeypatch.setattr(module, "translation_generator", refuse, raising=False)
+
+    @staticmethod
+    def _all_zero_rows(out: str) -> None:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 9
+        for row in rows:  # an exact fixed point, with the all-floor sentinel order
+            assert row[1:] == ["0.000000000000e0", "inf", "0.000000000000e0",
+                               "0.000000000000e0"]
+
+    def test_eigenvalue_zero_sweep_reports_all_floor(self, capsys, no_generator):
         assert main(["sweep", "--preset", "eigenvalue-zero"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "g,metric,fitted_order,fitted_coefficient,fit_residual"
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert fields[1] == "0.000000000000e0"  # an exact fixed point
-            assert fields[2] == "inf"
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "g,metric,fitted_order,fitted_coefficient,fit_residual"
+        self._all_zero_rows(out)
 
     @pytest.mark.parametrize("spread,n_points", [("0.7", None), ("1.3", "128")])
     def test_kernel_overlap_deficit_is_exactly_zero(self, tmp_path, capsys, spread, n_points):
@@ -131,31 +144,7 @@ class TestSweepAndLimits:
         assert main(["sweep", str(path)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
-        assert len(rows) == 9
-        for row in rows:
-            assert row[1:] == ["0.000000000000e0", "inf", "0.000000000000e0",
-                               "0.000000000000e0"]
-
-    @pytest.fixture
-    def no_generator(self, monkeypatch):
-        def refuse(model):
-            raise AssertionError("a fixed-point sweep builds no pointer generator")
-
-        for module in (pointer, limits, cli):
-            monkeypatch.setattr(module, "translation_generator", refuse, raising=False)
-
-    @staticmethod
-    def _all_zero_rows(out: str) -> None:
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert len(rows) == 9
-        for row in rows:
-            assert row[1:] == ["0.000000000000e0", "inf", "0.000000000000e0",
-                               "0.000000000000e0"]
-
-    def test_kernel_sweep_builds_no_generator(self, capsys, no_generator):
-        assert main(["sweep", "--preset", "eigenvalue-zero"]) == 0
-        self._all_zero_rows(capsys.readouterr().out)
+        self._all_zero_rows(captured.out)
 
     def test_kernel_sweep_on_the_largest_grid(self, tmp_path, capsys, no_generator):
         # a dense generator of this grid alone would be 256 MiB
