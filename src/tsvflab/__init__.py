@@ -94,6 +94,7 @@ from .weakmeas import (
     PrePostSelection,
     WeakValueEstimate,
     estimate_weak_value,
+    estimate_weak_values,
     expectation,
     time_reverse,
     weak_value,

@@ -61,13 +61,14 @@ def _emit_json(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _run_weakvalue(plan):
-    rows = []
-    for name, op in plan.observables:
-        analytic = weakmeas.weak_value(plan.selection, op)
-        estimate = weakmeas.estimate_weak_value(plan.selection, op, plan.pointer, plan.g_schedule)
-        value, residual = estimate.value, estimate.extrapolation_residual
-        rows.append([name, fmt_complex(analytic), fmt_complex(value),
-                     sci12(abs(value - analytic)), sci12(residual)])
+    names, ops = zip(*plan.observables)
+    analytic = [weakmeas.weak_value(plan.selection, op) for op in ops]
+    estimates = weakmeas.estimate_weak_values(plan.selection, ops, plan.pointer, plan.g_schedule)
+    rows = [
+        [name, fmt_complex(w), fmt_complex(e.value), sci12(abs(e.value - w)),
+         sci12(e.extrapolation_residual)]
+        for name, w, e in zip(names, analytic, estimates)
+    ]
     return ["observable", "analytic", "numeric", "deviation", "residual"], rows
 
 

@@ -44,7 +44,9 @@ from .qcore import (
     first_order_state,
     fixes_product,
 )
-from .schedule import GSchedule, SpreadSchedule, default_g_schedule, fit_schedule
+from .schedule import (
+    GSchedule, SpreadSchedule, centred_line, default_g_schedule, fit_schedule
+)
 from .weakmeas import PointerReadout, PrePostSelection, weak_value
 
 #: Metric values at or below this floor count as identically zero.
@@ -143,21 +145,16 @@ def fit_orders(
     if np.any(~np.isfinite(values)) or np.any(values < 0):
         raise ValueError("metric values must be finite and non-negative")
     usable = values > METRIC_FLOOR
-    count = np.count_nonzero(usable, axis=1)
-    fitted, n = count >= 4, np.maximum(count, 1)
-    # a centred line per row through its usable points; the others weigh 0
-    log_g = np.where(usable, log_g, 0.0)
-    log_v = np.log(np.where(usable, values, 1.0))
-    mean_g, mean_v = log_g.sum(axis=1) / n, log_v.sum(axis=1) / n
-    dg = np.where(usable, log_g - mean_g[:, None], 0.0)
-    dv = np.where(usable, log_v - mean_v[:, None], 0.0)
-    slope = (dg * dv).sum(axis=1) / np.where(fitted, (dg * dg).sum(axis=1), 1.0)
-    intercept = np.where(fitted, mean_v - slope * mean_g, 0.0)
-    residuals = np.abs(slope[:, None] * dg - dv).max(axis=1)
+    fitted = np.count_nonzero(usable, axis=1) >= 4
+    # a line per row through its usable points; the others weigh 0
+    slope, intercept, deviation = centred_line(
+        log_g, np.log(np.where(usable, values, 1.0)), usable
+    )
+    # an unfitted row's intercept may be of any size, so exp sees 0 there
     return (
         np.where(fitted, slope, ALL_FLOOR_ORDER),
-        np.where(fitted, np.exp(intercept), 0.0),
-        np.where(fitted, residuals, 0.0),
+        np.where(fitted, np.exp(np.where(fitted, intercept, 0.0)), 0.0),
+        np.where(fitted, np.abs(deviation).max(axis=1), 0.0),
     )
 
 
@@ -320,13 +317,11 @@ def compare_limits(
     analytic = weak_value(sel, S)
     gs = default_g_schedule(coupling_model) if g_schedule is None else GSchedule(g_schedule)
 
-    coupling_branch = [
-        LimitPoint(g, r, abs(r - analytic))
-        for g, r in zip(gs, PointerReadout(sel, S, coupling_model).ratios(gs).tolist())
-    ]
+    (ratios,) = PointerReadout(sel, (S,), coupling_model).ratios(gs).tolist()
+    coupling_branch = [LimitPoint(g, r, abs(r - analytic)) for g, r in zip(gs, ratios)]
     spread_branch = []
     for model in spread_models:
-        (r,) = PointerReadout(sel, S, model).ratios((fixed_coupling,)).tolist()
+        ((r,),) = PointerReadout(sel, (S,), model).ratios((fixed_coupling,)).tolist()
         spread_branch.append(LimitPoint(model.spread, r, abs(r - analytic)))
 
     branches = (tuple(coupling_branch), tuple(spread_branch))

@@ -213,7 +213,7 @@ class PointerSpectrum:
         if self.model.kind == GAUSSIAN_KIND:
             return np.abs(rows) ** 2 @ grid_coordinates(self.model)
         readout = _readout_pauli(self.model).entries
-        return np.einsum("gi,ij,gj->g", rows.conj(), readout, rows).real
+        return np.einsum("...i,ij,...j->...", rows.conj(), readout, rows).real
 
 
 @functools.cache

@@ -20,9 +20,9 @@ document.  ``plan`` is as total: before anything evolves it turns a
 document into the ``RunPlan`` of one subcommand (the normalized
 selection, the observables, the one g-schedule, every pointer the run
 couples, the network and its sorted arms), rejects a Gaussian pointer
-that a shift would wrap around its grid or hide below the readout's
-roundoff, and reports the file's errors at their positions and the flags'
-errors apart.
+that a shift would wrap around its grid, and a readout whose smallest
+shift would hide below its roundoff, and reports the file's errors at
+their positions and the flags' errors apart.
 """
 
 from __future__ import annotations
@@ -1033,23 +1033,34 @@ def parse(text: str) -> ScenarioResult:
 #: smallest shift is g_min * max|lambda|.  Their ratio reads about 100
 #: times the measured error, so this admits errors up to about 1e-4.
 READOUT_ACCURACY = 1e-2
+#: The same for a qubit pointer, whose readout Pauli has unit eigenvalues,
+#: so <Q> is read to about eps.  There the ratio reads about twice the
+#: measured error (at most 0.55 eps / (g_min max|lambda|) over 24 generated
+#: qubit weak values), so this too admits errors up to about 1e-4.
+QUBIT_READOUT_ACCURACY = 2e-4
 
 
 def _coupling_fault(pointer: PointerModel, g_values, lam: float, readout: bool) -> str | None:
-    """Why coupling the Gaussian ``pointer`` at ``g_values`` to observables
-    of largest |eigenvalue| ``lam`` gives no trustworthy number, or None:
-    a shift that carries the tails, 8 spreads out, around the periodic
-    grid, or, in a readout, a smallest shift lost in <Q>'s roundoff."""
-    spread, half_width = pointer.spread, pointer.half_width
+    """Why coupling ``pointer`` at ``g_values`` to observables of largest
+    |eigenvalue| ``lam`` gives no trustworthy number, or None: a shift that
+    carries a Gaussian's tails, 8 spreads out, around the periodic grid,
+    or, in a readout, a smallest shift lost in <Q>'s roundoff."""
     shift, least = max(g_values) * lam, min(g_values) * lam
-    if shift + 8.0 * spread > half_width:
-        return (f"pointer at spread {spread!r}: largest shift {shift!r} (g_max max|lambda|) "
-                f"plus 8 spreads exceeds half_width {half_width!r}: it wraps around the grid")
-    roundoff = math.ulp(1.0) * half_width  # eps half_width
-    if readout and lam > 0 and roundoff > READOUT_ACCURACY * least:
-        return (f"pointer at spread {spread!r}: readout roundoff {roundoff:.3g} (eps "
-                f"half_width) exceeds {READOUT_ACCURACY} of the smallest shift {least!r} "
-                "(g_min max|lambda|)")
+    if pointer.kind == QUBIT_KIND:
+        where, roundoff, label, accuracy = (
+            "qubit pointer", math.ulp(1.0), "eps", QUBIT_READOUT_ACCURACY
+        )
+    else:
+        spread, half_width = pointer.spread, pointer.half_width
+        where = f"pointer at spread {spread!r}"
+        if shift + 8.0 * spread > half_width:
+            return (f"{where}: largest shift {shift!r} (g_max max|lambda|) plus 8 spreads "
+                    f"exceeds half_width {half_width!r}: it wraps around the grid")
+        roundoff, label = math.ulp(1.0) * half_width, "eps half_width"
+        accuracy = READOUT_ACCURACY
+    if readout and lam > 0 and roundoff > accuracy * least:
+        return (f"{where}: readout roundoff {roundoff:.3g} ({label}) exceeds {accuracy} of "
+                f"the smallest shift {least!r} (g_min max|lambda|)")
     return None
 
 
@@ -1062,10 +1073,11 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
     one of ``flags`` ({"g_max", "g_min", "points"} -> value or None) when
     any is set, the rest at ``default_g_decade``'s defaults, else the
     file's, else the plan's default, checked by plan ``kind``'s rules.
-    Every pointer the run couples is built, and a Gaussian one must pass
-    ``_coupling_fault``.  The file's warnings and errors come back as
-    diagnostics at their line:column; an error of the flags, once the file
-    has none, as ``flag_error``.
+    Every pointer the run couples is built, and each must pass
+    ``_coupling_fault`` (a qubit only where the run reads it out).  The
+    file's warnings and errors come back as diagnostics at their
+    line:column; an error of the flags, once the file has none, as
+    ``flag_error``.
     """
     diags: list[ParseDiagnostic] = []
     experiment, rules = doc.experiment, _PLANS[kind]
@@ -1131,7 +1143,7 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
         return PlanResult(None, tuple(diags), str(err))
 
     observables = tuple((name, doc.operators[name]) for name in sorted(experiment.observables))
-    if pointer.kind == GAUSSIAN_KIND:
+    if pointer.kind == GAUSSIAN_KIND or rules.readout:
         # a trace couples arm projectors, whose eigenvalues are 0 and 1
         lam = max(
             (float(np.abs(np.linalg.eigvalsh(op.entries)).max()) for _, op in observables),

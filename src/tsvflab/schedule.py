@@ -6,7 +6,8 @@ A g-schedule is finite, positive and strictly decreasing, holds at least
 order is fitted.  A spread schedule is finite, positive and strictly
 increasing with at least 2 points.  Every rule is checked here, always in
 that order, so each entry point reports the same message for the same
-schedule.
+schedule.  The least-squares line that the weak-value extrapolation and
+the order fits draw over a schedule lives here too.
 """
 
 from __future__ import annotations
@@ -95,8 +96,13 @@ def default_g_decade(
     if not 0 < g_min < g_max:
         raise ScheduleError("need 0 < g_min < g_max")
     _bounded(points)
-    # a negative count is too few points, not a numpy error
-    return GSchedule(np.geomspace(g_max, g_min, max(points, 0)), min_points, span_decade)
+    # geomspace overwrites its ends with g_max and g_min, but first computes
+    # 10 ** log10(g_max), which may overflow near the largest float; an
+    # interior point that overflowed would fail GSchedule's finiteness check
+    with np.errstate(over="ignore"):
+        # a negative count is too few points, not a numpy error
+        values = np.geomspace(g_max, g_min, max(points, 0))
+    return GSchedule(values, min_points, span_decade)
 
 
 def fit_schedule(g_values: Iterable[float] | None = None) -> GSchedule:
@@ -111,3 +117,24 @@ def default_g_schedule(model: PointerModel) -> GSchedule:
     scale = model.spread if model.kind == GAUSSIAN_KIND else 1.0
     start = 0.02 * scale
     return GSchedule(start / 2.0**i for i in range(5))
+
+
+def centred_line(x, y, usable=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least-squares line y = intercept + slope x through each row of
+    ``y`` (rows x points) at the points ``usable`` marks (all when None),
+    in closed form about the row's centroid: (slope, intercept, deviation)
+    with deviation = y - line at the usable points and 0 elsewhere.
+
+    ``x`` broadcasts against ``y``.  A row whose usable x do not spread
+    has slope 0.  A row's result does not depend on the others, to the bit.
+    """
+    y = np.asarray(y, dtype=float)
+    usable = np.ones(y.shape, dtype=bool) if usable is None else usable
+    n = np.maximum(np.count_nonzero(usable, axis=1), 1)
+    x, y = np.where(usable, x, 0.0), np.where(usable, y, 0.0)
+    mean_x, mean_y = x.sum(axis=1) / n, y.sum(axis=1) / n
+    dx = np.where(usable, x - mean_x[:, None], 0.0)
+    dy = np.where(usable, y - mean_y[:, None], 0.0)
+    sxx = (dx * dx).sum(axis=1)
+    slope = (dx * dy).sum(axis=1) / np.where(sxx > 0, sxx, 1.0)
+    return slope, mean_y - slope * mean_x, dy - slope[:, None] * dx

@@ -476,6 +476,16 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: pointer at spread 2.0: largest shift 30.0")
+        # a g_max next to the largest float overflowed inside the geometric
+        # schedule, and numpy warned before this one line
+        g_max = "1.7976931348622103e+308"
+        assert main(["weakvalue", "--preset", "spin-sz", "--g-max", g_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: pointer at spread 2.0: largest shift {g_max} (g_max max|lambda|) plus 8 "
+            "spreads exceeds half_width 24.0: it wraps around the grid\n"
+        )
 
     @pytest.mark.parametrize("spread,code", [("1e8", 0), ("1e12", 1), ("1e14", 1)])
     def test_unresolved_shift_exit_1_at_the_schedule(self, tmp_path, capsys, spread, code):
@@ -498,4 +508,51 @@ class TestFailureModes:
         )
         assert captured.err.endswith(
             "(eps half_width) exceeds 0.01 of the smallest shift 0.0025 (g_min max|lambda|)\n"
+        )
+
+    @staticmethod
+    def _qubit_sz(tmp_path, g_max: float) -> tuple:
+        """spin_sz.scn read off a qubit pointer, on g_max 2**-i for i = 0..4."""
+        schedule = ", ".join(repr(g_max / 2.0**i) for i in range(5))
+        text = load_corpus_text("spin_sz")
+        start, end = text.index("[pointer]"), text.index("[selection]")
+        text = text[:start] + "[pointer]\nkind = qubit\n\n" + text[end:]
+        line = "g_schedule = " + schedule
+        text = text.replace("g_schedule = 0.04, 0.02, 0.01, 0.005, 0.0025", line)
+        path = tmp_path / "qubit.scn"
+        path.write_text(text)
+        return text, path, line
+
+    def test_resolved_qubit_readout_runs(self, tmp_path, capsys):
+        # the smallest shift 6.25e-12 is 2.8e4 times eps: accepted
+        _, path, _ = self._qubit_sz(tmp_path, 1e-10)
+        assert main(["weakvalue", str(path)]) == 0
+        deviation = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+        assert deviation < 1e-4
+
+    @pytest.mark.parametrize(
+        "g_max,least", [(1e-13, "6.25e-15"), (1e-15, "6.25e-17"), (1e-300, "6.25e-302")]
+    )
+    def test_unresolved_qubit_shift_exit_1_at_the_schedule(
+        self, tmp_path, capsys, g_max, least
+    ):
+        # these printed deviations 2.1e-3 and 0.22 with exit 0, and at
+        # 1e-300 a LAPACK message and "SVD did not converge" with exit 2
+        text, path, line_text = self._qubit_sz(tmp_path, g_max)
+        assert main(["weakvalue", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = text.splitlines().index(line_text) + 1
+        assert captured.err == (
+            f"{path}:{line}:{len('g_schedule = ') + 1}: error: qubit pointer: readout roundoff "
+            f"2.22e-16 (eps) exceeds 0.0002 of the smallest shift {least} (g_min max|lambda|)\n"
+        )
+        # the same schedule from the flags is an error of the flags
+        flags = ["--g-max", repr(g_max), "--g-min", least, "--points", "5"]
+        assert main(["weakvalue", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: qubit pointer: readout roundoff 2.22e-16 (eps) exceeds 0.0002 of the "
+            f"smallest shift {least} (g_min max|lambda|)\n"
         )

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state, single_factor_evolution
+from tsvflab import qcore
 from tsvflab import (
     CouplingEvolution,
     JointState,
@@ -31,7 +32,7 @@ from tsvflab import (
     translation_generator,
 )
 from tsvflab.pointer import pointer_spectrum
-from tsvflab.qcore import STRUCTURAL_TOL
+from tsvflab.qcore import STRUCTURAL_TOL, Eigenbasis, post_selected_branches
 
 INV_SQRT2 = 0.7071067811865476  # hand value of 1/sqrt(2)
 #: Unitarity promised for the coupling evolution.
@@ -282,6 +283,53 @@ class TestCouplingEvolution:
             np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="finite"):
             spectral.apply_schedule((0.1, math.nan), joint)
+
+
+class TestPostSelectedBranches:
+    def test_matches_projected_evolution(self, rng):
+        # any pointer eigenbasis: a dense 5-dim generator's, and the grid's DFT
+        model = gaussian_pointer(1.0, 64, half_width=8.0)
+        pointers = [
+            (random_hermitian(rng, 5), random_state(rng, 5)),
+            (pointer_spectrum(model).basis, initial_state(model)),
+        ]
+        pre, post = random_state(rng, 3), random_state(rng, 3)
+        observables = [random_hermitian(rng, 3) for _ in range(3)]
+        schedule = (0.7, 0.05, 1e-9, 0.0)
+        for pointer, m in pointers:
+            basis = pointer if isinstance(pointer, Eigenbasis) else Eigenbasis.of(pointer)
+            branches = post_selected_branches(observables, basis, schedule, pre, post, m)
+            assert branches.shape == (3, len(schedule), m.dim)
+            joint = tensor_product(pre, m)
+            for S, rows in zip(observables, branches):
+                evolved = CouplingEvolution(S, pointer).apply_schedule(schedule, joint)
+                expected = post.amps.conj() @ evolved
+                np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
+            # g = 0 adds nothing to <out|in> m
+            uncoupled = inner(post, pre) * m.amps
+            assert all(np.array_equal(rows[-1], uncoupled) for rows in branches)
+
+    def test_phase_blocks_change_no_bit(self, rng, monkeypatch):
+        basis = pointer_spectrum(gaussian_pointer(1.0, 64, half_width=8.0)).basis
+        args = (basis, (0.3, 0.1, 0.02), random_state(rng, 3), random_state(rng, 3))
+        observables = [random_hermitian(rng, 3) for _ in range(2)]
+        m = random_state(rng, 64)
+        whole = post_selected_branches(observables, *args, m)
+        # two (observable, g) rows of 3 x 64 phase terms a block: 3 blocks
+        monkeypatch.setattr(qcore, "_PHASE_BLOCK", 2 * 3 * 64)
+        assert np.array_equal(post_selected_branches(observables, *args, m), whole)
+
+    def test_checks_in_coupling_order(self):
+        basis = Eigenbasis.of(pauli_x())
+        lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        args = (spin_up_z(), spin_up_x(), spin_up_x())
+        with pytest.raises(NonHermitianOperatorError, match="system observable"):
+            post_selected_branches([pauli_z(), lower], basis, (math.inf,), *args)
+        with pytest.raises(ValueError, match="finite"):
+            post_selected_branches([identity(3)], basis, (0.1, math.nan), *args)
+        for observables, m in (([identity(3)], spin_up_x()), ([pauli_z()], basis_state(3, 0))):
+            with pytest.raises(ValueError, match="dimensions do not match"):
+                post_selected_branches(observables, basis, (0.1,), spin_up_z(), spin_up_x(), m)
 
 
 class TestFirstOrderState:

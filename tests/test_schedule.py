@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsvflab import (
     GSchedule,
@@ -23,7 +25,7 @@ from tsvflab import (
     spin_up_z,
 )
 from tsvflab.scenario import load_corpus_text, plan
-from tsvflab.schedule import MAX_SCHEDULE_POINTS
+from tsvflab.schedule import MAX_SCHEDULE_POINTS, centred_line
 
 SEL = PrePostSelection(spin_up_x(), spin_up_z())
 
@@ -198,3 +200,52 @@ def test_fit_schedule_defaults_to_the_decade_and_checks_the_span():
     assert fit_schedule([0.1, 0.05, 0.02, 0.01]) == (0.1, 0.05, 0.02, 0.01)
     with pytest.raises(ScheduleError, match="span at least one decade"):
         fit_schedule([0.04, 0.02, 0.01, 0.005])
+
+
+class TestCentredLine:
+    """The closed-form line of the weak-value extrapolation and the order
+    fits, against ``np.polyfit`` as an oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g_max=st.floats(1e-290, 1.7e300),
+        ratio=st.floats(0.05, 0.8),
+        points=st.integers(4, 12),
+        rows=st.integers(1, 6),
+    )
+    @example(seed=1, g_max=1e-290, ratio=0.05, points=8, rows=3)  # g_min ~ 8e-300
+    @example(seed=2, g_max=1.7e300, ratio=0.5, points=5, rows=2)
+    @example(seed=3, g_max=1e300, ratio=0.8, points=12, rows=1)
+    def test_matches_polyfit_on_any_accepted_schedule(self, seed, g_max, ratio, points, rows):
+        rng = np.random.default_rng(seed)
+        schedule = GSchedule(g_max * ratio**i for i in range(points))
+        # a schedule's g/g_max spans (0, 1]; polyfit in g itself would
+        # overflow or underflow at these ends
+        x = np.array(schedule) / schedule[0]
+        y = (rng.uniform(-3, 3, (rows, 1)) + rng.uniform(-3, 3, (rows, 1)) * x
+             + 10.0 ** rng.uniform(-12, 0) * rng.standard_normal((rows, points)))
+        slope, intercept, deviation = centred_line(x, y)
+        for row in range(rows):
+            want_slope, want_intercept = np.polyfit(x, y[row], 1)
+            scale = np.max(np.abs(y[row])) / (x[0] - x[-1])
+            assert abs(slope[row] - want_slope) <= 1e-12 * scale
+            assert abs(intercept[row] - want_intercept) <= 1e-12 * scale
+            want = y[row] - np.polyval((want_slope, want_intercept), x)
+            assert np.max(np.abs(deviation[row] - want)) <= 1e-12 * scale
+            # a row's line does not depend on the other rows, to the bit
+            alone = centred_line(x, y[row:row + 1])
+            assert (alone[0][0], alone[1][0]) == (slope[row], intercept[row])
+            np.testing.assert_array_equal(alone[2][0], deviation[row])
+
+    def test_points_left_out_weigh_nothing(self):
+        x = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+        y = np.array([[2.0 + 3.0 * v for v in x], [1.0, 7.0, 1.0, 1.0, 1.0]])
+        usable = np.array([[True] * 5, [True, False, True, True, False]])
+        slope, intercept, deviation = centred_line(x, y, usable)
+        np.testing.assert_allclose(slope, [3.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(intercept, [2.0, 1.0], atol=1e-15)
+        assert deviation[1, 1] == deviation[1, 4] == 0.0
+        # no spread in x: slope 0 through the mean
+        flat = centred_line(x, y, np.array([[True] + [False] * 4] * 2))
+        assert (list(flat[0]), list(flat[1])) == ([0.0, 0.0], [y[0, 0], 1.0])

@@ -22,6 +22,7 @@ from tsvflab import (
     WeakValueEstimate,
     default_g_schedule,
     estimate_weak_value,
+    estimate_weak_values,
     expectation,
     first_order_state,
     fit_order,
@@ -60,8 +61,8 @@ def s_minus() -> LinearOperator:
 
 def conditional_branch(sel, S, model, g) -> StateVector:
     """The post-selected pointer branch the estimator reads at coupling g."""
-    branches, _ = PointerReadout(sel, S, model)._branches((g,))
-    return StateVector(branches[0], normalized=None)
+    branches, _ = PointerReadout(sel, (S,), model)._branches((g,))
+    return StateVector(branches[0, 0], normalized=None)
 
 
 def dense_read(branch: StateVector, model, g) -> complex:
@@ -212,7 +213,7 @@ class TestConditionalBranch:
         assert shift == pytest.approx(g * analytic.real, rel=0.02)
 
     def test_probability_above_one_is_a_fault(self):
-        readout = PointerReadout(spin_selection(), pauli_z(), gaussian_pointer(1.0, 128))
+        readout = PointerReadout(spin_selection(), (pauli_z(),), gaussian_pointer(1.0, 128))
         # not a unit pointer
         readout.spectrum = dataclasses.replace(
             readout.spectrum, ready=2.0 * readout.spectrum.ready
@@ -314,8 +315,8 @@ class TestEstimateWeakValue:
             WeakValueEstimate(1.0 + 0j, (), -0.5)
 
     def test_readout_single_point(self):
-        readout = PointerReadout(spin_selection(), pauli_z(), gaussian_pointer(2.0))
-        (ratio,) = readout.ratios((0.02,))
+        readout = PointerReadout(spin_selection(), (pauli_z(),), gaussian_pointer(2.0))
+        ((ratio,),) = readout.ratios((0.02,))
         assert ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_4096_point_grid_is_light(self):
@@ -345,27 +346,91 @@ class TestDenseReadoutOracle:
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(1, 4),
+        count=st.integers(1, 3),
         pointer=st.sampled_from(
             [("grid", 64), ("grid", 128), ("qubit", "x"), ("qubit", "y"), ("qubit", "z")]
         ),
         spread=st.floats(0.5, 3.0),
         g=st.floats(1e-3, 0.5),
     )
-    def test_per_g_ratios_match_dense_readout(self, seed, dim, pointer, spread, g):
+    def test_per_g_ratios_match_dense_readout(self, seed, dim, count, pointer, spread, g):
         rng = np.random.default_rng(seed)
         sel = PrePostSelection(random_state(rng, dim), random_state(rng, dim))
         assume(abs(sel.overlap) >= 0.1)
-        S = random_hermitian(rng, dim)
+        observables = [random_hermitian(rng, dim) for _ in range(count)]
         kind, size = pointer
         if kind == "grid":
             model = gaussian_pointer(spread, size, half_width=8.0 * spread * size / 64)
         else:
             model = qubit_pointer(size)
         schedule = (g, g / 2.0, g / 4.0)
-        ratios = PointerReadout(sel, S, model).ratios(schedule)
-        for gi, ratio in zip(schedule, ratios):
-            oracle = dense_ratio(sel, S, model, gi)
-            assert abs(ratio - oracle) <= 1e-10 * max(1.0, abs(oracle)), (gi, ratio, oracle)
+        ratios = PointerReadout(sel, observables, model).ratios(schedule)
+        assert ratios.shape == (count, len(schedule))
+        for S, row in zip(observables, ratios):
+            for gi, ratio in zip(schedule, row):
+                oracle = dense_ratio(sel, S, model, gi)
+                assert abs(ratio - oracle) <= 1e-10 * max(1.0, abs(oracle)), (gi, ratio, oracle)
+
+
+class TestBatchedEstimates:
+    """K observables read off one pointer in one pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 16),
+        count=st.integers(1, 4),
+        pointer=st.sampled_from([("grid", 128), ("grid", 256), ("qubit", "x"), ("qubit", "y")]),
+        schedule=st.sampled_from(
+            [None, (0.03, 0.02, 0.007, 0.001), (0.02, 0.01, 0.005, 0.0025)]
+        ),
+    )
+    def test_each_estimate_equals_its_one_observable_call(
+        self, seed, dim, count, pointer, schedule
+    ):
+        rng = np.random.default_rng(seed)
+        sel = PrePostSelection(random_state(rng, dim), random_state(rng, dim))
+        assume(abs(sel.overlap) >= 0.1)
+        observables = [random_hermitian(rng, dim) for _ in range(count)]
+        kind, size = pointer
+        model = gaussian_pointer(2.0, size) if kind == "grid" else qubit_pointer(size)
+        batch = estimate_weak_values(sel, observables, model, schedule)
+        assert len(batch) == count
+        for S, estimate in zip(observables, batch):
+            alone = estimate_weak_value(sel, S, model, schedule)
+            assert estimate.value == alone.value
+            assert estimate.extrapolation_residual == alone.extrapolation_residual
+            assert estimate.g_schedule == alone.g_schedule
+
+    def test_checks_keep_their_order(self):
+        # each observable hermitian, then each g finite, then the
+        # dimensions, then dark and > 1 probabilities per observable and g
+        sel, model = spin_selection(), gaussian_pointer(1.0, 128)
+        lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        wide = LinearOperator(np.eye(3), hermitian=True)
+        with pytest.raises(NonHermitianOperatorError, match="system observable"):
+            PointerReadout(sel, (pauli_z(), wide, lower), model).ratios((math.inf,))
+        with pytest.raises(ValueError, match="coupling strength must be finite"):
+            PointerReadout(sel, (pauli_z(), wide), model).ratios((0.1, math.nan))
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            PointerReadout(sel, (pauli_z(), wide), model).ratios((0.1,))
+        dark = PrePostSelection(spin_up_z(), spin_down_z())
+        # pauli_x turns |up> towards |down> at g > 0; projector(down) never
+        readout = PointerReadout(dark, (pauli_x(), projector(spin_down_z())), model)
+        with pytest.raises(DarkDetectorError, match=r"g = 0\.2"):
+            readout.ratios((0.2, 0.1))
+
+    @pytest.mark.parametrize("g_max", [1e-300, 1e300])
+    def test_extreme_schedules_extrapolate_to_finite_numbers(self, g_max):
+        # the line is fitted in g / g_max; np.polyfit in g failed in LAPACK
+        # at 1e-300.  The number is roundoff there: plans reject such schedules
+        schedule = [g_max / 2.0**i for i in range(5)]
+        estimate = estimate_weak_value(spin_selection(), pauli_z(), qubit_pointer(), schedule)
+        assert math.isfinite(abs(estimate.value))
+        assert math.isfinite(estimate.extrapolation_residual)
+
+    def test_no_observables_no_estimates(self):
+        assert estimate_weak_values(spin_selection(), (), gaussian_pointer(2.0)) == ()
 
 
 class TestSelectionType:
