@@ -40,8 +40,9 @@ disturbed weight is
     rho[a,a] * W[a,a] * ||(1 - |m><m|) exp(-i g G)|m>||^2,
 
 the last factor being the sum over the ready state's spectral weights w_k
-of |s_k - (alpha - 1)|^2, s_k = expm1(-i g mu_k), which involves no
-subtraction of nearly equal numbers.  With S stops the passes take O(S)
+of |s_k - (alpha - 1)|^2, s_k = exp(-i g mu_k) - 1 taken as
+-2 sin^2(g mu_k / 2) - i sin(g mu_k) (``qcore.phase_change``), which
+involves no subtraction of nearly equal numbers.  With S stops the passes take O(S)
 numpy operations on (g points) x n_modes x n_modes arrays and the readout
 of all A requested arms a fixed number more; memory is O(S) such arrays,
 whatever A is.
@@ -369,7 +370,8 @@ def build_nested_mzi(
 def _alpha_minus_one(spectrum: PointerSpectrum, g: np.ndarray):
     """(s_gk = exp(-i g mu_k) - 1, alpha_g - 1 = sum_k w_k s_gk) per coupling
     strength g, where alpha = <m|exp(-i g G)|m>; no digit is lost to 1 - 1."""
-    s = np.expm1(-1j * g[:, None] * spectrum.basis.eigvals)
+    s = np.empty((g.size, spectrum.basis.dim), dtype=np.complex128)
+    s.real, s.imag = spectrum.basis.phase_change(g[:, None])
     return s, s @ spectrum.weights(spectrum.ready)
 
 

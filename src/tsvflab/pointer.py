@@ -183,6 +183,10 @@ class _GridBasis(Eigenbasis):
     """The grid generator's eigenbasis: the unitary DFT, with the grid
     momenta as eigenvalues."""
 
+    # 2 pi fftfreq scales the integers 0 .. n/2 - 1, -n/2 .. -1 by one
+    # factor, so mu_(n-k) is -mu_k bit for bit
+    mirrored = True
+
     def to_eigen(self, amps: np.ndarray) -> np.ndarray:
         return np.fft.fft(amps, norm="ortho")
 

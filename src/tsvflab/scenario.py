@@ -8,7 +8,10 @@ line.  Sections are ``[system]``, ``[state <name>]``, ``[operator
 
 Values: complex literals are ``a``, ``bi``, ``a+bi`` or ``a-bi`` with
 decimal reals; vectors are comma-separated complex lists; matrices are
-``;``-separated rows.  Operators may instead be built from an expression
+``;``-separated rows.  A vector or matrix that one compiled pattern
+accepts whole is read in one pass by ``complex``; any other goes through
+the per-item reader, which reports each malformed item at its column.
+Operators may instead be built from an expression
 over ``pauli_x``, ``pauli_y``, ``pauli_z``, ``identity(n)``,
 ``projector(<state>)``, real scalars and ``sqrt``, e.g.
 ``(pauli_z + pauli_x) / sqrt(2)``: ``*`` of two operators is their
@@ -105,6 +108,12 @@ _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 _TOKEN_RE = re.compile(r"\S+")
 # an imaginary part needs its sign only after a real part
 _COMPLEX_RE = re.compile(rf"({_REAL})?(?:((?(1)[+-]|[+-]?){_UNSIGNED_REAL})i)?")
+# a whole vector or matrix literal of items that _COMPLEX_RE accepts, none
+# empty; \s matches exactly the characters str.strip removes
+_ITEM = rf"[+-]?{_UNSIGNED_REAL}(?:i|[+-]{_UNSIGNED_REAL}i)?"
+_VECTOR = rf"\s*{_ITEM}\s*(?:,\s*{_ITEM}\s*)*"
+_VECTOR_RE = re.compile(_VECTOR)
+_MATRIX_RE = re.compile(rf"{_VECTOR}(?:;{_VECTOR})*")
 
 _MAX_EXPR_DEPTH = 64
 #: Largest system dimension, and so the largest ``identity(n)``.
@@ -342,22 +351,39 @@ def _complex_items(
     return None if None in values else values
 
 
+def _literal_values(text: str) -> np.ndarray:
+    """The complex items of ``text``, a literal that ``_VECTOR_RE`` or
+    ``_MATRIX_RE`` accepts, read in one pass by ``complex``: the same
+    numbers, signed zeros included, as ``parse_complex_literal`` gives."""
+    # str.split() cuts at the same whitespace as str.strip
+    items = text.replace("i", "j").replace(",", " ").replace(";", " ").split()
+    return np.array(list(map(complex, items)), dtype=np.complex128)
+
+
 def _parse_vector(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
+    if _VECTOR_RE.fullmatch(entry.value):
+        return _literal_values(entry.value)
     values = _complex_items(entry, entry.value, entry.value_col, diags)
     return None if values is None else np.array(values, dtype=np.complex128)
 
 
 def _parse_matrix(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
-    rows = [
-        _complex_items(entry, row_text, row_col, diags)
-        for row_text, row_col in _split_items(entry.value, entry.value_col, ";")
-    ]
-    if None in rows:
-        return None
-    if any(len(row) != len(rows) for row in rows):
+    if _MATRIX_RE.fullmatch(entry.value):
+        widths = [row.count(",") + 1 for row in entry.value.split(";")]
+        values = _literal_values(entry.value)
+    else:
+        rows = [
+            _complex_items(entry, row_text, row_col, diags)
+            for row_text, row_col in _split_items(entry.value, entry.value_col, ";")
+        ]
+        if None in rows:
+            return None
+        widths = [len(row) for row in rows]
+        values = np.array([value for row in rows for value in row], dtype=np.complex128)
+    if any(width != len(widths) for width in widths):
         diags.append(entry.error("matrix must be square"))
         return None
-    return np.array(rows, dtype=np.complex128)
+    return values.reshape(len(widths), len(widths))
 
 
 def _parse_real(

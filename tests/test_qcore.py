@@ -1,6 +1,7 @@
 """Core linear algebra: states, operators, tensor products, couplings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from tsvflab import (
     tensor_product,
     translation_generator,
 )
-from tsvflab.pointer import pointer_spectrum
+from tsvflab.pointer import pointer_spectrum, qubit_pointer
 from tsvflab.qcore import STRUCTURAL_TOL, Eigenbasis, post_selected_branches
 
 INV_SQRT2 = 0.7071067811865476  # hand value of 1/sqrt(2)
@@ -330,6 +331,91 @@ class TestPostSelectedBranches:
         for observables, m in (([identity(3)], spin_up_x()), ([pauli_z()], basis_state(3, 0))):
             with pytest.raises(ValueError, match="dimensions do not match"):
                 post_selected_branches(observables, basis, (0.1,), spin_up_z(), spin_up_x(), m)
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def _unmirrored(basis: Eigenbasis) -> Eigenbasis:
+    """The same basis, evaluating every phase."""
+    full = type(basis)(basis.eigvals)
+    full.mirrored = False
+    return full
+
+
+class TestPhaseKernel:
+    SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_grid_basis_mirrors_its_eigenvalues_bitwise(self, n):
+        basis = pointer_spectrum(gaussian_pointer(1.3, n, half_width=10.4)).basis
+        half = n // 2
+        assert basis.mirrored
+        assert np.array_equal(_bits(basis.eigvals[half + 1 :]), _bits(-basis.eigvals[half - 1 : 0 : -1]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_half_spectrum_is_the_full_evaluation_bit_for_bit(self, rng, n):
+        basis = pointer_spectrum(gaussian_pointer(0.7, n, half_width=5.6)).basis
+        full = _unmirrored(basis)
+        schedule = (0.04, 0.01, 1e-7, 0.0, -0.02)
+        for count, dim in ((1, 2), (2, 9), (3, 16)):
+            observables = [random_hermitian(rng, dim) for _ in range(count)]
+            rates = np.linalg.eigvalsh([op.entries for op in observables])
+            rates = (rates[:, None, :] * np.array(schedule)[:, None]).reshape(-1, dim, 1)
+            for half, whole in zip(basis.phase_change(rates), full.phase_change(rates)):
+                assert half.shape == whole.shape == (count * len(schedule), dim, n)
+                assert np.array_equal(_bits(half), _bits(whole))
+            args = (schedule, random_state(rng, dim), random_state(rng, dim), random_state(rng, n))
+            branches = post_selected_branches(observables, basis, *args)
+            expected = post_selected_branches(observables, full, *args)
+            assert np.array_equal(_bits(branches.view(float)), _bits(expected.view(float)))
+
+    def test_only_a_basis_that_says_so_takes_the_half_path(self, rng, monkeypatch):
+        grid = pointer_spectrum(gaussian_pointer(1.0, 64, half_width=8.0)).basis
+        # a dense basis with the grid's exactly mirrored eigenvalues, the
+        # qubit's, and a dense generator's
+        dft = np.fft.ifft(np.eye(64), axis=0, norm="ortho")
+        dense = [
+            Eigenbasis(grid.eigvals, dft),
+            pointer_spectrum(qubit_pointer("y")).basis,
+            Eigenbasis.of(random_hermitian(rng, 5)),
+        ]
+        widths = []
+        kernel = qcore.phase_change
+        monkeypatch.setattr(qcore, "phase_change", lambda angles: widths.append(angles.shape[-1]) or kernel(angles))
+        for basis in (grid, *dense):
+            m = random_state(rng, basis.dim)
+            post_selected_branches([pauli_z()], basis, (0.1, 0.05), spin_up_x(), spin_up_z(), m)
+        assert [not basis.mirrored for basis in dense] == [True, True, True]
+        assert widths == [33, 64, 2, 5]
+
+    def test_split_rows_sum_to_the_whole_row(self, rng, monkeypatch):
+        basis = pointer_spectrum(gaussian_pointer(1.0, 64, half_width=8.0)).basis
+        args = (basis, (0.3, 0.1), random_state(rng, 8), random_state(rng, 8))
+        observables = [random_hermitian(rng, 8) for _ in range(2)]
+        m = random_state(rng, 64)
+        whole = post_selected_branches(observables, *args, m)
+        # 3 of a row's 8 system eigenvalues a block: three parts a row
+        monkeypatch.setattr(qcore, "_PHASE_BLOCK", 3 * 64)
+        split = post_selected_branches(observables, *args, m)
+        np.testing.assert_allclose(split, whole, rtol=0, atol=1e-15 * np.max(np.abs(whole)))
+
+    def test_a_row_beyond_the_phase_block_holds_no_more(self, rng):
+        # one row of dim x n = 512 x 4096 terms, twice _PHASE_BLOCK
+        basis = pointer_spectrum(gaussian_pointer(1.0, 4096)).basis
+        args = ((0.02, 0.01), random_state(rng, 512), random_state(rng, 512))
+        observable, m = random_hermitian(rng, 512), random_state(rng, 4096)
+        tracemalloc.start()
+        try:
+            branches = post_selected_branches([observable], basis, *args, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert branches.shape == (1, 2, 4096)
+        # five real arrays of _PHASE_BLOCK terms, 8 MiB each
+        assert peak < 5 * 8 * qcore._PHASE_BLOCK
 
 
 class TestFirstOrderState:

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from tsvflab import build_nested_mzi, parse, pauli_z, plan, serialize
 from tsvflab.scenario import (
+    _MATRIX_RE,
+    _REAL,
+    _UNSIGNED_REAL,
+    _VECTOR_RE,
     ParseDiagnostic,
+    _complex_items,
+    _Entry,
+    _parse_matrix,
+    _parse_vector,
+    _split_items,
     corpus_names,
     load_corpus,
     load_corpus_text,
@@ -117,6 +126,122 @@ class TestParseBasics:
         result = parse(text)
         assert result.doc is None
         assert any(d.severity == "error" for d in result.diagnostics)
+
+
+def _per_item_vector(entry, diags):
+    """The per-item reader of a vector literal, which builds every
+    diagnostic of a malformed one."""
+    values = _complex_items(entry, entry.value, entry.value_col, diags)
+    return None if values is None else np.array(values, dtype=np.complex128)
+
+
+def _per_item_matrix(entry, diags):
+    rows = [
+        _complex_items(entry, row_text, row_col, diags)
+        for row_text, row_col in _split_items(entry.value, entry.value_col, ";")
+    ]
+    if None in rows:
+        return None
+    if any(len(row) != len(rows) for row in rows):
+        diags.append(entry.error("matrix must be square"))
+        return None
+    return np.array(rows, dtype=np.complex128)
+
+
+#: Items at the edges of the literal grammar.  complex() reads the first
+#: six, which the grammar rejects; str.strip removes NBSP and \x1c; an item
+#: may be empty; 1e400 overflows to inf (which the constructors reject); and
+#: -2i has the real part +0.0, -0 the imaginary part +0.0.
+EDGE_ITEMS = (
+    "j", "1+i", "1_0", "inf", "nan", "(1+2i)", "\xa01\xa0", "\x1c-2.5i", "1e400",
+    "-0", "-0i", "-2i", "", " ", "1e-400", "+.5-0i", "7.", "1e+2i", "1 + 2i", "1;", "0x1",
+)
+_SPACES = st.text(st.sampled_from(" \t\xa0\x1c\x0b\u2003"), max_size=2)
+_ITEMS = st.one_of(
+    st.sampled_from(EDGE_ITEMS),
+    st.from_regex(_REAL, fullmatch=True),
+    st.tuples(st.from_regex(_REAL, fullmatch=True), st.sampled_from("+-"),
+              st.from_regex(_UNSIGNED_REAL, fullmatch=True)).map(lambda t: "".join(t) + "i"),
+    st.from_regex(rf"[+-]?{_UNSIGNED_REAL}i", fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text("0123456789.eE+-ij_() ", max_size=6),
+)
+
+
+@st.composite
+def _literals(draw, max_rows=4):
+    """Vector or matrix literal text: items joined by ',' and rows by ';',
+    with whitespace around each separator."""
+    rows = draw(st.lists(st.lists(_ITEMS, min_size=1, max_size=4), min_size=1, max_size=max_rows))
+    join = lambda parts, sep: "".join(  # noqa: E731
+        part + (draw(_SPACES) + sep + draw(_SPACES) if i < len(parts) - 1 else "")
+        for i, part in enumerate(parts)
+    )
+    return join([join(row, ",") for row in rows], ";")
+
+
+def _same_array(a, b) -> bool:
+    """Equal to the bit, signed zeros included (or both None)."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestOnePassLiterals:
+    """The one-pass reader of vector and matrix literals against the
+    per-item reader it replaces for well-formed literals."""
+
+    @staticmethod
+    def _compare(text):
+        entry = _Entry("value", 1, text, 9, 4)
+        for one_pass, per_item, pattern in (
+            (_parse_vector, _per_item_vector, _VECTOR_RE),
+            (_parse_matrix, _per_item_matrix, _MATRIX_RE),
+        ):
+            fast_diags, slow_diags = [], []
+            fast, slow = one_pass(entry, fast_diags), per_item(entry, slow_diags)
+            assert _same_array(fast, slow), (text, fast, slow)
+            assert fast_diags == slow_diags
+            # the pattern accepts exactly the literals whose items all read
+            accepted = all(
+                _complex_items(entry, row, col, []) is not None
+                for row, col in (_split_items(text, 1, ";") if pattern is _MATRIX_RE else [(text, 1)])
+            )
+            assert bool(pattern.fullmatch(text)) == accepted, text
+
+    @pytest.mark.parametrize("item", EDGE_ITEMS)
+    def test_edge_items(self, item):
+        for text in (item, f"1, {item}", f"{item},2i", f"1, 2; {item}, 3", f"{item}; 1, -0", f"{item};"):
+            self._compare(text)
+
+    def test_signed_zeros_and_overflow(self):
+        diags = []
+        entry = _Entry("amps", 1, "-0, -0i, -2i, 1-0i, 1e400", 8, 2)
+        values = _parse_vector(entry, diags)
+        assert not diags and _VECTOR_RE.fullmatch(entry.value)
+        assert [math.copysign(1.0, z.real) for z in values[:4]] == [-1.0, 1.0, 1.0, 1.0]
+        assert [math.copysign(1.0, z.imag) for z in values[:4]] == [1.0, -1.0, -1.0, -1.0]
+        assert values[4] == complex(math.inf, 0.0)
+
+    def test_diagnostics_keep_text_and_position(self):
+        diags = []
+        entry = _Entry("matrix", 1, "1, j;\xa0, 2;", 10, 6)
+        assert _parse_matrix(entry, diags) is None
+        assert diags == [
+            ParseDiagnostic(6, 13, "malformed complex literal 'j'"),
+            ParseDiagnostic(6, 16, "malformed complex literal ''"),
+            ParseDiagnostic(6, 20, "malformed complex literal ''"),
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_literals())
+    def test_one_pass_reads_as_the_per_item_reader(self, text):
+        self._compare(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("0123456789.eE+-ij_(),; \xa0\x1c", max_size=24))
+    def test_any_text_reads_as_the_per_item_reader(self, text):
+        self._compare(text)
 
 
 class TestExpressions:
