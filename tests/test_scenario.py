@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from tsvflab import build_nested_mzi, parse, pauli_z, plan, serialize
 from tsvflab.scenario import (
-    _MATRIX_RE,
+    _LITERAL_RE,
     _REAL,
     _UNSIGNED_REAL,
-    _VECTOR_RE,
     ParseDiagnostic,
     _complex_items,
     _Entry,
@@ -194,20 +193,14 @@ class TestOnePassLiterals:
     @staticmethod
     def _compare(text):
         entry = _Entry("value", 1, text, 9, 4)
-        for one_pass, per_item, pattern in (
-            (_parse_vector, _per_item_vector, _VECTOR_RE),
-            (_parse_matrix, _per_item_matrix, _MATRIX_RE),
-        ):
+        for one_pass, per_item in ((_parse_vector, _per_item_vector), (_parse_matrix, _per_item_matrix)):
             fast_diags, slow_diags = [], []
             fast, slow = one_pass(entry, fast_diags), per_item(entry, slow_diags)
             assert _same_array(fast, slow), (text, fast, slow)
             assert fast_diags == slow_diags
-            # the pattern accepts exactly the literals whose items all read
-            accepted = all(
-                _complex_items(entry, row, col, []) is not None
-                for row, col in (_split_items(text, 1, ";") if pattern is _MATRIX_RE else [(text, 1)])
-            )
-            assert bool(pattern.fullmatch(text)) == accepted, text
+        # the pattern accepts exactly the literals whose items all read
+        accepted = all(_complex_items(entry, row, col, []) is not None for row, col in _split_items(text, 1, ";"))
+        assert bool(_LITERAL_RE.fullmatch(text)) == accepted, text
 
     @pytest.mark.parametrize("item", EDGE_ITEMS)
     def test_edge_items(self, item):
@@ -218,7 +211,7 @@ class TestOnePassLiterals:
         diags = []
         entry = _Entry("amps", 1, "-0, -0i, -2i, 1-0i, 1e400", 8, 2)
         values = _parse_vector(entry, diags)
-        assert not diags and _VECTOR_RE.fullmatch(entry.value)
+        assert not diags and _LITERAL_RE.fullmatch(entry.value)
         assert [math.copysign(1.0, z.real) for z in values[:4]] == [-1.0, 1.0, 1.0, 1.0]
         assert [math.copysign(1.0, z.imag) for z in values[:4]] == [1.0, -1.0, -1.0, -1.0]
         assert values[4] == complex(math.inf, 0.0)
