@@ -42,10 +42,10 @@ disturbed weight is
 the last factor being the sum over the ready state's spectral weights w_k
 of |s_k - (alpha - 1)|^2, s_k = exp(-i g mu_k) - 1 taken as
 -2 sin^2(g mu_k / 2) - i sin(g mu_k) (``qcore.phase_change``), which
-involves no subtraction of nearly equal numbers.  With S stops the passes take O(S)
-numpy operations on (g points) x n_modes x n_modes arrays and the readout
-of all A requested arms a fixed number more; memory is O(S) such arrays,
-whatever A is.
+involves no subtraction of nearly equal numbers.  With S stops the passes
+take O(S) numpy operations on (g points) x n_modes x n_modes arrays and
+the readout of all A requested arms a fixed number more; memory is O(S)
+such arrays, whatever A is.
 """
 
 from __future__ import annotations

@@ -193,18 +193,21 @@ class TestOnePassLiterals:
     @staticmethod
     def _compare(text):
         entry = _Entry("value", 1, text, 9, 4)
-        for one_pass, per_item in ((_parse_vector, _per_item_vector), (_parse_matrix, _per_item_matrix)):
+        readers = ((_parse_vector, _per_item_vector), (_parse_matrix, _per_item_matrix))
+        for one_pass, per_item in readers:
             fast_diags, slow_diags = [], []
             fast, slow = one_pass(entry, fast_diags), per_item(entry, slow_diags)
             assert _same_array(fast, slow), (text, fast, slow)
             assert fast_diags == slow_diags
         # the pattern accepts exactly the literals whose items all read
-        accepted = all(_complex_items(entry, row, col, []) is not None for row, col in _split_items(text, 1, ";"))
+        rows = _split_items(text, 1, ";")
+        accepted = all(_complex_items(entry, row, col, []) is not None for row, col in rows)
         assert bool(_LITERAL_RE.fullmatch(text)) == accepted, text
 
     @pytest.mark.parametrize("item", EDGE_ITEMS)
     def test_edge_items(self, item):
-        for text in (item, f"1, {item}", f"{item},2i", f"1, 2; {item}, 3", f"{item}; 1, -0", f"{item};"):
+        texts = (item, f"1, {item}", f"{item},2i", f"1, 2; {item}, 3", f"{item}; 1, -0", f"{item};")
+        for text in texts:
             self._compare(text)
 
     def test_signed_zeros_and_overflow(self):
