@@ -20,6 +20,11 @@ Fitting log(metric) against log(g) gives the leading order in g.  Metric
 values at or below ``METRIC_FLOOR`` are treated as identically zero: they
 are excluded from the fit and counted, so exact invariance is never
 confused with a very high order.
+
+``compare_limits`` reads both routes to the weak limit, g -> 0 at a fixed
+spread and spread -> infinity at a fixed g, in one ``PointerReadout`` pass
+over all of its pointers: one ``eigh`` of the observable, and each row in
+its own pointer's momenta, coordinates and ready state.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from .errors import FieldError, UnclassifiedOrderError
 from .pointer import (
+    GAUSSIAN_KIND,
     PointerModel,
     gaussian_pointer,
     pointer_spectrum,
@@ -305,24 +311,43 @@ def compare_limits(
     """Estimate the weak value along g -> 0 (fixed spread) and along
     spread -> infinity (fixed g > 0), reporting each single-point readout
     and its deviation from the analytic value.  ``pointers`` from
-    ``limit_pointers`` replaces the arguments it is built from.
+    ``limit_pointers`` replaces the arguments it is built from: the first
+    is the g -> 0 route's (a qubit pointer will do), every other one a
+    gaussian_grid pointer of the spread route.
+
+    Every row, the g -> 0 pointer at each g and then each spread pointer at
+    ``fixed_coupling``, is read in one ``PointerReadout`` pass: one
+    ``eigh`` of S, and each pointer in its own momenta (pointers of another
+    grid size take a pass per size).  Its checks come in the readout's
+    order: S hermitian, each g finite, the dimensions, then a dark or
+    above-one post-selection probability row by row.
 
     g is a property of the interaction while the spread is a property of
     the pointer, so the two routes are distinct experiments; both must
     converge to the same analytic ratio.
     """
-    if pointers is None:
-        pointers = limit_pointers(spread_schedule, fixed_spread, n_points)
+    pointers = (
+        limit_pointers(spread_schedule, fixed_spread, n_points)
+        if pointers is None else tuple(pointers)
+    )
+    if not pointers:
+        raise ValueError("compare_limits needs a pointer for the g -> 0 route")
     coupling_model, *spread_models = pointers
+    for model in spread_models:
+        if model.kind != GAUSSIAN_KIND:
+            raise ValueError(
+                f"compare_limits' spread route needs {GAUSSIAN_KIND} pointers, "
+                f"not a {model.kind} pointer"
+            )
     analytic = weak_value(sel, S)
     gs = default_g_schedule(coupling_model) if g_schedule is None else GSchedule(g_schedule)
 
-    (ratios,) = PointerReadout(sel, (S,), coupling_model).ratios(gs).tolist()
-    coupling_branch = [LimitPoint(g, r, abs(r - analytic)) for g, r in zip(gs, ratios)]
-    spread_branch = []
-    for model in spread_models:
-        ((r,),) = PointerReadout(sel, (S,), model).ratios((fixed_coupling,)).tolist()
-        spread_branch.append(LimitPoint(model.spread, r, abs(r - analytic)))
-
+    schedules = [gs, *[(fixed_coupling,)] * len(spread_models)]
+    (ratios,) = PointerReadout(sel, (S,), pointers).ratios(schedules).tolist()
+    coupling_branch = (LimitPoint(g, r, abs(r - analytic)) for g, r in zip(gs, ratios))
+    spread_branch = (
+        LimitPoint(model.spread, r, abs(r - analytic))
+        for model, r in zip(spread_models, ratios[len(gs):])
+    )
     branches = (tuple(coupling_branch), tuple(spread_branch))
     return LimitComparison(analytic, coupling_model.spread, fixed_coupling, *branches)

@@ -141,13 +141,18 @@ def grid_coordinates(model: PointerModel) -> np.ndarray:
     return -model.half_width + h * np.arange(model.n_points)
 
 
+def _gaussian_ready(model: PointerModel) -> np.ndarray:
+    """The grid pointer's ready amplitudes, normalized."""
+    q = grid_coordinates(model)
+    amps = np.exp(-(q**2) / (4.0 * model.spread**2))
+    amps /= np.linalg.norm(amps)
+    return amps.astype(np.complex128)
+
+
 def initial_state(model: PointerModel) -> StateVector:
     """The ready state |m> of the device."""
     if model.kind == GAUSSIAN_KIND:
-        q = grid_coordinates(model)
-        amps = np.exp(-(q**2) / (4.0 * model.spread**2))
-        amps /= np.linalg.norm(amps)
-        return StateVector(amps)
+        return StateVector(_gaussian_ready(model))
     ready_axis = _QUBIT_ROLES[model.generator_axis][1]
     eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[ready_axis]().entries)
     plus = vecs[:, int(np.argmax(eigvals))]
@@ -238,7 +243,7 @@ def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
     for the qubit, shared per generator axis."""
     if model.kind == QUBIT_KIND:
         return PointerSpectrum(model, *_qubit_spectrum(model.generator_axis))
-    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), initial_state(model).amps)
+    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), _gaussian_ready(model))
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

@@ -11,7 +11,10 @@ metric sweep that is not a fixed point builds the dense generator:
 ``fixes_product`` decides that from the pointer's basis alone.
 exp(-i t) - 1 has one kernel, ``phase_change`` (-2 sin^2(t/2) - i sin t),
 which the readout and the weak traces share; on a basis whose eigenvalues
-mirror exactly (the grid's DFT) it takes the sines of half of them.
+mirror exactly (the grid's DFT) it takes the sines of half of them.  The
+readout's pass, ``post_selected_branches``, takes one pointer basis or
+several that share their transforms (grid pointers of one size), each
+with its own eigenvalues, schedule and ready state.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -277,18 +280,36 @@ class Eigenbasis:
     def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self._vecs.T
 
-    def phase_change(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``phase_change(rates * eigvals)`` for ``rates`` shaped (..., 1).
+    def shares_transforms(self, other: "Eigenbasis") -> bool:
+        """Whether ``other`` has this basis's eigenvectors and mirroring,
+        so that this basis's transforms and phase kernel serve both,
+        whatever their eigenvalues: two grid bases of one size, or two
+        bases holding the same eigenvector array."""
+        return (
+            type(other) is type(self)
+            and other.dim == self.dim
+            and other.mirrored == self.mirrored
+            and other._vecs is self._vecs
+        )
+
+    def phase_change(
+        self, rates: np.ndarray, eigvals: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``phase_change(rates * eigvals)`` for ``rates`` shaped (..., 1),
+        with ``eigvals`` this basis's eigenvalues, or those of bases that
+        share its transforms, one row of shape (1, dim) per rate row.
 
         A mirrored basis takes the sines of its first n/2 + 1 eigenvalues
         only (mu_0 = 0, the positive ones and the Nyquist one) and copies
         the rest: the angles of mu_k and mu_(n-k) are exact negatives, and
         sin is odd, so the result is bit for bit the full evaluation.
         """
+        if eigvals is None:
+            eigvals = self.eigvals
         if not self.mirrored:
-            return phase_change(rates * self.eigvals)
+            return phase_change(rates * eigvals)
         half = self.dim // 2
-        real, imag = phase_change(rates * self.eigvals[: half + 1])
+        real, imag = phase_change(rates * eigvals[..., : half + 1])
         mirror = slice(half - 1, 0, -1)
         return (
             np.concatenate((real, real[..., mirror]), axis=-1),
@@ -355,7 +376,7 @@ def _coupling_dims(system_op: LinearOperator, pointer) -> tuple[int, int]:
 
 def _finite_coupling(g) -> float:
     g = float(g)
-    if not np.isfinite(g):
+    if not math.isfinite(g):
         raise ValueError("coupling strength must be finite")
     return g
 
@@ -394,16 +415,26 @@ def fixes_product(
 
 def post_selected_branches(
     observables,
-    pointer: Eigenbasis,
+    pointer,
     g_values,
     pre: StateVector,
     post: StateVector,
-    m: StateVector,
+    m,
 ) -> np.ndarray:
     """<out| exp(-i g S_k (x) P) (|in> (x) |m>) for every observable S_k of
     ``observables`` and every g of ``g_values``, with |in> = ``pre`` and
     <out| = ``post``: the (K, len(g_values), ptr_dim) stack of post-selected
     pointer branches, in one pass, unchecked for normalization.
+
+    ``pointer`` may also be a sequence of bases that share the first one's
+    transforms (``Eigenbasis.shares_transforms``: grid pointers of one
+    size), with ``g_values`` then holding one schedule per basis and ``m``
+    their ready amplitudes, a row per basis.  The rows of the stack are
+    then each pointer's g values in turn, each coupled through its own
+    eigenvalues and ready state, still in one pass: the observables are
+    diagonalized once, each ready state is transformed once, the phases of
+    every row go through one kernel, and all branches take one inverse
+    transform.
 
     The product |in> (x) |m> is never formed.  |m> goes into P's eigenbasis
     once, as m^, and <out| contracts the system factor inside each S_k's
@@ -419,33 +450,60 @@ def post_selected_branches(
     basis such as the grid's DFT it takes 2 dim (ptr_dim/2 + 1) sines.  The
     phases of at most ``_PHASE_BLOCK`` terms are held at once: a block of
     (observable, g) rows, or a part of the system axis of one row that
-    alone holds more.  ``CouplingEvolution``'s checks come first, in its order:
-    each S_k hermitian, each g finite, the dimensions.
+    alone holds more.  ``CouplingEvolution``'s checks come first, in its
+    order: each S_k hermitian, each g finite (pointer by pointer, with each
+    ready state's dimension), the system dimensions.
     """
+    bases, schedules, ready = (
+        ((pointer,), (g_values,), m.amps[None]) if isinstance(pointer, Eigenbasis)
+        else (tuple(pointer), tuple(g_values), np.asarray(m))
+    )
+    if not bases or not all(bases[0].shares_transforms(other) for other in bases):
+        raise ValueError("one pass reads pointers that share their transforms")
+    basis = bases[0]
     observables = tuple(observables)
     for op in observables:
         _require_hermitian(op, "system observable")
-    gs = _coupling_strengths(g_values, (pre.dim, m.dim), (pre.dim, pointer.dim))
+    schedules = [
+        _coupling_strengths(g, (pre.dim, amps.size), (pre.dim, other.dim))
+        for other, g, amps in zip(bases, schedules, ready, strict=True)
+    ]
     if any(factor.dim != pre.dim for factor in (*observables, post)):
         raise ValueError("joint state dimensions do not match the coupling")
     eigvals, vecs = np.linalg.eigh(
         np.array([op.entries for op in observables]).reshape(-1, pre.dim, pre.dim)
     )
-    # one row per (observable, g): a_ki, and g lambda_ki
+    gs, counts = np.concatenate(schedules), [g.size for g in schedules]
+    # one row per (observable, g): a_ki, g lambda_ki, and, where the
+    # pointers differ, its pointer's mu
     weights = (post.amps.conj() @ vecs) * (pre.amps @ vecs.conj())
     weights = np.repeat(weights, gs.size, axis=0)[:, None, :]
     rates = (eigvals[:, None, :] * gs[:, None]).reshape(-1, pre.dim, 1)
-    change = np.empty((rates.shape[0], pointer.dim), dtype=np.complex128)
-    for rows in _blocks(len(change), _PHASE_BLOCK // (pre.dim * pointer.dim)):
+    if len(bases) > 1:
+        mus = np.repeat([other.eigvals for other in bases], counts, axis=0)[:, None]
+        row_mus = np.arange(rates.shape[0]) % gs.size
+    change = np.empty((rates.shape[0], basis.dim), dtype=np.complex128)
+    for rows in _blocks(len(change), _PHASE_BLOCK // (pre.dim * basis.dim)):
+        mu = None if len(bases) == 1 else mus[row_mus[rows]]
         # a row of more than _PHASE_BLOCK terms is summed in parts along the
         # system axis
         parts = (
-            _phase_sum(pointer, rates[rows, cut], weights[rows, :, cut])
-            for cut in _blocks(pre.dim, _PHASE_BLOCK // pointer.dim)
+            _phase_sum(basis, rates[rows, cut], weights[rows, :, cut], mu)
+            for cut in _blocks(pre.dim, _PHASE_BLOCK // basis.dim)
         )
         change[rows] = functools.reduce(np.add, parts)
-    change = change.reshape(len(observables), gs.size, pointer.dim)
-    return inner(post, pre) * m.amps + pointer.from_eigen(change * pointer.to_eigen(m.amps))
+    change = change.reshape(len(observables), gs.size, basis.dim)
+    # each row takes its own pointer's ready state, m^ and <out|in> m
+    change *= _per_row(basis.to_eigen(ready), counts)
+    branches = basis.from_eigen(change)
+    branches += inner(post, pre) * _per_row(ready, counts)
+    return branches
+
+
+def _per_row(values: np.ndarray, counts) -> np.ndarray:
+    """One row of ``values`` per pointer, repeated ``counts`` times, or the
+    one pointer's row alone, to broadcast."""
+    return values if len(values) == 1 else np.repeat(values, counts, axis=0)
 
 
 def _blocks(total: int, step: int):
@@ -454,11 +512,14 @@ def _blocks(total: int, step: int):
     return (slice(start, start + step) for start in range(0, total, step))
 
 
-def _phase_sum(pointer: Eigenbasis, rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i a_i (exp(-i r_i mu) - 1) on P's eigenvalues mu for each row of
+def _phase_sum(
+    pointer: Eigenbasis, rates: np.ndarray, weights: np.ndarray, eigvals: np.ndarray | None
+) -> np.ndarray:
+    """sum_i a_i (exp(-i r_i mu) - 1) on eigenvalues mu for each row of
     ``weights`` a_i, shaped (rows, 1, dim), and ``rates`` r_i, shaped
-    (rows, dim, 1)."""
-    real, imag = pointer.phase_change(rates)
+    (rows, dim, 1): ``pointer``'s mu, or ``eigvals``, shaped (rows, 1,
+    ptr_dim), of bases that share its transforms."""
+    real, imag = pointer.phase_change(rates, eigvals)
     total = np.empty((len(rates), pointer.dim), dtype=np.complex128)
     total.real = (weights.real @ real - weights.imag @ imag)[:, 0]
     total.imag = (weights.real @ imag + weights.imag @ real)[:, 0]

@@ -2,15 +2,18 @@
 
 Analytic weak values <out|S|in>/<out|in> and the one pointer readout:
 ``PointerReadout`` reads K observables of one pre- and post-selection off
-one pointer at every g of a schedule in one array pass
-(``qcore.post_selected_branches``).  The observables are diagonalized
-together by one stacked ``eigh``; the ready state goes once into the
-pointer generator's eigenbasis (the grid's DFT basis, or the qubit's 2x2
+one pointer, or off several, each at every g of its own schedule, in one
+array pass (``qcore.post_selected_branches``) per grid size.  The
+observables are diagonalized together by one stacked ``eigh``; each
+ready state goes once into the pointer generator's eigenbasis (the grid's
+DFT basis, shared by every grid pointer of one size, or the qubit's 2x2
 ``eigh``), where <out| contracts the system factor, since the coupled
-state starts as the product |in> (x) |m>.  Each (observable, g) then costs
-O(dim n) for its phases and one inverse and one forward transform of its
-n-point branch, O(n log n); nothing is an n_points^2 matrix, so the
-readout scales to 4096-point grids.  The numeric estimator extrapolates
+state starts as the product |in> (x) |m>.  Each (observable, pointer, g)
+row then costs O(dim n) for its phases and one inverse and one forward
+transform of its n-point branch, O(n log n), and is read out in its own
+pointer's momenta and coordinates; nothing is an n_points^2 matrix, so
+the readout scales to 4096-point grids.  The limit comparison reads both
+of its routes in one such pass.  The numeric estimator extrapolates
 the per-g readouts of all K observables to g -> 0 with one closed-form
 line.
 
@@ -21,13 +24,16 @@ purely real weak values can be confirmed to actually be real.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DarkDetectorError, OrthogonalSelectionError
-from .pointer import GAUSSIAN_KIND, PointerModel, moments, pointer_spectrum
+from .pointer import (
+    GAUSSIAN_KIND, PointerModel, PointerSpectrum, moments, pointer_spectrum
+)
 from .qcore import (
     ORTHOGONAL_OVERLAP_TOL,
     ZERO_PROBABILITY_FLOOR,
@@ -88,52 +94,132 @@ class WeakValueEstimate:
 
 
 class PointerReadout:
-    """The readout of K observables of one selection off one pointer, at
-    every g of a schedule in one pass, shared by the estimator and the
-    limit comparison."""
+    """The readout of K observables of one selection off one pointer, or
+    off several, each at every g of its own schedule, shared by the
+    estimator and the limit comparison.
+
+    Pointers whose bases share transforms (grid pointers of one size) are
+    read in one pass of ``post_selected_branches``: one ``eigh`` of the
+    observables, one transform of each ready state, one phase kernel, and
+    one inverse and one forward transform of all their branches.  Pointers
+    of another size take a pass of their own.  Each pointer is read out in
+    its own momenta, grid coordinates and ready state, as a readout off
+    that pointer alone reads it: bit for bit on the grid, whose FFT rounds
+    each row alike, and to roundoff for qubit pointers of one axis read
+    together, whose dense transform rounds by the rows it takes.
+    """
 
     def __init__(
-        self, sel: PrePostSelection, observables: Sequence[LinearOperator], model: PointerModel
+        self,
+        sel: PrePostSelection,
+        observables: Sequence[LinearOperator],
+        model: PointerModel | Sequence[PointerModel],
     ):
         self.sel = sel
         self.observables = tuple(observables)
-        self.spectrum = pointer_spectrum(model)
+        self._several = not isinstance(model, PointerModel)
+        self.spectra = tuple(map(pointer_spectrum, model if self._several else (model,)))
+
+    @property
+    def spectrum(self) -> PointerSpectrum:
+        """The pointer of a readout off one pointer."""
+        (spectrum,) = self.spectra
+        return spectrum
+
+    @spectrum.setter
+    def spectrum(self, spectrum: PointerSpectrum) -> None:
+        self.spectra = (spectrum,)
+
+    def _passes(self, schedules: Sequence[tuple[float, ...]]) -> list[tuple]:
+        """Couple with exp(-i g S (x) P) for each observable S and each
+        pointer's generator P at every g of that pointer's schedule, then
+        project the system onto |out>: one ``post_selected_branches`` pass
+        per set of pointers that share transforms, as (the set's pointer
+        indices, their row slices, the (K, R, ptr_dim) conditional pointer
+        branches, their (K, R) post-selection probabilities), R the set's
+        schedule lengths summed.  The probabilities are checked in row
+        order: each pointer, each observable, each g in turn."""
+        sets: dict[int, list[int]] = {}  # first pointer -> the set's pointers
+        for index, spectrum in enumerate(self.spectra):
+            same = (i for i in sets if self.spectra[i].basis.shares_transforms(spectrum.basis))
+            sets.setdefault(next(same, index), []).append(index)
+        sel, passes, rows_of = self.sel, [], {}
+        for members in sets.values():
+            spectra = [self.spectra[index] for index in members]
+            branches = post_selected_branches(
+                self.observables, [s.basis for s in spectra],
+                [schedules[index] for index in members], sel.pre, sel.post,
+                np.array([s.ready for s in spectra]),
+            )
+            probabilities = np.sum(np.abs(branches) ** 2, axis=-1)
+            bounds = [0, *itertools.accumulate(len(schedules[index]) for index in members)]
+            rows = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+            passes.append((members, rows, branches, probabilities))
+            rows_of.update((index, probabilities[:, r]) for index, r in zip(members, rows))
+        for index, schedule in enumerate(schedules):
+            for row in rows_of[index]:
+                for g, probability in zip(schedule, row):
+                    if probability < ZERO_PROBABILITY_FLOOR:
+                        raise DarkDetectorError(f"orthogonal post-selection at g = {g!r}")
+                    if probability > 1.0 + 1e-9:
+                        raise ValueError(
+                            f"post-selection probability {float(probability)!r} exceeds 1"
+                        )
+        return passes
 
     def _branches(self, g_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Couple with exp(-i g S (x) P) for each observable S at every g,
-        then project the system onto |out>: the (K, len(g_values), ptr_dim)
-        conditional pointer branches and their (K, len(g_values))
-        post-selection probabilities, checked for each observable at each g
-        in turn."""
-        g_values = tuple(float(g) for g in g_values)
-        sel, ready = self.sel, StateVector(self.spectrum.ready)
-        branches = post_selected_branches(
-            self.observables, self.spectrum.basis, g_values, sel.pre, sel.post, ready
-        )
-        probabilities = np.sum(np.abs(branches) ** 2, axis=-1)
-        for row in probabilities:
-            for g, probability in zip(g_values, row):
-                if probability < ZERO_PROBABILITY_FLOOR:
-                    raise DarkDetectorError(f"orthogonal post-selection at g = {g!r}")
-                if probability > 1.0 + 1e-9:
-                    raise ValueError(
-                        f"post-selection probability {float(probability)!r} exceeds 1"
-                    )
+        """The (K, len(g_values), ptr_dim) conditional pointer branches of a
+        readout off one pointer and their (K, len(g_values)) post-selection
+        probabilities, checked for each observable at each g in turn."""
+        [(_, _, branches, probabilities)] = self._passes([tuple(float(g) for g in g_values)])
         return branches, probabilities
 
-    def ratios(self, g_values: Sequence[float]) -> np.ndarray:
+    def ratios(self, g_values) -> np.ndarray:
         """The (K, len(g_values)) per-g weak-value readouts before
-        extrapolation."""
-        branches, probabilities = self._branches(g_values)
-        gs = np.array([float(g) for g in g_values])
-        mu = self.spectrum.basis.eigvals
-        readout = self.spectrum.readout_means(branches) / probabilities
-        generator = self.spectrum.weights(branches) @ mu / probabilities
-        if self.spectrum.model.kind == GAUSSIAN_KIND:
-            w = self.spectrum.weights(self.spectrum.ready)
-            generator_variance = w @ mu**2 - (w @ mu) ** 2
-            return readout / gs + 1j * generator / (2.0 * gs * generator_variance)
+        extrapolation.  A readout off several pointers takes one schedule
+        per pointer, and its columns are each pointer's schedule in turn."""
+        schedules = [
+            tuple(float(g) for g in gs) for gs in (g_values if self._several else (g_values,))
+        ]
+        columns = [None] * len(schedules)
+        for members, rows, branches, probabilities in self._passes(schedules):
+            ratios = _calibrated(
+                [self.spectra[index] for index in members],
+                [schedules[index] for index in members], rows, branches, probabilities,
+            )
+            for index, r in zip(members, rows):
+                columns[index] = ratios[:, r]
+        return np.concatenate(columns, axis=1) if self._several else columns[0]
+
+
+def _calibrated(
+    spectra: Sequence[PointerSpectrum],
+    schedules: Sequence[tuple[float, ...]],
+    rows: Sequence[slice],
+    branches: np.ndarray,
+    probabilities: np.ndarray,
+) -> np.ndarray:
+    """The (K, R) weak-value readouts of one pass's (K, R, ptr_dim) branches
+    and their probabilities, each pointer's ``rows`` at the couplings of its
+    schedule.  Each pointer's rows are read out in its own grid coordinates
+    (or readout Pauli) and momenta, and calibrated by its own ready state,
+    with the calls a pass of that pointer alone makes."""
+    gs = np.concatenate(schedules)
+    weights = spectra[0].weights(branches)
+    readout = np.concatenate(
+        [s.readout_means(branches[:, r]) for s, r in zip(spectra, rows)], axis=-1
+    ) / probabilities
+    generator = np.concatenate(
+        [weights[:, r] @ s.basis.eigvals for s, r in zip(spectra, rows)], axis=-1
+    ) / probabilities
+    if spectra[0].model.kind != GAUSSIAN_KIND:
         return -readout / (2.0 * gs) + 1j * generator / (2.0 * gs)
+    variances = [
+        w @ s.basis.eigvals**2 - (w @ s.basis.eigvals) ** 2
+        for s, w in zip(spectra, spectra[0].weights(np.array([s.ready for s in spectra])))
+    ]
+    generator_variance = np.repeat(variances, [len(g) for g in schedules])
+    return readout / gs + 1j * generator / (2.0 * gs * generator_variance)
 
 
 def estimate_weak_values(

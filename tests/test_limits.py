@@ -1,17 +1,21 @@
 """Limit diagnostics: sweeps, order fits, and the two-route comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
-from tsvflab import limits
+from tsvflab import limits, weakmeas
 from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders, sweep_coupling
+from tsvflab.pointer import pointer_spectrum
+from tsvflab.weakmeas import PointerReadout
 from tsvflab import (
     CouplingEvolution,
+    DarkDetectorError,
     LinearOperator,
     NonHermitianOperatorError,
     PrePostSelection,
@@ -308,6 +312,134 @@ class TestCompareLimits:
             compare_limits(sel, pauli_z(), spread_schedule=(4, 2))
         with pytest.raises(ScheduleError, match="decrease"):
             compare_limits(sel, pauli_z(), g_schedule=(0.01, 0.02))
+
+
+def _one_pointer_rows(sel, S, pointers, g_schedule, fixed_g) -> list[complex]:
+    """Every row of ``compare_limits`` read off its own pointer alone: the
+    g -> 0 pointer at each g, then each spread pointer at ``fixed_g``."""
+    coupling, *spread = pointers
+    rows = list(PointerReadout(sel, (S,), coupling).ratios(g_schedule)[0])
+    rows += [PointerReadout(sel, (S,), model).ratios((fixed_g,))[0, 0] for model in spread]
+    return rows
+
+
+def _patched_ready(monkeypatch, scales: dict) -> None:
+    """Read the pointers whose spread ``scales`` names with their ready
+    amplitudes scaled: 2.0 makes every probability exceed 1, 0.0 dark."""
+    def scaled(model):
+        spectrum = pointer_spectrum(model)
+        scale = scales.get(model.spread)
+        return spectrum if scale is None else dataclasses.replace(
+            spectrum, ready=scale * spectrum.ready
+        )
+
+    monkeypatch.setattr(weakmeas, "pointer_spectrum", scaled)
+
+
+class TestOnePassComparison:
+    """Both routes of ``compare_limits`` read in one readout pass."""
+
+    def test_one_eigh_per_run(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        comparison = compare_limits(sel, pauli_z())
+        assert len(comparison.spread_branch) == 5
+        assert calls == [(1, 2, 2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 4),
+        spreads=st.lists(st.floats(0.5, 40.0), min_size=1, max_size=5, unique=True),
+        sizes=st.lists(st.sampled_from([128, 256]), min_size=6, max_size=6),
+        fixed_g=st.floats(0.01, 2.0),
+        g_schedule=st.sampled_from([None, (0.04, 0.02, 0.01, 0.005, 0.0025)]),
+    )
+    def test_each_row_is_its_one_pointer_readout(
+        self, seed, dim, spreads, sizes, fixed_g, g_schedule
+    ):
+        # bit for bit, whatever grid sizes the pointers mix
+        rng = np.random.default_rng(seed)
+        sel = PrePostSelection(random_state(rng, dim), random_state(rng, dim))
+        assume(abs(sel.overlap) >= 0.1)
+        S = random_hermitian(rng, dim)
+        spreads = sorted(spreads)
+        pointers = tuple(
+            gaussian_pointer(spread, size) for spread, size in zip([2.0, *spreads], sizes)
+        )
+        comparison = compare_limits(
+            sel, S, g_schedule=g_schedule, fixed_coupling=fixed_g, pointers=pointers
+        )
+        gs = [point.parameter for point in comparison.coupling_branch]
+        assert gs == list(g_schedule or limits.default_g_schedule(pointers[0]))
+        assert [point.parameter for point in comparison.spread_branch] == spreads
+        rows = _one_pointer_rows(sel, S, pointers, gs, fixed_g)
+        points = comparison.coupling_branch + comparison.spread_branch
+        assert [point.estimate for point in points] == rows
+        assert [point.deviation for point in points] == [
+            abs(row - comparison.analytic) for row in rows
+        ]
+
+    def test_qubit_pointer_takes_the_g_route(self):
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        pointers = (qubit_pointer("x"), gaussian_pointer(2.0, 128), gaussian_pointer(4.0))
+        gs = (0.02, 0.01, 0.005, 0.0025)
+        comparison = compare_limits(sel, pauli_z(), g_schedule=gs, pointers=pointers)
+        assert comparison.fixed_spread is None
+        points = comparison.coupling_branch + comparison.spread_branch
+        rows = _one_pointer_rows(sel, pauli_z(), pointers, gs, 0.5)
+        assert [point.estimate for point in points] == rows
+        assert comparison.coupling_branch[-1].deviation <= 1e-3
+
+    def test_a_spread_route_needs_gaussian_pointers(self, monkeypatch):
+        readouts = []
+        monkeypatch.setattr(limits, "PointerReadout", lambda *args: readouts.append(args))
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        for pointers in (
+            (gaussian_pointer(2.0), qubit_pointer()),
+            (qubit_pointer(), gaussian_pointer(2.0), qubit_pointer("z")),
+        ):
+            with pytest.raises(ValueError, match="spread route needs gaussian_grid pointers"):
+                compare_limits(sel, pauli_z(), pointers=pointers)
+        assert readouts == []
+
+    def test_the_g_route_needs_a_pointer(self):
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        with pytest.raises(ValueError, match=r"needs a pointer for the g -> 0 route"):
+            compare_limits(sel, pauli_z(), pointers=())
+
+    def test_coupling_checks_come_first(self):
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NonHermitianOperatorError, match="system observable"):
+            compare_limits(sel, lower, fixed_coupling=math.nan)
+        with pytest.raises(ValueError, match="coupling strength must be finite"):
+            compare_limits(sel, pauli_z(), fixed_coupling=math.inf)
+
+    def test_first_failing_row_raises_its_own_message(self, monkeypatch):
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        pointers = limits.limit_pointers((2.0, 4.0, 8.0, 16.0))
+        expected = {}
+        for scale in (2.0, 0.0):
+            _patched_ready(monkeypatch, {8.0: scale})
+            with pytest.raises((ValueError, DarkDetectorError)) as alone:
+                PointerReadout(sel, (pauli_z(),), gaussian_pointer(8.0)).ratios((0.5,))
+            expected[scale] = (type(alone.value), str(alone.value))
+        assert "exceeds 1" in expected[2.0][1]
+        assert expected[0.0] == (DarkDetectorError, "orthogonal post-selection at g = 0.5")
+        # the spread 8 row fails first: the spread 16 row after it fails too
+        for first, later in ((2.0, 0.0), (0.0, 2.0)):
+            _patched_ready(monkeypatch, {8.0: first, 16.0: later})
+            with pytest.raises((ValueError, DarkDetectorError)) as joint:
+                compare_limits(sel, pauli_z(), pointers=pointers)
+            assert (type(joint.value), str(joint.value)) == expected[first]
 
 
 class TestDefaultDecade:

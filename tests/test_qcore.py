@@ -333,6 +333,61 @@ class TestPostSelectedBranches:
                 post_selected_branches(observables, basis, (0.1,), spin_up_z(), spin_up_x(), m)
 
 
+class TestSeveralPointers:
+    """One pass over pointers whose bases share their transforms."""
+
+    def test_each_pointer_rows_are_its_one_pointer_call(self, rng, monkeypatch):
+        # grid pointers of one size, with their own momenta and ready states
+        models = [gaussian_pointer(spread, 128) for spread in (1.0, 2.5, 7.0)]
+        spectra = [pointer_spectrum(model) for model in models]
+        schedules = [(0.3, 0.1, 0.02, 0.0), (0.5,), (0.7, 1e-9)]
+        pre, post = random_state(rng, 3), random_state(rng, 3)
+        observables = [random_hermitian(rng, 3) for _ in range(2)]
+        ready = np.array([s.ready for s in spectra])
+        for block in (qcore._PHASE_BLOCK, 3 * 3 * 128):
+            # one block, then blocks of three (observable, g) rows
+            monkeypatch.setattr(qcore, "_PHASE_BLOCK", block)
+            rows = post_selected_branches(
+                observables, [s.basis for s in spectra], schedules, pre, post, ready
+            )
+            assert rows.shape == (2, 7, 128)
+            start = 0
+            for spectrum, schedule in zip(spectra, schedules):
+                alone = post_selected_branches(
+                    observables, spectrum.basis, schedule, pre, post, StateVector(spectrum.ready)
+                )
+                stop = start + len(schedule)
+                assert np.array_equal(_bits(rows[:, start:stop].view(float)), _bits(alone.view(float)))
+                start = stop
+
+    def test_bases_must_share_their_transforms(self, rng):
+        grid = [pointer_spectrum(gaussian_pointer(1.0, n)).basis for n in (128, 256)]
+        qubits = [pointer_spectrum(qubit_pointer(axis)).basis for axis in "xy"]
+        assert grid[0].shares_transforms(pointer_spectrum(gaussian_pointer(3.0, 128)).basis)
+        assert qubits[0].shares_transforms(pointer_spectrum(qubit_pointer("x")).basis)
+        assert not _unmirrored(grid[0]).shares_transforms(grid[0])
+        pre, post = spin_up_x(), spin_up_z()
+        for bases in (grid, qubits, [grid[0], qubits[0]], []):
+            ready = [random_state(rng, basis.dim).amps for basis in bases[:1]] * len(bases)
+            with pytest.raises(ValueError, match="share their transforms"):
+                post_selected_branches(
+                    [pauli_z()], bases, [(0.1,)] * len(bases), pre, post, ready
+                )
+
+    def test_checks_pointer_by_pointer(self):
+        bases = [pointer_spectrum(qubit_pointer("y")).basis] * 2
+        ready = [spin_up_x().amps] * 2
+        args = (spin_up_z(), spin_up_x())
+        with pytest.raises(ValueError, match="finite"):
+            post_selected_branches([pauli_z()], bases, [(0.1,), (math.nan,)], *args, ready)
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            post_selected_branches(
+                [pauli_z()], bases, [(0.1,), (0.2,)], *args, [[1.0, 0.0, 0.0]] * 2
+            )
+        with pytest.raises(ValueError, match="zip"):
+            post_selected_branches([pauli_z()], bases, [(0.1,)], *args, ready)
+
+
 def _bits(arr: np.ndarray) -> np.ndarray:
     """The bit patterns of a float array, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(arr).view(np.uint64)

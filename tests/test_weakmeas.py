@@ -433,6 +433,50 @@ class TestBatchedEstimates:
         assert estimate_weak_values(spin_selection(), (), gaussian_pointer(2.0)) == ()
 
 
+class TestSeveralPointers:
+    """One readout off several pointers: a pass per set that shares transforms."""
+
+    def test_columns_are_one_pointer_readouts(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        sel = PrePostSelection(random_state(rng, 3), random_state(rng, 3))
+        observables = [random_hermitian(rng, 3) for _ in range(2)]
+        models = [
+            gaussian_pointer(2.0, 256), qubit_pointer("x"), gaussian_pointer(3.0, 128),
+            gaussian_pointer(5.0, 256), qubit_pointer("x"), gaussian_pointer(1.0, 128),
+        ]
+        schedules = [(0.04, 0.02, 0.01), (0.3,), (0.5, 0.1), (0.5,), (0.02, 0.01), (0.7,)]
+        readout = PointerReadout(sel, observables, models)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ratios = readout.ratios(schedules)
+        # three sets: the 256-point grids, the x qubits, the 128-point grids
+        assert calls == [(2, 3, 3)] * 3
+        monkeypatch.undo()
+        alone = [PointerReadout(sel, observables, m).ratios(g) for m, g in zip(models, schedules)]
+        assert ratios.shape == (2, 10)
+        columns = np.cumsum([0, *map(len, schedules)])
+        for model, start, stop, expected in zip(models, columns, columns[1:], alone):
+            if model.kind == "qubit":
+                # a dense transform's matmul rounds by the number of rows it
+                # takes; the grid's FFT does not
+                np.testing.assert_allclose(ratios[:, start:stop], expected, rtol=1e-13, atol=0)
+            else:
+                assert np.array_equal(ratios[:, start:stop], expected)
+
+    def test_rows_are_checked_pointer_by_pointer(self):
+        # the first pointer's dark rows come first, whatever the later ones hold
+        dark = PrePostSelection(spin_up_z(), spin_down_z())
+        models = [gaussian_pointer(1.0, 128), qubit_pointer(), gaussian_pointer(2.0, 128)]
+        readout = PointerReadout(dark, (projector(spin_down_z()),), models)
+        with pytest.raises(DarkDetectorError, match=r"g = 0\.3"):
+            readout.ratios([(0.3,), (0.2,), (0.1,)])
+
+
 class TestSelectionType:
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
