@@ -13,7 +13,7 @@ from tsvflab import (
     qubit_pointer,
     slice_weak_values,
     two_state_vector,
-    weak_trace_sweep,
+    weak_trace_sweeps,
 )
 
 ARMS = ("A", "B", "C", "D", "E", "X")
@@ -39,8 +39,7 @@ def main() -> None:
     print("\nweak traces (qubit environments), g over one decade:")
     gs = default_g_decade(1e-2, 1e-3, 5)
     model = qubit_pointer()
-    for arm in ARMS:
-        values = weak_trace_sweep(net, arm, model, gs)
+    for arm, values in weak_trace_sweeps(net, ARMS, model, gs):
         print(f"  {arm}: {np.array(values).round(10)}")
 
     report = classify_presence(net, ARMS, model)

@@ -32,7 +32,6 @@ from .interferometer import (
     slice_weak_values,
     two_state_vector,
     weak_trace,
-    weak_trace_sweep,
     weak_trace_sweeps,
 )
 from .limits import (

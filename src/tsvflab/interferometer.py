@@ -59,7 +59,7 @@ import numpy as np
 from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_orders
 from .pointer import PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
-from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector
+from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector, finite_couplings
 from .schedule import fit_schedule
 
 
@@ -413,8 +413,9 @@ def _arm_traces(
     """(traces, dark), each of shape (len(arms), len(g_values)): each of
     ``arms``' weak trace at each g, and whether its coupling darkened the
     detector there; the rows of unlabeled arms hold 0.0 and False, for the
-    caller to report in its own order.  A dark detector raises first, with
-    <out|in> taken from the product of the segment unitaries.
+    caller to report in its own order.  A non-finite g raises first, then a
+    dark detector, with <out|in> taken from the product of the segment
+    unitaries.
 
     The density is kept as |psi><psi| + delta, the undisturbed state plus
     what the couplings changed, and the effect as |phi><phi| + delta_w, so
@@ -424,7 +425,7 @@ def _arm_traces(
     target pointer's alpha at t, the qubit's at the stop's other arms and 1
     elsewhere.
     """
-    g = np.asarray(g_values, dtype=float)
+    g = finite_couplings(g_values)
     n = net.n_modes
     first = net.arm_stops
     stops = sorted({position for position, _ in first.values()})
@@ -493,13 +494,7 @@ def weak_trace(net: OpticalNetwork, arm: str, model: PointerModel, g: float) -> 
     normalized by |<out|in>|.  Zero at g = 0 and exactly zero at every g
     for arms with no amplitude chain through them.
     """
-    return weak_trace_sweep(net, arm, model, (g,))[0]
-
-
-def weak_trace_sweep(
-    net: OpticalNetwork, arm: str, model: PointerModel, g_values: Sequence[float]
-) -> tuple[float, ...]:
-    return weak_trace_sweeps(net, (arm,), model, g_values)[0][1]
+    return weak_trace_sweeps(net, (arm,), model, (g,))[0][1][0]
 
 
 def weak_trace_sweeps(

@@ -23,8 +23,10 @@ confused with a very high order.
 
 ``compare_limits`` reads both routes to the weak limit, g -> 0 at a fixed
 spread and spread -> infinity at a fixed g, in one ``PointerReadout`` pass
-over all of its pointers: one ``eigh`` of the observable, and each row in
-its own pointer's momenta, coordinates and ready state.
+over all of its pointers: one ``eigh`` of the observable, one spectrum per
+distinct pointer (the fixed spread is usually also a spread of the
+schedule), and each row in its own pointer's momenta, coordinates and
+ready state.  A zero fixed g is rejected, since the readout divides by g.
 """
 
 from __future__ import annotations
@@ -320,7 +322,7 @@ def compare_limits(
     ``eigh`` of S, and each pointer in its own momenta (pointers of another
     grid size take a pass per size).  Its checks come in the readout's
     order: S hermitian, each g finite, the dimensions, then a dark or
-    above-one post-selection probability row by row.
+    above-one post-selection probability row by row, then a zero g.
 
     g is a property of the interaction while the spread is a property of
     the pointer, so the two routes are distinct experiments; both must

@@ -7,18 +7,20 @@ a real, centered Gaussian with amplitude proportional to
 standard deviation.  The translation generator P is realized spectrally
 through the discrete Fourier transform (periodic boundary), which keeps it
 exactly hermitian and makes exp(-i g P) an exact band-limited translation
-on the grid.  ``pointer_spectrum`` gives that DFT eigenbasis directly, so
-the readout never forms an n_points^2 matrix, and neither does a metric
-sweep whose product state is a fixed point (``limits.sweep_coupling``);
-only the other metric sweeps couple through the dense
-``translation_generator``.
+on the grid.  ``pointer_spectrum`` gives that DFT eigenbasis directly,
+with the ready state and the readout Q (the grid coordinates, built once
+for both), so the readout never forms an n_points^2 matrix, and neither
+does a metric sweep whose product state is a fixed point
+(``limits.sweep_coupling``); only the other metric sweeps couple through
+the dense ``translation_generator``.
 
 The qubit pointer is the minimal discrete measuring device: the coupling
 generator is one Pauli axis (default y), the readout is the next axis in
 cyclic order (default z), and the ready state is the +1 eigenstate of the
 remaining axis.  With this arrangement the ready state satisfies
 ``<m|G|m> = 0`` just like the Gaussian, and the first-order readout
-calibration is uniform across axis choices.
+calibration is uniform across axis choices.  Its spectrum, ready state and
+readout Pauli are built once per axis and process.
 
 Units: hbar = 1; the coupling strength g carries position units per unit
 eigenvalue of the measured observable.
@@ -78,7 +80,7 @@ class PointerModel:
             if not self.spread > 0:
                 raise FieldError("spread must be positive", "spread")
             n = self.n_points
-            if n < 64 or n > 4096 or (n & (n - 1)) != 0:
+            if not isinstance(n, (int, np.integer)) or not 64 <= n <= 4096 or n & (n - 1):
                 raise FieldError(
                     "n_points must be a power of two between 64 and 4096", "n_points"
                 )
@@ -141,9 +143,9 @@ def grid_coordinates(model: PointerModel) -> np.ndarray:
     return -model.half_width + h * np.arange(model.n_points)
 
 
-def _gaussian_ready(model: PointerModel) -> np.ndarray:
-    """The grid pointer's ready amplitudes, normalized."""
-    q = grid_coordinates(model)
+def _gaussian_ready(model: PointerModel, q: np.ndarray) -> np.ndarray:
+    """The grid pointer's ready amplitudes on its grid coordinates ``q``,
+    normalized."""
     amps = np.exp(-(q**2) / (4.0 * model.spread**2))
     amps /= np.linalg.norm(amps)
     return amps.astype(np.complex128)
@@ -152,7 +154,7 @@ def _gaussian_ready(model: PointerModel) -> np.ndarray:
 def initial_state(model: PointerModel) -> StateVector:
     """The ready state |m> of the device."""
     if model.kind == GAUSSIAN_KIND:
-        return StateVector(_gaussian_ready(model))
+        return StateVector(_gaussian_ready(model, grid_coordinates(model)))
     ready_axis = _QUBIT_ROLES[model.generator_axis][1]
     eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[ready_axis]().entries)
     plus = vecs[:, int(np.argmax(eigvals))]
@@ -160,10 +162,6 @@ def initial_state(model: PointerModel) -> StateVector:
     pivot = plus[np.argmax(np.abs(plus) > 1e-12)]
     plus = plus * (abs(pivot) / pivot)
     return StateVector(plus)
-
-
-def _readout_pauli(model: PointerModel) -> LinearOperator:
-    return _PAULI_BY_AXIS[_QUBIT_ROLES[model.generator_axis][0]]()
 
 
 def _grid_momenta(model: PointerModel) -> np.ndarray:
@@ -204,12 +202,15 @@ class PointerSpectrum:
     """A pointer seen from its coupling generator's eigenbasis.
 
     ``basis`` holds the generator's eigenvalues mu_k and the transforms to
-    and from its eigenvectors; ``ready`` holds the ready state's amplitudes.
+    and from its eigenvectors; ``ready`` holds the ready state's amplitudes
+    and ``readout`` the readout Q: the grid coordinates, on which the grid
+    pointer's Q is diagonal, or the qubit's 2x2 readout Pauli.
     """
 
     model: PointerModel
     basis: Eigenbasis
     ready: np.ndarray
+    readout: np.ndarray
 
     def weights(self, rows: np.ndarray) -> np.ndarray:
         """|<k|b>|^2 on the eigenvectors for each row b, so that
@@ -220,30 +221,32 @@ class PointerSpectrum:
         """<b|Q|b> for each row b (unnormalized): the grid coordinate, read
         on the grid, or the qubit's readout Pauli."""
         if self.model.kind == GAUSSIAN_KIND:
-            return np.abs(rows) ** 2 @ grid_coordinates(self.model)
-        readout = _readout_pauli(self.model).entries
-        return np.einsum("...i,ij,...j->...", rows.conj(), readout, rows).real
+            return np.abs(rows) ** 2 @ self.readout
+        return np.einsum("...i,ij,...j->...", rows.conj(), self.readout, rows).real
 
 
 @functools.cache
-def _qubit_spectrum(generator_axis: str) -> tuple[Eigenbasis, np.ndarray]:
-    """The qubit's generator eigenbasis and ready amplitudes for one axis,
-    computed once per process; every caller shares them, so they are
-    read-only."""
+def _qubit_spectrum(generator_axis: str) -> tuple[Eigenbasis, np.ndarray, np.ndarray]:
+    """The qubit's generator eigenbasis, ready amplitudes and readout Pauli
+    for one axis, computed once per process; every caller shares them, so
+    they are read-only."""
     eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[generator_axis]().entries)
     ready = initial_state(qubit_pointer(generator_axis)).amps
+    readout = _PAULI_BY_AXIS[_QUBIT_ROLES[generator_axis][0]]().entries
     for arr in (eigvals, vecs, ready):
         arr.setflags(write=False)
-    return Eigenbasis(eigvals, vecs), ready
+    return Eigenbasis(eigvals, vecs), ready, readout
 
 
 def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
     """The device in its generator's eigenbasis: the DFT with the grid
-    momenta ``2 pi fftfreq`` for the grid, the 2x2 ``eigh`` of the Pauli
-    for the qubit, shared per generator axis."""
+    momenta ``2 pi fftfreq`` for the grid, whose coordinates are built once
+    for both the ready state and the readout, and the 2x2 ``eigh`` of the
+    Pauli for the qubit, shared per generator axis."""
     if model.kind == QUBIT_KIND:
         return PointerSpectrum(model, *_qubit_spectrum(model.generator_axis))
-    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), _gaussian_ready(model))
+    q = grid_coordinates(model)
+    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), _gaussian_ready(model, q), q)
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

@@ -12,9 +12,10 @@ metric sweep that is not a fixed point builds the dense generator:
 exp(-i t) - 1 has one kernel, ``phase_change`` (-2 sin^2(t/2) - i sin t),
 which the readout and the weak traces share; on a basis whose eigenvalues
 mirror exactly (the grid's DFT) it takes the sines of half of them.  The
-readout's pass, ``post_selected_branches``, takes one pointer basis or
-several that share their transforms (grid pointers of one size), each
-with its own eigenvalues, schedule and ready state.
+readout's pass, ``post_selected_branches``, takes a sequence of pointer
+bases that share their transforms (grid pointers of one size, or a single
+basis), each with its own eigenvalues, schedule and ready state.  Every
+coupling strength is checked finite by ``finite_couplings``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -381,12 +382,17 @@ def _finite_coupling(g) -> float:
     return g
 
 
+def finite_couplings(g_values) -> np.ndarray:
+    """``g_values`` as a float array, each g checked finite in turn."""
+    return np.array([_finite_coupling(g) for g in g_values], dtype=float)
+
+
 def _coupling_strengths(
     g_values, joint_dims: tuple[int, int], dims: tuple[int, int]
 ) -> np.ndarray:
-    """``g_values`` as a float array, each checked finite, and then the
-    joint state's (sys_dim, ptr_dim) checked against the coupling's."""
-    gs = np.array([_finite_coupling(g) for g in g_values], dtype=float)
+    """``finite_couplings(g_values)``, and then the joint state's (sys_dim,
+    ptr_dim) checked against the coupling's."""
+    gs = finite_couplings(g_values)
     if joint_dims != dims:
         raise ValueError("joint state dimensions do not match the coupling")
     return gs
@@ -415,23 +421,23 @@ def fixes_product(
 
 def post_selected_branches(
     observables,
-    pointer,
-    g_values,
+    bases,
+    schedules,
     pre: StateVector,
     post: StateVector,
-    m,
+    ready: np.ndarray,
 ) -> np.ndarray:
-    """<out| exp(-i g S_k (x) P) (|in> (x) |m>) for every observable S_k of
-    ``observables`` and every g of ``g_values``, with |in> = ``pre`` and
-    <out| = ``post``: the (K, len(g_values), ptr_dim) stack of post-selected
-    pointer branches, in one pass, unchecked for normalization.
+    """<out| exp(-i g S_k (x) P_p) (|in> (x) |m_p>) for every observable S_k
+    of ``observables``, every pointer p of ``bases`` and every g of that
+    pointer's schedule in ``schedules``, with |in> = ``pre``, <out| = ``post``
+    and |m_p> the row p of ``ready``, shaped (pointers, ptr_dim): the (K, R,
+    ptr_dim) stack of post-selected pointer branches, R the schedules'
+    lengths summed, each pointer's g values in turn, in one pass, unchecked
+    for normalization.
 
-    ``pointer`` may also be a sequence of bases that share the first one's
-    transforms (``Eigenbasis.shares_transforms``: grid pointers of one
-    size), with ``g_values`` then holding one schedule per basis and ``m``
-    their ready amplitudes, a row per basis.  The rows of the stack are
-    then each pointer's g values in turn, each coupled through its own
-    eigenvalues and ready state, still in one pass: the observables are
+    The bases share the first one's transforms (``Eigenbasis.shares_transforms``:
+    grid pointers of one size), and each has its own eigenvalues: every row
+    takes its pointer's mu, m^ and m by index.  The observables are
     diagonalized once, each ready state is transformed once, the phases of
     every row go through one kernel, and all branches take one inverse
     transform.
@@ -454,13 +460,10 @@ def post_selected_branches(
     order: each S_k hermitian, each g finite (pointer by pointer, with each
     ready state's dimension), the system dimensions.
     """
-    bases, schedules, ready = (
-        ((pointer,), (g_values,), m.amps[None]) if isinstance(pointer, Eigenbasis)
-        else (tuple(pointer), tuple(g_values), np.asarray(m))
-    )
+    bases = tuple(bases)
     if not bases or not all(bases[0].shares_transforms(other) for other in bases):
         raise ValueError("one pass reads pointers that share their transforms")
-    basis = bases[0]
+    basis, ready = bases[0], np.asarray(ready)
     observables = tuple(observables)
     for op in observables:
         _require_hermitian(op, "system observable")
@@ -473,18 +476,17 @@ def post_selected_branches(
     eigvals, vecs = np.linalg.eigh(
         np.array([op.entries for op in observables]).reshape(-1, pre.dim, pre.dim)
     )
-    gs, counts = np.concatenate(schedules), [g.size for g in schedules]
-    # one row per (observable, g): a_ki, g lambda_ki, and, where the
-    # pointers differ, its pointer's mu
+    gs = np.concatenate(schedules)
+    pointer_of = np.repeat(np.arange(len(bases)), [g.size for g in schedules])
+    # one row per (observable, g): a_ki, g lambda_ki, and its pointer's index
     weights = (post.amps.conj() @ vecs) * (pre.amps @ vecs.conj())
     weights = np.repeat(weights, gs.size, axis=0)[:, None, :]
     rates = (eigvals[:, None, :] * gs[:, None]).reshape(-1, pre.dim, 1)
-    if len(bases) > 1:
-        mus = np.repeat([other.eigvals for other in bases], counts, axis=0)[:, None]
-        row_mus = np.arange(rates.shape[0]) % gs.size
+    row_pointer = np.tile(pointer_of, len(observables))
+    mus = np.array([other.eigvals for other in bases])[:, None]
     change = np.empty((rates.shape[0], basis.dim), dtype=np.complex128)
     for rows in _blocks(len(change), _PHASE_BLOCK // (pre.dim * basis.dim)):
-        mu = None if len(bases) == 1 else mus[row_mus[rows]]
+        mu = mus[row_pointer[rows]]
         # a row of more than _PHASE_BLOCK terms is summed in parts along the
         # system axis
         parts = (
@@ -493,17 +495,10 @@ def post_selected_branches(
         )
         change[rows] = functools.reduce(np.add, parts)
     change = change.reshape(len(observables), gs.size, basis.dim)
-    # each row takes its own pointer's ready state, m^ and <out|in> m
-    change *= _per_row(basis.to_eigen(ready), counts)
+    change *= basis.to_eigen(ready)[pointer_of]
     branches = basis.from_eigen(change)
-    branches += inner(post, pre) * _per_row(ready, counts)
+    branches += inner(post, pre) * ready[pointer_of]
     return branches
-
-
-def _per_row(values: np.ndarray, counts) -> np.ndarray:
-    """One row of ``values`` per pointer, repeated ``counts`` times, or the
-    one pointer's row alone, to broadcast."""
-    return values if len(values) == 1 else np.repeat(values, counts, axis=0)
 
 
 def _blocks(total: int, step: int):
@@ -513,12 +508,12 @@ def _blocks(total: int, step: int):
 
 
 def _phase_sum(
-    pointer: Eigenbasis, rates: np.ndarray, weights: np.ndarray, eigvals: np.ndarray | None
+    pointer: Eigenbasis, rates: np.ndarray, weights: np.ndarray, eigvals: np.ndarray
 ) -> np.ndarray:
     """sum_i a_i (exp(-i r_i mu) - 1) on eigenvalues mu for each row of
     ``weights`` a_i, shaped (rows, 1, dim), and ``rates`` r_i, shaped
-    (rows, dim, 1): ``pointer``'s mu, or ``eigvals``, shaped (rows, 1,
-    ptr_dim), of bases that share its transforms."""
+    (rows, dim, 1): ``eigvals``, shaped (rows, 1, ptr_dim), of ``pointer``
+    or of bases that share its transforms."""
     real, imag = pointer.phase_change(rates, eigvals)
     total = np.empty((len(rates), pointer.dim), dtype=np.complex128)
     total.real = (weights.real @ real - weights.imag @ imag)[:, 0]

@@ -2,20 +2,21 @@
 
 Analytic weak values <out|S|in>/<out|in> and the one pointer readout:
 ``PointerReadout`` reads K observables of one pre- and post-selection off
-one pointer, or off several, each at every g of its own schedule, in one
-array pass (``qcore.post_selected_branches``) per grid size.  The
-observables are diagonalized together by one stacked ``eigh``; each
-ready state goes once into the pointer generator's eigenbasis (the grid's
-DFT basis, shared by every grid pointer of one size, or the qubit's 2x2
-``eigh``), where <out| contracts the system factor, since the coupled
-state starts as the product |in> (x) |m>.  Each (observable, pointer, g)
-row then costs O(dim n) for its phases and one inverse and one forward
-transform of its n-point branch, O(n log n), and is read out in its own
-pointer's momenta and coordinates; nothing is an n_points^2 matrix, so
-the readout scales to 4096-point grids.  The limit comparison reads both
-of its routes in one such pass.  The numeric estimator extrapolates
-the per-g readouts of all K observables to g -> 0 with one closed-form
-line.
+a sequence of pointers (the estimator's is a sequence of one), each at
+every g of its own schedule, in one array pass
+(``qcore.post_selected_branches``) per grid size.  Equal pointer models
+share one spectrum.  The observables are diagonalized together by one
+stacked ``eigh``; each ready state goes once into the pointer generator's
+eigenbasis (the grid's DFT basis, shared by every grid pointer of one
+size, or the qubit's 2x2 ``eigh``), where <out| contracts the system
+factor, since the coupled state starts as the product |in> (x) |m>.  Each
+(observable, pointer, g) row then costs O(dim n) for its phases and one
+inverse and one forward transform of its n-point branch, O(n log n), and
+is read out in its own pointer's momenta and readout Q; nothing is an
+n_points^2 matrix, so the readout scales to 4096-point grids.  The limit
+comparison reads both of its routes in one such pass.  The numeric
+estimator extrapolates the per-g readouts of all K observables to g -> 0
+with one closed-form line.
 
 The estimator reads both conjugate pointer observables: the position-like
 readout carries Re(w) and the generator-side readout carries Im(w), so
@@ -94,62 +95,57 @@ class WeakValueEstimate:
 
 
 class PointerReadout:
-    """The readout of K observables of one selection off one pointer, or
-    off several, each at every g of its own schedule, shared by the
-    estimator and the limit comparison.
+    """The readout of K observables of one selection off a sequence of
+    pointers, each at every g of its own schedule, shared by the estimator
+    (a sequence of one pointer) and the limit comparison.
 
-    Pointers whose bases share transforms (grid pointers of one size) are
-    read in one pass of ``post_selected_branches``: one ``eigh`` of the
-    observables, one transform of each ready state, one phase kernel, and
-    one inverse and one forward transform of all their branches.  Pointers
-    of another size take a pass of their own.  Each pointer is read out in
-    its own momenta, grid coordinates and ready state, as a readout off
-    that pointer alone reads it: bit for bit on the grid, whose FFT rounds
-    each row alike, and to roundoff for qubit pointers of one axis read
-    together, whose dense transform rounds by the rows it takes.
+    Equal pointer models share one spectrum.  Pointers whose bases share
+    transforms (grid pointers of one size) are read in one pass of
+    ``post_selected_branches``: one ``eigh`` of the observables, one
+    transform of the ready states, one phase kernel, and one inverse and
+    one forward transform of all their branches.  Pointers of another size
+    take a pass of their own.  Each pointer is read out in its own momenta,
+    readout Q and ready state, as a readout off that pointer alone reads
+    it: bit for bit on the grid, whose FFT rounds each row alike, and to
+    roundoff for qubit pointers of one axis read together, whose dense
+    transform rounds by the rows it takes.
     """
 
     def __init__(
         self,
         sel: PrePostSelection,
         observables: Sequence[LinearOperator],
-        model: PointerModel | Sequence[PointerModel],
+        pointers: Sequence[PointerModel],
     ):
         self.sel = sel
         self.observables = tuple(observables)
-        self._several = not isinstance(model, PointerModel)
-        self.spectra = tuple(map(pointer_spectrum, model if self._several else (model,)))
+        distinct = {model: pointer_spectrum(model) for model in dict.fromkeys(pointers)}
+        self.spectra = tuple(distinct[model] for model in pointers)
 
-    @property
-    def spectrum(self) -> PointerSpectrum:
-        """The pointer of a readout off one pointer."""
-        (spectrum,) = self.spectra
-        return spectrum
+    def ratios(self, schedules: Sequence[Sequence[float]]) -> np.ndarray:
+        """The (K, R) per-g weak-value readouts before extrapolation, one
+        schedule per pointer, R their lengths summed: the columns are each
+        pointer's schedule in turn.
 
-    @spectrum.setter
-    def spectrum(self, spectrum: PointerSpectrum) -> None:
-        self.spectra = (spectrum,)
-
-    def _passes(self, schedules: Sequence[tuple[float, ...]]) -> list[tuple]:
-        """Couple with exp(-i g S (x) P) for each observable S and each
-        pointer's generator P at every g of that pointer's schedule, then
-        project the system onto |out>: one ``post_selected_branches`` pass
-        per set of pointers that share transforms, as (the set's pointer
-        indices, their row slices, the (K, R, ptr_dim) conditional pointer
-        branches, their (K, R) post-selection probabilities), R the set's
-        schedule lengths summed.  The probabilities are checked in row
-        order: each pointer, each observable, each g in turn."""
+        Each observable S couples to each pointer's generator P by
+        exp(-i g S (x) P) at every g of that pointer's schedule, and the
+        system is projected onto |out>, in one ``post_selected_branches``
+        pass per set of pointers that share transforms.  The passes' checks
+        come first.  Then the post-selection probabilities are checked in
+        row order (each pointer, each observable, each g in turn), and last
+        that no g is zero, since the calibration divides by g."""
+        spectra, sel = self.spectra, self.sel
+        schedules = [tuple(float(g) for g in gs) for gs in schedules]
         sets: dict[int, list[int]] = {}  # first pointer -> the set's pointers
-        for index, spectrum in enumerate(self.spectra):
-            same = (i for i in sets if self.spectra[i].basis.shares_transforms(spectrum.basis))
+        for index, spectrum in enumerate(spectra):
+            same = (i for i in sets if spectra[i].basis.shares_transforms(spectrum.basis))
             sets.setdefault(next(same, index), []).append(index)
-        sel, passes, rows_of = self.sel, [], {}
+        passes, rows_of = [], {}
         for members in sets.values():
-            spectra = [self.spectra[index] for index in members]
             branches = post_selected_branches(
-                self.observables, [s.basis for s in spectra],
+                self.observables, [spectra[index].basis for index in members],
                 [schedules[index] for index in members], sel.pre, sel.post,
-                np.array([s.ready for s in spectra]),
+                np.array([spectra[index].ready for index in members]),
             )
             probabilities = np.sum(np.abs(branches) ** 2, axis=-1)
             bounds = [0, *itertools.accumulate(len(schedules[index]) for index in members)]
@@ -165,31 +161,17 @@ class PointerReadout:
                         raise ValueError(
                             f"post-selection probability {float(probability)!r} exceeds 1"
                         )
-        return passes
-
-    def _branches(self, g_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """The (K, len(g_values), ptr_dim) conditional pointer branches of a
-        readout off one pointer and their (K, len(g_values)) post-selection
-        probabilities, checked for each observable at each g in turn."""
-        [(_, _, branches, probabilities)] = self._passes([tuple(float(g) for g in g_values)])
-        return branches, probabilities
-
-    def ratios(self, g_values) -> np.ndarray:
-        """The (K, len(g_values)) per-g weak-value readouts before
-        extrapolation.  A readout off several pointers takes one schedule
-        per pointer, and its columns are each pointer's schedule in turn."""
-        schedules = [
-            tuple(float(g) for g in gs) for gs in (g_values if self._several else (g_values,))
-        ]
+        if any(g == 0.0 for schedule in schedules for g in schedule):
+            raise ValueError("coupling strength must be nonzero: the readout divides by g")
         columns = [None] * len(schedules)
-        for members, rows, branches, probabilities in self._passes(schedules):
+        for members, rows, branches, probabilities in passes:
             ratios = _calibrated(
-                [self.spectra[index] for index in members],
+                [spectra[index] for index in members],
                 [schedules[index] for index in members], rows, branches, probabilities,
             )
             for index, r in zip(members, rows):
                 columns[index] = ratios[:, r]
-        return np.concatenate(columns, axis=1) if self._several else columns[0]
+        return np.concatenate(columns, axis=1)
 
 
 def _calibrated(
@@ -241,7 +223,7 @@ def estimate_weak_values(
     others, to the bit.
     """
     schedule = default_g_schedule(model) if g_schedule is None else GSchedule(g_schedule)
-    ratios = PointerReadout(sel, observables, model).ratios(schedule)
+    ratios = PointerReadout(sel, observables, (model,)).ratios((schedule,))
     x = np.array(schedule) / schedule[0]
     _, intercept, deviation = centred_line(x, np.concatenate([ratios.real, ratios.imag]))
     k = len(ratios)

@@ -32,7 +32,6 @@ from tsvflab import (
     translation_generator,
     two_state_vector,
     weak_trace,
-    weak_trace_sweep,
     weak_trace_sweeps,
 )
 from tsvflab import interferometer
@@ -371,6 +370,20 @@ class TestWeakTrace:
         with pytest.raises(ValueError, match="not labeled"):
             weak_trace(build_nested_mzi(), "Q", qubit_pointer(), 1e-3)
 
+    def test_non_finite_coupling_is_rejected(self):
+        # with the readout's message, before either pass and before an
+        # unlabeled arm is reported; it read nan before
+        net = build_nested_mzi()
+        for model in (qubit_pointer(), gaussian_pointer(1.0, 64, 8.0)):
+            for g in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="coupling strength must be finite"):
+                    weak_trace(net, "A", model, g)
+            with pytest.raises(ValueError, match="coupling strength must be finite"):
+                weak_trace_sweeps(net, ["Q", "A"], model, (0.1, math.nan))
+        # the order fit keeps its schedule's message
+        with pytest.raises(ScheduleError, match="must be finite"):
+            classify_presence(net, ["A"], qubit_pointer(), (0.1, 0.01, 0.001, math.inf))
+
 
 class TestClassifyPresence:
     def test_preset_classification(self):
@@ -440,14 +453,14 @@ class TestClassifyPresence:
     def test_sweep_matches_single_calls(self):
         net = build_nested_mzi()
         schedule = default_g_decade(1e-2, 1e-3, 5)
-        swept = weak_trace_sweep(net, "B", qubit_pointer(), schedule)
+        swept = weak_trace_sweeps(net, ("B",), qubit_pointer(), schedule)[0][1]
         singles = [weak_trace(net, "B", qubit_pointer(), g) for g in schedule]
         np.testing.assert_allclose(swept, singles, rtol=0, atol=0)
 
     def test_presence_orders_fit_the_sweeps(self):
         net = build_nested_mzi()
         schedule = default_g_decade()
-        values = weak_trace_sweep(net, "E", qubit_pointer(), schedule)
+        values = weak_trace_sweeps(net, ("E",), qubit_pointer(), schedule)[0][1]
         order, _, _ = fit_order(schedule, values)
         assert order == pytest.approx(2.0, abs=0.15)
 
@@ -490,7 +503,7 @@ class TestRandomizedNetworks:
             for arm in ("P", "Q", "U", "V"):
                 if abs(arm_weak_value(net, arm)) < 0.05:
                     continue  # too close to a zero to pin the band
-                values = weak_trace_sweep(net, arm, model, schedule)
+                values = weak_trace_sweeps(net, (arm,), model, schedule)[0][1]
                 order, _, _ = fit_order(schedule, values)
                 assert order == pytest.approx(1.0, abs=0.1), arm
 
@@ -506,7 +519,7 @@ class TestRandomizedNetworks:
             assert abs(two_state_vector(net, 1).forward_amplitude("W")) > 0
             assert abs(two_state_vector(net, 1).backward_amplitude("W")) <= 1e-14
             for arm in ("R", "W"):
-                values = weak_trace_sweep(net, arm, model, schedule)
+                values = weak_trace_sweeps(net, (arm,), model, schedule)[0][1]
                 assert max(values) <= 1e-14, arm
 
 
@@ -527,7 +540,7 @@ class TestChannelsAgainstTensorOracle:
             spread = float(rng.uniform(0.5, 2.0))
             model = gaussian_pointer(spread, 64, 8.0 * spread)
         for arm in net.arm_labels:
-            traces = weak_trace_sweep(net, arm, model, self.G_VALUES)
+            traces = weak_trace_sweeps(net, (arm,), model, self.G_VALUES)[0][1]
             for g, value in zip(self.G_VALUES, traces):
                 oracle = tensor_trace(net, arm, model, g)
                 if arm == "X":
@@ -545,7 +558,7 @@ class TestChannelsAgainstTensorOracle:
                     assert tensor_trace(net, arm, qubit_pointer(), g) <= 1e-14
         net = build_nested_mzi()
         for model in (qubit_pointer(), gaussian_pointer(1.0, 64, 8.0)):
-            assert weak_trace_sweep(net, "X", model, self.G_VALUES) == (0.0, 0.0, 0.0)
+            assert weak_trace_sweeps(net, ("X",), model, self.G_VALUES)[0][1] == (0.0, 0.0, 0.0)
 
     def test_same_dark_detector_error(self, monkeypatch):
         # the source wire never reaches the post-selected one, so the
@@ -616,7 +629,7 @@ class TestAllArmsAtOnce:
         together = weak_trace_sweeps(net, arms, model, schedule)
         assert [arm for arm, _ in together] == arms
         for arm, traces in together:
-            alone = weak_trace_sweep(net, arm, model, schedule)
+            alone = weak_trace_sweeps(net, (arm,), model, schedule)[0][1]
             assert traces == alone, arm
             assert report.leading_order(arm) == fit_order(schedule, alone)[0], arm
             # the tensor holds 2^(arms-1) * 64 amplitudes per mode: ~120 MB at
@@ -663,7 +676,7 @@ class TestAllArmsAtOnce:
             with pytest.raises(ValueError, match="arm 'Q' is not labeled in any slice"):
                 call(net, ["Q", "A"], qubit_pointer(), schedule)
         with pytest.raises(ValueError, match="arm 'Q' is not labeled in any slice"):
-            weak_trace_sweep(net, "Q", qubit_pointer(), schedule)
+            weak_trace_sweeps(net, ("Q",), qubit_pointer(), schedule)
 
 
 class TestPartlyDarkSchedule:

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
-from tsvflab import limits, weakmeas
+from tsvflab import limits, pointer, weakmeas
+from tsvflab.cli import main
 from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders, sweep_coupling
 from tsvflab.pointer import pointer_spectrum
 from tsvflab.weakmeas import PointerReadout
@@ -318,8 +319,8 @@ def _one_pointer_rows(sel, S, pointers, g_schedule, fixed_g) -> list[complex]:
     """Every row of ``compare_limits`` read off its own pointer alone: the
     g -> 0 pointer at each g, then each spread pointer at ``fixed_g``."""
     coupling, *spread = pointers
-    rows = list(PointerReadout(sel, (S,), coupling).ratios(g_schedule)[0])
-    rows += [PointerReadout(sel, (S,), model).ratios((fixed_g,))[0, 0] for model in spread]
+    rows = list(PointerReadout(sel, (S,), (coupling,)).ratios((g_schedule,))[0])
+    rows += [PointerReadout(sel, (S,), (model,)).ratios([(fixed_g,)])[0, 0] for model in spread]
     return rows
 
 
@@ -423,6 +424,44 @@ class TestOnePassComparison:
         with pytest.raises(ValueError, match="coupling strength must be finite"):
             compare_limits(sel, pauli_z(), fixed_coupling=math.inf)
 
+    def test_zero_fixed_coupling_is_rejected(self, monkeypatch):
+        # the calibration divides by g: it read nan+infj with RuntimeWarnings
+        sel = PrePostSelection(spin_up_x(), spin_up_z())
+        with pytest.raises(ValueError, match="coupling strength must be nonzero"):
+            compare_limits(sel, pauli_z(), fixed_coupling=0.0)
+        # the probability rows are checked first and keep their messages
+        for scale, message in ((0.0, "orthogonal post-selection at g = 0.0"), (2.0, "exceeds 1")):
+            _patched_ready(monkeypatch, {8.0: scale})
+            with pytest.raises((ValueError, DarkDetectorError), match=message):
+                compare_limits(sel, pauli_z(), fixed_coupling=0.0)
+            monkeypatch.undo()
+        # a negative coupling reads the weak value as a positive one does
+        comparison = compare_limits(sel, pauli_z(), fixed_coupling=-0.5)
+        assert comparison.fixed_coupling == -0.5
+        assert all(math.isfinite(abs(point.estimate)) for point in comparison.spread_branch)
+        assert comparison.spread_branch[-1].deviation <= 0.05
+
+    def test_equal_pointers_share_one_grid_and_spectrum(self, monkeypatch, capsys):
+        # compare_limits_demo.scn's fixed spread 2.0 is also its second
+        # spread: six pointers, five distinct, each with one grid
+        counts = {"grid_coordinates": 0, "pointer_spectrum": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            pointer, "grid_coordinates", counted("grid_coordinates", pointer.grid_coordinates)
+        )
+        spectrum = counted("pointer_spectrum", pointer.pointer_spectrum)
+        for module in (pointer, weakmeas, limits):
+            monkeypatch.setattr(module, "pointer_spectrum", spectrum)
+        assert main(["compare-limits", "--preset", "compare-limits"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 + 5
+        assert counts == {"grid_coordinates": 5, "pointer_spectrum": 5}
+
     def test_first_failing_row_raises_its_own_message(self, monkeypatch):
         sel = PrePostSelection(spin_up_x(), spin_up_z())
         pointers = limits.limit_pointers((2.0, 4.0, 8.0, 16.0))
@@ -430,7 +469,7 @@ class TestOnePassComparison:
         for scale in (2.0, 0.0):
             _patched_ready(monkeypatch, {8.0: scale})
             with pytest.raises((ValueError, DarkDetectorError)) as alone:
-                PointerReadout(sel, (pauli_z(),), gaussian_pointer(8.0)).ratios((0.5,))
+                PointerReadout(sel, (pauli_z(),), (gaussian_pointer(8.0),)).ratios([(0.5,)])
             expected[scale] = (type(alone.value), str(alone.value))
         assert "exceeds 1" in expected[2.0][1]
         assert expected[0.0] == (DarkDetectorError, "orthogonal post-selection at g = 0.5")

@@ -6,6 +6,7 @@ import pytest
 from conftest import position_operator, single_factor_evolution, variance
 from tsvflab.pointer import pointer_spectrum
 from tsvflab import (
+    FieldError,
     LinearOperator,
     NonHermitianOperatorError,
     PointerModel,
@@ -32,6 +33,15 @@ class TestModelValidity:
             gaussian_pointer(1.0, 100)
         with pytest.raises(ValueError, match="power of two"):
             gaussian_pointer(1.0, 32)
+
+    def test_n_points_must_be_an_integer(self):
+        # a float n_points failed in the power-of-two test with a TypeError
+        for n in (64.0, 128.5, "64"):
+            with pytest.raises(FieldError, match="power of two between 64 and 4096") as err:
+                PointerModel("gaussian_grid", spread=1.0, n_points=n, half_width=12.0)
+            assert err.value.path == ("n_points",)
+        model = PointerModel("gaussian_grid", spread=1.0, n_points=np.int64(64), half_width=8.0)
+        assert model.dim == 64
 
     def test_wavepacket_must_be_resolved(self):
         # spacing 2*64/64 = 2 > spread/4

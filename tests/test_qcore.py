@@ -299,7 +299,9 @@ class TestPostSelectedBranches:
         schedule = (0.7, 0.05, 1e-9, 0.0)
         for pointer, m in pointers:
             basis = pointer if isinstance(pointer, Eigenbasis) else Eigenbasis.of(pointer)
-            branches = post_selected_branches(observables, basis, schedule, pre, post, m)
+            branches = post_selected_branches(
+                observables, (basis,), (schedule,), pre, post, m.amps[None]
+            )
             assert branches.shape == (3, len(schedule), m.dim)
             joint = tensor_product(pre, m)
             for S, rows in zip(observables, branches):
@@ -312,25 +314,27 @@ class TestPostSelectedBranches:
 
     def test_phase_blocks_change_no_bit(self, rng, monkeypatch):
         basis = pointer_spectrum(gaussian_pointer(1.0, 64, half_width=8.0)).basis
-        args = (basis, (0.3, 0.1, 0.02), random_state(rng, 3), random_state(rng, 3))
+        args = ((basis,), [(0.3, 0.1, 0.02)], random_state(rng, 3), random_state(rng, 3))
         observables = [random_hermitian(rng, 3) for _ in range(2)]
-        m = random_state(rng, 64)
+        m = random_state(rng, 64).amps[None]
         whole = post_selected_branches(observables, *args, m)
         # two (observable, g) rows of 3 x 64 phase terms a block: 3 blocks
         monkeypatch.setattr(qcore, "_PHASE_BLOCK", 2 * 3 * 64)
         assert np.array_equal(post_selected_branches(observables, *args, m), whole)
 
     def test_checks_in_coupling_order(self):
-        basis = Eigenbasis.of(pauli_x())
+        bases = (Eigenbasis.of(pauli_x()),)
         lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        args = (spin_up_z(), spin_up_x(), spin_up_x())
+        args = (spin_up_z(), spin_up_x(), [spin_up_x().amps])
         with pytest.raises(NonHermitianOperatorError, match="system observable"):
-            post_selected_branches([pauli_z(), lower], basis, (math.inf,), *args)
+            post_selected_branches([pauli_z(), lower], bases, [(math.inf,)], *args)
         with pytest.raises(ValueError, match="finite"):
-            post_selected_branches([identity(3)], basis, (0.1, math.nan), *args)
+            post_selected_branches([identity(3)], bases, [(0.1, math.nan)], *args)
         for observables, m in (([identity(3)], spin_up_x()), ([pauli_z()], basis_state(3, 0))):
             with pytest.raises(ValueError, match="dimensions do not match"):
-                post_selected_branches(observables, basis, (0.1,), spin_up_z(), spin_up_x(), m)
+                post_selected_branches(
+                    observables, bases, [(0.1,)], spin_up_z(), spin_up_x(), [m.amps]
+                )
 
 
 class TestSeveralPointers:
@@ -354,7 +358,7 @@ class TestSeveralPointers:
             start = 0
             for spectrum, schedule in zip(spectra, schedules):
                 alone = post_selected_branches(
-                    observables, spectrum.basis, schedule, pre, post, StateVector(spectrum.ready)
+                    observables, [spectrum.basis], [schedule], pre, post, spectrum.ready[None]
                 )
                 stop = start + len(schedule)
                 assert np.array_equal(_bits(rows[:, start:stop].view(float)), _bits(alone.view(float)))
@@ -423,9 +427,10 @@ class TestPhaseKernel:
             for half, whole in zip(basis.phase_change(rates), full.phase_change(rates)):
                 assert half.shape == whole.shape == (count * len(schedule), dim, n)
                 assert np.array_equal(_bits(half), _bits(whole))
-            args = (schedule, random_state(rng, dim), random_state(rng, dim), random_state(rng, n))
-            branches = post_selected_branches(observables, basis, *args)
-            expected = post_selected_branches(observables, full, *args)
+            args = ([schedule], random_state(rng, dim), random_state(rng, dim))
+            m = random_state(rng, n).amps[None]
+            branches = post_selected_branches(observables, [basis], *args, m)
+            expected = post_selected_branches(observables, [full], *args, m)
             assert np.array_equal(_bits(branches.view(float)), _bits(expected.view(float)))
 
     def test_only_a_basis_that_says_so_takes_the_half_path(self, rng, monkeypatch):
@@ -447,16 +452,18 @@ class TestPhaseKernel:
 
         monkeypatch.setattr(qcore, "phase_change", recorded)
         for basis in (grid, *dense):
-            m = random_state(rng, basis.dim)
-            post_selected_branches([pauli_z()], basis, (0.1, 0.05), spin_up_x(), spin_up_z(), m)
+            m = random_state(rng, basis.dim).amps[None]
+            post_selected_branches(
+                [pauli_z()], [basis], [(0.1, 0.05)], spin_up_x(), spin_up_z(), m
+            )
         assert [not basis.mirrored for basis in dense] == [True, True, True]
         assert widths == [33, 64, 2, 5]
 
     def test_split_rows_sum_to_the_whole_row(self, rng, monkeypatch):
         basis = pointer_spectrum(gaussian_pointer(1.0, 64, half_width=8.0)).basis
-        args = (basis, (0.3, 0.1), random_state(rng, 8), random_state(rng, 8))
+        args = ([basis], [(0.3, 0.1)], random_state(rng, 8), random_state(rng, 8))
         observables = [random_hermitian(rng, 8) for _ in range(2)]
-        m = random_state(rng, 64)
+        m = random_state(rng, 64).amps[None]
         whole = post_selected_branches(observables, *args, m)
         # 3 of a row's 8 system eigenvalues a block: three parts a row
         monkeypatch.setattr(qcore, "_PHASE_BLOCK", 3 * 64)
@@ -466,11 +473,11 @@ class TestPhaseKernel:
     def test_a_row_beyond_the_phase_block_holds_no_more(self, rng):
         # one row of dim x n = 512 x 4096 terms, twice _PHASE_BLOCK
         basis = pointer_spectrum(gaussian_pointer(1.0, 4096)).basis
-        args = ((0.02, 0.01), random_state(rng, 512), random_state(rng, 512))
-        observable, m = random_hermitian(rng, 512), random_state(rng, 4096)
+        args = ([(0.02, 0.01)], random_state(rng, 512), random_state(rng, 512))
+        observable, m = random_hermitian(rng, 512), random_state(rng, 4096).amps[None]
         tracemalloc.start()
         try:
-            branches = post_selected_branches([observable], basis, *args, m)
+            branches = post_selected_branches([observable], [basis], *args, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -41,6 +41,9 @@ from tsvflab import (
     translation_generator,
     weak_value,
 )
+from tsvflab import weakmeas
+from tsvflab.pointer import pointer_spectrum
+from tsvflab.qcore import post_selected_branches
 from tsvflab.scenario import load_corpus_text, parse
 from tsvflab.weakmeas import PointerReadout
 
@@ -61,8 +64,11 @@ def s_minus() -> LinearOperator:
 
 def conditional_branch(sel, S, model, g) -> StateVector:
     """The post-selected pointer branch the estimator reads at coupling g."""
-    branches, _ = PointerReadout(sel, (S,), model)._branches((g,))
-    return StateVector(branches[0, 0], normalized=None)
+    spectrum = pointer_spectrum(model)
+    ((branch,),) = post_selected_branches(
+        (S,), (spectrum.basis,), ((g,),), sel.pre, sel.post, spectrum.ready[None]
+    )
+    return StateVector(branch, normalized=None)
 
 
 def dense_read(branch: StateVector, model, g) -> complex:
@@ -212,21 +218,21 @@ class TestConditionalBranch:
         analytic = weak_value(sel, pauli_z())
         assert shift == pytest.approx(g * analytic.real, rel=0.02)
 
-    def test_probability_above_one_is_a_fault(self):
-        readout = PointerReadout(spin_selection(), (pauli_z(),), gaussian_pointer(1.0, 128))
+    def test_probability_above_one_is_a_fault(self, monkeypatch):
+        model = gaussian_pointer(1.0, 128)
+        spectrum = pointer_spectrum(model)
         # not a unit pointer
-        readout.spectrum = dataclasses.replace(
-            readout.spectrum, ready=2.0 * readout.spectrum.ready
-        )
+        doubled = dataclasses.replace(spectrum, ready=2.0 * spectrum.ready)
+        monkeypatch.setattr(weakmeas, "pointer_spectrum", lambda _: doubled)
+        readout = PointerReadout(spin_selection(), (pauli_z(),), (model,))
         with pytest.raises(ValueError, match="exceeds 1"):
-            readout._branches((0.05,))
-        with pytest.raises(ValueError, match="exceeds 1"):
-            readout.ratios((0.05,))
+            readout.ratios([(0.05,)])
 
     def test_dark_postselection(self):
         sel = PrePostSelection(spin_up_z(), spin_down_z())
+        readout = PointerReadout(sel, (pauli_z(),), (gaussian_pointer(1.0, 128),))
         with pytest.raises(DarkDetectorError, match="orthogonal post-selection"):
-            conditional_branch(sel, pauli_z(), gaussian_pointer(1.0, 128), 0.0)
+            readout.ratios([(0.0,)])
 
 
 class TestEstimateWeakValue:
@@ -315,8 +321,8 @@ class TestEstimateWeakValue:
             WeakValueEstimate(1.0 + 0j, (), -0.5)
 
     def test_readout_single_point(self):
-        readout = PointerReadout(spin_selection(), (pauli_z(),), gaussian_pointer(2.0))
-        ((ratio,),) = readout.ratios((0.02,))
+        readout = PointerReadout(spin_selection(), (pauli_z(),), (gaussian_pointer(2.0),))
+        ((ratio,),) = readout.ratios([(0.02,)])
         assert ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_4096_point_grid_is_light(self):
@@ -364,7 +370,7 @@ class TestDenseReadoutOracle:
         else:
             model = qubit_pointer(size)
         schedule = (g, g / 2.0, g / 4.0)
-        ratios = PointerReadout(sel, observables, model).ratios(schedule)
+        ratios = PointerReadout(sel, observables, (model,)).ratios((schedule,))
         assert ratios.shape == (count, len(schedule))
         for S, row in zip(observables, ratios):
             for gi, ratio in zip(schedule, row):
@@ -409,16 +415,16 @@ class TestBatchedEstimates:
         lower = LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         wide = LinearOperator(np.eye(3), hermitian=True)
         with pytest.raises(NonHermitianOperatorError, match="system observable"):
-            PointerReadout(sel, (pauli_z(), wide, lower), model).ratios((math.inf,))
+            PointerReadout(sel, (pauli_z(), wide, lower), (model,)).ratios([(math.inf,)])
         with pytest.raises(ValueError, match="coupling strength must be finite"):
-            PointerReadout(sel, (pauli_z(), wide), model).ratios((0.1, math.nan))
+            PointerReadout(sel, (pauli_z(), wide), (model,)).ratios([(0.1, math.nan)])
         with pytest.raises(ValueError, match="dimensions do not match"):
-            PointerReadout(sel, (pauli_z(), wide), model).ratios((0.1,))
+            PointerReadout(sel, (pauli_z(), wide), (model,)).ratios([(0.1,)])
         dark = PrePostSelection(spin_up_z(), spin_down_z())
         # pauli_x turns |up> towards |down> at g > 0; projector(down) never
-        readout = PointerReadout(dark, (pauli_x(), projector(spin_down_z())), model)
+        readout = PointerReadout(dark, (pauli_x(), projector(spin_down_z())), (model,))
         with pytest.raises(DarkDetectorError, match=r"g = 0\.2"):
-            readout.ratios((0.2, 0.1))
+            readout.ratios([(0.2, 0.1)])
 
     @pytest.mark.parametrize("g_max", [1e-300, 1e300])
     def test_extreme_schedules_extrapolate_to_finite_numbers(self, g_max):
@@ -457,7 +463,9 @@ class TestSeveralPointers:
         # three sets: the 256-point grids, the x qubits, the 128-point grids
         assert calls == [(2, 3, 3)] * 3
         monkeypatch.undo()
-        alone = [PointerReadout(sel, observables, m).ratios(g) for m, g in zip(models, schedules)]
+        alone = [
+            PointerReadout(sel, observables, (m,)).ratios((g,)) for m, g in zip(models, schedules)
+        ]
         assert ratios.shape == (2, 10)
         columns = np.cumsum([0, *map(len, schedules)])
         for model, start, stop, expected in zip(models, columns, columns[1:], alone):
@@ -467,6 +475,34 @@ class TestSeveralPointers:
                 np.testing.assert_allclose(ratios[:, start:stop], expected, rtol=1e-13, atol=0)
             else:
                 assert np.array_equal(ratios[:, start:stop], expected)
+
+    def test_a_model_listed_twice_is_one_spectrum(self, rng, monkeypatch):
+        # equal models share one spectrum and each keeps its own schedule
+        built = []
+
+        def recorded(model):
+            built.append(model)
+            return pointer_spectrum(model)
+
+        sel = PrePostSelection(random_state(rng, 3), random_state(rng, 3))
+        observables = [random_hermitian(rng, 3) for _ in range(2)]
+        models = [
+            gaussian_pointer(2.0, 128), gaussian_pointer(3.0, 128), gaussian_pointer(2.0, 128),
+            gaussian_pointer(5.0, 256), gaussian_pointer(5.0, 256),
+        ]
+        schedules = [(0.04, 0.02, 0.01), (0.3,), (0.5, 0.1), (0.5,), (0.02, 0.01)]
+        monkeypatch.setattr(weakmeas, "pointer_spectrum", recorded)
+        readout = PointerReadout(sel, observables, models)
+        monkeypatch.undo()
+        assert built == [models[0], models[1], models[3]]
+        assert readout.spectra[0] is readout.spectra[2]
+        assert readout.spectra[3] is readout.spectra[4]
+        ratios = readout.ratios(schedules)
+        assert ratios.shape == (2, 9)
+        columns = np.cumsum([0, *map(len, schedules)])
+        for model, schedule, start, stop in zip(models, schedules, columns, columns[1:]):
+            alone = PointerReadout(sel, observables, (model,)).ratios((schedule,))
+            assert np.array_equal(ratios[:, start:stop], alone)
 
     def test_rows_are_checked_pointer_by_pointer(self):
         # the first pointer's dark rows come first, whatever the later ones hold
