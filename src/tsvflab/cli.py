@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -32,24 +31,39 @@ PRESETS = {
 }
 
 
+def _format_table(rows: list[list]) -> list[list[str]]:
+    """The cells as text in one pass: a string as it is, a real in fixed
+    12-digit scientific notation with a bare exponent (1.5e-3; -0.0 as 0),
+    a complex value as ``re+imi``.  One %-format writes every cell and three
+    replacements trim the exponents; string cells (names, classes) hold no
+    '%', '+' or '-'."""
+    if not rows:
+        return []
+    slots, numbers = [], []
+    for row in rows:
+        for cell in row:
+            if isinstance(cell, str):
+                slots.append(cell)
+            elif isinstance(cell, complex):
+                imag = cell.imag + 0.0
+                slots.append("%.12e-%.12ei" if imag < 0 else "%.12e+%.12ei")
+                numbers += (cell.real + 0.0, abs(imag))
+            else:
+                slots.append("%.12e")
+                numbers.append(float(cell) + 0.0)
+    text = "\0".join(slots) % tuple(numbers)
+    cells = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-").split("\0")
+    width = len(rows[0])
+    return [cells[start : start + width] for start in range(0, len(cells), width)]
+
+
 def sci12(x: float) -> str:
     """Fixed 12-digit scientific notation with a bare exponent (1.5e-3 style)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    mantissa, _, exponent = f"{x:.12e}".partition("e")
-    return f"{mantissa}e{int(exponent)}"
+    return _format_table([[float(x)]])[0][0]
 
 
 def fmt_complex(z: complex) -> str:
-    z = complex(z)
-    imag = z.imag + 0.0
-    sign = "-" if imag < 0 else "+"
-    return f"{sci12(z.real)}{sign}{sci12(abs(imag))}i"
+    return _format_table([[complex(z)]])[0][0]
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
@@ -65,8 +79,7 @@ def _run_weakvalue(plan):
     analytic = [weakmeas.weak_value(plan.selection, op) for op in ops]
     estimates = weakmeas.estimate_weak_values(plan.selection, ops, plan.pointer, plan.g_schedule)
     rows = [
-        [name, fmt_complex(w), fmt_complex(e.value), sci12(abs(e.value - w)),
-         sci12(e.extrapolation_residual)]
+        [name, w, e.value, abs(e.value - w), e.extrapolation_residual]
         for name, w, e in zip(names, analytic, estimates)
     ]
     return ["observable", "analytic", "numeric", "deviation", "residual"], rows
@@ -83,14 +96,14 @@ def _run_sweep(plan):
     )
     fit = (result.fitted_order, result.fitted_coefficient, result.fit_residual)
     values = zip(result.g_values, result.metric_values)
-    rows = [[sci12(x) for x in (g, v, *fit)] for g, v in values]
+    rows = [[g, v, *fit] for g, v in values]
     return ["g", "metric", "fitted_order", "fitted_coefficient", "fit_residual"], rows
 
 
 def _run_trace(plan):
     gs = plan.g_schedule
     sweeps = interferometer.weak_trace_sweeps(plan.network, plan.arms, plan.pointer, gs)
-    rows = [[arm, sci12(g), sci12(v)] for arm, values in sweeps for g, v in zip(gs, values)]
+    rows = [[arm, g, v] for arm, values in sweeps for g, v in zip(gs, values)]
     return ["arm", "g", "trace"], rows
 
 
@@ -98,7 +111,7 @@ def _run_presence(plan):
     report = interferometer.classify_presence(
         plan.network, plan.arms, plan.pointer, plan.g_schedule
     )
-    rows = [[arm, sci12(p.leading_order), p.classification] for arm, p in report.entries]
+    rows = [[arm, p.leading_order, p.classification] for arm, p in report.entries]
     return ["arm", "leading_order", "classification"], rows
 
 
@@ -108,13 +121,13 @@ def _run_compare_limits(plan):
         plan.selection, op, g_schedule=plan.g_schedule, fixed_coupling=plan.fixed_g,
         pointers=(plan.pointer, *plan.spread_pointers),
     )
-    analytic = fmt_complex(comparison.analytic)
+    analytic = complex(comparison.analytic)
     branches = (
         ("g_to_zero", comparison.coupling_branch),
         ("spread_to_infinity", sorted(comparison.spread_branch, key=lambda p: -p.parameter)),
     )
     rows = [
-        [branch, sci12(p.parameter), fmt_complex(p.estimate), sci12(p.deviation), analytic]
+        [branch, p.parameter, complex(p.estimate), p.deviation, analytic]
         for branch, points in branches
         for p in points
     ]
@@ -205,6 +218,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    rows = _format_table(rows)
     text = _emit_csv(header, rows) if args.format == "csv" else _emit_json(header, rows)
     if args.out is None:
         sys.stdout.write(text)

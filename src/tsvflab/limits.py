@@ -10,23 +10,18 @@ from the uncoupled one:
 * ``overlap_deficit``     1 - |<Psi0| U(g) Psi0>|
 
 When S|in> is computed as exactly zero, Psi0 is a fixed point of U(g) at
-every g, and each metric returns exactly 0.0 once the coupling's checks
-pass, without diagonalizing S or P (``qcore.fixes_product``).
-``sweep_coupling`` decides that once for a whole sweep, from the pointer's
-spectrum, and builds the dense pointer generator only for a sweep that is
-not a fixed point.
+every g, and each metric is exactly 0.0 without diagonalizing S or P
+(``qcore.fixes_product``); ``sweep_coupling`` decides that once a sweep.
 
 Fitting log(metric) against log(g) gives the leading order in g.  Metric
 values at or below ``METRIC_FLOOR`` are treated as identically zero: they
 are excluded from the fit and counted, so exact invariance is never
-confused with a very high order.
+confused with a very high order.  Weak traces are zero only where exactly
+0.0 (``fit_trace_orders``).
 
 ``compare_limits`` reads both routes to the weak limit, g -> 0 at a fixed
 spread and spread -> infinity at a fixed g, in one ``PointerReadout`` pass
-over all of its pointers: one ``eigh`` of the observable, one spectrum per
-distinct pointer (the fixed spread is usually also a spread of the
-schedule), and each row in its own pointer's momenta, coordinates and
-ready state.  A zero fixed g is rejected, since the readout divides by g.
+over all of its pointers, with one spectrum per distinct pointer.
 """
 
 from __future__ import annotations
@@ -146,13 +141,23 @@ def fit_orders(
     """``fit_order`` of every row of ``values`` at once, as (orders,
     coefficients, residuals) arrays, with ``fit_order``'s checks in its
     order.  A row's result does not depend on the others, to the bit."""
+    return _fit_above(g_values, values, METRIC_FLOOR)
+
+
+def fit_trace_orders(g_values: Sequence[float], traces) -> tuple:
+    """``fit_orders`` of weak traces, leaving out exact zeros only: a
+    second-order trace falls below ``METRIC_FLOOR`` near g = 1e-7."""
+    return _fit_above(g_values, traces, 0.0)
+
+
+def _fit_above(g_values, values, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(g_values):
         raise ValueError("g_values and metric_values lengths differ")
     log_g = np.log(np.array(fit_schedule(g_values)))
     if np.any(~np.isfinite(values)) or np.any(values < 0):
         raise ValueError("metric values must be finite and non-negative")
-    usable = values > METRIC_FLOOR
+    usable = values > floor
     fitted = np.count_nonzero(usable, axis=1) >= 4
     # a line per row through its usable points; the others weigh 0
     slope, intercept, deviation = centred_line(

@@ -10,12 +10,10 @@ grid's DFT) reaches pointer dim 4096 without any n x n matrix.  Only a
 metric sweep that is not a fixed point builds the dense generator:
 ``fixes_product`` decides that from the pointer's basis alone.
 exp(-i t) - 1 has one kernel, ``phase_change`` (-2 sin^2(t/2) - i sin t),
-which the readout and the weak traces share; on a basis whose eigenvalues
-mirror exactly (the grid's DFT) it takes the sines of half of them.  The
-readout's pass, ``post_selected_branches``, takes a sequence of pointer
-bases that share their transforms (grid pointers of one size, or a single
-basis), each with its own eigenvalues, schedule and ready state.  Every
-coupling strength is checked finite by ``finite_couplings``.
+which the readout (``post_selected_branches``) and the weak traces share;
+on a basis whose eigenvalues mirror exactly (the grid's DFT) it takes the
+sines of half of them.  Every coupling strength is checked finite by
+``finite_couplings``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -50,22 +48,8 @@ ORTHOGONAL_OVERLAP_TOL = 1e-12
 _PHASE_BLOCK = 2**20
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("amplitudes must form a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("amplitudes must be finite")
-    return arr
-
-
-def _as_complex_matrix(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError("operator entries must form a non-empty square matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("operator entries must be finite")
-    return arr
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
 
 
 def _times_pow2(x, exponent: int):
@@ -86,10 +70,14 @@ class StateVector:
     normalized: bool | None = None
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amps)
-        with np.errstate(over="ignore"):
-            # an overflowing norm is simply "not normalized"
-            norm_sq = float(np.vdot(arr, arr).real)
+        arr = np.array(self.amps, dtype=np.complex128)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("amplitudes must form a non-empty 1-d sequence")
+        # vdot raises no overflow warning; a finite norm means finite
+        # amplitudes, and an overflowing one is simply "not normalized"
+        norm_sq = float(np.vdot(arr, arr).real)
+        if not math.isfinite(norm_sq) and not _all(np.isfinite(arr)):
+            raise ValueError("amplitudes must be finite")
         tag = self.normalized
         if tag is None:
             tag = abs(norm_sq - 1.0) <= STRUCTURAL_TOL
@@ -135,13 +123,18 @@ class LinearOperator:
     hermitian: bool | None = None
 
     def __post_init__(self):
-        arr = _as_complex_matrix(self.entries)
-        with np.errstate(over="ignore"):
-            # an overflowing deviation is simply "not hermitian"; A^dag - A,
-            # exactly -(A - A^dag), is formed in place to save an n x n copy
+        arr = np.array(self.entries, dtype=np.complex128)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise ValueError("operator entries must form a non-empty square matrix")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A^dag - A, exactly -(A - A^dag), is formed in place to save an
+            # n x n copy; it is finite only if every entry is, and an
+            # overflowing deviation of finite entries is simply "not hermitian"
             diff = arr.conj().T
             diff -= arr
-            deviation = float(np.max(np.abs(diff)))
+            deviation = float(_max(np.abs(diff), axis=None))
+        if not math.isfinite(deviation) and not _all(np.isfinite(arr), axis=None):
+            raise ValueError("operator entries must be finite")
         tag = self.hermitian
         if tag is None:
             tag = deviation <= STRUCTURAL_TOL
@@ -264,7 +257,7 @@ class Eigenbasis:
 
     def __init__(self, eigvals: np.ndarray, vecs: np.ndarray | None = None):
         self.eigvals = eigvals
-        self._vecs = vecs
+        self._vecs, self._conj = vecs, None if vecs is None else vecs.conj()
 
     @classmethod
     def of(cls, op: LinearOperator, role: str = "operator") -> "Eigenbasis":
@@ -276,7 +269,7 @@ class Eigenbasis:
         return self.eigvals.size
 
     def to_eigen(self, amps: np.ndarray) -> np.ndarray:
-        return amps @ self._vecs.conj()
+        return amps @ self._conj
 
     def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self._vecs.T
@@ -375,16 +368,12 @@ def _coupling_dims(system_op: LinearOperator, pointer) -> tuple[int, int]:
     return system_op.dim, pointer.dim
 
 
-def _finite_coupling(g) -> float:
-    g = float(g)
-    if not math.isfinite(g):
-        raise ValueError("coupling strength must be finite")
-    return g
-
-
 def finite_couplings(g_values) -> np.ndarray:
-    """``g_values`` as a float array, each g checked finite in turn."""
-    return np.array([_finite_coupling(g) for g in g_values], dtype=float)
+    """``g_values`` as a float array, checked finite at once."""
+    gs = np.array(g_values, dtype=float)
+    if not np.isfinite(gs).all():
+        raise ValueError("coupling strength must be finite")
+    return gs
 
 
 def _coupling_strengths(
@@ -427,77 +416,66 @@ def post_selected_branches(
     post: StateVector,
     ready: np.ndarray,
 ) -> np.ndarray:
-    """<out| exp(-i g S_k (x) P_p) (|in> (x) |m_p>) for every observable S_k
-    of ``observables``, every pointer p of ``bases`` and every g of that
-    pointer's schedule in ``schedules``, with |in> = ``pre``, <out| = ``post``
-    and |m_p> the row p of ``ready``, shaped (pointers, ptr_dim): the (K, R,
-    ptr_dim) stack of post-selected pointer branches, R the schedules'
-    lengths summed, each pointer's g values in turn, in one pass, unchecked
-    for normalization.
+    """<out| exp(-i g S_k (x) P_p) (|in> (x) |m_p>) for every observable S_k,
+    every pointer p of ``bases`` and every g of its schedule, with |in> =
+    ``pre``, <out| = ``post`` and |m_p> the row p of ``ready`` (pointers,
+    ptr_dim): the (K, R, ptr_dim) post-selected pointer branches, R the
+    schedules' lengths summed, each pointer's g in turn, unnormalized.
 
-    The bases share the first one's transforms (``Eigenbasis.shares_transforms``:
-    grid pointers of one size), and each has its own eigenvalues: every row
-    takes its pointer's mu, m^ and m by index.  The observables are
-    diagonalized once, each ready state is transformed once, the phases of
-    every row go through one kernel, and all branches take one inverse
-    transform.
-
-    The product |in> (x) |m> is never formed.  |m> goes into P's eigenbasis
-    once, as m^, and <out| contracts the system factor inside each S_k's
-    eigenbasis v_ki (one stacked ``eigh``), so that each branch is
+    The bases share the first one's transforms (``Eigenbasis.shares_transforms``)
+    and each g takes its own pointer's mu, m^ and m; the observables
+    broadcast over them, so no step loops over observables or couplings.
+    |in> (x) |m> is never formed: |m> goes into P's eigenbasis once, as
+    m^, and <out| contracts the system inside each S_k's eigenbasis v_ki
+    (one stacked ``eigh``), so that each branch is
 
         <out|in> m + from_eigen(sum_i a_ki (exp(-i g lambda_ki mu) - 1) m^)
 
-    with a_ki = <out|v_ki><v_ki|in>.  Adding the coupling's change to the
-    uncoupled branch, rather than transforming the whole, loses no digit at
-    small g, and exp(-i t) - 1 is taken as -2 sin^2(t/2) - i sin t
-    (``phase_change``), which cancels nothing.  Each branch costs
-    O(dim ptr_dim) for the phases and one inverse transform; on a mirrored
-    basis such as the grid's DFT it takes 2 dim (ptr_dim/2 + 1) sines.  The
-    phases of at most ``_PHASE_BLOCK`` terms are held at once: a block of
-    (observable, g) rows, or a part of the system axis of one row that
-    alone holds more.  ``CouplingEvolution``'s checks come first, in its
-    order: each S_k hermitian, each g finite (pointer by pointer, with each
-    ready state's dimension), the system dimensions.
+    with a_ki = <out|v_ki><v_ki|in>, which loses no digit at small g
+    (``phase_change``).  A branch costs O(dim ptr_dim) for its phases and
+    one inverse transform, and at most ``_PHASE_BLOCK`` phase terms are held
+    at once: a block of (observable, g) rows, or a part of the system axis
+    of one row.  ``CouplingEvolution``'s checks come first, in its order:
+    each S_k hermitian, each g finite (pointer by pointer, with each ready
+    state's dimension), the system dimensions.
     """
     bases = tuple(bases)
     if not bases or not all(bases[0].shares_transforms(other) for other in bases):
         raise ValueError("one pass reads pointers that share their transforms")
-    basis, ready = bases[0], np.asarray(ready)
-    observables = tuple(observables)
-    for op in observables:
-        _require_hermitian(op, "system observable")
-    schedules = [
-        _coupling_strengths(g, (pre.dim, amps.size), (pre.dim, other.dim))
-        for other, g, amps in zip(bases, schedules, ready, strict=True)
-    ]
-    if any(factor.dim != pre.dim for factor in (*observables, post)):
+    basis, observables = bases[0], tuple(observables)
+    if not all(op.hermitian for op in observables):
+        raise NonHermitianOperatorError("system observable must be hermitian")
+    lengths = [len(g) for _, g, _ in zip(bases, schedules, ready, strict=True)]
+    gs, ready = np.concatenate(schedules, dtype=float), np.asarray(ready)
+    # the ready rows and the bases each have one size, so the first
+    # pointer's checks decide the pointer dimension for all
+    fits = ready.shape[-1] == basis.dim
+    finite = np.isfinite(gs)
+    if not _all(finite) and (fits or not _all(finite[: lengths[0]])):
+        raise ValueError("coupling strength must be finite")
+    if not fits or {op.dim for op in (*observables, post)} - {pre.dim}:
         raise ValueError("joint state dimensions do not match the coupling")
     eigvals, vecs = np.linalg.eigh(
         np.array([op.entries for op in observables]).reshape(-1, pre.dim, pre.dim)
     )
-    gs = np.concatenate(schedules)
-    pointer_of = np.repeat(np.arange(len(bases)), [g.size for g in schedules])
-    # one row per (observable, g): a_ki, g lambda_ki, and its pointer's index
-    weights = (post.amps.conj() @ vecs) * (pre.amps @ vecs.conj())
-    weights = np.repeat(weights, gs.size, axis=0)[:, None, :]
-    rates = (eigvals[:, None, :] * gs[:, None]).reshape(-1, pre.dim, 1)
-    row_pointer = np.tile(pointer_of, len(observables))
-    mus = np.array([other.eigvals for other in bases])[:, None]
-    change = np.empty((rates.shape[0], basis.dim), dtype=np.complex128)
-    for rows in _blocks(len(change), _PHASE_BLOCK // (pre.dim * basis.dim)):
-        mu = mus[row_pointer[rows]]
+    # each g's pointer: its momenta mu, and its ready state m and m^
+    mu = np.array([other.eigvals for other in bases]).repeat(lengths, axis=0)[:, None]
+    hat, ready = basis.to_eigen(ready).repeat(lengths, axis=0), ready.repeat(lengths, axis=0)
+    # a_ki, broadcast over the g axis, and g lambda_ki: one (k, g) row each
+    weights = ((post.amps.conj() @ vecs) * (pre.amps @ vecs.conj()))[:, None, None, :]
+    rates = eigvals[:, None, :, None] * gs[:, None, None]
+    change = np.empty((len(observables), gs.size, basis.dim), dtype=np.complex128)
+    for obs, gees in _row_blocks(*change.shape[:2], _PHASE_BLOCK // (pre.dim * basis.dim)):
         # a row of more than _PHASE_BLOCK terms is summed in parts along the
         # system axis
         parts = (
-            _phase_sum(basis, rates[rows, cut], weights[rows, :, cut], mu)
+            _phase_sum(basis, rates[obs, gees, cut], weights[obs, ..., cut], mu[gees])
             for cut in _blocks(pre.dim, _PHASE_BLOCK // basis.dim)
         )
-        change[rows] = functools.reduce(np.add, parts)
-    change = change.reshape(len(observables), gs.size, basis.dim)
-    change *= basis.to_eigen(ready)[pointer_of]
+        change[obs, gees] = functools.reduce(np.add, parts)
+    change *= hat
     branches = basis.from_eigen(change)
-    branches += inner(post, pre) * ready[pointer_of]
+    branches += inner(post, pre) * ready
     return branches
 
 
@@ -507,17 +485,27 @@ def _blocks(total: int, step: int):
     return (slice(start, start + step) for start in range(0, total, step))
 
 
+def _row_blocks(observables: int, couplings: int, step: int):
+    """(observable, coupling) slices of at most ``max(1, step)`` rows: whole
+    observables while all their g fit, else one observable's g in parts."""
+    if couplings <= step:
+        return ((obs, slice(None)) for obs in _blocks(observables, step // max(couplings, 1)))
+    return (
+        (slice(k, k + 1), gees) for k in range(observables) for gees in _blocks(couplings, step)
+    )
+
+
 def _phase_sum(
     pointer: Eigenbasis, rates: np.ndarray, weights: np.ndarray, eigvals: np.ndarray
 ) -> np.ndarray:
-    """sum_i a_i (exp(-i r_i mu) - 1) on eigenvalues mu for each row of
-    ``weights`` a_i, shaped (rows, 1, dim), and ``rates`` r_i, shaped
-    (rows, dim, 1): ``eigvals``, shaped (rows, 1, ptr_dim), of ``pointer``
-    or of bases that share its transforms."""
+    """sum_i a_i (exp(-i r_i mu) - 1) on eigenvalues mu for each (observable,
+    g) row of ``weights`` a_i, shaped (observables, 1, 1, dim), and ``rates``
+    r_i, shaped (observables, g, dim, 1): ``eigvals``, shaped (g, 1,
+    ptr_dim), of ``pointer`` or of bases that share its transforms."""
     real, imag = pointer.phase_change(rates, eigvals)
-    total = np.empty((len(rates), pointer.dim), dtype=np.complex128)
-    total.real = (weights.real @ real - weights.imag @ imag)[:, 0]
-    total.imag = (weights.real @ imag + weights.imag @ real)[:, 0]
+    total = np.empty((*rates.shape[:2], pointer.dim), dtype=np.complex128)
+    total.real = (weights.real @ real - weights.imag @ imag)[..., 0, :]
+    total.imag = (weights.real @ imag + weights.imag @ real)[..., 0, :]
     return total
 
 
@@ -536,7 +524,7 @@ def first_order_state(
         raise ValueError("system observable does not match the system state")
     if P.dim != m.dim:
         raise ValueError("pointer generator does not match the pointer state")
-    g = _finite_coupling(g)
+    (g,) = finite_couplings((g,)).tolist()
     amps = np.kron(pre.amps, m.amps) - 1j * g * np.kron(
         S.entries @ pre.amps, P.entries @ m.amps
     )

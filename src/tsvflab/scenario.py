@@ -36,6 +36,7 @@ import re
 from collections.abc import Callable, Container, Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .limits import (
     DEFAULT_FIXED_COUPLING, DEFAULT_FIXED_SPREAD, DEFAULT_SPREADS, METRICS, limit_pointers
 )
 from .pointer import GAUSSIAN_KIND, QUBIT_KIND, PointerModel, gaussian_pointer, qubit_pointer
-from .qcore import LinearOperator, StateVector, identity, pauli_x, pauli_y, pauli_z, projector
+from .qcore import LinearOperator, StateVector, pauli_x, pauli_y, pauli_z, projector
 from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
 from .weakmeas import PrePostSelection
 
@@ -108,11 +109,8 @@ _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 _TOKEN_RE = re.compile(r"\S+")
 # an imaginary part needs its sign only after a real part
 _COMPLEX_RE = re.compile(rf"({_REAL})?(?:((?(1)[+-]|[+-]?){_UNSIGNED_REAL})i)?")
-# a whole matrix literal (a vector when it holds no ';') of items that
-# _COMPLEX_RE accepts, none empty; \s matches exactly the characters
-# str.strip removes
-_ITEM = rf"[+-]?{_UNSIGNED_REAL}(?:i|[+-]{_UNSIGNED_REAL}i)?"
-_LITERAL_RE = re.compile(rf"(?:\s*{_ITEM}\s*[,;])*\s*{_ITEM}\s*")
+#: deletes the characters a literal may hold besides blanks
+_LITERAL_CHARS = str.maketrans("", "", "0123456789.eE+-i,;")
 
 _MAX_EXPR_DEPTH = 64
 #: Largest system dimension, and so the largest ``identity(n)``.
@@ -159,7 +157,20 @@ class ScenarioDoc:
     selection: tuple[str, str] | None
     network: OpticalNetwork | None
     experiment: ExperimentPlan
-    positions: dict[str, tuple[int, int]] = field(repr=False, default_factory=dict)
+    #: the scanned sections by kind, which place ``plan``'s diagnostics
+    sections: Mapping[str, list] = field(repr=False, default_factory=dict)
+
+    def position(self, kind: str, key: str) -> tuple[int, int] | None:
+        """(line, column) of ``key``'s value in the file's [kind] section, or
+        of the one value of the [kind key] section; None if there is none."""
+        for section in self.sections.get(kind, ()):
+            if kind in _NAMED_SECTIONS:
+                entries = section.entries if section.name == key else None
+            else:
+                entries = section.table.get(key)
+            if entries:
+                return entries[0].line, entries[0].value_col
+        return None
 
 
 @dataclass(frozen=True)
@@ -200,8 +211,7 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 # Raw line scanning.
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     key: str
     key_col: int
     value: str
@@ -213,77 +223,67 @@ class _Entry:
         return ParseDiagnostic(self.line, self.value_col if col is None else col, message)
 
 
-@dataclass
 class _Section:
-    kind: str
-    name: str | None
-    line: int
-    col: int
-    entries: list[_Entry]
+    """A section header and its entries, in file order and by key."""
+
+    __slots__ = ("kind", "name", "line", "col", "entries", "table")
+
+    def __init__(self, kind: str, name: str | None, line: int, col: int):
+        self.kind, self.name, self.line, self.col = kind, name, line, col
+        self.entries: list[_Entry] = []
+        self.table: dict[str, list[_Entry]] = {}
 
     def error(self, message: str) -> ParseDiagnostic:
         """An error at the section header."""
         return ParseDiagnostic(self.line, self.col, message)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+#: an assignment's key, when it is a valid name, its '=' and the blanks
+#: after it; \s matches exactly the characters str.strip removes
+_ASSIGNMENT_RE = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)\s*(=)\s*")
 
 
-def _scan(text: str, diags: list[ParseDiagnostic]) -> list[_Section]:
+def _scan(text: str, diags: list[ParseDiagnostic]) -> dict[str, list[_Section]]:
+    """The sections of ``text`` by kind, each kind in file order, every line
+    read once: an assignment of a valid key is cut by one match."""
     # str.split("\n") is the same cut, at a fraction of the regex's cost
     lines = _LINE_BREAK_RE.split(text) if "\r" in text else text.split("\n")
-    if _strip_comment(lines[0]).strip() != VERSION_LINE:
-        diags.append(
-            ParseDiagnostic(1, 1, f"first line must be {VERSION_LINE!r}")
-        )
-        return []
-
-    sections: list[_Section] = []
+    if lines[0].partition("#")[0].strip() != VERSION_LINE:
+        diags.append(ParseDiagnostic(1, 1, f"first line must be {VERSION_LINE!r}"))
+        return {}
+    sections: dict[str, list[_Section]] = {}
     current: _Section | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
-        body = _strip_comment(raw)
-        stripped = body.strip()
-        if not stripped:
+        if not raw:
             continue
-        indent = len(body) - len(body.lstrip())
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                diags.append(ParseDiagnostic(lineno, indent + 1, "malformed section header"))
-                current = None
+        body = raw.partition("#")[0]
+        m = _ASSIGNMENT_RE.match(body)
+        if m is None:
+            stripped = body.strip()
+            col = len(body) - len(body.lstrip()) + 1
+            if not stripped:
                 continue
-            parts = stripped[1:-1].split()
-            section = _parse_header(parts, lineno, indent + 1, diags)
-            if section is None:
+            if stripped[0] == "[":
                 current = None
-                continue
-            current = section
-            sections.append(section)
+                if not stripped.endswith("]"):
+                    diags.append(ParseDiagnostic(lineno, col, "malformed section header"))
+                elif current := _parse_header(stripped[1:-1].split(), lineno, col, diags):
+                    sections.setdefault(current.kind, []).append(current)
+            elif "=" not in body:
+                diags.append(ParseDiagnostic(lineno, col, "expected 'key = value' assignment"))
+            else:
+                key = body[: body.find("=")].strip()
+                diags.append(ParseDiagnostic(lineno, col, f"invalid key {key!r}"))
             continue
-        eq = body.find("=")
-        if eq < 0:
-            diags.append(
-                ParseDiagnostic(lineno, indent + 1, "expected 'key = value' assignment")
-            )
-            continue
-        key = body[:eq].strip()
-        if not key or not _NAME_RE.fullmatch(key):
-            diags.append(ParseDiagnostic(lineno, indent + 1, f"invalid key {key!r}"))
-            continue
-        key_col = body.index(key) + 1
-        value_part = body[eq + 1 :]
-        value = value_part.strip()
+        key, value = m[2], body[m.end() :].rstrip()
         if not value:
-            diags.append(ParseDiagnostic(lineno, eq + 2, f"missing value for {key!r}"))
-            continue
-        value_col = eq + 2 + (len(value_part) - len(value_part.lstrip()))
-        if current is None:
-            diags.append(
-                ParseDiagnostic(lineno, key_col, "assignment outside any section")
-            )
-            continue
-        current.entries.append(_Entry(key, key_col, value, value_col, lineno))
+            diags.append(ParseDiagnostic(lineno, m.start(3) + 2, f"missing value for {key!r}"))
+        elif current is None:
+            diags.append(ParseDiagnostic(lineno, m.start(2) + 1, "assignment outside any section"))
+        else:
+            entry = _Entry(key, m.start(2) + 1, value, m.end() + 1, lineno)
+            current.entries.append(entry)
+            current.table.setdefault(key, []).append(entry)
     return sections
 
 
@@ -300,14 +300,14 @@ def _parse_header(
                 ParseDiagnostic(line, col, f"section [{kind}] takes no name")
             )
             return None
-        return _Section(kind, None, line, col, [])
+        return _Section(kind, None, line, col)
     if kind in _NAMED_SECTIONS:
         if len(parts) != 2 or not _NAME_RE.fullmatch(parts[1]):
             diags.append(
                 ParseDiagnostic(line, col, f"section [{kind}] needs one valid name")
             )
             return None
-        return _Section(kind, parts[1], line, col, [])
+        return _Section(kind, parts[1], line, col)
     diags.append(ParseDiagnostic(line, col, f"unknown section [{kind}]"))
     return None
 
@@ -351,26 +351,42 @@ def _complex_items(
     return None if None in values else values
 
 
-def _literal_values(text: str) -> np.ndarray:
-    """The complex items of ``text``, a literal that ``_LITERAL_RE``
-    accepts, read in one pass by ``complex``: the same numbers, signed
-    zeros included, as ``parse_complex_literal`` gives."""
+def _literal_values(text: str) -> np.ndarray | None:
+    """The items of a matrix literal (a vector without ';') whose items
+    ``parse_complex_literal`` all reads, read in one pass by ``complex``, to
+    the bit; else None.  ``complex`` rejects every malformed item but those
+    these checks catch: a character outside the grammar, an empty item, a
+    blank inside one (more items than separators), an ``i`` without digits."""
     # str.split() cuts at the same whitespace as str.strip
+    packed = "".join(text.replace(";", ",").split())
     items = text.replace("i", "j").replace(",", " ").replace(";", " ").split()
-    return np.array(list(map(complex, items)), dtype=np.complex128)
+    if (
+        text.translate(_LITERAL_CHARS).strip()
+        or not packed
+        or packed[0] in ",i"
+        or packed[-1] == ","
+        or ",," in packed or ",i" in packed or "+i" in packed or "-i" in packed
+        or len(items) != packed.count(",") + 1
+    ):
+        return None
+    try:
+        return np.array(list(map(complex, items)), dtype=np.complex128)
+    except ValueError:
+        return None
 
 
 def _parse_vector(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
-    if ";" not in entry.value and _LITERAL_RE.fullmatch(entry.value):
-        return _literal_values(entry.value)
+    values = None if ";" in entry.value else _literal_values(entry.value)
+    if values is not None:
+        return values
     values = _complex_items(entry, entry.value, entry.value_col, diags)
     return None if values is None else np.array(values, dtype=np.complex128)
 
 
 def _parse_matrix(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
-    if _LITERAL_RE.fullmatch(entry.value):
+    values = _literal_values(entry.value)
+    if values is not None:
         widths = [row.count(",") + 1 for row in entry.value.split(";")]
-        values = _literal_values(entry.value)
     else:
         rows = [
             _complex_items(entry, row_text, row_col, diags)
@@ -387,9 +403,12 @@ def _parse_matrix(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | N
 
 
 def _parse_real(
-    entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
+    entry: _Entry, diags: list[ParseDiagnostic], token: str | None = None, col: int = 0
 ) -> float | None:
-    """A finite real ``token`` of ``entry``'s value, at column ``col``."""
+    """A finite real ``token`` of ``entry``'s value, at column ``col``: the
+    whole value when None."""
+    if token is None:
+        token, col = entry.value, entry.value_col
     if not _REAL_RE.fullmatch(token):
         diags.append(entry.error(f"malformed number {token!r}", col))
         return None
@@ -400,14 +419,13 @@ def _parse_real(
     return value
 
 
-def _parse_float_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> float | None:
-    return _parse_real(entry, entry.value, entry.value_col, diags)
-
-
 def _parse_int(
-    entry: _Entry, token: str, col: int, diags: list[ParseDiagnostic]
+    entry: _Entry, diags: list[ParseDiagnostic], token: str | None = None, col: int = 0
 ) -> int | None:
-    """An integer ``token`` of ``entry``'s value, at column ``col``."""
+    """An integer ``token`` of ``entry``'s value, at column ``col``: the
+    whole value when None."""
+    if token is None:
+        token, col = entry.value, entry.value_col
     if not _INT_RE.fullmatch(token):
         diags.append(entry.error(f"malformed integer {token!r}", col))
         return None
@@ -418,16 +436,12 @@ def _parse_int(
         return None
 
 
-def _parse_int_entry(entry: _Entry, diags: list[ParseDiagnostic]) -> int | None:
-    return _parse_int(entry, entry.value, entry.value_col, diags)
-
-
 def _parse_float_list(
     entry: _Entry, diags: list[ParseDiagnostic]
 ) -> tuple[float, ...] | None:
     values: list[float] = []
     for token, col in _split_items(entry.value, entry.value_col, ","):
-        value = _parse_real(entry, token, col, diags)
+        value = _parse_real(entry, diags, token, col)
         if value is None:
             return None
         values.append(value)
@@ -468,27 +482,48 @@ def _tokenize_expr(text: str, base_col: int) -> list[tuple[str, str, int]]:
 
 
 _PAULIS = {"pauli_x": pauli_x, "pauli_y": pauli_y, "pauli_z": pauli_z}
-
-
-def _times(lhs, rhs):
-    """``*`` of two operators is their product; with a scalar it scales."""
-    both = isinstance(lhs, LinearOperator) and isinstance(rhs, LinearOperator)
-    return lhs @ rhs if both else lhs * rhs
-
-
-#: binary symbol -> (its function, the message when it cannot take a scalar
-#: and an operator)
+#: binary symbol -> (its function on two scalars, on two operators)
 _BINARY = {
-    "+": (operator.add, "cannot add a scalar and an operator"),
-    "-": (operator.sub, "cannot add a scalar and an operator"),
-    "*": (_times, None),
-    "/": (operator.truediv, "can only divide by a scalar"),
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.matmul),
+    "/": (operator.truediv, None),
 }
+
+
+def _apply(symbol: str, lhs, rhs, col: int):
+    """``lhs symbol rhs`` of real scalars and operators (complex arrays),
+    digit for digit as ``LinearOperator``'s arithmetic, and its errors: a
+    result is checked finite, and a writable operand (any but a builtin's
+    read-only entries) takes it in place."""
+    scalar, operators = _BINARY[symbol]
+    lhs_op, rhs_op = isinstance(lhs, np.ndarray), isinstance(rhs, np.ndarray)
+    if not (lhs_op or rhs_op):
+        return scalar(lhs, rhs)
+    if symbol in "+-" and lhs_op != rhs_op:
+        raise _ExprError(col, "cannot add a scalar and an operator")
+    if symbol == "/" and rhs_op:
+        raise _ExprError(col, "can only divide by a scalar")
+    if lhs_op and rhs_op and lhs.shape != rhs.shape:
+        raise _ExprError(col, "operator dimensions differ")
+    if lhs_op and rhs_op and symbol != "*":
+        out = lhs if lhs.flags.writeable else rhs if rhs.flags.writeable else None
+        value = operators(lhs, rhs, out=out)
+    elif lhs_op and rhs_op:
+        value = lhs @ rhs
+    else:
+        op, factor = (lhs, complex(rhs)) if lhs_op else (rhs, complex(lhs))
+        ufunc = np.multiply if symbol == "*" else np.divide
+        value = ufunc(op, factor, out=op if op.flags.writeable else None)
+    if not np.isfinite(value).all():
+        raise _ExprError(None, "operator entries must be finite")
+    return value
 
 
 class _ExprParser:
     """Recursive-descent evaluator over real scalars (``float``) and
-    ``LinearOperator``s, which combine by the operators' own arithmetic."""
+    operators (complex arrays, validated once, as the ``LinearOperator``
+    the expression builds)."""
 
     def __init__(self, tokens, states: dict[str, StateVector], dim: int | None):
         self.tokens = tokens
@@ -532,16 +567,9 @@ class _ExprParser:
         while (tok := self._peek()) and tok[0] == "sym" and tok[1] in symbols:
             self._next()
             rhs = operand()
-            if tok[1] == "/" and rhs == 0:  # only a scalar equals 0
+            if tok[1] == "/" and not isinstance(rhs, np.ndarray) and rhs == 0:
                 raise _ExprError(tok[2], "division by zero")
-            apply, mixed = _BINARY[tok[1]]
-            try:
-                value = apply(value, rhs)
-            except TypeError:
-                raise _ExprError(tok[2], mixed) from None
-            except ValueError as err:  # LinearOperator's: dimensions differ, or not finite
-                col = tok[2] if str(err) == "operator dimensions differ" else None
-                raise _ExprError(col, str(err)) from None
+            value = _apply(tok[1], value, rhs, tok[2])
         return value
 
     def _unary(self):
@@ -570,7 +598,7 @@ class _ExprParser:
 
     def _named(self, name: str, col: int):
         if name in _PAULIS:
-            return _PAULIS[name]()
+            return _PAULIS[name]().entries
         if name == "identity":
             self._expect_sym("(")
             arg = self._next()
@@ -582,7 +610,7 @@ class _ExprParser:
                 raise _ExprError(arg[2], f"identity dimension must be in [1, {_MAX_DIM}]")
             if self.dim is not None and n != self.dim:  # rejected before it is allocated
                 raise _ExprError(arg[2], f"identity is {n}-dimensional, system dim is {self.dim}")
-            return identity(n)
+            return np.eye(n, dtype=np.complex128)  # the entries of identity(n)
         if name == "projector":
             self._expect_sym("(")
             arg = self._next()
@@ -594,12 +622,12 @@ class _ExprParser:
                 raise _ExprError(arg[2], f"unresolved state {arg[1]!r}")
             if not state.amps.any():
                 raise _ExprError(arg[2], f"cannot project onto the zero state {arg[1]!r}")
-            return projector(state)
+            return projector(state).entries
         if name == "sqrt":
             self._expect_sym("(")
             value = self._expr()
             self._expect_sym(")")
-            if isinstance(value, LinearOperator) or value < 0:
+            if isinstance(value, np.ndarray) or value < 0:
                 raise _ExprError(col, "sqrt needs a non-negative scalar")
             return math.sqrt(value)
         raise _ExprError(col, f"unknown operator builtin {name!r}")
@@ -611,22 +639,23 @@ def _eval_operator_expr(
     try:
         # a value is never blank, so it has a token or an unexpected character
         tokens = _tokenize_expr(entry.value, entry.value_col)
-        with np.errstate(all="ignore"):  # LinearOperator rejects what is not finite
+        with np.errstate(all="ignore"):  # every operator is checked finite
             value = _ExprParser(tokens, states, dim).parse()
     except _ExprError as err:
         diags.append(entry.error(err.message, err.col))
         return None
-    if not isinstance(value, LinearOperator):
+    if not isinstance(value, np.ndarray):
         diags.append(entry.error("expression is not an operator"))
         return None
-    return value.entries
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Section builders.
 
 def _first(section: _Section, key: str) -> _Entry | None:
-    return next((entry for entry in section.entries if entry.key == key), None)
+    entries = section.table.get(key)
+    return entries[0] if entries else None
 
 
 def _needs_key(section: _Section, key: str) -> ParseDiagnostic:
@@ -640,22 +669,18 @@ def _read_section(
     required: tuple[str, ...] = (),
     repeatable: tuple[str, ...] = (),
 ) -> dict[str, list[_Entry]] | None:
-    """The section's entries by key.  None after reporting each key not in
-    ``keys`` and each repeat of a key not ``repeatable``, or else each
-    missing ``required`` key."""
-    table: dict[str, list[_Entry]] = {}
-    ok = True
+    """The section's entries by key, as the scan filed them.  None after
+    reporting each key not in ``keys`` and each repeat of a key not
+    ``repeatable``, in file order, or else each missing ``required`` key."""
+    table, seen, errors = section.table, set(), len(diags)
     for entry in section.entries:
         if entry.key not in keys:
-            message = f"unknown key {entry.key!r} in section [{section.kind}]"
-        elif entry.key in table and entry.key not in repeatable:
-            message = f"duplicate key {entry.key!r}"
-        else:
-            table.setdefault(entry.key, []).append(entry)
-            continue
-        diags.append(entry.error(message, entry.key_col))
-        ok = False
-    if not ok:
+            diags.append(entry.error(f"unknown key {entry.key!r} in section [{section.kind}]",
+                                     entry.key_col))
+        elif entry.key in seen and entry.key not in repeatable:
+            diags.append(entry.error(f"duplicate key {entry.key!r}", entry.key_col))
+        seen.add(entry.key)
+    if len(diags) > errors:
         return None
     missing = [_needs_key(section, key) for key in required if key not in table]
     diags += missing
@@ -718,7 +743,7 @@ def _label_modes(
         if not m:
             diags.append(entry.error(f"malformed {what} {token!r} (want label:mode)", col))
             continue
-        mode = _parse_int(entry, m.group(2), col + m.start(2), diags)
+        mode = _parse_int(entry, diags, m.group(2), col + m.start(2))
         if mode is not None:
             pairs.append((m.group(1), mode))
     return pairs if len(pairs) == len(tokens) else None
@@ -751,8 +776,8 @@ def _build_network(
     modes_entry, source_entry, detectors_entry, postselect_entry = (
         table[key][0] for key in ("modes", "source", "detectors", "postselect")
     )
-    n_modes = _parse_int_entry(modes_entry, diags)
-    source = _parse_int_entry(source_entry, diags)
+    n_modes = _parse_int(modes_entry, diags)
+    source = _parse_int(source_entry, diags)
     if n_modes is None or source is None:
         return None
     if n_modes != dim:
@@ -783,7 +808,7 @@ def _build_network(
             # the whole step malformed instead
             faults: list[ParseDiagnostic] = []
             values = tuple(
-                (_parse_real if kind is float else _parse_int)(entry, token, col, faults)
+                (_parse_real if kind is float else _parse_int)(entry, faults, token, col)
                 for kind, (token, col) in zip(types, args)
             )
             if faults:
@@ -841,18 +866,14 @@ _POINTER_KINDS = {
     QUBIT_KIND: (("generator_axis",), (), qubit_pointer),
 }
 _POINTER_VALUES = {
-    "spread": _parse_float_entry,
-    "n_points": _parse_int_entry,
-    "half_width": _parse_float_entry,
+    "spread": _parse_real,
+    "n_points": _parse_int,
+    "half_width": _parse_real,
     "generator_axis": lambda entry, diags: entry.value,
 }
 
 
-def _build_pointer(
-    section: _Section,
-    diags: list[ParseDiagnostic],
-    positions: dict[str, tuple[int, int]],
-) -> PointerModel | None:
+def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerModel | None:
     kind = _first(section, "kind")
     if kind is not None and kind.value in _POINTER_KINDS:
         keys, required, make = _POINTER_KINDS[kind.value]
@@ -863,8 +884,6 @@ def _build_pointer(
     table = _read_section(section, ("kind", *allowed), diags, required=("kind", *required))
     if table is None:
         return None
-    where = {(key,): (entries[0].line, entries[0].value_col) for key, entries in table.items()}
-    positions.update((f"pointer:{key}", where[(key,)]) for key in table)
     fields: dict = {}
     for key in keys:
         if key in table:
@@ -874,6 +893,7 @@ def _build_pointer(
     try:
         return make(**fields)
     except FieldError as err:
+        where = {(key,): (entries[0].line, entries[0].value_col) for key, entries in table.items()}
         diags.append(_field_error(err, where, section))
         return None
 
@@ -882,8 +902,8 @@ def _build_pointer(
 _NUMBER_KEYS = {
     "g_schedule": _parse_float_list,
     "spread_schedule": _parse_float_list,
-    "fixed_g": _parse_float_entry,
-    "fixed_spread": _parse_float_entry,
+    "fixed_g": _parse_real,
+    "fixed_spread": _parse_real,
 }
 
 
@@ -892,7 +912,6 @@ def _build_experiment(
     operators: dict[str, LinearOperator],
     network: OpticalNetwork | None,
     diags: list[ParseDiagnostic],
-    positions: dict[str, tuple[int, int]],
 ) -> ExperimentPlan | None:
     plan_entry = _first(section, "plan")
     if plan_entry is None:
@@ -919,11 +938,7 @@ def _build_experiment(
         if key not in table:
             continue
         entry = table[key][0]
-        if key in _NUMBER_KEYS:
-            value = _NUMBER_KEYS[key](entry, diags)
-            positions[f"experiment:{key}"] = (entry.line, entry.value_col)
-        else:
-            value = read[key](entry)
+        value = _NUMBER_KEYS[key](entry, diags) if key in _NUMBER_KEYS else read[key](entry)
         if value is None:
             return None
         fields["observables" if key == rules.observable_key else key] = value
@@ -932,9 +947,7 @@ def _build_experiment(
     return ExperimentPlan(kind=kind, **fields)
 
 
-def _read_named(
-    sections: list[_Section], readers: dict, dim: int | None, diags: list, positions: dict
-) -> dict:
+def _read_named(sections: list[_Section], readers: dict, dim: int | None, diags: list) -> dict:
     """The domain objects of named sections of one kind, by name.  A section
     holds exactly one key of ``readers`` (a lone key is required), whose
     reader maps its entry to a value or to None."""
@@ -964,8 +977,6 @@ def _read_named(
             objects[name] = make(value)
         except ValueError as err:
             diags.append(entry.error(str(err)))
-            continue
-        positions[f"{kind}:{name}"] = (entry.line, entry.value_col)
     return objects
 
 
@@ -979,16 +990,10 @@ def parse(text: str) -> ScenarioResult:
     whenever any error diagnostic was produced.
     """
     diags: list[ParseDiagnostic] = []
-    sections = _scan(text, diags)
-
-    by_kind: dict[str, list[_Section]] = {}
-    for section in sections:
-        by_kind.setdefault(section.kind, []).append(section)
+    by_kind = _scan(text, diags)
     for kind in _SINGLE_SECTIONS:
         for extra in by_kind.get(kind, [])[1:]:
             diags.append(extra.error(f"duplicate section [{kind}]"))
-
-    positions: dict[str, tuple[int, int]] = {}
 
     dim: int | None = None
     if "system" not in by_kind:
@@ -998,7 +1003,7 @@ def parse(text: str) -> ScenarioResult:
         table = _read_section(by_kind["system"][0], ("dim",), diags, required=("dim",))
         if table is not None:
             entry = table["dim"][0]
-            parsed = _parse_int_entry(entry, diags)
+            parsed = _parse_int(entry, diags)
             if parsed is not None and not 1 <= parsed <= _MAX_DIM:
                 diags.append(entry.error(f"dim must be in [1, {_MAX_DIM}]"))
             elif parsed is not None:
@@ -1006,14 +1011,14 @@ def parse(text: str) -> ScenarioResult:
 
     # each named section: duplicate name, keys, value, dim check, domain
     # constructor (its ValueError reported at the value), position
-    states = _read_named(by_kind.get("state", []), {"amps": _parse_vector}, dim, diags, positions)
+    states = _read_named(by_kind.get("state", []), {"amps": _parse_vector}, dim, diags)
     expr = lambda entry, diags: _eval_operator_expr(entry, states, dim, diags)  # noqa: E731
     readers = {"matrix": _parse_matrix, "expr": expr}
-    operators = _read_named(by_kind.get("operator", []), readers, dim, diags, positions)
+    operators = _read_named(by_kind.get("operator", []), readers, dim, diags)
 
     pointer = None
     if "pointer" in by_kind:
-        pointer = _build_pointer(by_kind["pointer"][0], diags, positions)
+        pointer = _build_pointer(by_kind["pointer"][0], diags)
 
     selection = None
     if "selection" in by_kind:
@@ -1035,22 +1040,20 @@ def parse(text: str) -> ScenarioResult:
         if not diags:
             diags.append(ParseDiagnostic(1, 1, "missing [experiment] section"))
     else:
-        experiment = _build_experiment(
-            by_kind["experiment"][0], operators, network, diags, positions
-        )
+        experiment = _build_experiment(by_kind["experiment"][0], operators, network, diags)
 
     if experiment is not None:
         section = by_kind["experiment"][0]
         available = {"selection": selection, "pointer": pointer, "network": network}
         for requirement in _PLANS[experiment.kind].sections:
-            if available[requirement] is None and not any(d.severity == "error" for d in diags):
+            if available[requirement] is None and not diags:
                 message = f"plan {experiment.kind!r} needs a [{requirement}] section"
                 diags.append(section.error(message))
 
-    errors = [d for d in diags if d.severity == "error"]
-    if errors or dim is None or experiment is None:
+    # parse reports errors only
+    if diags or dim is None or experiment is None:
         return ScenarioResult(None, tuple(diags))
-    doc = ScenarioDoc(dim, states, operators, pointer, selection, network, experiment, positions)
+    doc = ScenarioDoc(dim, states, operators, pointer, selection, network, experiment, by_kind)
     return ScenarioResult(doc, tuple(diags))
 
 
@@ -1064,18 +1067,26 @@ READOUT_ACCURACY = 1e-2
 #: measured error (at most 0.55 eps / (g_min max|lambda|) over 24 generated
 #: qubit weak values), so this too admits errors up to about 1e-4.
 QUBIT_READOUT_ACCURACY = 2e-4
+#: The smallest coupling phase of a weak trace: g_min on the qubit
+#: environments, times the target's generator spread (1 / (2 spread) on the
+#: grid).  A second-order trace weighs two such phases squared, >= 1e-280.
+TRACE_MIN_PHASE = 1e-70
 
 
-def _coupling_fault(pointer: PointerModel, g_values, lam: float, readout: bool) -> str | None:
+def _coupling_fault(
+    pointer: PointerModel, g_values, lam: float, readout: bool, traces: bool
+) -> str | None:
     """Why coupling ``pointer`` at ``g_values`` to observables of largest
     |eigenvalue| ``lam`` gives no trustworthy number, or None: a shift that
     carries a Gaussian's tails, 8 spreads out, around the periodic grid,
-    or, in a readout, a smallest shift lost in <Q>'s roundoff."""
+    in a readout a smallest shift lost in <Q>'s roundoff, and in a weak
+    trace a smallest phase whose weight underflows."""
     shift, least = max(g_values) * lam, min(g_values) * lam
     if pointer.kind == QUBIT_KIND:
         where, roundoff, label, accuracy = (
             "qubit pointer", math.ulp(1.0), "eps", QUBIT_READOUT_ACCURACY
         )
+        phase = min(g_values)
     else:
         spread, half_width = pointer.spread, pointer.half_width
         where = f"pointer at spread {spread!r}"
@@ -1084,6 +1095,10 @@ def _coupling_fault(pointer: PointerModel, g_values, lam: float, readout: bool) 
                     f"exceeds half_width {half_width!r}: it wraps around the grid")
         roundoff, label = math.ulp(1.0) * half_width, "eps half_width"
         accuracy = READOUT_ACCURACY
+        phase = min(g_values) * min(1.0, 0.5 / spread)
+    if traces and phase < TRACE_MIN_PHASE:
+        return (f"{where}: smallest coupling phase {phase!r} is below {TRACE_MIN_PHASE}: "
+                f"a second-order weak trace underflows")
     if readout and lam > 0 and roundoff > accuracy * least:
         return (f"{where}: readout roundoff {roundoff:.3g} ({label}) exceeds {accuracy} of "
                 f"the smallest shift {least!r} (g_min max|lambda|)")
@@ -1110,7 +1125,8 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
 
     def _at(message: str, *keys: str, severity: str = "error") -> ParseDiagnostic:
         """A diagnostic at the first of ``keys`` the file holds, else at 1:1."""
-        where = next((doc.positions[key] for key in keys if key in doc.positions), (1, 1))
+        places = (doc.position(*key.split(":")) for key in keys)
+        where = next((place for place in places if place is not None), (1, 1))
         return ParseDiagnostic(*where, message, severity)
 
     states = {}
@@ -1169,7 +1185,8 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
         return PlanResult(None, tuple(diags), str(err))
 
     observables = tuple((name, doc.operators[name]) for name in sorted(experiment.observables))
-    if pointer.kind == GAUSSIAN_KIND or rules.readout:
+    traces = "network" in rules.sections  # a plan that reads weak traces
+    if pointer.kind == GAUSSIAN_KIND or rules.readout or traces:
         # a trace couples arm projectors, whose eigenvalues are 0 and 1
         lam = max(
             (float(np.abs(np.linalg.eigvalsh(op.entries)).max()) for _, op in observables),
@@ -1178,7 +1195,7 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
         couplings = [(pointer, g_schedule, "g_schedule", bool(given))]
         couplings += [(p, (fixed_g,), "fixed_g", False) for p in spread_pointers]
         for model, g_values, key, flagged in couplings:
-            fault = _coupling_fault(model, g_values, lam, rules.readout)
+            fault = _coupling_fault(model, g_values, lam, rules.readout, traces)
             if fault is not None and flagged:
                 return PlanResult(None, tuple(diags), fault)
             if fault is not None:

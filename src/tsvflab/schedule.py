@@ -13,6 +13,7 @@ the order fits draw over a schedule lives here too.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +27,7 @@ MAX_SCHEDULE_POINTS = 1024
 
 
 def _finite(points: tuple[float, ...], label: str) -> tuple[float, ...]:
-    if not all(math.isfinite(v) for v in points):
+    if not all(map(math.isfinite, points)):
         raise ScheduleError(f"{label} points must be finite")
     return points
 
@@ -34,10 +35,10 @@ def _finite(points: tuple[float, ...], label: str) -> tuple[float, ...]:
 def _ordered(
     values: Iterable[float], label: str, decreasing: bool, min_points: int
 ) -> tuple[float, ...]:
-    points = _finite(tuple(float(v) for v in values), label)
-    if any(v <= 0 for v in points):
+    points = _finite(tuple(map(float, values)), label)
+    if points and min(points) <= 0:
         raise ScheduleError(f"{label} points must be positive")
-    if any(b >= a if decreasing else b <= a for a, b in zip(points, points[1:])):
+    if not all(map(operator.gt if decreasing else operator.lt, points, points[1:])):
         verb = "decrease" if decreasing else "increase"
         raise ScheduleError(f"{label} must {verb}")
     if len(points) < min_points:
@@ -64,8 +65,12 @@ class GSchedule(tuple):
     def __new__(
         cls, values: Iterable[float], min_points: int = 4, span_decade: bool = False
     ) -> "GSchedule":
-        schedule = super().__new__(cls, _ordered(values, "schedule", True, min_points))
-        _bounded(len(schedule))
+        schedule = values  # a GSchedule is finite, positive, decreasing and bounded
+        if type(values) is not cls:
+            schedule = super().__new__(cls, _ordered(values, "schedule", True, min_points))
+            _bounded(len(schedule))
+        elif len(schedule) < min_points:
+            raise ScheduleError(f"schedule needs at least {min_points} points")
         if span_decade and math.log10(schedule[0] / schedule[-1]) < 1.0 - 1e-9:
             raise ScheduleError("schedule must span at least one decade")
         return schedule
@@ -126,15 +131,20 @@ def centred_line(x, y, usable=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     with deviation = y - line at the usable points and 0 elsewhere.
 
     ``x`` broadcasts against ``y``.  A row whose usable x do not spread
-    has slope 0.  A row's result does not depend on the others, to the bit.
+    has slope 0.  A row's result does not depend on the others, to the bit;
+    with every point usable, x is centred once for all rows.
     """
-    y = np.asarray(y, dtype=float)
-    usable = np.ones(y.shape, dtype=bool) if usable is None else usable
-    n = np.maximum(np.count_nonzero(usable, axis=1), 1)
-    x, y = np.where(usable, x, 0.0), np.where(usable, y, 0.0)
-    mean_x, mean_y = x.sum(axis=1) / n, y.sum(axis=1) / n
-    dx = np.where(usable, x - mean_x[:, None], 0.0)
-    dy = np.where(usable, y - mean_y[:, None], 0.0)
-    sxx = (dx * dx).sum(axis=1)
-    slope = (dx * dy).sum(axis=1) / np.where(sxx > 0, sxx, 1.0)
-    return slope, mean_y - slope * mean_x, dy - slope[:, None] * dx
+    if usable is None:
+        n, mask = max(np.shape(y)[-1], 1), np.asarray
+    else:
+        n = np.maximum(np.count_nonzero(usable, axis=1), 1)[:, None]
+        mask = lambda a: np.where(usable, a, 0.0)  # noqa: E731
+    x, y = mask(np.asarray(x, dtype=float)), mask(np.asarray(y, dtype=float))
+    mean_x, mean_y = _sum(x, axis=-1, keepdims=True) / n, _sum(y, axis=-1, keepdims=True) / n
+    dx, dy = mask(x - mean_x), mask(y - mean_y)
+    sxx = _sum(dx * dx, axis=-1, keepdims=True)
+    slope = _sum(dx * dy, axis=-1, keepdims=True) / np.where(sxx > 0, sxx, 1.0)
+    return slope[:, 0], (mean_y - slope * mean_x)[:, 0], dy - slope * dx
+
+
+_sum = np.add.reduce

@@ -1,24 +1,12 @@
 """The weak-measurement pipeline.
 
-Analytic weak values <out|S|in>/<out|in> and the one pointer readout:
-``PointerReadout`` reads K observables of one pre- and post-selection off
+Analytic weak values <out|S|in>/<out|in>, and the one pointer readout,
+``PointerReadout``: K observables of one pre- and post-selection read off
 a sequence of pointers (the estimator's is a sequence of one), each at
-every g of its own schedule, in one array pass
-(``qcore.post_selected_branches``) per grid size.  Equal pointer models
-share one spectrum.  The observables are diagonalized together by one
-stacked ``eigh``; each ready state goes once into the pointer generator's
-eigenbasis (the grid's DFT basis, shared by every grid pointer of one
-size, or the qubit's 2x2 ``eigh``), where <out| contracts the system
-factor, since the coupled state starts as the product |in> (x) |m>.  Each
-(observable, pointer, g) row then costs O(dim n) for its phases and one
-inverse and one forward transform of its n-point branch, O(n log n), and
-is read out in its own pointer's momenta and readout Q; nothing is an
-n_points^2 matrix, so the readout scales to 4096-point grids.  The limit
-comparison reads both of its routes in one such pass.  The numeric
-estimator extrapolates the per-g readouts of all K observables to g -> 0
-with one closed-form line.
-
-The estimator reads both conjugate pointer observables: the position-like
+every g of its own schedule, in one array pass per grid size
+(``qcore.post_selected_branches``).  The numeric estimator extrapolates
+the per-g readouts of all K observables to g -> 0 with one closed-form
+line.  It reads both conjugate pointer observables: the position-like
 readout carries Re(w) and the generator-side readout carries Im(w), so
 purely real weak values can be confirmed to actually be real.
 """
@@ -80,7 +68,12 @@ def weak_value(sel: PrePostSelection, S: LinearOperator) -> complex:
         raise OrthogonalSelectionError(
             f"pre/post selection nearly orthogonal: |<out|in>| = {magnitude:.3e}"
         )
-    return complex(inner(sel.post, S.apply(sel.pre)) / sel.overlap)
+    if S.dim != sel.pre.dim:
+        raise ValueError(f"operator dim {S.dim} does not match state dim {sel.pre.dim}")
+    amps = S.entries @ sel.pre.amps
+    if not _all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+    return complex(complex(np.vdot(sel.post.amps, amps)) / sel.overlap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +94,12 @@ class PointerReadout:
 
     Equal pointer models share one spectrum.  Pointers whose bases share
     transforms (grid pointers of one size) are read in one pass of
-    ``post_selected_branches``: one ``eigh`` of the observables, one
-    transform of the ready states, one phase kernel, and one inverse and
-    one forward transform of all their branches.  Pointers of another size
-    take a pass of their own.  Each pointer is read out in its own momenta,
-    readout Q and ready state, as a readout off that pointer alone reads
-    it: bit for bit on the grid, whose FFT rounds each row alike, and to
-    roundoff for qubit pointers of one axis read together, whose dense
-    transform rounds by the rows it takes.
+    ``post_selected_branches``, others in a pass per size.  Each pointer is
+    read out in its own momenta, readout Q and ready state, as a readout
+    off that pointer alone reads it: bit for bit on the grid, whose FFT
+    rounds each row alike, and to roundoff for qubit pointers of one axis
+    read together.  The checks and the calibration take all (K, R)
+    readouts at once.
     """
 
     def __init__(
@@ -135,73 +126,58 @@ class PointerReadout:
         row order (each pointer, each observable, each g in turn), and last
         that no g is zero, since the calibration divides by g."""
         spectra, sel = self.spectra, self.sel
-        schedules = [tuple(float(g) for g in gs) for gs in schedules]
+        lengths = [len(schedule) for schedule in schedules]
+        bounds = [0, *itertools.accumulate(lengths)]
+        probabilities, readout, generator = np.empty((3, len(self.observables), bounds[-1]))
+        # per pointer: the readout's scale, and the generator's variance in
+        # the ready state, which a qubit's calibration does not take
+        calibration = [(1.0, 1.0)] * len(spectra)
         sets: dict[int, list[int]] = {}  # first pointer -> the set's pointers
         for index, spectrum in enumerate(spectra):
             same = (i for i in sets if spectra[i].basis.shares_transforms(spectrum.basis))
             sets.setdefault(next(same, index), []).append(index)
-        passes, rows_of = [], {}
         for members in sets.values():
+            first, ready = spectra[members[0]], np.array([spectra[i].ready for i in members])
             branches = post_selected_branches(
-                self.observables, [spectra[index].basis for index in members],
-                [schedules[index] for index in members], sel.pre, sel.post,
-                np.array([spectra[index].ready for index in members]),
+                self.observables, [spectra[i].basis for i in members],
+                [schedules[i] for i in members], sel.pre, sel.post, ready,
             )
-            probabilities = np.sum(np.abs(branches) ** 2, axis=-1)
-            bounds = [0, *itertools.accumulate(len(schedules[index]) for index in members)]
-            rows = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-            passes.append((members, rows, branches, probabilities))
-            rows_of.update((index, probabilities[:, r]) for index, r in zip(members, rows))
-        for index, schedule in enumerate(schedules):
-            for row in rows_of[index]:
-                for g, probability in zip(schedule, row):
-                    if probability < ZERO_PROBABILITY_FLOOR:
-                        raise DarkDetectorError(f"orthogonal post-selection at g = {g!r}")
-                    if probability > 1.0 + 1e-9:
-                        raise ValueError(
-                            f"post-selection probability {float(probability)!r} exceeds 1"
-                        )
-        if any(g == 0.0 for schedule in schedules for g in schedule):
+            weights, power = first.weights(branches), _sum(np.abs(branches) ** 2, axis=-1)
+            gaussian = first.model.kind == GAUSSIAN_KIND
+            ready_weights = first.weights(ready) if gaussian else members
+            start = 0
+            for index, w in zip(members, ready_weights):
+                spectrum, rows = spectra[index], slice(bounds[index], bounds[index + 1])
+                own = slice(start, start + rows.stop - rows.start)
+                readout[:, rows] = spectrum.readout_means(branches[:, own])
+                generator[:, rows] = weights[:, own] @ spectrum.basis.eigvals
+                probabilities[:, rows] = power[:, own]
+                mu = spectrum.basis.eigvals
+                calibration[index] = (1.0, w @ mu**2 - (w @ mu) ** 2) if gaussian else (-2.0, 1.0)
+                start = own.stop
+        gs = np.concatenate(schedules, dtype=float)
+        if _fmin(probabilities, axis=None, initial=1.0) < ZERO_PROBABILITY_FLOOR or (
+            _fmax(probabilities, axis=None, initial=1.0) > 1.0 + 1e-9
+        ):  # the first in row order: each pointer, each observable, each g
+            dark = probabilities < ZERO_PROBABILITY_FLOOR
+            ks, rs = np.nonzero(dark | (probabilities > 1.0 + 1e-9))
+            first = np.lexsort((rs, ks, np.searchsorted(bounds, rs, side="right")))[0]
+            k, r = ks[first], rs[first]
+            if dark[k, r]:
+                raise DarkDetectorError(f"orthogonal post-selection at g = {float(gs[r])!r}")
+            raise ValueError(f"post-selection probability {float(probabilities[k, r])!r} exceeds 1")
+        if not _all(gs):
             raise ValueError("coupling strength must be nonzero: the readout divides by g")
-        columns = [None] * len(schedules)
-        for members, rows, branches, probabilities in passes:
-            ratios = _calibrated(
-                [spectra[index] for index in members],
-                [schedules[index] for index in members], rows, branches, probabilities,
-            )
-            for index, r in zip(members, rows):
-                columns[index] = ratios[:, r]
-        return np.concatenate(columns, axis=1)
+        scale, variance = np.array(calibration).repeat(lengths, axis=0).T
+        # the grid's Q shifts by g Re(w), the qubit's readout Pauli by
+        # -2 g Re(w), and the generator's mean by 2 g Var(P) Im(w)
+        return readout / probabilities / (gs * scale) + 1j * (
+            generator / probabilities
+        ) / (2.0 * gs * variance)
 
 
-def _calibrated(
-    spectra: Sequence[PointerSpectrum],
-    schedules: Sequence[tuple[float, ...]],
-    rows: Sequence[slice],
-    branches: np.ndarray,
-    probabilities: np.ndarray,
-) -> np.ndarray:
-    """The (K, R) weak-value readouts of one pass's (K, R, ptr_dim) branches
-    and their probabilities, each pointer's ``rows`` at the couplings of its
-    schedule.  Each pointer's rows are read out in its own grid coordinates
-    (or readout Pauli) and momenta, and calibrated by its own ready state,
-    with the calls a pass of that pointer alone makes."""
-    gs = np.concatenate(schedules)
-    weights = spectra[0].weights(branches)
-    readout = np.concatenate(
-        [s.readout_means(branches[:, r]) for s, r in zip(spectra, rows)], axis=-1
-    ) / probabilities
-    generator = np.concatenate(
-        [weights[:, r] @ s.basis.eigvals for s, r in zip(spectra, rows)], axis=-1
-    ) / probabilities
-    if spectra[0].model.kind != GAUSSIAN_KIND:
-        return -readout / (2.0 * gs) + 1j * generator / (2.0 * gs)
-    variances = [
-        w @ s.basis.eigvals**2 - (w @ s.basis.eigvals) ** 2
-        for s, w in zip(spectra, spectra[0].weights(np.array([s.ready for s in spectra])))
-    ]
-    generator_variance = np.repeat(variances, [len(g) for g in schedules])
-    return readout / gs + 1j * generator / (2.0 * gs * generator_variance)
+_sum, _max, _fmin, _fmax = np.add.reduce, np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
+_all = np.logical_and.reduce
 
 
 def estimate_weak_values(
@@ -227,10 +203,12 @@ def estimate_weak_values(
     x = np.array(schedule) / schedule[0]
     _, intercept, deviation = centred_line(x, np.concatenate([ratios.real, ratios.imag]))
     k = len(ratios)
-    residuals = np.hypot(deviation[:k], deviation[k:]).max(axis=1)
+    residuals = _max(np.hypot(deviation[:k], deviation[k:]), axis=1, initial=0.0)
     return tuple(
-        WeakValueEstimate(complex(re, im), schedule, float(residual))
-        for re, im, residual in zip(intercept[:k], intercept[k:], residuals)
+        WeakValueEstimate(complex(re, im), schedule, residual)
+        for re, im, residual in zip(
+            intercept[:k].tolist(), intercept[k:].tolist(), residuals.tolist()
+        )
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,21 @@ class TestWeakValueCommand:
         assert rows[0]["analytic"] == "1.000000000000e0+0.000000000000e0i"
 
 
+#: the 12 qubit weak values of the benchmark's cold-corpus pool round 0
+#: (perfbench/scenarios.py), that workload's median case, each with the
+#: stdout of commit 2dd068e
+PINNED = sorted((Path(__file__).parent / "data" / "cold_round0").glob("*.scn"))
+
+
+@pytest.mark.parametrize("path", PINNED, ids=[path.stem for path in PINNED])
+def test_pinned_qubit_weak_values_print_byte_for_byte(path, capsys):
+    assert len(PINNED) == 12
+    assert main(["weakvalue", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == path.with_suffix(".csv").read_text(encoding="utf-8")
+
+
 class TestPresenceAndTrace:
     def test_presence_preset(self, capsys):
         assert main(["presence", "--preset", "nested-mzi"]) == 0
@@ -101,6 +117,53 @@ class TestPresenceAndTrace:
         assert arms == sorted(arms)
         gs = [float(line.split(",")[1]) for line in lines[1:5]]
         assert gs == sorted(gs, reverse=True)
+
+    def test_small_g_presence_fits_second_order_traces(self, capsys):
+        # D and E trace about 1e-16 ... 1e-14 here; they printed inf,none
+        flags = ["--g-max", "1e-7", "--g-min", "1e-8"]
+        assert main(["presence", "--preset", "nested-mzi", *flags]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(arm, cls) for arm, _, cls in rows] == [
+            ("A", "primary"), ("B", "primary"), ("C", "primary"),
+            ("D", "secondary"), ("E", "secondary"), ("X", "none"),
+        ]
+        assert [order for arm, order, _ in rows if arm in "DE"] == ["2.000000000000e0"] * 2
+
+    @pytest.mark.parametrize(
+        "command,schedule",
+        [
+            ("trace", ("1e-76", "1e-79", "1e-82", "1e-84")),
+            ("presence", ("1e-200", "5e-201", "2e-201", "1e-201")),
+            ("trace", ("1e-60", "1e-65", "1e-70", "1e-71")),
+        ],
+    )
+    def test_trace_phase_below_the_bound_is_rejected(self, tmp_path, capsys, command, schedule):
+        # a second-order trace weighs g^4: at g = 1e-80 D printed
+        # 1.414555006232e-160 (1.414213562373e-160), below that 0.0, and at
+        # 1e-201 every arm read "none", all with exit 0
+        g_max, g_min = schedule[0], schedule[-1]
+        message = (
+            f"qubit pointer: smallest coupling phase {g_min} is below 1e-70: a second-order "
+            "weak trace underflows\n"
+        )
+        flags = ["--g-max", g_max, "--g-min", g_min, "--points", "5"]
+        assert main([command, "--preset", "nested-mzi", *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: " + message)
+        # the same schedule in the file is a diagnostic at its value
+        text = load_corpus_text("nested_mzi_presence") + f"g_schedule = {', '.join(schedule)}\n"
+        path = tmp_path / "tiny.scn"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        line = len(text.splitlines())
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{path}:{line}:14: error: {message}")
+
+    def test_trace_at_the_phase_bound_is_accurate(self, capsys):
+        flags = ["--g-max", "1e-60", "--g-min", "1e-70", "--points", "11"]
+        assert main(["trace", "--preset", "nested-mzi", *flags]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert "D,1.000000000000e-70,1.414213562373e-140" in rows
 
 
 class TestSweepAndLimits:

@@ -35,6 +35,7 @@ from tsvflab import (
     weak_trace_sweeps,
 )
 from tsvflab import interferometer
+from tsvflab.limits import METRIC_FLOOR
 from tsvflab.qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, basis_state
 
 
@@ -399,6 +400,25 @@ class TestClassifyPresence:
         for arm in "DE":
             assert report.leading_order(arm) == pytest.approx(2.0, abs=0.15)
         assert math.isinf(report.leading_order("X"))
+
+    def test_second_order_traces_below_the_metric_floor_are_fitted(self):
+        # at g = 1e-7 ... 1e-8 the second-order traces of D and E fall to
+        # 1e-16, and all but one lie under limits.METRIC_FLOOR, too few points
+        # for a fit above it; only the exact zeros of an unchained arm mean
+        # no presence
+        net = build_nested_mzi()
+        schedule = default_g_decade(1e-7, 1e-8)
+        traces = dict(weak_trace_sweeps(net, "DEX", qubit_pointer(), schedule))
+        for arm in "DE":
+            assert min(traces[arm]) > 0.0
+            assert sum(value > METRIC_FLOOR for value in traces[arm]) < 4
+        assert set(traces["X"]) == {0.0}
+        report = classify_presence(net, "ABCDEX", qubit_pointer(), schedule)
+        assert [report.classification(a) for a in "ABCDEX"] == [
+            "primary", "primary", "primary", "secondary", "secondary", "none",
+        ]
+        for arm in "DE":
+            assert report.leading_order(arm) == pytest.approx(2.0, abs=1e-6)
 
     def test_order_dichotomy_against_weak_values(self):
         net = build_nested_mzi()

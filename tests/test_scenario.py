@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from tsvflab import build_nested_mzi, parse, pauli_z, plan, serialize
 from tsvflab.scenario import (
-    _LITERAL_RE,
     _REAL,
     _UNSIGNED_REAL,
     ParseDiagnostic,
     _complex_items,
     _Entry,
+    _literal_values,
     _parse_matrix,
     _parse_vector,
     _split_items,
@@ -202,7 +202,7 @@ class TestOnePassLiterals:
         # the pattern accepts exactly the literals whose items all read
         rows = _split_items(text, 1, ";")
         accepted = all(_complex_items(entry, row, col, []) is not None for row, col in rows)
-        assert bool(_LITERAL_RE.fullmatch(text)) == accepted, text
+        assert (_literal_values(text) is not None) == accepted, text
 
     @pytest.mark.parametrize("item", EDGE_ITEMS)
     def test_edge_items(self, item):
@@ -214,7 +214,7 @@ class TestOnePassLiterals:
         diags = []
         entry = _Entry("amps", 1, "-0, -0i, -2i, 1-0i, 1e400", 8, 2)
         values = _parse_vector(entry, diags)
-        assert not diags and _LITERAL_RE.fullmatch(entry.value)
+        assert not diags and _literal_values(entry.value) is not None
         assert [math.copysign(1.0, z.real) for z in values[:4]] == [-1.0, 1.0, 1.0, 1.0]
         assert [math.copysign(1.0, z.imag) for z in values[:4]] == [1.0, -1.0, -1.0, -1.0]
         assert values[4] == complex(math.inf, 0.0)
@@ -289,6 +289,26 @@ class TestExpressions:
             12, 17, "identity is 4096-dimensional, system dim is 2"
         )
         assert peak < 2**22  # the 4096 x 4096 identity alone takes 2**28 bytes
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["identity(1024)", "identity(1024) + identity(1024)",
+         "2 * identity(1024) - identity(1024) * 0.5"],
+    )
+    def test_an_expression_is_validated_once(self, expr):
+        # each operator that an expression builds was a LinearOperator,
+        # validated in full: the two sums peaked at 88 MiB, where the final
+        # operator's one validation takes 56 MiB (a 1024 x 1024 complex
+        # matrix is 16 MiB)
+        text = f"tsvf-scenario v1\n[system]\ndim = 1024\n[operator a]\nexpr = {expr}\n"
+        tracemalloc.start()
+        try:
+            result = parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [d.message for d in result.diagnostics] == ["missing [experiment] section"]
+        assert peak <= 56 * 2**20 + 2**16
 
     def test_scalar_only_expression_rejected(self):
         text = MINIMAL.replace("expr = pauli_z", "expr = sqrt(2)")
