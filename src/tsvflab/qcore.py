@@ -27,7 +27,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,6 @@ _PHASE_BLOCK = 2**20
 
 
 _all = np.logical_and.reduce
-_max = np.maximum.reduce
 
 
 def _times_pow2(x, exponent: int):
@@ -132,7 +130,7 @@ class LinearOperator:
             # overflowing deviation of finite entries is simply "not hermitian"
             diff = arr.conj().T
             diff -= arr
-            deviation = float(_max(np.abs(diff), axis=None))
+            deviation = float(np.abs(diff).max())
         if not math.isfinite(deviation) and not _all(np.isfinite(arr), axis=None):
             raise ValueError("operator entries must be finite")
         tag = self.hermitian
@@ -463,16 +461,22 @@ def post_selected_branches(
     hat, ready = basis.to_eigen(ready).repeat(lengths, axis=0), ready.repeat(lengths, axis=0)
     # a_ki, broadcast over the g axis, and g lambda_ki: one (k, g) row each
     weights = ((post.amps.conj() @ vecs) * (pre.amps @ vecs.conj()))[:, None, None, :]
+    wr, wi = weights.real, weights.imag
     rates = eigvals[:, None, :, None] * gs[:, None, None]
     change = np.empty((len(observables), gs.size, basis.dim), dtype=np.complex128)
     for obs, gees in _row_blocks(*change.shape[:2], _PHASE_BLOCK // (pre.dim * basis.dim)):
-        # a row of more than _PHASE_BLOCK terms is summed in parts along the
-        # system axis
-        parts = (
-            _phase_sum(basis, rates[obs, gees, cut], weights[obs, ..., cut], mu[gees])
-            for cut in _blocks(pre.dim, _PHASE_BLOCK // basis.dim)
-        )
-        change[obs, gees] = functools.reduce(np.add, parts)
+        # sum_i a_ki (exp(-i g lambda_ki mu) - 1) of each (k, g) row, along
+        # the system axis in parts when a row holds more than _PHASE_BLOCK terms
+        total = None
+        for cut in _blocks(pre.dim, _PHASE_BLOCK // basis.dim):
+            real, imag = basis.phase_change(rates[obs, gees, cut], mu[gees])
+            ar, ai = wr[obs, ..., cut], wi[obs, ..., cut]
+            part = np.empty((*real.shape[:2], basis.dim), dtype=np.complex128)
+            part.real = (ar @ real - ai @ imag)[..., 0, :]
+            part.imag = (ar @ imag + ai @ real)[..., 0, :]
+            total = part if total is None else total + part
+            del real, imag  # before the next part's phases
+        change[obs, gees] = total
     change *= hat
     branches = basis.from_eigen(change)
     branches += inner(post, pre) * ready
@@ -493,20 +497,6 @@ def _row_blocks(observables: int, couplings: int, step: int):
     return (
         (slice(k, k + 1), gees) for k in range(observables) for gees in _blocks(couplings, step)
     )
-
-
-def _phase_sum(
-    pointer: Eigenbasis, rates: np.ndarray, weights: np.ndarray, eigvals: np.ndarray
-) -> np.ndarray:
-    """sum_i a_i (exp(-i r_i mu) - 1) on eigenvalues mu for each (observable,
-    g) row of ``weights`` a_i, shaped (observables, 1, 1, dim), and ``rates``
-    r_i, shaped (observables, g, dim, 1): ``eigvals``, shaped (g, 1,
-    ptr_dim), of ``pointer`` or of bases that share its transforms."""
-    real, imag = pointer.phase_change(rates, eigvals)
-    total = np.empty((*rates.shape[:2], pointer.dim), dtype=np.complex128)
-    total.real = (weights.real @ real - weights.imag @ imag)[..., 0, :]
-    total.imag = (weights.real @ imag + weights.imag @ real)[..., 0, :]
-    return total
 
 
 def first_order_state(

@@ -653,11 +653,6 @@ def _eval_operator_expr(
 # ---------------------------------------------------------------------------
 # Section builders.
 
-def _first(section: _Section, key: str) -> _Entry | None:
-    entries = section.table.get(key)
-    return entries[0] if entries else None
-
-
 def _needs_key(section: _Section, key: str) -> ParseDiagnostic:
     return section.error(f"section [{section.kind}] needs key {key!r}")
 
@@ -874,7 +869,7 @@ _POINTER_VALUES = {
 
 
 def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerModel | None:
-    kind = _first(section, "kind")
+    kind = section.table.get("kind", [None])[0]
     if kind is not None and kind.value in _POINTER_KINDS:
         keys, required, make = _POINTER_KINDS[kind.value]
         allowed = keys
@@ -913,7 +908,7 @@ def _build_experiment(
     network: OpticalNetwork | None,
     diags: list[ParseDiagnostic],
 ) -> ExperimentPlan | None:
-    plan_entry = _first(section, "plan")
+    plan_entry = section.table.get("plan", [None])[0]
     if plan_entry is None:
         diags.append(_needs_key(section, "plan"))
         return None
