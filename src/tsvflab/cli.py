@@ -57,15 +57,6 @@ def _format_table(rows: list[list]) -> list[list[str]]:
     return [cells[start : start + width] for start in range(0, len(cells), width)]
 
 
-def sci12(x: float) -> str:
-    """Fixed 12-digit scientific notation with a bare exponent (1.5e-3 style)."""
-    return _format_table([[float(x)]])[0][0]
-
-
-def fmt_complex(z: complex) -> str:
-    return _format_table([[complex(z)]])[0][0]
-
-
 def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
@@ -196,9 +187,13 @@ def _load_plan(args, plans: tuple[str, ...]) -> tuple:
     elif args.file is not None:
         source = args.file
         try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as err:
-            return None, [f"{source}: {err}"], 1
+            with open(args.file, "rb") as fh:  # the scanner cuts \r\n and \r too
+                text = fh.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError):
+            try:  # pathlib's reading, which drops a trailing slash, and its message
+                text = Path(args.file).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                return None, [f"{source}: {err}"], 1
     else:
         return None, ["provide a scenario file or --preset"], 1
     parsed = scenario.parse(text)

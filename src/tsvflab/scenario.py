@@ -1180,16 +1180,20 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
         return PlanResult(None, tuple(diags), str(err))
 
     observables = tuple((name, doc.operators[name]) for name in sorted(experiment.observables))
+    entries = [op.entries for _, op in observables]
     traces = "network" in rules.sections  # a plan that reads weak traces
     if pointer.kind == GAUSSIAN_KIND or rules.readout or traces:
-        # a trace couples arm projectors, whose eigenvalues are 0 and 1
-        lam = max(
-            (float(np.abs(np.linalg.eigvalsh(op.entries)).max()) for _, op in observables),
-            default=1.0,
-        )
+        # a trace couples arm projectors, whose eigenvalues are 0 and 1.  With
+        # F the largest Frobenius norm, max|lambda| lies in [F / sqrt(dim), F]:
+        # the spectrum is taken only where those bounds leave a guard open
+        norm = max((math.sqrt(np.vdot(e, e).real) for e in entries), default=1.0)
+        bounds = (norm * (1 + 1e-9), norm / math.sqrt(doc.dim) * (1 - 1e-9))
         couplings = [(pointer, g_schedule, "g_schedule", bool(given))]
         couplings += [(p, (fixed_g,), "fixed_g", False) for p in spread_pointers]
         for model, g_values, key, flagged in couplings:
+            if not any(_coupling_fault(model, g_values, b, rules.readout, traces) for b in bounds):
+                continue
+            lam = max((float(np.abs(np.linalg.eigvalsh(e)).max()) for e in entries), default=1.0)
             fault = _coupling_fault(model, g_values, lam, rules.readout, traces)
             if fault is not None and flagged:
                 return PlanResult(None, tuple(diags), fault)

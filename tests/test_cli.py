@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from tsvflab import cli, limits, pointer
-from tsvflab.cli import fmt_complex, main, sci12
+from tsvflab.cli import _format_table, main
+
+
+def sci12(x) -> str:
+    return _format_table([[float(x)]])[0][0]
+
+
+def fmt_complex(z) -> str:
+    return _format_table([[complex(z)]])[0][0]
 from tsvflab.scenario import load_corpus_text
 
 DARK_NETWORK_SCENARIO = """tsvf-scenario v1
