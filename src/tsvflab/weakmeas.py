@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DarkDetectorError, OrthogonalSelectionError
 from .pointer import (
-    GAUSSIAN_KIND, PointerModel, PointerSpectrum, moments, pointer_spectrum
+    GAUSSIAN_KIND, PointerModel, moments, pointer_spectrum
 )
 from .qcore import (
     ORTHOGONAL_OVERLAP_TOL,
