@@ -141,16 +141,16 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser of every ``main`` call and each subcommand's, built on the
-    first call rather than at import; parsing leaves no state in them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in the process, built on the first
+    rather than at import; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="tsvflab",
         description="Weak-value laboratory: run scenario files or shipped presets.",
     )
-    sub, commands = parser.add_subparsers(dest="command", required=True), {}
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        cmd = commands[name] = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", nargs="?", help="scenario (.scn) file")
         cmd.add_argument(
             "--preset", choices=sorted(PRESETS), help="run a shipped scenario instead"
@@ -160,21 +160,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         cmd.add_argument("--g-max", type=float, default=None)
         cmd.add_argument("--points", type=int, default=None)
         cmd.add_argument("--out", default=None, help="write output here instead of stdout")
-    return parser, commands
-
-
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """The main parser's reading of ``argv``, which hands all after a
-    subcommand to its parser and adds the command's name: that parser reads
-    it directly, and the main parser only a call it would reject."""
-    parser, commands = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return parser
 
 
 def _load_plan(args, plans: tuple[str, ...]) -> tuple:
@@ -186,14 +172,10 @@ def _load_plan(args, plans: tuple[str, ...]) -> tuple:
         source = args.preset
     elif args.file is not None:
         source = args.file
-        try:
-            with open(args.file, "rb") as fh:  # the scanner cuts \r\n and \r too
-                text = fh.read().decode("utf-8")
-        except (OSError, UnicodeDecodeError):
-            try:  # pathlib's reading, which drops a trailing slash, and its message
-                text = Path(args.file).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as err:
-                return None, [f"{source}: {err}"], 1
+        try:  # bytes, as the scanner cuts \r\n and \r itself
+            text = Path(args.file).read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            return None, [f"{source}: {err}"], 1
     else:
         return None, ["provide a scenario file or --preset"], 1
     parsed = scenario.parse(text)
@@ -213,7 +195,7 @@ def _load_plan(args, plans: tuple[str, ...]) -> tuple:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     _, plans, run = _COMMANDS[args.command]
     plan, messages, code = _load_plan(args, plans)
     for message in messages:

@@ -24,13 +24,28 @@ chain exists their record appears at second order; arms with no amplitude
 chain to the post-selection at all keep an exactly undisturbed
 environment, and their trace is exactly 0.0.
 
-The traces of every arm come from one forward and one backward pass: an
-environment couples once, at its arm's first slice, so a non-target one
-only dephases the mode density by alpha(g) = <m|exp(-i g G)|m>, and every
-target a is read from the two passes' states at its stop, with disturbed
-weight rho[a,a] W[a,a] ||(1 - |m><m|) exp(-i g G)|m>||^2 (``_arm_traces``).
-With S stops that is O(S) numpy operations on (g points) x n_modes x
-n_modes arrays, whatever the number of arms.
+The traces of every arm come from one forward and one backward pass.  An
+environment couples once, at its arm's first slice (the arm's stop), and
+is never touched again, so a non-target one is traced out at once: it
+multiplies the coherences between its arm's mode and every other mode by
+alpha(g) = <m|exp(-i g G)|m>, a dephasing of the n_modes x n_modes mode
+density.  The forward pass carries the mode density rho from the source,
+the backward pass the post-selection effect W = |out><out| from the
+detector through the adjoint steps, each dephasing every arm at its stop
+and keeping its state just before that.  Every target sees the same
+dephasings before its stop and after it, and a dephasing keeps the
+diagonal, so all targets are read together from those states: arm a's
+disturbed weight is
+
+    rho[a,a] * W[a,a] * ||(1 - |m><m|) exp(-i g G)|m>||^2,
+
+the last factor being the sum over the ready state's spectral weights w_k
+of |s_k - (alpha - 1)|^2, s_k = exp(-i g mu_k) - 1 taken as
+-2 sin^2(g mu_k / 2) - i sin(g mu_k) (``qcore.phase_change``), which
+involves no subtraction of nearly equal numbers.  With S stops the passes
+take O(S) numpy operations on (g points) x n_modes x n_modes arrays and
+the readout of all A requested arms a fixed number more; memory is O(S)
+such arrays, whatever A is.
 """
 
 from __future__ import annotations

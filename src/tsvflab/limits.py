@@ -21,7 +21,8 @@ confused with a very high order.  Weak traces are zero only where exactly
 
 ``compare_limits`` reads both routes to the weak limit, g -> 0 at a fixed
 spread and spread -> infinity at a fixed g, in one ``PointerReadout`` pass
-over all of its pointers, with one spectrum per distinct pointer.
+over all of its pointers, with one spectrum per distinct pointer.  A zero
+fixed g is rejected, since the readout divides by g.
 """
 
 from __future__ import annotations

@@ -421,19 +421,21 @@ def post_selected_branches(
     schedules' lengths summed, each pointer's g in turn, unnormalized.
 
     The bases share the first one's transforms (``Eigenbasis.shares_transforms``)
-    and each g takes its own pointer's mu, m^ and m; the observables
-    broadcast over them, so no step loops over observables or couplings.
-    |in> (x) |m> is never formed: |m> goes into P's eigenbasis once, as
-    m^, and <out| contracts the system inside each S_k's eigenbasis v_ki
-    (one stacked ``eigh``), so that each branch is
+    and each g takes its own pointer's mu, m^ and m by index, gathered per
+    block of rows; the observables broadcast over them, so no step loops
+    over observables or couplings.  |in> (x) |m> is never formed: |m> goes
+    into P's eigenbasis once, as m^, and <out| contracts the system inside
+    each S_k's eigenbasis v_ki (one stacked ``eigh``), so that each branch is
 
         <out|in> m + from_eigen(sum_i a_ki (exp(-i g lambda_ki mu) - 1) m^)
 
-    with a_ki = <out|v_ki><v_ki|in>, which loses no digit at small g
-    (``phase_change``).  A branch costs O(dim ptr_dim) for its phases and
-    one inverse transform, and at most ``_PHASE_BLOCK`` phase terms are held
-    at once: a block of (observable, g) rows, or a part of the system axis
-    of one row.  ``CouplingEvolution``'s checks come first, in its order:
+    with a_ki = <out|v_ki><v_ki|in>.  Adding the coupling's change to the
+    uncoupled branch, rather than transforming the whole, loses no digit at
+    small g, and exp(-i t) - 1 is taken as -2 sin^2(t/2) - i sin t
+    (``phase_change``), which cancels nothing.  A branch costs
+    O(dim ptr_dim) for its phases and one inverse transform, and at most
+    ``_PHASE_BLOCK`` phase terms are held at once: a block of (observable,
+    g) rows, or a part of the system axis of one row.  ``CouplingEvolution``'s checks come first, in its order:
     each S_k hermitian, each g finite (pointer by pointer, with each ready
     state's dimension), the system dimensions.
     """
@@ -456,9 +458,9 @@ def post_selected_branches(
     eigvals, vecs = np.linalg.eigh(
         np.array([op.entries for op in observables]).reshape(-1, pre.dim, pre.dim)
     )
-    # each g's pointer: its momenta mu, and its ready state m and m^
-    mu = np.array([other.eigvals for other in bases]).repeat(lengths, axis=0)[:, None]
-    hat, ready = basis.to_eigen(ready).repeat(lengths, axis=0), ready.repeat(lengths, axis=0)
+    # each g's pointer, whose momenta mu and ready m^ are gathered per block
+    pointer_of = np.arange(len(bases)).repeat(lengths)
+    mus, hat = np.array([other.eigvals for other in bases])[:, None], basis.to_eigen(ready)
     # a_ki, broadcast over the g axis, and g lambda_ki: one (k, g) row each
     weights = ((post.amps.conj() @ vecs) * (pre.amps @ vecs.conj()))[:, None, None, :]
     wr, wi = weights.real, weights.imag
@@ -467,19 +469,19 @@ def post_selected_branches(
     for obs, gees in _row_blocks(*change.shape[:2], _PHASE_BLOCK // (pre.dim * basis.dim)):
         # sum_i a_ki (exp(-i g lambda_ki mu) - 1) of each (k, g) row, along
         # the system axis in parts when a row holds more than _PHASE_BLOCK terms
-        total = None
+        total, rows = None, pointer_of[gees]
         for cut in _blocks(pre.dim, _PHASE_BLOCK // basis.dim):
-            real, imag = basis.phase_change(rates[obs, gees, cut], mu[gees])
+            real, imag = basis.phase_change(rates[obs, gees, cut], mus[rows])
             ar, ai = wr[obs, ..., cut], wi[obs, ..., cut]
             part = np.empty((*real.shape[:2], basis.dim), dtype=np.complex128)
             part.real = (ar @ real - ai @ imag)[..., 0, :]
             part.imag = (ar @ imag + ai @ real)[..., 0, :]
             total = part if total is None else total + part
             del real, imag  # before the next part's phases
+        total *= hat[rows]
         change[obs, gees] = total
-    change *= hat
     branches = basis.from_eigen(change)
-    branches += inner(post, pre) * ready
+    branches += inner(post, pre) * ready[pointer_of]
     return branches
 
 

@@ -4,7 +4,10 @@ Analytic weak values <out|S|in>/<out|in>, and the one pointer readout,
 ``PointerReadout``: K observables of one pre- and post-selection read off
 a sequence of pointers (the estimator's is a sequence of one), each at
 every g of its own schedule, in one array pass per grid size
-(``qcore.post_selected_branches``).  The numeric estimator extrapolates
+(``qcore.post_selected_branches``).  Each row costs O(dim n) for its
+phases and one inverse and one forward transform of its n-point branch,
+O(n log n); nothing is an n_points^2 matrix, so the readout scales to
+4096-point grids.  The numeric estimator extrapolates
 the per-g readouts of all K observables to g -> 0 with one closed-form
 line.  It reads both conjugate pointer observables: the position-like
 readout carries Re(w) and the generator-side readout carries Im(w), so

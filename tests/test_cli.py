@@ -8,6 +8,7 @@ import pytest
 
 from tsvflab import cli, limits, pointer
 from tsvflab.cli import _format_table, main
+from tsvflab.scenario import load_corpus_text
 
 
 def sci12(x) -> str:
@@ -16,7 +17,7 @@ def sci12(x) -> str:
 
 def fmt_complex(z) -> str:
     return _format_table([[complex(z)]])[0][0]
-from tsvflab.scenario import load_corpus_text
+
 
 DARK_NETWORK_SCENARIO = """tsvf-scenario v1
 [system]
@@ -324,6 +325,24 @@ class TestFailureModes:
             f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 22: "
             "invalid continuation byte\n"
         )
+
+    def test_directory_as_file(self, tmp_path, capsys):
+        # pathlib drops the trailing slash from the name in the message
+        assert main(["weakvalue", f"{tmp_path}/"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"{tmp_path}/: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_cr_line_ends_read_as_lf(self, tmp_path, capsys, newline):
+        text = load_corpus_text("spin_sz")
+        assert main(["weakvalue", "--preset", "spin-sz"]) == 0
+        expected = capsys.readouterr()
+        path = tmp_path / "crlf.scn"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert main(["weakvalue", str(path)]) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
