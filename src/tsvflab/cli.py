@@ -141,16 +141,16 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call in the process, built on the first
-    rather than at import; parsing leaves no state in it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of every ``main`` call and each subcommand's, built on the
+    first call rather than at import; parsing leaves no state in them."""
     parser = argparse.ArgumentParser(
         prog="tsvflab",
         description="Weak-value laboratory: run scenario files or shipped presets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub, commands = parser.add_subparsers(dest="command", required=True), {}
     for name, (help_text, _, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = commands[name] = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", nargs="?", help="scenario (.scn) file")
         cmd.add_argument(
             "--preset", choices=sorted(PRESETS), help="run a shipped scenario instead"
@@ -160,7 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--g-max", type=float, default=None)
         cmd.add_argument("--points", type=int, default=None)
         cmd.add_argument("--out", default=None, help="write output here instead of stdout")
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``parse_args(argv)`` of the main parser, in one argparse pass instead
+    of two for a call that the subcommand's parser accepts whole: the main
+    parser would only hand all after the subcommand to that parser and add
+    the command's name.  Any other call goes through the main parser."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _load_plan(args, plans: tuple[str, ...]) -> tuple:
@@ -195,7 +210,7 @@ def _load_plan(args, plans: tuple[str, ...]) -> tuple:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     _, plans, run = _COMMANDS[args.command]
     plan, messages, code = _load_plan(args, plans)
     for message in messages:

@@ -7,11 +7,11 @@ every g of its own schedule, in one array pass per grid size
 (``qcore.post_selected_branches``).  Each row costs O(dim n) for its
 phases and one inverse and one forward transform of its n-point branch,
 O(n log n); nothing is an n_points^2 matrix, so the readout scales to
-4096-point grids.  The numeric estimator extrapolates
-the per-g readouts of all K observables to g -> 0 with one closed-form
-line.  It reads both conjugate pointer observables: the position-like
-readout carries Re(w) and the generator-side readout carries Im(w), so
-purely real weak values can be confirmed to actually be real.
+4096-point grids.  The numeric estimator extrapolates the per-g readouts
+of all K observables to g -> 0 with one closed-form line.  It reads both
+conjugate pointer observables: the position-like readout carries Re(w)
+and the generator-side readout carries Im(w), so purely real weak values
+can be confirmed to actually be real.
 """
 
 from __future__ import annotations
