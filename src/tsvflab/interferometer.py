@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_trace_orders
-from .pointer import PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
+from .pointer import GAUSSIAN_KIND, PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
 from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector, finite_couplings
 from .schedule import fit_schedule
 
@@ -367,12 +367,32 @@ def build_nested_mzi(
 # ---------------------------------------------------------------------------
 # Weak traces: per-arm channels, every arm from one forward and one backward pass.
 
+#: The smallest coupling phase of a weak trace: g on the qubit
+#: environments, times the target's generator spread (1 / (2 spread) on the
+#: grid).  A second-order trace weighs two such phases squared, >= 1e-280.
+TRACE_MIN_PHASE = 1e-70
+
+
+def trace_phase_fault(model: PointerModel, g_values) -> str | None:
+    """Why the weak traces of a ``model`` target at ``g_values`` underflow,
+    or None: their smallest coupling phase, |g| min(1, 1 / (2 spread)) on
+    the grid and |g| for a qubit, over the nonzero g, is below
+    ``TRACE_MIN_PHASE``.  A zero coupling stays exact."""
+    phase = float(min((abs(g) for g in g_values if g), default=math.inf))
+    if model.kind == GAUSSIAN_KIND:
+        phase *= min(1.0, 0.5 / model.spread)
+    if phase < TRACE_MIN_PHASE:
+        return (f"smallest coupling phase {phase!r} is below {TRACE_MIN_PHASE}: "
+                "a second-order weak trace underflows")
+    return None
+
+
 def _alpha_minus_one(spectrum: PointerSpectrum, g: np.ndarray):
     """(s_gk = exp(-i g mu_k) - 1, alpha_g - 1 = sum_k w_k s_gk) per coupling
     strength g, where alpha = <m|exp(-i g G)|m>; no digit is lost to 1 - 1."""
     s = np.empty((g.size, spectrum.basis.dim), dtype=np.complex128)
     s.real, s.imag = spectrum.basis.phase_change(g[:, None])
-    return s, s @ spectrum.weights(spectrum.ready)
+    return s, s @ spectrum.ready_weights
 
 
 def _dephasing_change(coupled: np.ndarray, alpha_minus_one: np.ndarray) -> np.ndarray:
@@ -414,8 +434,8 @@ def _arm_traces(
     ``arms``' weak trace at each g, and whether its coupling darkened the
     detector there; the rows of unlabeled arms hold 0.0 and False, for the
     caller to report in its own order.  A non-finite g raises first, then a
-    dark detector, with <out|in> taken from the product of the segment
-    unitaries.
+    phase below ``TRACE_MIN_PHASE`` (``trace_phase_fault``), then a dark
+    detector, with <out|in> taken from the product of the segment unitaries.
 
     The density is kept as |psi><psi| + delta, the undisturbed state plus
     what the couplings changed, and the effect as |phi><phi| + delta_w, so
@@ -426,6 +446,9 @@ def _arm_traces(
     elsewhere.
     """
     g = finite_couplings(g_values)
+    fault = trace_phase_fault(model, g_values)
+    if fault is not None:
+        raise ValueError(fault)
     n = net.n_modes
     first = net.arm_stops
     stops = sorted({position for position, _ in first.values()})
@@ -454,7 +477,7 @@ def _arm_traces(
     spectrum = pointer_spectrum(model)
     s, target_am1 = _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
-    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.weights(spectrum.ready)
+    disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.ready_weights
     at = [stops.index(first[arms[row]][0]) for row in rows]
     targets = [first[arms[row]][1] for row in rows]
     weight = (

@@ -204,7 +204,9 @@ class PointerSpectrum:
     ``basis`` holds the generator's eigenvalues mu_k and the transforms to
     and from its eigenvectors; ``ready`` holds the ready state's amplitudes
     and ``readout`` the readout Q: the grid coordinates, on which the grid
-    pointer's Q is diagonal, or the qubit's 2x2 readout Pauli.
+    pointer's Q is diagonal, or the qubit's 2x2 readout Pauli.  The ready
+    weights and the readout calibration are computed once per spectrum,
+    when first read.
     """
 
     model: PointerModel
@@ -216,6 +218,22 @@ class PointerSpectrum:
         """|<k|b>|^2 on the eigenvectors for each row b, so that
         <b|G|b> = weights(b) @ mu (unnormalized)."""
         return np.abs(self.basis.to_eigen(rows)) ** 2
+
+    @functools.cached_property
+    def ready_weights(self) -> np.ndarray:
+        """The ready state's weights w_k = |<k|m>|^2."""
+        return self.weights(self.ready)
+
+    @functools.cached_property
+    def calibration(self) -> tuple[float, float]:
+        """(scale, variance) of the first-order readout: the grid's Q
+        shifts by g Re(w), the qubit's readout Pauli by -2 g Re(w), and the
+        generator's mean by 2 g Var(P) Im(w), Var(P) taken in the ready
+        state (1 for the qubit, whose ready state needs no weights)."""
+        if self.model.kind == GAUSSIAN_KIND:
+            w, mu = self.ready_weights, self.basis.eigvals
+            return 1.0, w @ mu**2 - (w @ mu) ** 2
+        return -2.0, 1.0
 
     def readout_means(self, rows: np.ndarray) -> np.ndarray:
         """<b|Q|b> for each row b (unnormalized): the grid coordinate, read

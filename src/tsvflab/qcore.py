@@ -148,13 +148,6 @@ class LinearOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply(self, state: StateVector) -> StateVector:
-        if state.dim != self.dim:
-            raise ValueError(
-                f"operator dim {self.dim} does not match state dim {state.dim}"
-            )
-        return StateVector(self.entries @ state.amps)
-
     def _combine(self, other, ufunc) -> "LinearOperator":
         if not isinstance(other, LinearOperator):
             return NotImplemented
@@ -167,10 +160,6 @@ class LinearOperator:
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         return self._combine(other, np.subtract)
-
-    def __neg__(self) -> "LinearOperator":
-        # not ``self * -1``, which gives zeros of other signs
-        return LinearOperator(-self.entries)
 
     def __mul__(self, scalar) -> "LinearOperator":
         if not isinstance(scalar, (int, float, complex)):
@@ -258,8 +247,8 @@ class Eigenbasis:
         self._vecs, self._conj = vecs, None if vecs is None else vecs.conj()
 
     @classmethod
-    def of(cls, op: LinearOperator, role: str = "operator") -> "Eigenbasis":
-        _require_hermitian(op, role)
+    def of(cls, op: LinearOperator) -> "Eigenbasis":
+        _require_hermitian(op, "operator")
         return cls(*np.linalg.eigh(op.entries))
 
     @property
@@ -323,11 +312,6 @@ class CouplingEvolution:
     ``eigh`` at O(ptr_dim^3), or its ``Eigenbasis``, such as the DFT basis
     a grid pointer supplies (``pointer.pointer_spectrum``), which costs
     O(ptr_dim log ptr_dim) per system row and builds no ptr_dim^2 matrix.
-
-    ``apply_schedule`` takes exp(-i t) - 1 as ``np.exp(-1j t) - 1.0``, not
-    through ``phase_change``: the benchmark's references for the metric
-    sweeps pin the digits that its real part cancels, so it changes only
-    with the closed-form sweeps that replace it.
     """
 
     def __init__(self, system_op: LinearOperator, pointer: LinearOperator | Eigenbasis):
@@ -340,21 +324,21 @@ class CouplingEvolution:
         self._joint_eigvals = np.outer(sys_eigvals, pointer.eigvals)
 
     def apply(self, g: float, joint: JointState) -> JointState:
-        """exp(-i g S (x) P) applied to a joint state: the one-point schedule."""
-        (out,) = self.apply_schedule((g,), joint)
-        return JointState(self.sys_dim, self.ptr_dim, StateVector(out.ravel(), normalized=None))
+        """exp(-i g S (x) P) applied to a joint state.
 
-    def apply_schedule(self, g_values, joint: JointState) -> np.ndarray:
-        """exp(-i g S (x) P) applied to a joint state at every g of
-        ``g_values`` in one batched pass: the (len(g_values), sys_dim,
-        ptr_dim) stack of evolved amplitudes, unchecked for normalization."""
+        exp(-i t) - 1 is taken as ``np.exp(-1j t) - 1.0``, not through
+        ``phase_change``: the benchmark's references for the metric sweeps
+        pin the digits that its real part cancels, so it changes only with
+        the closed-form sweeps that replace it.
+        """
         dims = (self.sys_dim, self.ptr_dim)
-        gs = _coupling_strengths(g_values, (joint.sys_dim, joint.ptr_dim), dims)
+        (g,) = _coupling_strengths((g,), (joint.sys_dim, joint.ptr_dim), dims)
         mat = joint.as_matrix()
         # Psi = V_s C W^T  =>  C = V_s^dag Psi conj(W)
         coeffs = self._pointer.to_eigen(self._sys_vecs.conj().T @ mat)
-        coeffs = coeffs * (np.exp(-1j * gs[:, None, None] * self._joint_eigvals) - 1.0)
-        return mat + self._pointer.from_eigen(self._sys_vecs @ coeffs)
+        coeffs = coeffs * (np.exp(-1j * g * self._joint_eigvals) - 1.0)
+        out = mat + self._pointer.from_eigen(self._sys_vecs @ coeffs)
+        return JointState(self.sys_dim, self.ptr_dim, StateVector(out.ravel(), normalized=None))
 
 
 def _coupling_dims(system_op: LinearOperator, pointer) -> tuple[int, int]:

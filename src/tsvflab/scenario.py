@@ -34,14 +34,14 @@ import math
 import operator
 import re
 from collections.abc import Callable, Container, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from importlib import resources
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from .errors import FieldError, ScheduleError
-from .interferometer import BeamSplitter, OpticalNetwork, PhaseShift, TimeSlice
+from .interferometer import BeamSplitter, OpticalNetwork, PhaseShift, TimeSlice, trace_phase_fault
 from .limits import (
     DEFAULT_FIXED_COUPLING, DEFAULT_FIXED_SPREAD, DEFAULT_SPREADS, METRICS, limit_pointers
 )
@@ -104,8 +104,6 @@ _UNSIGNED_REAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _REAL = rf"[+-]?{_UNSIGNED_REAL}"
 _REAL_RE = re.compile(_REAL)
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-# str.splitlines would also end a line at a form feed, U+2028 and the like
-_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 _TOKEN_RE = re.compile(r"\S+")
 # an imaginary part needs its sign only after a real part
 _COMPLEX_RE = re.compile(rf"({_REAL})?(?:((?(1)[+-]|[+-]?){_UNSIGNED_REAL})i)?")
@@ -246,8 +244,9 @@ _ASSIGNMENT_RE = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)\s*(=)\s*")
 def _scan(text: str, diags: list[ParseDiagnostic]) -> dict[str, list[_Section]]:
     """The sections of ``text`` by kind, each kind in file order, every line
     read once: an assignment of a valid key is cut by one match."""
-    # str.split("\n") is the same cut, at a fraction of the regex's cost
-    lines = _LINE_BREAK_RE.split(text) if "\r" in text else text.split("\n")
+    # a line ends at \r\n, \r or \n only: str.splitlines would also end one
+    # at a form feed, U+2028 and the like
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[0].partition("#")[0].strip() != VERSION_LINE:
         diags.append(ParseDiagnostic(1, 1, f"first line must be {VERSION_LINE!r}"))
         return {}
@@ -337,26 +336,22 @@ def parse_complex_literal(token: str) -> complex | None:
     return complex(float(real or 0.0), float(imag or 0.0))
 
 
-def _complex_items(
-    entry: _Entry, text: str, col: int, diags: list[ParseDiagnostic]
-) -> list[complex] | None:
-    """The comma-separated complex literals of ``text``, a part of ``entry``'s
-    value starting at column ``col``; None after reporting each malformed one."""
-    values = []
+def _report_items(entry: _Entry, text: str, col: int, diags: list[ParseDiagnostic]) -> None:
+    """Report each malformed comma-separated complex literal of ``text``, a
+    part of ``entry``'s value starting at column ``col``."""
     for token, token_col in _split_items(text, col, ","):
-        value = parse_complex_literal(token)
-        if value is None:
+        if parse_complex_literal(token) is None:
             diags.append(entry.error(f"malformed complex literal {token!r}", token_col))
-        values.append(value)
-    return None if None in values else values
 
 
 def _literal_values(text: str) -> np.ndarray | None:
     """The items of a matrix literal (a vector without ';') whose items
     ``parse_complex_literal`` all reads, read in one pass by ``complex``, to
-    the bit; else None.  ``complex`` rejects every malformed item but those
-    these checks catch: a character outside the grammar, an empty item, a
-    blank inside one (more items than separators), an ``i`` without digits."""
+    the bit; else None, exactly when some item is malformed, which
+    ``_report_items`` then reports.  ``complex`` rejects every malformed item
+    but those these checks catch: a character outside the grammar, an empty
+    item, a blank inside one (more items than separators), an ``i`` without
+    digits."""
     # str.split() cuts at the same whitespace as str.strip
     packed = "".join(text.replace(";", ",").split())
     items = text.replace("i", "j").replace(",", " ").replace(";", " ").split()
@@ -376,64 +371,50 @@ def _literal_values(text: str) -> np.ndarray | None:
 
 
 def _parse_vector(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
+    # a ';' is malformed in every item that holds it
     values = None if ";" in entry.value else _literal_values(entry.value)
-    if values is not None:
-        return values
-    values = _complex_items(entry, entry.value, entry.value_col, diags)
-    return None if values is None else np.array(values, dtype=np.complex128)
+    if values is None:
+        _report_items(entry, entry.value, entry.value_col, diags)
+    return values
 
 
 def _parse_matrix(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | None:
     values = _literal_values(entry.value)
-    if values is not None:
-        widths = [row.count(",") + 1 for row in entry.value.split(";")]
-    else:
-        rows = [
-            _complex_items(entry, row_text, row_col, diags)
-            for row_text, row_col in _split_items(entry.value, entry.value_col, ";")
-        ]
-        if None in rows:
-            return None
-        widths = [len(row) for row in rows]
-        values = np.array([value for row in rows for value in row], dtype=np.complex128)
+    if values is None:
+        for row_text, row_col in _split_items(entry.value, entry.value_col, ";"):
+            _report_items(entry, row_text, row_col, diags)
+        return None
+    widths = [row.count(",") + 1 for row in entry.value.split(";")]
     if any(width != len(widths) for width in widths):
         diags.append(entry.error("matrix must be square"))
         return None
     return values.reshape(len(widths), len(widths))
 
 
-def _parse_real(
-    entry: _Entry, diags: list[ParseDiagnostic], token: str | None = None, col: int = 0
-) -> float | None:
-    """A finite real ``token`` of ``entry``'s value, at column ``col``: the
-    whole value when None."""
-    if token is None:
-        token, col = entry.value, entry.value_col
-    if not _REAL_RE.fullmatch(token):
-        diags.append(entry.error(f"malformed number {token!r}", col))
-        return None
-    value = float(token)
-    if not math.isfinite(value):
-        diags.append(entry.error(f"number {token!r} overflows", col))
-        return None
-    return value
+#: number type -> (its name in diagnostics, its grammar)
+_NUMBERS = {float: ("number", _REAL_RE), int: ("integer", _INT_RE)}
 
 
-def _parse_int(
-    entry: _Entry, diags: list[ParseDiagnostic], token: str | None = None, col: int = 0
-) -> int | None:
-    """An integer ``token`` of ``entry``'s value, at column ``col``: the
-    whole value when None."""
+def _parse_number(
+    entry: _Entry, diags: list[ParseDiagnostic], kind: type, token: str | None = None, col: int = 0
+) -> float | int | None:
+    """``token`` of ``entry``'s value, at column ``col``, read as ``kind``:
+    a finite float or an int.  The whole value when ``token`` is None."""
     if token is None:
         token, col = entry.value, entry.value_col
-    if not _INT_RE.fullmatch(token):
-        diags.append(entry.error(f"malformed integer {token!r}", col))
+    what, grammar = _NUMBERS[kind]
+    if not grammar.fullmatch(token):
+        diags.append(entry.error(f"malformed {what} {token!r}", col))
         return None
     try:
-        return int(token)
-    except ValueError:  # more digits than Python converts
-        diags.append(entry.error(f"integer {token!r} overflows", col))
-        return None
+        value = kind(token)
+    except ValueError:  # more digits than Python converts to an int
+        value = None
+    # math.isfinite overflows on an int beyond the float range: only a float is checked
+    if value is not None and (kind is int or math.isfinite(value)):
+        return value
+    diags.append(entry.error(f"{what} {token!r} overflows", col))
+    return None
 
 
 def _parse_float_list(
@@ -441,7 +422,7 @@ def _parse_float_list(
 ) -> tuple[float, ...] | None:
     values: list[float] = []
     for token, col in _split_items(entry.value, entry.value_col, ","):
-        value = _parse_real(entry, diags, token, col)
+        value = _parse_number(entry, diags, float, token, col)
         if value is None:
             return None
         values.append(value)
@@ -716,13 +697,13 @@ def _read_names(
     return tuple(name for name, _ in names)
 
 
-#: network step keyword -> (constructor, argument types, the constructor's
-#: fields the arguments fill, usage)
+#: network step keyword -> (constructor, its fields as (name, type) pairs,
+#: which the step's arguments fill in order, usage)
 _STEPS = {
-    "beam_splitter": (
-        BeamSplitter, (int, int, float), ("mode_a", "mode_b", "transmissivity"), "mode mode t"
-    ),
-    "phase_shift": (PhaseShift, (int, float), ("mode", "phase"), "mode phase"),
+    keyword: (make, tuple(get_type_hints(make).items()), usage)
+    for keyword, make, usage in (
+        ("beam_splitter", BeamSplitter, "mode mode t"), ("phase_shift", PhaseShift, "mode phase")
+    )
 }
 _LABEL_MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):([0-9]+)")
 
@@ -738,7 +719,7 @@ def _label_modes(
         if not m:
             diags.append(entry.error(f"malformed {what} {token!r} (want label:mode)", col))
             continue
-        mode = _parse_int(entry, diags, m.group(2), col + m.start(2))
+        mode = _parse_number(entry, diags, int, m.group(2), col + m.start(2))
         if mode is not None:
             pairs.append((m.group(1), mode))
     return pairs if len(pairs) == len(tokens) else None
@@ -771,8 +752,8 @@ def _build_network(
     modes_entry, source_entry, detectors_entry, postselect_entry = (
         table[key][0] for key in ("modes", "source", "detectors", "postselect")
     )
-    n_modes = _parse_int(modes_entry, diags)
-    source = _parse_int(source_entry, diags)
+    n_modes = _parse_number(modes_entry, diags, int)
+    source = _parse_number(source_entry, diags, int)
     if n_modes is None or source is None:
         return None
     if n_modes != dim:
@@ -794,8 +775,8 @@ def _build_network(
         ]
         (keyword, kcol), args = tokens[0], tokens[1:]
         if keyword in _STEPS:
-            make, types, names, usage = _STEPS[keyword]
-            if len(args) != len(types):
+            make, fields, usage = _STEPS[keyword]
+            if len(args) != len(fields):
                 diags.append(entry.error(f"{keyword} needs: {usage}", kcol))
                 continue
             # the numbers follow the file's grammars, which have no inf, nan or
@@ -803,19 +784,19 @@ def _build_network(
             # the whole step malformed instead
             faults: list[ParseDiagnostic] = []
             values = tuple(
-                (_parse_real if kind is float else _parse_int)(entry, faults, token, col)
-                for kind, (token, col) in zip(types, args)
+                _parse_number(entry, faults, kind, token, col)
+                for (_, kind), (token, col) in zip(fields, args)
             )
             if faults:
                 try:
-                    for kind, (token, _) in zip(types, args):
+                    for (_, kind), (token, _) in zip(fields, args):
                         kind(token)
                 except ValueError:
                     diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
                 else:
                     diags.extend(faults)
                 continue
-            fields = [(name,) for name in names]
+            paths = [(name,) for name, _ in fields]
         elif keyword == "slice":
             if not args:
                 diags.append(entry.error("empty slice", kcol))
@@ -823,14 +804,14 @@ def _build_network(
             if not arms:
                 continue
             values = (tuple(arms),)
-            make, fields = TimeSlice, [("arms", index) for index in range(len(arms))]
+            make, paths = TimeSlice, [("arms", index) for index in range(len(arms))]
         else:
             diags.append(entry.error(f"unknown network step {keyword!r}", kcol))
             continue
         prefix = ("steps", len(steps))
         where[prefix] = (entry.line, kcol)
-        for field, (_, col) in zip(fields, args):
-            where[prefix + field] = (entry.line, col)
+        for path, (_, col) in zip(paths, args):
+            where[prefix + path] = (entry.line, col)
         try:
             steps.append(make(*values))
         except FieldError as err:
@@ -860,12 +841,8 @@ _POINTER_KINDS = {
     GAUSSIAN_KIND: (("spread", "n_points", "half_width"), ("spread",), gaussian_pointer),
     QUBIT_KIND: (("generator_axis",), (), qubit_pointer),
 }
-_POINTER_VALUES = {
-    "spread": _parse_real,
-    "n_points": _parse_int,
-    "half_width": _parse_real,
-    "generator_axis": lambda entry, diags: entry.value,
-}
+#: pointer key -> the type of its value
+_POINTER_VALUES = {"spread": float, "n_points": int, "half_width": float, "generator_axis": str}
 
 
 def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerModel | None:
@@ -882,7 +859,8 @@ def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerMo
     fields: dict = {}
     for key in keys:
         if key in table:
-            fields[key] = _POINTER_VALUES[key](table[key][0], diags)
+            entry, kind = table[key][0], _POINTER_VALUES[key]
+            fields[key] = entry.value if kind is str else _parse_number(entry, diags, kind)
             if fields[key] is None:
                 return None
     try:
@@ -897,8 +875,8 @@ def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerMo
 _NUMBER_KEYS = {
     "g_schedule": _parse_float_list,
     "spread_schedule": _parse_float_list,
-    "fixed_g": _parse_real,
-    "fixed_spread": _parse_real,
+    "fixed_g": lambda entry, diags: _parse_number(entry, diags, float),
+    "fixed_spread": lambda entry, diags: _parse_number(entry, diags, float),
 }
 
 
@@ -998,7 +976,7 @@ def parse(text: str) -> ScenarioResult:
         table = _read_section(by_kind["system"][0], ("dim",), diags, required=("dim",))
         if table is not None:
             entry = table["dim"][0]
-            parsed = _parse_int(entry, diags)
+            parsed = _parse_number(entry, diags, int)
             if parsed is not None and not 1 <= parsed <= _MAX_DIM:
                 diags.append(entry.error(f"dim must be in [1, {_MAX_DIM}]"))
             elif parsed is not None:
@@ -1062,10 +1040,6 @@ READOUT_ACCURACY = 1e-2
 #: measured error (at most 0.55 eps / (g_min max|lambda|) over 24 generated
 #: qubit weak values), so this too admits errors up to about 1e-4.
 QUBIT_READOUT_ACCURACY = 2e-4
-#: The smallest coupling phase of a weak trace: g_min on the qubit
-#: environments, times the target's generator spread (1 / (2 spread) on the
-#: grid).  A second-order trace weighs two such phases squared, >= 1e-280.
-TRACE_MIN_PHASE = 1e-70
 
 
 def _coupling_fault(
@@ -1075,13 +1049,12 @@ def _coupling_fault(
     |eigenvalue| ``lam`` gives no trustworthy number, or None: a shift that
     carries a Gaussian's tails, 8 spreads out, around the periodic grid,
     in a readout a smallest shift lost in <Q>'s roundoff, and in a weak
-    trace a smallest phase whose weight underflows."""
+    trace a smallest phase whose weight underflows (``trace_phase_fault``)."""
     shift, least = max(g_values) * lam, min(g_values) * lam
     if pointer.kind == QUBIT_KIND:
         where, roundoff, label, accuracy = (
             "qubit pointer", math.ulp(1.0), "eps", QUBIT_READOUT_ACCURACY
         )
-        phase = min(g_values)
     else:
         spread, half_width = pointer.spread, pointer.half_width
         where = f"pointer at spread {spread!r}"
@@ -1090,10 +1063,9 @@ def _coupling_fault(
                     f"exceeds half_width {half_width!r}: it wraps around the grid")
         roundoff, label = math.ulp(1.0) * half_width, "eps half_width"
         accuracy = READOUT_ACCURACY
-        phase = min(g_values) * min(1.0, 0.5 / spread)
-    if traces and phase < TRACE_MIN_PHASE:
-        return (f"{where}: smallest coupling phase {phase!r} is below {TRACE_MIN_PHASE}: "
-                f"a second-order weak trace underflows")
+    fault = trace_phase_fault(pointer, g_values) if traces else None
+    if fault is not None:
+        return f"{where}: {fault}"
     if readout and lam > 0 and roundoff > accuracy * least:
         return (f"{where}: readout roundoff {roundoff:.3g} ({label}) exceeds {accuracy} of "
                 f"the smallest shift {least!r} (g_min max|lambda|)")
@@ -1259,10 +1231,8 @@ def serialize(doc: ScenarioDoc) -> str:
                 arms = " ".join(f"{label}:{mode}" for label, mode in step.arms)
                 lines.append(f"seq = slice {arms}")
                 continue
-            keyword, (_, _, names, _) = next(
-                (keyword, row) for keyword, row in _STEPS.items() if isinstance(step, row[0])
-            )
-            args = " ".join(_format_value(getattr(step, name)) for name in names)
+            keyword = next(key for key, (make, _, _) in _STEPS.items() if isinstance(step, make))
+            args = " ".join(map(_format_value, astuple(step)))
             lines.append(f"seq = {keyword} {args}")
         detectors = ", ".join(f"{label}:{mode}" for label, mode in net.detectors)
         lines += [f"detectors = {detectors}", f"postselect = {net.postselect_detector}"]

@@ -23,9 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DarkDetectorError, OrthogonalSelectionError
-from .pointer import (
-    GAUSSIAN_KIND, PointerModel, moments, pointer_spectrum
-)
+from .pointer import PointerModel, moments, pointer_spectrum
 from .qcore import (
     ORTHOGONAL_OVERLAP_TOL,
     ZERO_PROBABILITY_FLOOR,
@@ -132,38 +130,32 @@ class PointerReadout:
         lengths = [len(schedule) for schedule in schedules]
         bounds = [0, *itertools.accumulate(lengths)]
         probabilities, readout, generator = np.empty((3, len(self.observables), bounds[-1]))
-        # per pointer: the readout's scale, and the generator's variance in
-        # the ready state, which a qubit's calibration does not take
-        calibration = [(1.0, 1.0)] * len(spectra)
         sets: dict[int, list[int]] = {}  # first pointer -> the set's pointers
         for index, spectrum in enumerate(spectra):
             same = (i for i in sets if spectra[i].basis.shares_transforms(spectrum.basis))
             sets.setdefault(next(same, index), []).append(index)
         for members in sets.values():
-            first, ready = spectra[members[0]], np.array([spectra[i].ready for i in members])
             branches = post_selected_branches(
                 self.observables, [spectra[i].basis for i in members],
-                [schedules[i] for i in members], sel.pre, sel.post, ready,
+                [schedules[i] for i in members], sel.pre, sel.post,
+                np.array([spectra[i].ready for i in members]),
             )
-            weights, power = first.weights(branches), _sum(np.abs(branches) ** 2, axis=-1)
-            gaussian = first.model.kind == GAUSSIAN_KIND
-            ready_weights = first.weights(ready) if gaussian else members
+            weights = spectra[members[0]].weights(branches)
+            power = _sum(np.abs(branches) ** 2, axis=-1)
             start = 0
-            for index, w in zip(members, ready_weights):
+            for index in members:
                 spectrum, rows = spectra[index], slice(bounds[index], bounds[index + 1])
                 own = slice(start, start + rows.stop - rows.start)
                 readout[:, rows] = spectrum.readout_means(branches[:, own])
                 generator[:, rows] = weights[:, own] @ spectrum.basis.eigvals
                 probabilities[:, rows] = power[:, own]
-                mu = spectrum.basis.eigvals
-                calibration[index] = (1.0, w @ mu**2 - (w @ mu) ** 2) if gaussian else (-2.0, 1.0)
                 start = own.stop
         gs = np.concatenate(schedules, dtype=float)
         if _fmin(probabilities, axis=None, initial=1.0) < ZERO_PROBABILITY_FLOOR or (
-            _fmax(probabilities, axis=None, initial=1.0) > 1.0 + 1e-9
+            _fmax(probabilities, axis=None, initial=1.0) > _PROBABILITY_CEILING
         ):  # the first in row order: each pointer, each observable, each g
             dark = probabilities < ZERO_PROBABILITY_FLOOR
-            ks, rs = np.nonzero(dark | (probabilities > 1.0 + 1e-9))
+            ks, rs = np.nonzero(dark | (probabilities > _PROBABILITY_CEILING))
             first = np.lexsort((rs, ks, np.searchsorted(bounds, rs, side="right")))[0]
             k, r = ks[first], rs[first]
             if dark[k, r]:
@@ -171,13 +163,14 @@ class PointerReadout:
             raise ValueError(f"post-selection probability {float(probabilities[k, r])!r} exceeds 1")
         if not _all(gs):
             raise ValueError("coupling strength must be nonzero: the readout divides by g")
-        scale, variance = np.array(calibration).repeat(lengths, axis=0).T
-        # the grid's Q shifts by g Re(w), the qubit's readout Pauli by
-        # -2 g Re(w), and the generator's mean by 2 g Var(P) Im(w)
+        scale, variance = np.array([s.calibration for s in spectra]).repeat(lengths, axis=0).T
         return readout / probabilities / (gs * scale) + 1j * (
             generator / probabilities
         ) / (2.0 * gs * variance)
 
+
+#: A post-selection probability above this is no roundoff of 1 but an error.
+_PROBABILITY_CEILING = 1.0 + 1e-9
 
 _sum, _max, _fmin, _fmax = np.add.reduce, np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
 _all = np.logical_and.reduce

@@ -386,6 +386,37 @@ class TestWeakTrace:
             classify_presence(net, ["A"], qubit_pointer(), (0.1, 0.01, 0.001, math.inf))
 
 
+class TestTracePhaseBound:
+    """Below ``TRACE_MIN_PHASE`` a second-order weight underflows: D read
+    1.4145550062323659e-160 at g = 1e-80 (1.414213562373e-160) and 0.0 at
+    1e-82, and every arm of the preset was "none" near g = 1e-200."""
+
+    MESSAGE = "smallest coupling phase .* is below 1e-70"
+
+    def test_weak_trace(self):
+        net = build_nested_mzi()
+        assert weak_trace(net, "D", qubit_pointer(), 1e-70) > 0.0
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            weak_trace(net, "D", qubit_pointer(), -1e-71)
+        # on the grid the phase is g / (2 spread) when that is below g
+        model = gaussian_pointer(1.0, 64, 8.0)
+        assert weak_trace(net, "A", model, 2e-70) > 0.0
+        with pytest.raises(ValueError, match=r"phase 9\.5e-71 is below"):
+            weak_trace(net, "A", model, 1.9e-70)
+
+    def test_weak_trace_sweeps(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            weak_trace_sweeps(build_nested_mzi(), ["D"], qubit_pointer(), (1e-80, 1e-82))
+        # a zero coupling has no phase and stays exact
+        traces = weak_trace_sweeps(build_nested_mzi(), ["D"], qubit_pointer(), (1e-60, 0.0))
+        assert traces[0][1][1] == 0.0
+
+    def test_classify_presence(self):
+        schedule = default_g_decade(1e-200, 1e-201)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            classify_presence(build_nested_mzi(), "ABCDEX", qubit_pointer(), schedule)
+
+
 class TestClassifyPresence:
     def test_preset_classification(self):
         report = classify_presence(build_nested_mzi(), ("A", "B", "C", "D", "E", "X"))

@@ -257,16 +257,6 @@ class TestCouplingEvolution:
             evolution.apply(0.0, joint).state.amps - joint.state.amps
         ) == 0.0
 
-    def test_apply_is_the_one_point_schedule(self, rng):
-        evolution = CouplingEvolution(random_hermitian(rng, 3), random_hermitian(rng, 4))
-        joint = tensor_product(random_state(rng, 3), random_state(rng, 4))
-        for g in (0.3, 0.0):
-            (batched,) = evolution.apply_schedule((g,), joint)
-            applied = evolution.apply(g, joint)
-            assert applied is not joint
-            assert np.array_equal(applied.as_matrix(), batched)
-        assert np.array_equal(applied.state.amps, joint.state.amps)
-
     def test_rejects_non_finite_coupling(self):
         joint = tensor_product(spin_up_z(), spin_up_x())
         with pytest.raises(ValueError, match="finite"):
@@ -279,11 +269,12 @@ class TestCouplingEvolution:
         dense = CouplingEvolution(s, translation_generator(model))
         spectral = CouplingEvolution(s, pointer_spectrum(model).basis)
         schedule = (0.5, 0.05, 0.0)
-        for g, amps in zip(schedule, spectral.apply_schedule(schedule, joint)):
+        for g in schedule:
+            amps = spectral.apply(g, joint).as_matrix()
             expected = dense.apply(g, joint).as_matrix()
             np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="finite"):
-            spectral.apply_schedule((0.1, math.nan), joint)
+            spectral.apply(math.nan, joint)
 
 
 class TestPostSelectedBranches:
@@ -305,8 +296,9 @@ class TestPostSelectedBranches:
             assert branches.shape == (3, len(schedule), m.dim)
             joint = tensor_product(pre, m)
             for S, rows in zip(observables, branches):
-                evolved = CouplingEvolution(S, pointer).apply_schedule(schedule, joint)
-                expected = post.amps.conj() @ evolved
+                evolution = CouplingEvolution(S, pointer)
+                evolved = [evolution.apply(g, joint).as_matrix() for g in schedule]
+                expected = post.amps.conj() @ np.array(evolved)
                 np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
             # g = 0 adds nothing to <out|in> m
             uncoupled = inner(post, pre) * m.amps

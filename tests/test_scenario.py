@@ -1,5 +1,6 @@
 """Scenario format: parsing, diagnostics, run plans, round-trips."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from tsvflab.scenario import (
     _REAL,
     _UNSIGNED_REAL,
     ParseDiagnostic,
-    _complex_items,
     _Entry,
     _literal_values,
     _parse_matrix,
@@ -127,16 +127,29 @@ class TestParseBasics:
         assert any(d.severity == "error" for d in result.diagnostics)
 
 
+def _per_item(entry, text, col, diags):
+    """The comma-separated items of ``text``, a part of ``entry``'s value at
+    column ``col``, each read by ``parse_complex_literal``; None after
+    reporting each malformed one."""
+    values = []
+    for token, token_col in _split_items(text, col, ","):
+        value = parse_complex_literal(token)
+        if value is None:
+            diags.append(entry.error(f"malformed complex literal {token!r}", token_col))
+        values.append(value)
+    return None if None in values else values
+
+
 def _per_item_vector(entry, diags):
-    """The per-item reader of a vector literal, which builds every
-    diagnostic of a malformed one."""
-    values = _complex_items(entry, entry.value, entry.value_col, diags)
+    """A vector literal read item by item, with every diagnostic of a
+    malformed one."""
+    values = _per_item(entry, entry.value, entry.value_col, diags)
     return None if values is None else np.array(values, dtype=np.complex128)
 
 
 def _per_item_matrix(entry, diags):
     rows = [
-        _complex_items(entry, row_text, row_col, diags)
+        _per_item(entry, row_text, row_col, diags)
         for row_text, row_col in _split_items(entry.value, entry.value_col, ";")
     ]
     if None in rows:
@@ -187,8 +200,8 @@ def _same_array(a, b) -> bool:
 
 
 class TestOnePassLiterals:
-    """The one-pass reader of vector and matrix literals against the
-    per-item reader it replaces for well-formed literals."""
+    """The one-pass reader of vector and matrix literals against a reader
+    of each item by ``parse_complex_literal``."""
 
     @staticmethod
     def _compare(text):
@@ -201,7 +214,7 @@ class TestOnePassLiterals:
             assert fast_diags == slow_diags
         # the pattern accepts exactly the literals whose items all read
         rows = _split_items(text, 1, ";")
-        accepted = all(_complex_items(entry, row, col, []) is not None for row, col in rows)
+        accepted = all(_per_item(entry, row, col, []) is not None for row, col in rows)
         assert (_literal_values(text) is not None) == accepted, text
 
     @pytest.mark.parametrize("item", EDGE_ITEMS)
@@ -562,6 +575,8 @@ LIMITS = MINIMAL.replace(
 )
 # more digits than Python converts to an int
 LONG_INT = "7" * 5000
+# an integer that int() reads and float() overflows on
+WIDE_INT = "7" * 400
 TRACE = NETWORK + "[pointer]\nkind = qubit\n[experiment]\nplan = trace\narms = A, B\n"
 # an operator expression on line 7, its value at column 8
 EXPR = (
@@ -572,6 +587,12 @@ EXPR3 = EXPR.replace("dim = 2", "dim = 3").replace("1, 0", "1, 0, 0")
 
 def _expr(expr: str, text: str = EXPR) -> str:
     return text.replace("expr = pauli_z", f"expr = {expr}")
+
+
+def _mixed_line_ends(text: str) -> str:
+    """``text`` with its line ends cycling through \\r\\n, \\r, \\r\\r\\n and \\n."""
+    ends = itertools.cycle(["\r\n", "\r", "\r\r\n", "\n"])
+    return "".join(line + next(ends) for line in text.split("\n")[:-1])
 
 
 # (scenario, every diagnostic of parse, or of validation when it parses,
@@ -643,7 +664,27 @@ PINNED_DIAGNOSTICS = [
      ((f"integer '{LONG_INT}' overflows", 9, 19, "error"),)),
     (NETWORK.replace("phase_shift 1 0.25", f"phase_shift {LONG_INT} 0.25"),
      (("malformed phase_shift args", 8, 19, "error"),)),
+    # integers beyond the float range reach the domain rules as integers
+    (MINIMAL.replace("dim = 2", f"dim = {WIDE_INT}"),
+     (("dim must be in [1, 4096]", 3, 7, "error"),)),
+    (MINIMAL.replace("spread = 2.0", f"spread = 2.0\nn_points = {WIDE_INT}"),
+     (("n_points must be a power of two between 64 and 4096", 17, 12, "error"),)),
+    (NETWORK.replace("modes = 2", f"modes = {WIDE_INT}"),
+     ((f"network has {WIDE_INT} modes but the system dim is 2", 5, 9, "error"),)),
+    (NETWORK.replace("source = 0", f"source = {WIDE_INT}"),
+     ((f"source mode {WIDE_INT} out of range", 6, 10, "error"),)),
+    (NETWORK.replace("beam_splitter 0 1 0.5", f"beam_splitter 0 {WIDE_INT} 0.5"),
+     ((f"beam splitter mode {WIDE_INT} out of range", 7, 23, "error"),)),
+    (NETWORK.replace("seq = slice A:0 B:1", f"seq = slice A:0 B:{WIDE_INT}"),
+     ((f"slice arm mode {WIDE_INT} out of range", 9, 17, "error"),)),
     (NETWORK.replace("seq = slice A:0 B:1", "seq = slice"), (("empty slice", 9, 7, "error"),)),
+    # \r\r\n is two line ends, \r then \r\n, and shifts every later line
+    (_mixed_line_ends(
+        MINIMAL.replace("dim = 2", "dim = two").replace("spread = 2.0", "  spread = 2.0.0")
+        .replace("post = up_z", "post = up_q")
+    ),
+     (("malformed integer 'two'", 3, 7, "error"), ("malformed number '2.0.0'", 20, 12, "error"),
+      ("unresolved state 'up_q'", 25, 8, "error"))),
     (NETWORK.replace("D2:1", "D2-1"),
      (("malformed detector 'D2-1' (want label:mode)", 10, 19, "error"),)),
     (NETWORK.replace("modes = 2", "modes = 3"),
