@@ -467,15 +467,17 @@ def _arm_traces(
         coupled[stops.index(position), mode] = True
     adjoints = unitaries.conj().transpose(0, 2, 1)
     # every arm's environment but the target's is a qubit
-    _, qubit_am1 = _alpha_minus_one(pointer_spectrum(qubit_pointer()), g)
+    qubit = pointer_spectrum(qubit_pointer())
+    qubit_s, qubit_am1 = _alpha_minus_one(qubit, g)
     changes = _dephasing_change(coupled, qubit_am1)
     psi, delta = _propagate(zip(unitaries, adjoints, changes), net.source_mode, (g.size, n))
     # the effect passes the adjoint segments, which conjugate the dephasing too
     backward = zip(adjoints[:0:-1], unitaries[:0:-1], changes.conj()[::-1])
     phi, delta_w = (a[::-1] for a in _propagate(backward, net.postselect_mode, (g.size, n)))
 
-    spectrum = pointer_spectrum(model)
-    s, target_am1 = _alpha_minus_one(spectrum, g)
+    # a target of the environments' pointer shares their phases
+    spectrum = qubit if model == qubit.model else pointer_spectrum(model)
+    s, target_am1 = (qubit_s, qubit_am1) if spectrum is qubit else _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
     disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.ready_weights
     at = [stops.index(first[arms[row]][0]) for row in rows]

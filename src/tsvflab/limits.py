@@ -9,6 +9,13 @@ from the uncoupled one:
 * ``first_order_residual``|| U(g) Psi0 - (Psi0 - i g S|in> (x) P|m>) ||
 * ``overlap_deficit``     1 - |<Psi0| U(g) Psi0>|
 
+The first-order two are read in closed form in the joint eigenbasis of
+S (x) P, from c_i = |<v_i|in>|^2, w_k = |<k|m>|^2 and the phases of
+theta_ik = g lambda_i mu_k (``Eigenbasis.phase_change``), at O(dim n) per
+g with nothing cancelling: continuity^2 = sum_ik c_i w_k 4 sin^2(theta_ik/2)
+and derail^2 = sum_k w_k (1 - |<in|exp(-i g mu_k S)|in>|^2), taken with
+lambda centred on <in|S|in>.  The second-order two evolve Psi0 densely.
+
 When S|in> is computed as exactly zero, Psi0 is a fixed point of U(g) at
 every g, and each metric is exactly 0.0 without diagonalizing S or P
 (``qcore.fixes_product``); ``sweep_coupling`` decides that once a sweep.
@@ -43,6 +50,7 @@ from .pointer import (
 )
 from .qcore import (
     CouplingEvolution,
+    Eigenbasis,
     LinearOperator,
     StateVector,
     first_order_state,
@@ -79,30 +87,45 @@ def _coupled(pre, m, S, P, g):
     return joint, CouplingEvolution(S, P).apply(g, joint)
 
 
+def _spectral_terms(pre, m, S, P, g):
+    """(c, lambda, w, basis): S's weights of |in> and eigenvalues, and P's
+    eigenbasis (``Eigenbasis.of`` a dense P) with its weights of |m>; None
+    when ``fixes_product`` finds |in> (x) |m> a fixed point."""
+    _, fixed = fixes_product(S, P, (g,), pre, m)
+    if fixed:
+        return None
+    system, basis = Eigenbasis.of(S), P if isinstance(P, Eigenbasis) else Eigenbasis.of(P)
+    return system.weights(pre.amps), system.eigvals, basis.weights(m.amps), basis
+
+
 def continuity_metric(
-    pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
+    pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator | Eigenbasis, g: float
 ) -> float:
     """|| U(g)(|in> (x) |m>) - |in> (x) |m> ||; zero at g = 0, bounded by 2."""
-    coupled = _coupled(pre, m, S, P, g)
-    if coupled is None:
+    terms = _spectral_terms(pre, m, S, P, g)
+    if terms is None:
         return 0.0
-    joint, evolved = coupled
-    return float(np.linalg.norm(evolved.state.amps - joint.state.amps))
+    c, eigvals, w, basis = terms
+    real, _ = basis.phase_change(g * eigvals[:, None])
+    # |exp(-i t) - 1|^2 = -2 Re(exp(-i t) - 1); no term is positive
+    return math.sqrt(abs(-2.0 * (c @ real @ w)))
 
 
 def derail_metric(
-    pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
+    pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator | Eigenbasis, g: float
 ) -> float:
     """Norm of the component of U(g) Psi0 orthogonal to |in> on the system factor."""
     if not pre.normalized:
         raise ValueError("derail metric requires a normalized system state")
-    coupled = _coupled(pre, m, S, P, g)
-    if coupled is None or g == 0.0:
+    terms = _spectral_terms(pre, m, S, P, g)
+    if terms is None or g == 0.0:
         return 0.0
-    evolved = coupled[1].as_matrix()
-    overlap = pre.amps.conj() @ evolved  # pointer-space row
-    orthogonal = evolved - np.outer(pre.amps, overlap)
-    return float(np.linalg.norm(orthogonal))
+    c, eigvals, w, basis = terms
+    # 1 - |<in|exp(-i g mu_k S)|in>|^2 = -2 a_k - a_k^2 - b_k^2, where
+    # a_k + i b_k = sum_i c_i (exp(-i g (lambda_i - <S>) mu_k) - 1)
+    a, b = (c @ part for part in basis.phase_change(g * (eigvals - c @ eigvals)[:, None]))
+    # max lets through a nan, from a phase that overflowed, as the dense path does
+    return math.sqrt(max(w @ (-2.0 * a - a * a - b * b), 0.0))
 
 
 def first_order_residual(
@@ -234,9 +257,11 @@ def sweep_coupling(
     Whether |in> (x) |m> is a fixed point at every g of the schedule is
     decided once, from the pointer's spectrum, after the coupling's checks
     (S hermitian, each g finite, the joint dimensions).  A fixed point
-    sweeps to exactly 0.0 without calling ``metric``, so no n x n generator
-    is built; any other sweep builds one ``translation_generator`` and
-    calls ``metric`` at each g.
+    sweeps to exactly 0.0 without calling ``metric``.  Otherwise the
+    continuity and derail metrics take P as the pointer's ``Eigenbasis``
+    (``pointer_spectrum``), at O(dim n) per g, and the second-order metrics
+    take one dense ``translation_generator``, which they diagonalize at
+    each g.
     """
     schedule = fit_schedule(g_values)
     spectrum = pointer_spectrum(model)
@@ -244,8 +269,9 @@ def sweep_coupling(
     _, fixed = fixes_product(S, spectrum.basis, schedule, sel.pre, ready)
     if fixed:
         return sweep_metric(lambda g: 0.0, schedule)
-    generator = translation_generator(model)
-    return sweep_metric(lambda g: metric(sel.pre, ready, S, generator, g), schedule)
+    closed_form = metric in (continuity_metric, derail_metric)
+    P = spectrum.basis if closed_form else translation_generator(model)
+    return sweep_metric(lambda g: metric(sel.pre, ready, S, P, g), schedule)
 
 
 def classify_order(order: float, context: str = "metric") -> str:

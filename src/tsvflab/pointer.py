@@ -10,9 +10,10 @@ exactly hermitian and makes exp(-i g P) an exact band-limited translation
 on the grid.  ``pointer_spectrum`` gives that DFT eigenbasis directly,
 with the ready state and the readout Q (the grid coordinates, built once
 for both), so the readout never forms an n_points^2 matrix, and neither
-does a metric sweep whose product state is a fixed point
-(``limits.sweep_coupling``); only the other metric sweeps couple through
-the dense ``translation_generator``.
+does a metric sweep whose product state is a fixed point, nor a
+continuity or derail sweep (``limits.sweep_coupling``); only the other
+second-order metric sweeps couple through the dense
+``translation_generator``.
 
 The qubit pointer is the minimal discrete measuring device: the coupling
 generator is one Pauli axis (default y), the readout is the next axis in
@@ -214,15 +215,10 @@ class PointerSpectrum:
     ready: np.ndarray
     readout: np.ndarray
 
-    def weights(self, rows: np.ndarray) -> np.ndarray:
-        """|<k|b>|^2 on the eigenvectors for each row b, so that
-        <b|G|b> = weights(b) @ mu (unnormalized)."""
-        return np.abs(self.basis.to_eigen(rows)) ** 2
-
     @functools.cached_property
     def ready_weights(self) -> np.ndarray:
-        """The ready state's weights w_k = |<k|m>|^2."""
-        return self.weights(self.ready)
+        """The ready state's weights w_k = |<k|m>|^2 (``Eigenbasis.weights``)."""
+        return self.basis.weights(self.ready)
 
     @functools.cached_property
     def calibration(self) -> tuple[float, float]:

@@ -4,16 +4,16 @@ States, operators, tensor products, and the measurement coupling evolution
 exp(-i g S (x) P).  States and operators are dense ``complex128``; the
 supported scale is a desk-sized joint space (system dim <= 16).  The
 coupling works in the pointer factor's eigenbasis: a dense pointer
-generator is diagonalized at O(n^3), which keeps the metric sweeps to
-pointer dim <= 256, while a pointer that supplies its own basis (the
-grid's DFT) reaches pointer dim 4096 without any n x n matrix.  Only a
-metric sweep that is not a fixed point builds the dense generator:
-``fixes_product`` decides that from the pointer's basis alone.
+generator is diagonalized at O(n^3), which keeps the second-order metric
+sweeps to pointer dim <= 256, while a pointer that supplies its own basis
+(the grid's DFT) reaches pointer dim 4096 without any n x n matrix.  Only
+a second-order metric sweep that is not a fixed point builds the dense
+generator: ``fixes_product`` decides that from the pointer's basis alone.
 exp(-i t) - 1 has one kernel, ``phase_change`` (-2 sin^2(t/2) - i sin t),
-which the readout (``post_selected_branches``) and the weak traces share;
-on a basis whose eigenvalues mirror exactly (the grid's DFT) it takes the
-sines of half of them.  Every coupling strength is checked finite by
-``finite_couplings``.
+which the readout (``post_selected_branches``), the weak traces and the
+closed-form first-order metrics share; on a basis whose eigenvalues
+mirror exactly (the grid's DFT) it takes the sines of half of them.
+Every coupling strength is checked finite by ``finite_couplings``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -260,6 +260,11 @@ class Eigenbasis:
 
     def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self._vecs.T
+
+    def weights(self, rows: np.ndarray) -> np.ndarray:
+        """|<w_j|b>|^2 on the eigenvectors for each row b, so that
+        <b|A|b> = weights(b) @ eigvals (unnormalized)."""
+        return np.abs(self.to_eigen(rows)) ** 2
 
     def shares_transforms(self, other: "Eigenbasis") -> bool:
         """Whether ``other`` has this basis's eigenvectors and mirroring,

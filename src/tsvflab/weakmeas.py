@@ -140,7 +140,7 @@ class PointerReadout:
                 [schedules[i] for i in members], sel.pre, sel.post,
                 np.array([spectra[i].ready for i in members]),
             )
-            weights = spectra[members[0]].weights(branches)
+            weights = spectra[members[0]].basis.weights(branches)
             power = _sum(np.abs(branches) ** 2, axis=-1)
             start = 0
             for index in members:
