@@ -55,6 +55,7 @@ from .qcore import (
     StateVector,
     first_order_state,
     fixes_product,
+    tensor_product,
 )
 from .schedule import (
     GSchedule, SpreadSchedule, centred_line, default_g_schedule, fit_schedule
@@ -81,9 +82,9 @@ def _coupled(pre, m, S, P, g):
     """(Psi0, U(g) Psi0) with Psi0 = |in> (x) |m>, as joint states, or None
     when ``fixes_product`` finds Psi0 an exact fixed point (S|in> computed
     as exactly zero): no coupling is then built, and every metric is 0.0."""
-    joint, fixed = fixes_product(S, P, (g,), pre, m)
-    if fixed:
+    if fixes_product(S, P, (g,), pre, m):
         return None
+    joint = tensor_product(pre, m)
     return joint, CouplingEvolution(S, P).apply(g, joint)
 
 
@@ -91,8 +92,7 @@ def _spectral_terms(pre, m, S, P, g):
     """(c, lambda, w, basis): S's weights of |in> and eigenvalues, and P's
     eigenbasis (``Eigenbasis.of`` a dense P) with its weights of |m>; None
     when ``fixes_product`` finds |in> (x) |m> a fixed point."""
-    _, fixed = fixes_product(S, P, (g,), pre, m)
-    if fixed:
+    if fixes_product(S, P, (g,), pre, m):
         return None
     system, basis = Eigenbasis.of(S), P if isinstance(P, Eigenbasis) else Eigenbasis.of(P)
     return system.weights(pre.amps), system.eigvals, basis.weights(m.amps), basis
@@ -266,8 +266,7 @@ def sweep_coupling(
     schedule = fit_schedule(g_values)
     spectrum = pointer_spectrum(model)
     ready = StateVector(spectrum.ready)
-    _, fixed = fixes_product(S, spectrum.basis, schedule, sel.pre, ready)
-    if fixed:
+    if fixes_product(S, spectrum.basis, schedule, sel.pre, ready):
         return sweep_metric(lambda g: 0.0, schedule)
     closed_form = metric in (continuity_metric, derail_metric)
     P = spectrum.basis if closed_form else translation_generator(model)

@@ -380,19 +380,19 @@ def fixes_product(
     g_values,
     pre: StateVector,
     m: StateVector,
-) -> tuple[JointState, bool]:
-    """(|in> (x) |m>, whether it is an exact fixed point of exp(-i g S (x) P)
-    at every g of ``g_values``), with |in> = ``pre``.
+) -> bool:
+    """Whether |in> (x) |m>, with |in> = ``pre``, is an exact fixed point of
+    exp(-i g S (x) P) at every g of ``g_values``.
 
     It is one when S|in> is computed as exactly zero: every power of the
     generator then annihilates the state.  ``CouplingEvolution``'s checks
     come first, in its order (S hermitian, P hermitian, each g finite, the
-    joint dimensions), and neither factor is diagonalized.
+    dimensions of (|in>, |m>)); neither factor is diagonalized and the
+    product state is never formed.
     """
     dims = _coupling_dims(system_op, pointer)
-    joint = tensor_product(pre, m)
-    _coupling_strengths(g_values, (joint.sys_dim, joint.ptr_dim), dims)
-    return joint, not np.any(system_op.entries @ pre.amps)
+    _coupling_strengths(g_values, (pre.dim, m.dim), dims)
+    return not np.any(system_op.entries @ pre.amps)
 
 
 def post_selected_branches(

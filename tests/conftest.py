@@ -1,3 +1,8 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,22 @@ def variance(state: StateVector, op: LinearOperator) -> float:
     """Dense oracle for Var(op) in ``state``, through the n x n product op @ op."""
     mean = moments(state, op)
     return moments(state, LinearOperator(op.entries @ op.entries)) - mean**2
+
+
+@functools.cache
+def outdiff():
+    """``scripts/outdiff.py`` as a module.  Its ``scenarios`` is the
+    benchmark's case generator, imported without writing bytecode under
+    ``perfbench/``; the bytecode setting is restored for the test session."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "outdiff.py"
+    spec = importlib.util.spec_from_file_location("outdiff", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 @pytest.fixture

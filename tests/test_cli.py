@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import outdiff
 from tsvflab import cli, limits, pointer
 from tsvflab.cli import _format_table, main
 from tsvflab.scenario import load_corpus_text
@@ -235,6 +236,20 @@ class TestSweepAndLimits:
         captured = capsys.readouterr()
         assert captured.err == ""
         self._all_zero_rows(captured.out)
+
+    def test_benchmark_kernel_sweeps_are_exact_zeros(self, tmp_path, capsys, no_generator):
+        # every kernel sweep of the benchmark's grid-sweeps pool rounds 0-3
+        kernel = [case for index in range(4)
+                  for case in outdiff().scenarios.pool_round("grid-sweeps", index)
+                  if case.command == "sweep" and case.expect["order"] == "none"]
+        assert kernel
+        path = tmp_path / "kernel.scn"
+        for case in kernel:
+            path.write_text(case.text, encoding="utf-8")
+            assert main(["sweep", str(path)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            self._all_zero_rows(captured.out)
 
     def test_compare_limits_preset(self, capsys):
         assert main(["compare-limits", "--preset", "compare-limits"]) == 0

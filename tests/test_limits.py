@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state
-from tsvflab import limits, pointer, weakmeas
+from tsvflab import limits, pointer, qcore, weakmeas
 from tsvflab.cli import main
 from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders, sweep_coupling
 from tsvflab.pointer import pointer_spectrum
@@ -726,3 +726,17 @@ class TestSweepCoupling:
                 sweep_coupling(continuity_metric, selection, s, model, schedule)
             assert message is None or str(info.value) == message
         assert generators == []
+
+    def test_first_order_metrics_never_form_the_product_state(self, monkeypatch):
+        # the fixed-point check reads S|in> and the dimensions alone
+        def refuse(*_):
+            raise AssertionError("the first-order metrics build no |in> (x) |m>")
+
+        monkeypatch.setattr(qcore, "tensor_product", refuse)
+        spectrum = pointer_spectrum(gaussian_pointer(1.0, 128))
+        m = StateVector(spectrum.ready)
+        for metric in (continuity_metric, derail_metric):
+            assert metric(spin_up_x(), m, pauli_z(), spectrum.basis, 0.01) > 0.0
+        sel = PrePostSelection(spin_up_x(), spin_down_z())
+        result = sweep_coupling(continuity_metric, sel, pauli_z(), gaussian_pointer(1.0, 128), GS)
+        assert result.fitted_order == pytest.approx(1.0, abs=0.05)
