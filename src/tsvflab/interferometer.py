@@ -59,8 +59,9 @@ import numpy as np
 from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_trace_orders
 from .pointer import GAUSSIAN_KIND, PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
-from .qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, StateVector, finite_couplings
+from .qcore import StateVector, finite_couplings
 from .schedule import fit_schedule
+from .tolerances import ORTHOGONAL_OVERLAP_TOL, PAIRING_TOL, TRACE_MIN_PHASE, ZERO_PROBABILITY_FLOOR
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def two_state_vector(net: OpticalNetwork, slice_index: int) -> TwoStateVector:
         tuple((label, complex(backward[mode])) for label, mode in ts.arms),
     )
     total = complex(np.vdot(backward, forward))
-    if abs(tsv.pairing - total) > 1e-12 * max(1.0, abs(total)):
+    if abs(tsv.pairing - total) > PAIRING_TOL * max(1.0, abs(total)):
         raise ValueError(
             f"slice {slice_index} arms do not cover the occupied modes: "
             f"arm pairing {tsv.pairing} vs full pairing {total}"
@@ -366,12 +367,6 @@ def build_nested_mzi(
 
 # ---------------------------------------------------------------------------
 # Weak traces: per-arm channels, every arm from one forward and one backward pass.
-
-#: The smallest coupling phase of a weak trace: g on the qubit
-#: environments, times the target's generator spread (1 / (2 spread) on the
-#: grid).  A second-order trace weighs two such phases squared, >= 1e-280.
-TRACE_MIN_PHASE = 1e-70
-
 
 def trace_phase_fault(model: PointerModel, g_values) -> str | None:
     """Why the weak traces of a ``model`` target at ``g_values`` underflow,

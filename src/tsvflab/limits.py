@@ -60,10 +60,9 @@ from .qcore import (
 from .schedule import (
     GSchedule, SpreadSchedule, centred_line, default_g_schedule, fit_schedule
 )
+from .tolerances import METRIC_FLOOR
 from .weakmeas import PointerReadout, PrePostSelection, weak_value
 
-#: Metric values at or below this floor count as identically zero.
-METRIC_FLOOR = 1e-14
 #: Sentinel order for all-floor sweeps: no trace at any fitted order.
 ALL_FLOOR_ORDER = math.inf
 

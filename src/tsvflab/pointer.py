@@ -36,15 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, NonHermitianOperatorError
-from .qcore import (
-    ZERO_PROBABILITY_FLOOR,
-    Eigenbasis,
-    LinearOperator,
-    StateVector,
-    pauli_x,
-    pauli_y,
-    pauli_z,
-)
+from .qcore import Eigenbasis, LinearOperator, StateVector, pauli_x, pauli_y, pauli_z
+from .tolerances import MOMENT_IMAG_TOL, QUBIT_PIVOT_FLOOR, SPREAD_RANGE, ZERO_PROBABILITY_FLOOR
 
 GAUSSIAN_KIND = "gaussian_grid"
 QUBIT_KIND = "qubit"
@@ -87,7 +80,7 @@ class PointerModel:
                 )
             if not math.isfinite(self.spread) or not math.isfinite(self.half_width):
                 raise FieldError("spread and half_width must be finite")
-            if not 1e-100 <= self.spread <= 1e100:
+            if not SPREAD_RANGE[0] <= self.spread <= SPREAD_RANGE[1]:
                 raise FieldError("spread must lie in [1e-100, 1e100]", "spread")
             if self.half_width < 8.0 * self.spread:
                 raise FieldError(
@@ -160,7 +153,7 @@ def initial_state(model: PointerModel) -> StateVector:
     eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[ready_axis]().entries)
     plus = vecs[:, int(np.argmax(eigvals))]
     # fix the global phase so the first nonzero amplitude is real positive
-    pivot = plus[np.argmax(np.abs(plus) > 1e-12)]
+    pivot = plus[np.argmax(np.abs(plus) > QUBIT_PIVOT_FLOOR)]
     plus = plus * (abs(pivot) / pivot)
     return StateVector(plus)
 
@@ -274,7 +267,7 @@ def moments(state: StateVector, op: LinearOperator) -> float:
     if norm_sq < ZERO_PROBABILITY_FLOOR:
         raise ValueError("cannot take moments of a zero-norm state")
     value = complex(np.vdot(state.amps, op.entries @ state.amps)) / norm_sq
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > MOMENT_IMAG_TOL:
         raise ValueError(
             f"expectation of a hermitian operator came out complex "
             f"(imaginary residue {value.imag!r})"

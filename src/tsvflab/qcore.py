@@ -33,14 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonHermitianOperatorError
+from .tolerances import STRUCTURAL_TOL
 
-#: Tolerance for structural checks (normalization tags, hermiticity tags).
-STRUCTURAL_TOL = 1e-12
-#: Squared norms below this floor count as zero (a dark branch, an empty state).
-ZERO_PROBABILITY_FLOOR = 1e-300
-#: Below this |<out|in>| the selection is orthogonal: the detector is dark and
-#: the analytic weak value is undefined.
-ORTHOGONAL_OVERLAP_TOL = 1e-12
 #: The most phase terms ``post_selected_branches`` holds at once (8 MiB a
 #: real array): a block of (observable, g) rows, dim x ptr_dim terms each,
 #: or a part of one row's system axis when dim x ptr_dim is larger.
@@ -426,7 +420,8 @@ def post_selected_branches(
     ``_PHASE_BLOCK`` phase terms are held at once: a block of (observable,
     g) rows, or a part of the system axis of one row.  ``CouplingEvolution``'s checks come first, in its order:
     each S_k hermitian, each g finite (pointer by pointer, with each ready
-    state's dimension), the system dimensions.
+    state's dimension), the system dimensions; then every coupling phase
+    g lambda_ki mu must be finite.
     """
     bases = tuple(bases)
     if not bases or not all(bases[0].shares_transforms(other) for other in bases):
@@ -450,6 +445,12 @@ def post_selected_branches(
     # each g's pointer, whose momenta mu and ready m^ are gathered per block
     pointer_of = np.arange(len(bases)).repeat(lengths)
     mus, hat = np.array([other.eigvals for other in bases])[:, None], basis.to_eigen(ready)
+    # each g's largest phase, max|lambda| |g| max|mu|, rounded as ``phase_change``
+    # rounds it; a Python float overflows to inf without a warning
+    lam = float(np.maximum.reduce(np.abs(eigvals), axis=None, initial=0.0))
+    largest = zip(gs.tolist(), np.maximum.reduce(np.abs(mus), axis=-1)[pointer_of, 0].tolist())
+    if not all(math.isfinite(lam * abs(g) * mu) for g, mu in largest):
+        raise ValueError("coupling phase must be finite")
     # a_ki, broadcast over the g axis, and g lambda_ki: one (k, g) row each
     weights = ((post.amps.conj() @ vecs) * (pre.amps @ vecs.conj()))[:, None, None, :]
     wr, wi = weights.real, weights.imag

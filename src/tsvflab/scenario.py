@@ -48,6 +48,9 @@ from .limits import (
 from .pointer import GAUSSIAN_KIND, QUBIT_KIND, PointerModel, gaussian_pointer, qubit_pointer
 from .qcore import LinearOperator, StateVector, pauli_x, pauli_y, pauli_z, projector
 from .schedule import GSchedule, SpreadSchedule, default_g_decade, default_g_schedule
+from .tolerances import (
+    AUTO_NORMALIZE_WINDOW, FROBENIUS_MARGIN, QUBIT_READOUT_ACCURACY, READOUT_ACCURACY
+)
 from .weakmeas import PrePostSelection
 
 VERSION_LINE = "tsvf-scenario v1"
@@ -1030,18 +1033,6 @@ def parse(text: str) -> ScenarioResult:
     return ScenarioResult(doc, tuple(diags))
 
 
-#: The largest roundoff a readout may carry, relative to its smallest
-#: shift: <Q> is read to about eps * half_width on a grid pointer, and the
-#: smallest shift is g_min * max|lambda|.  Their ratio reads about 100
-#: times the measured error, so this admits errors up to about 1e-4.
-READOUT_ACCURACY = 1e-2
-#: The same for a qubit pointer, whose readout Pauli has unit eigenvalues,
-#: so <Q> is read to about eps.  There the ratio reads about twice the
-#: measured error (at most 0.55 eps / (g_min max|lambda|) over 24 generated
-#: qubit weak values), so this too admits errors up to about 1e-4.
-QUBIT_READOUT_ACCURACY = 2e-4
-
-
 def _coupling_fault(
     pointer: PointerModel, g_values, lam: float, readout: bool, traces: bool
 ) -> str | None:
@@ -1076,11 +1067,12 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
     """The run of ``doc`` as plan ``kind`` (its own, or the one its
     subcommand runs in its place), built before any evolution.
 
-    Selection states must be normalized (within 1e-6 they are, with a
-    warning) and observables hermitian.  The g-schedule is the geometric
-    one of ``flags`` ({"g_max", "g_min", "points"} -> value or None) when
-    any is set, the rest at ``default_g_decade``'s defaults, else the
-    file's, else the plan's default, checked by plan ``kind``'s rules.
+    Selection states must be normalized (within ``AUTO_NORMALIZE_WINDOW``
+    they are, with a warning) and observables hermitian.  The g-schedule
+    is the geometric one of ``flags`` ({"g_max", "g_min", "points"} ->
+    value or None) when any is set, the rest at ``default_g_decade``'s
+    defaults, else the file's, else the plan's default, checked by plan
+    ``kind``'s rules.
     Every pointer the run couples is built, and each must pass
     ``_coupling_fault`` (a qubit only where the run reads it out).  The
     file's warnings and errors come back as diagnostics at their
@@ -1102,7 +1094,7 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
         if state.normalized:
             continue
         norm = state.norm()
-        if abs(norm - 1.0) < 1e-6:
+        if abs(norm - 1.0) < AUTO_NORMALIZE_WINDOW:
             message = f"state {name!r} auto-normalized (norm was off by {abs(norm - 1.0):.2e})"
             diags.append(_at(message, f"state:{name}", severity="warning"))
             states[name] = state.unit()
@@ -1159,7 +1151,7 @@ def plan(doc: ScenarioDoc, kind: str, flags: Mapping | None = None) -> PlanResul
         # F the largest Frobenius norm, max|lambda| lies in [F / sqrt(dim), F]:
         # the spectrum is taken only where those bounds leave a guard open
         norm = max((math.sqrt(np.vdot(e, e).real) for e in entries), default=1.0)
-        bounds = (norm * (1 + 1e-9), norm / math.sqrt(doc.dim) * (1 - 1e-9))
+        bounds = (norm * (1 + FROBENIUS_MARGIN), norm / math.sqrt(doc.dim) * (1 - FROBENIUS_MARGIN))
         couplings = [(pointer, g_schedule, "g_schedule", bool(given))]
         couplings += [(p, (fixed_g,), "fixed_g", False) for p in spread_pointers]
         for model, g_values, key, flagged in couplings:

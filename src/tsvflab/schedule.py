@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ScheduleError
 from .pointer import GAUSSIAN_KIND, PointerModel
+from .tolerances import DECADE_SLACK
 
 #: The most points a g-schedule may hold: over 100 times any schedule the
 #: presets or an order fit use, and a bound on the per-g arrays of a run.
@@ -71,7 +72,7 @@ class GSchedule(tuple):
             _bounded(len(schedule))
         elif len(schedule) < min_points:
             raise ScheduleError(f"schedule needs at least {min_points} points")
-        if span_decade and math.log10(schedule[0] / schedule[-1]) < 1.0 - 1e-9:
+        if span_decade and math.log10(schedule[0] / schedule[-1]) < 1.0 - DECADE_SLACK:
             raise ScheduleError("schedule must span at least one decade")
         return schedule
 

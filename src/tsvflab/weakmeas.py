@@ -24,15 +24,9 @@ import numpy as np
 
 from .errors import DarkDetectorError, OrthogonalSelectionError
 from .pointer import PointerModel, moments, pointer_spectrum
-from .qcore import (
-    ORTHOGONAL_OVERLAP_TOL,
-    ZERO_PROBABILITY_FLOOR,
-    LinearOperator,
-    StateVector,
-    inner,
-    post_selected_branches,
-)
+from .qcore import LinearOperator, StateVector, inner, post_selected_branches
 from .schedule import GSchedule, centred_line, default_g_schedule
+from .tolerances import ORTHOGONAL_OVERLAP_TOL, PROBABILITY_CEILING, ZERO_PROBABILITY_FLOOR
 
 @dataclass(frozen=True, eq=False)
 class PrePostSelection:
@@ -63,7 +57,7 @@ def expectation(state: StateVector, S: LinearOperator) -> float:
 
 
 def weak_value(sel: PrePostSelection, S: LinearOperator) -> complex:
-    """<out|S|in> / <out|in>.  Linear in S."""
+    """<out|S|in> / <out|in>.  Linear in S; a quotient that overflows raises."""
     magnitude = abs(sel.overlap)
     if magnitude <= ORTHOGONAL_OVERLAP_TOL:
         raise OrthogonalSelectionError(
@@ -74,7 +68,10 @@ def weak_value(sel: PrePostSelection, S: LinearOperator) -> complex:
     amps = S.entries @ sel.pre.amps
     if not _all(np.isfinite(amps)):
         raise ValueError("amplitudes must be finite")
-    return complex(complex(np.vdot(sel.post.amps, amps)) / sel.overlap)
+    value = complex(complex(np.vdot(sel.post.amps, amps)) / sel.overlap)
+    if not np.isfinite(value):
+        raise ValueError("weak value is not finite")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +149,10 @@ class PointerReadout:
                 start = own.stop
         gs = np.concatenate(schedules, dtype=float)
         if _fmin(probabilities, axis=None, initial=1.0) < ZERO_PROBABILITY_FLOOR or (
-            _fmax(probabilities, axis=None, initial=1.0) > _PROBABILITY_CEILING
+            _fmax(probabilities, axis=None, initial=1.0) > PROBABILITY_CEILING
         ):  # the first in row order: each pointer, each observable, each g
             dark = probabilities < ZERO_PROBABILITY_FLOOR
-            ks, rs = np.nonzero(dark | (probabilities > _PROBABILITY_CEILING))
+            ks, rs = np.nonzero(dark | (probabilities > PROBABILITY_CEILING))
             first = np.lexsort((rs, ks, np.searchsorted(bounds, rs, side="right")))[0]
             k, r = ks[first], rs[first]
             if dark[k, r]:
@@ -168,9 +165,6 @@ class PointerReadout:
             generator / probabilities
         ) / (2.0 * gs * variance)
 
-
-#: A post-selection probability above this is no roundoff of 1 but an error.
-_PROBABILITY_CEILING = 1.0 + 1e-9
 
 _sum, _max, _fmin, _fmax = np.add.reduce, np.maximum.reduce, np.fmin.reduce, np.fmax.reduce
 _all = np.logical_and.reduce

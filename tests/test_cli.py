@@ -85,6 +85,30 @@ class TestWeakValueCommand:
         assert rows[0]["observable"] == "sz"
         assert rows[0]["analytic"] == "1.000000000000e0+0.000000000000e0i"
 
+    @pytest.mark.parametrize(
+        "matrix,schedule,message",
+        [
+            # <out|S|in> = 1.4e308 over <out|in> = 0.71: printed inf and nan, exit 0
+            ("1e308, 1e308; 1e308, 1e308", "", "weak value is not finite"),
+            # a finite weak value of 1e308, coupled at g = 100: printed nan, exit 0
+            ("1e308, 0; 0, -1e308", "g_schedule = 100, 50, 25, 12.5\n",
+             "coupling phase must be finite"),
+        ],
+    )
+    def test_overflowing_qubit_readout_is_an_error(
+        self, tmp_path, capsys, matrix, schedule, message
+    ):
+        text = load_corpus_text("spin_sz").replace("expr = pauli_z", f"matrix = {matrix}")
+        text = text.split("[pointer]")[0] + "[pointer]\nkind = qubit\n" + (
+            "[selection]\npre = up_x\npost = up_z\n[experiment]\nplan = weakvalue\n"
+            f"observables = sz\n{schedule}"
+        )
+        path = tmp_path / "overflow.scn"
+        path.write_text(text)
+        assert main(["weakvalue", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 #: the 12 qubit weak values of the benchmark's cold-corpus pool round 0
 #: (perfbench/scenarios.py), that workload's median case, each with the

@@ -36,7 +36,8 @@ from tsvflab import (
 )
 from tsvflab import interferometer
 from tsvflab.limits import METRIC_FLOOR
-from tsvflab.qcore import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR, basis_state
+from tsvflab.qcore import basis_state
+from tsvflab.tolerances import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR
 
 
 def _bs_matrix(n, a, b, t):

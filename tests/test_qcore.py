@@ -75,6 +75,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(np.array([np.inf + 0j, 0.0]))
 
+    def test_unit_of_zero_state_raises(self):
+        with pytest.raises(ValueError, match="^cannot normalize a zero state$"):
+            StateVector(np.zeros(3)).unit()
+
     def test_amps_read_only(self):
         v = spin_up_z()
         with pytest.raises(ValueError):

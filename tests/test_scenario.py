@@ -276,6 +276,10 @@ class TestExpressions:
         doc = parse(text).doc
         np.testing.assert_array_equal(doc.operators["sz"].entries, np.diag([1.0, -1.0]))
 
+    def test_operator_product(self):
+        doc = parse(MINIMAL.replace("expr = pauli_z", "expr = pauli_z * pauli_z")).doc
+        np.testing.assert_array_equal(doc.operators["sz"].entries, np.eye(2))
+
     def test_precedence(self):
         text = MINIMAL.replace("expr = pauli_z", "expr = pauli_z + pauli_x * 0")
         doc = parse(text).doc
@@ -542,6 +546,8 @@ DOMAIN_ERRORS = [
     (NETWORK, "seq = slice A:0 B:1", "seq = slice A:0 A:1", "A:1", "labels must be unique"),
     (NETWORK, "seq = slice A:0 B:1", "seq = slice A:0 B:7", "B:7",
      "slice arm mode 7 out of range"),
+    (NETWORK, "seq = slice A:0 B:1", "seq = slice A:0 D:0", "D:0",
+     "arm modes must be unique within a slice"),
     (NETWORK, "detectors = D1:0, D2:1", "detectors = D1:0, D2:4", "D2:4",
      "detector mode 4 out of range"),
     (NETWORK, "detectors = D1:0, D2:1", "detectors = D1:0, D1:1", "D1:1", "must be unique"),
@@ -734,6 +740,16 @@ PINNED_DIAGNOSTICS = [
     (_expr("pauli_z + identity(3)"),
      (("identity is 3-dimensional, system dim is 2", 7, 27, "error"),)),
     (_expr("pauli_x * 1e308 * 10 + 1"), (("operator entries must be finite", 7, 8, "error"),)),
+    # a literal that overflows reaches the domain object, which names it at its value
+    (EXPR.replace("amps = 1, 0", "amps = 1e999, 0"),
+     (("amplitudes must be finite", 5, 8, "error"),)),
+    (EXPR.replace("expr = pauli_z", "matrix = 1e999, 0; 0, 1"),
+     (("operator entries must be finite", 7, 10, "error"),)),
+    # the product of two operators is their matrix product, which plans as any operator
+    (MINIMAL.replace("expr = pauli_z", "expr = pauli_x * pauli_y"),
+     (("observable 'sz' is not hermitian", 12, 8, "error"),)),
+    (_expr("projector(nowhere)"), (("unresolved state 'nowhere'", 7, 18, "error"),)),
+    ("tsvf-scenario v1\n[ ]\n", (("empty section header", 2, 1, "error"),)),
     # numbers are ASCII digits in every grammar, not any Unicode decimal digit
     (MINIMAL.replace("spread = 2.0", "spread = \u0662.\u0665"),
      (("malformed number '\u0662.\u0665'", 16, 10, "error"),)),

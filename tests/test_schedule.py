@@ -99,6 +99,8 @@ def _expected(entry: str, values, message: str) -> str:
 G_ENTRY_POINTS = {
     "GSchedule": (lambda s: GSchedule(s), False),
     "GSchedule-fit": (lambda s: GSchedule(s, span_decade=True), True),
+    # a GSchedule is checked again only for its length and its span
+    "GSchedule-of-GSchedule": (lambda s: GSchedule(GSchedule(s, min_points=1)), False),
     "estimate_weak_value": (
         lambda s: estimate_weak_value(SEL, pauli_z(), qubit_pointer(), s), False
     ),

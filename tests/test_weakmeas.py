@@ -154,6 +154,10 @@ class TestWeakValue:
         sel = PrePostSelection(spin_down_z(), spin_down_z())
         assert weak_value(sel, pauli_z()) == pytest.approx(-1.0, abs=1e-14)
 
+    def test_operator_of_another_dim_raises(self):
+        with pytest.raises(ValueError, match="^operator dim 3 does not match state dim 2$"):
+            weak_value(spin_selection(), LinearOperator(np.eye(3)))
+
     def test_near_orthogonal_selection_names_overlap(self):
         sel = PrePostSelection(spin_up_z(), spin_down_z())
         with pytest.raises(OrthogonalSelectionError, match="0.0"):
