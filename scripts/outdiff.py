@@ -10,11 +10,15 @@ then one JSON line per case: exit code, stdout, stderr with the scenario
 path masked, and any exception raised.  The environment (``PYTHONPATH``,
 ``OPENBLAS_NUM_THREADS``) decides what a record describes, so the same two
 commands compare a parent tree with a change, or two BLAS thread counts.
-A large-grid copy that does not exit 0 with some stdout within
-``LARGE_BUDGET_S`` makes ``record`` exit 1.  ``compare`` exits 0 only if
-every case matches byte for byte; at two thread counts the second-order
-sweeps (``SECOND_ORDER``), whose digits still depend on it, are counted
-and listed instead.
+Each Python warning a case raises, such as a numpy overflow, is caught
+and appended to its stderr as the interpreter prints it, however often its
+line warned before and whatever warning filters are in force.  A case
+whose stderr holds a warning (``WARNING``), or a large-grid copy that does
+not exit 0 with some stdout within ``LARGE_BUDGET_S``, makes ``record``
+name it and exit 1.  ``compare`` exits 0 only if every case matches byte
+for byte; at two thread counts the second-order sweeps
+(``SECOND_ORDER``), whose digits still depend on it, are counted and
+listed instead.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # nothing is written under perfbench/
@@ -35,6 +40,8 @@ OTHER_CHAIN_COMMAND = {"presence": "trace", "trace": "presence"}
 SECOND_ORDER = ("first_order_residual", "overlap_deficit")
 LARGE_BUDGET_S = 20.0
 MASK = "<scenario>"
+#: what a shown Python warning prints: "<file>:<line>: RuntimeWarning: ..."
+WARNING = "Warning: "
 
 
 def _edit(text: str, *pairs: tuple[str, str]) -> str:
@@ -96,23 +103,29 @@ def all_cases():
 
 
 def run(main, argv: list[str], text: str | None, path: Path) -> dict:
-    """One case through ``main``: rc, stdout, masked stderr, any exception raised."""
+    """One case through ``main``: rc, stdout, masked stderr with the
+    warnings raised appended, any exception raised."""
     if text is not None:
         path.write_text(text, encoding="utf-8")
         argv = [argv[0], str(path), *argv[1:]]
     out, err, raised = io.StringIO(), io.StringIO(), None
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-    except Exception as exc:  # the case's failure, not the tool's
-        rc, raised = None, f"{type(exc).__name__}: {exc}".replace(str(path), MASK)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        except Exception as exc:  # the case's failure, not the tool's
+            rc, raised = None, f"{type(exc).__name__}: {exc}".replace(str(path), MASK)
+    for w in shown:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
     stderr = err.getvalue().replace(str(path), MASK)
     return {"rc": rc, "stdout": out.getvalue(), "stderr": stderr, "raised": raised}
 
 
 def record(cases, sink) -> int:
     """Write the header and one line per case to ``sink``; 1 if a large
-    copy did not exit 0 with some stdout within LARGE_BUDGET_S, else 0."""
+    copy did not exit 0 with some stdout within LARGE_BUDGET_S, or a case
+    raised a Python warning, else 0; each such case is named on stderr."""
     import tsvflab
     from tsvflab.cli import main
 
@@ -131,6 +144,9 @@ def record(cases, sink) -> int:
             if name.startswith("large/") and not ok:
                 print(f"large copy failed: {name}, rc {result['rc']}, {seconds:.1f} s",
                       file=sys.stderr)
+                failed = 1
+            if WARNING in result["stderr"]:
+                print(f"Python warning in: {name}", file=sys.stderr)
                 failed = 1
     return failed
 

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import DarkDetectorError, FieldError
 from .limits import classify_order, fit_trace_orders
 from .pointer import GAUSSIAN_KIND, PointerModel, PointerSpectrum, pointer_spectrum, qubit_pointer
-from .qcore import StateVector, finite_couplings
+from .qcore import StateVector, finite_couplings, require_finite_phases
 from .schedule import fit_schedule
 from .tolerances import ORTHOGONAL_OVERLAP_TOL, PAIRING_TOL, TRACE_MIN_PHASE, ZERO_PROBABILITY_FLOOR
 
@@ -384,7 +384,9 @@ def trace_phase_fault(model: PointerModel, g_values) -> str | None:
 
 def _alpha_minus_one(spectrum: PointerSpectrum, g: np.ndarray):
     """(s_gk = exp(-i g mu_k) - 1, alpha_g - 1 = sum_k w_k s_gk) per coupling
-    strength g, where alpha = <m|exp(-i g G)|m>; no digit is lost to 1 - 1."""
+    strength g, where alpha = <m|exp(-i g G)|m>; no digit is lost to 1 - 1.
+    Each phase g mu_k is checked finite first (``require_finite_phases``)."""
+    require_finite_phases(1.0, g, float(np.abs(spectrum.basis.eigvals).max()))
     s = np.empty((g.size, spectrum.basis.dim), dtype=np.complex128)
     s.real, s.imag = spectrum.basis.phase_change(g[:, None])
     return s, s @ spectrum.ready_weights

@@ -14,7 +14,12 @@ S (x) P, from c_i = |<v_i|in>|^2, w_k = |<k|m>|^2 and the phases of
 theta_ik = g lambda_i mu_k (``Eigenbasis.phase_change``), at O(dim n) per
 g with nothing cancelling: continuity^2 = sum_ik c_i w_k 4 sin^2(theta_ik/2)
 and derail^2 = sum_k w_k (1 - |<in|exp(-i g mu_k S)|in>|^2), taken with
-lambda centred on <in|S|in>.  The second-order two evolve Psi0 densely.
+lambda centred on <in|S|in>.  One kernel, ``_closed_form``, reads them
+along a whole schedule: the coupling's checks, S's ``eigh``, the weights
+and the centred spectrum once, then the phases of each g, checked finite
+before any is formed (``qcore.require_finite_phases``).  The metrics are
+its one-g case.  The second-order two evolve Psi0 densely, one
+``CouplingEvolution`` per g (``_coupled``).
 
 When S|in> is computed as exactly zero, Psi0 is a fixed point of U(g) at
 every g, and each metric is exactly 0.0 without diagonalizing S or P
@@ -55,6 +60,7 @@ from .qcore import (
     StateVector,
     first_order_state,
     fixes_product,
+    require_finite_phases,
     tensor_product,
 )
 from .schedule import (
@@ -77,76 +83,82 @@ FIRST_ORDER_BAND = (0.75, 1.25)
 SECOND_ORDER_BAND = (1.75, 2.5)
 
 
-def _coupled(pre, m, S, P, g):
-    """(Psi0, U(g) Psi0) with Psi0 = |in> (x) |m>, as joint states, or None
-    when ``fixes_product`` finds Psi0 an exact fixed point (S|in> computed
-    as exactly zero): no coupling is then built, and every metric is 0.0."""
+def _coupled(pre, m, S, P, g, read) -> float:
+    """``read(Psi0, U(g) Psi0)``, the amplitudes of Psi0 = |in> (x) |m> and
+    of its evolution, or 0.0 when ``fixes_product`` finds Psi0 an exact
+    fixed point (S|in> computed as exactly zero): no coupling is then built."""
     if fixes_product(S, P, (g,), pre, m):
-        return None
+        return 0.0
     joint = tensor_product(pre, m)
-    return joint, CouplingEvolution(S, P).apply(g, joint)
+    return float(read(joint.state.amps, CouplingEvolution(S, P).apply(g, joint).state.amps))
 
 
-def _spectral_terms(pre, m, S, P, g):
-    """(c, lambda, w, basis): S's weights of |in> and eigenvalues, and P's
-    eigenbasis (``Eigenbasis.of`` a dense P) with its weights of |m>; None
-    when ``fixes_product`` finds |in> (x) |m> a fixed point."""
-    if fixes_product(S, P, (g,), pre, m):
-        return None
+def _closed_form(metric, pre, m, S, P, g_values) -> list[float]:
+    """``metric``, ``continuity_metric`` or ``derail_metric``, at each g of
+    ``g_values``, with P dense or an ``Eigenbasis``.
+
+    The coupling's checks and the fixed point are decided once for the
+    whole schedule (``fixes_product``); S is diagonalized once, and the
+    weights c and w and the rates lambda, derail's centred on <S>, are
+    taken once.  Every phase (g rate) mu is checked finite before any is
+    formed (``require_finite_phases``); derail is 0.0 at g = 0, where it
+    forms none.
+    """
+    derail = metric is derail_metric
+    if derail and not pre.normalized:
+        raise ValueError("derail metric requires a normalized system state")
+    phased = [g for g in g_values if g or not derail]
+    if fixes_product(S, P, g_values, pre, m) or not phased:
+        return [0.0] * len(g_values)
     system, basis = Eigenbasis.of(S), P if isinstance(P, Eigenbasis) else Eigenbasis.of(P)
-    return system.weights(pre.amps), system.eigvals, basis.weights(m.amps), basis
+    c, eigvals, w = system.weights(pre.amps), system.eigvals, basis.weights(m.amps)
+    # x - 0.0 is x bit for bit; the rates' ends, in Python floats, overflow
+    # without a warning and bound every rate as it is rounded
+    mean = float(c @ eigvals) if derail else 0.0
+    ends = abs(float(eigvals.min()) - mean), abs(float(eigvals.max()) - mean)
+    require_finite_phases(max(ends), phased, float(np.abs(basis.eigvals).max()))
+    rates = (eigvals - mean)[:, None]
+
+    def value(g):
+        real, imag = basis.phase_change(g * rates)
+        if not derail:
+            # |exp(-i t) - 1|^2 = -2 Re(exp(-i t) - 1); no term is positive
+            return math.sqrt(abs(-2.0 * (c @ real @ w)))
+        # 1 - |<in|exp(-i g mu_k S)|in>|^2 = -2 a_k - a_k^2 - b_k^2, where
+        # a_k + i b_k = sum_i c_i (exp(-i g (lambda_i - <S>) mu_k) - 1)
+        a, b = c @ real, c @ imag
+        return math.sqrt(max(w @ (-2.0 * a - a * a - b * b), 0.0)) if g else 0.0
+
+    return [value(g) for g in g_values]
 
 
 def continuity_metric(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator | Eigenbasis, g: float
 ) -> float:
     """|| U(g)(|in> (x) |m>) - |in> (x) |m> ||; zero at g = 0, bounded by 2."""
-    terms = _spectral_terms(pre, m, S, P, g)
-    if terms is None:
-        return 0.0
-    c, eigvals, w, basis = terms
-    real, _ = basis.phase_change(g * eigvals[:, None])
-    # |exp(-i t) - 1|^2 = -2 Re(exp(-i t) - 1); no term is positive
-    return math.sqrt(abs(-2.0 * (c @ real @ w)))
+    return _closed_form(continuity_metric, pre, m, S, P, (g,))[0]
 
 
 def derail_metric(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator | Eigenbasis, g: float
 ) -> float:
     """Norm of the component of U(g) Psi0 orthogonal to |in> on the system factor."""
-    if not pre.normalized:
-        raise ValueError("derail metric requires a normalized system state")
-    terms = _spectral_terms(pre, m, S, P, g)
-    if terms is None or g == 0.0:
-        return 0.0
-    c, eigvals, w, basis = terms
-    # 1 - |<in|exp(-i g mu_k S)|in>|^2 = -2 a_k - a_k^2 - b_k^2, where
-    # a_k + i b_k = sum_i c_i (exp(-i g (lambda_i - <S>) mu_k) - 1)
-    a, b = (c @ part for part in basis.phase_change(g * (eigvals - c @ eigvals)[:, None]))
-    # max lets through a nan, from a phase that overflowed, as the dense path does
-    return math.sqrt(max(w @ (-2.0 * a - a * a - b * b), 0.0))
+    return _closed_form(derail_metric, pre, m, S, P, (g,))[0]
 
 
 def first_order_residual(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """Norm distance between the exact evolution and its O(g) expansion."""
-    coupled = _coupled(pre, m, S, P, g)
-    if coupled is None:
-        return 0.0
-    expansion = first_order_state(pre, m, S, P, g)
-    return float(np.linalg.norm(coupled[1].state.amps - expansion.state.amps))
+    return _coupled(pre, m, S, P, g, lambda _, evolved: np.linalg.norm(
+        evolved - first_order_state(pre, m, S, P, g).state.amps))
 
 
 def overlap_deficit(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
     """1 - |<Psi0|U(g)|Psi0>|."""
-    coupled = _coupled(pre, m, S, P, g)
-    if coupled is None:
-        return 0.0
-    joint, evolved = coupled
-    return float(1.0 - abs(np.vdot(joint.state.amps, evolved.state.amps)))
+    return _coupled(pre, m, S, P, g, lambda joint, evolved: 1.0 - abs(np.vdot(joint, evolved)))
 
 
 #: metric name -> its value at one g, as a function of (pre, m, S, P, g)
@@ -253,22 +265,27 @@ def sweep_coupling(
     """``sweep_metric`` of ``metric(sel.pre, m, S, P, g)``, one of
     ``METRICS``, with |m> the ready state and P the generator of ``model``.
 
-    Whether |in> (x) |m> is a fixed point at every g of the schedule is
-    decided once, from the pointer's spectrum, after the coupling's checks
-    (S hermitian, each g finite, the joint dimensions).  A fixed point
-    sweeps to exactly 0.0 without calling ``metric``.  Otherwise the
-    continuity and derail metrics take P as the pointer's ``Eigenbasis``
-    (``pointer_spectrum``), at O(dim n) per g, and the second-order metrics
-    take one dense ``translation_generator``, which they diagonalize at
-    each g.
+    The continuity and derail metrics are read by one ``_closed_form``
+    call over the whole schedule, in the pointer's ``Eigenbasis``
+    (``pointer_spectrum``) at O(dim n) per g: the coupling's checks (S
+    hermitian, each g finite, the joint dimensions) and the fixed point are
+    decided once, and S is diagonalized once, whatever the schedule's
+    length.  For the second-order metrics, whether |in> (x) |m> is a fixed
+    point at every g is decided once, from the pointer's spectrum, after
+    the same checks; a fixed point sweeps to exactly 0.0 without calling
+    ``metric``, and otherwise they take one dense ``translation_generator``,
+    which they diagonalize at each g.  Each value is the metric's own at
+    that g, bit for bit.
     """
     schedule = fit_schedule(g_values)
     spectrum = pointer_spectrum(model)
     ready = StateVector(spectrum.ready)
+    if metric in (continuity_metric, derail_metric):
+        values = _closed_form(metric, sel.pre, ready, S, spectrum.basis, schedule)
+        return sweep_metric(dict(zip(schedule, values)).__getitem__, schedule)
     if fixes_product(S, spectrum.basis, schedule, sel.pre, ready):
         return sweep_metric(lambda g: 0.0, schedule)
-    closed_form = metric in (continuity_metric, derail_metric)
-    P = spectrum.basis if closed_form else translation_generator(model)
+    P = translation_generator(model)
     return sweep_metric(lambda g: metric(sel.pre, ready, S, P, g), schedule)
 
 

@@ -137,25 +137,9 @@ def grid_coordinates(model: PointerModel) -> np.ndarray:
     return -model.half_width + h * np.arange(model.n_points)
 
 
-def _gaussian_ready(model: PointerModel, q: np.ndarray) -> np.ndarray:
-    """The grid pointer's ready amplitudes on its grid coordinates ``q``,
-    normalized."""
-    amps = np.exp(-(q**2) / (4.0 * model.spread**2))
-    amps /= np.linalg.norm(amps)
-    return amps.astype(np.complex128)
-
-
 def initial_state(model: PointerModel) -> StateVector:
-    """The ready state |m> of the device."""
-    if model.kind == GAUSSIAN_KIND:
-        return StateVector(_gaussian_ready(model, grid_coordinates(model)))
-    ready_axis = _QUBIT_ROLES[model.generator_axis][1]
-    eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[ready_axis]().entries)
-    plus = vecs[:, int(np.argmax(eigvals))]
-    # fix the global phase so the first nonzero amplitude is real positive
-    pivot = plus[np.argmax(np.abs(plus) > QUBIT_PIVOT_FLOOR)]
-    plus = plus * (abs(pivot) / pivot)
-    return StateVector(plus)
+    """The ready state |m> of the device (``PointerSpectrum.ready``)."""
+    return StateVector(pointer_spectrum(model).ready)
 
 
 def _grid_momenta(model: PointerModel) -> np.ndarray:
@@ -237,9 +221,15 @@ def _qubit_spectrum(generator_axis: str) -> tuple[Eigenbasis, np.ndarray, np.nda
     """The qubit's generator eigenbasis, ready amplitudes and readout Pauli
     for one axis, computed once per process; every caller shares them, so
     they are read-only."""
+    readout_axis, ready_axis = _QUBIT_ROLES[generator_axis]
     eigvals, vecs = np.linalg.eigh(_PAULI_BY_AXIS[generator_axis]().entries)
-    ready = initial_state(qubit_pointer(generator_axis)).amps
-    readout = _PAULI_BY_AXIS[_QUBIT_ROLES[generator_axis][0]]().entries
+    # the ready axis's +1 eigenvector, its global phase fixed so that its
+    # first nonzero amplitude is real positive
+    ready_eigvals, ready_vecs = np.linalg.eigh(_PAULI_BY_AXIS[ready_axis]().entries)
+    plus = ready_vecs[:, int(np.argmax(ready_eigvals))]
+    pivot = plus[np.argmax(np.abs(plus) > QUBIT_PIVOT_FLOOR)]
+    ready = plus * (abs(pivot) / pivot)
+    readout = _PAULI_BY_AXIS[readout_axis]().entries
     for arr in (eigvals, vecs, ready):
         arr.setflags(write=False)
     return Eigenbasis(eigvals, vecs), ready, readout
@@ -253,7 +243,10 @@ def pointer_spectrum(model: PointerModel) -> PointerSpectrum:
     if model.kind == QUBIT_KIND:
         return PointerSpectrum(model, *_qubit_spectrum(model.generator_axis))
     q = grid_coordinates(model)
-    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), _gaussian_ready(model, q), q)
+    # the ready amplitudes on the grid, normalized
+    ready = np.exp(-(q**2) / (4.0 * model.spread**2))
+    ready /= np.linalg.norm(ready)
+    return PointerSpectrum(model, _GridBasis(_grid_momenta(model)), ready.astype(np.complex128), q)
 
 
 def moments(state: StateVector, op: LinearOperator) -> float:

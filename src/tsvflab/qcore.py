@@ -13,7 +13,11 @@ exp(-i t) - 1 has one kernel, ``phase_change`` (-2 sin^2(t/2) - i sin t),
 which the readout (``post_selected_branches``), the weak traces and the
 closed-form first-order metrics share; on a basis whose eigenvalues
 mirror exactly (the grid's DFT) it takes the sines of half of them.
-Every coupling strength is checked finite by ``finite_couplings``.
+Every coupling strength is checked finite by ``finite_couplings``, and
+every coupling phase by ``require_finite_phases`` before it is formed: the
+readout, the closed-form metrics, the weak traces and
+``CouplingEvolution.apply`` raise "coupling phase must be finite" rather
+than warn of an overflow.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -319,8 +323,11 @@ class CouplingEvolution:
             pointer = Eigenbasis.of(pointer)
         sys_eigvals, self._sys_vecs = np.linalg.eigh(system_op.entries)
         self._pointer = pointer
-        # lambda_i * mu_j laid out as (sys, ptr)
-        self._joint_eigvals = np.outer(sys_eigvals, pointer.eigvals)
+        # lambda_i * mu_j laid out as (sys, ptr); one that overflows fails
+        # apply's phase guard, whose bound is the largest of them
+        with np.errstate(over="ignore"):
+            self._joint_eigvals = np.outer(sys_eigvals, pointer.eigvals)
+        self._largest = float(np.abs(sys_eigvals).max()) * float(np.abs(pointer.eigvals).max())
 
     def apply(self, g: float, joint: JointState) -> JointState:
         """exp(-i g S (x) P) applied to a joint state.
@@ -331,7 +338,8 @@ class CouplingEvolution:
         the closed-form sweeps that replace it.
         """
         dims = (self.sys_dim, self.ptr_dim)
-        (g,) = _coupling_strengths((g,), (joint.sys_dim, joint.ptr_dim), dims)
+        (g,) = gs = _coupling_strengths((g,), (joint.sys_dim, joint.ptr_dim), dims)
+        require_finite_phases(self._largest, gs, 1.0)  # its phases are g (lambda mu)
         mat = joint.as_matrix()
         # Psi = V_s C W^T  =>  C = V_s^dag Psi conj(W)
         coeffs = self._pointer.to_eigen(self._sys_vecs.conj().T @ mat)
@@ -355,6 +363,21 @@ def finite_couplings(g_values) -> np.ndarray:
     if not np.isfinite(gs).all():
         raise ValueError("coupling strength must be finite")
     return gs
+
+
+def require_finite_phases(largest_rate: float, g_values, largest_mu) -> None:
+    """Raise unless every coupling phase (g lambda) mu is finite, given
+    ``largest_rate`` = max|lambda| and ``largest_mu`` = max|mu|, one for
+    all g or one per g of ``g_values``.
+
+    max|lambda| |g| max|mu|, multiplied in that order, is the largest phase
+    as it is rounded, since rounding keeps order; it is formed here with
+    its overflow silenced, so a caller checks before forming any phase and
+    an overflow raises rather than warns.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(largest_rate * np.abs(g_values) * largest_mu).all():
+            raise ValueError("coupling phase must be finite")
 
 
 def _coupling_strengths(
@@ -445,12 +468,8 @@ def post_selected_branches(
     # each g's pointer, whose momenta mu and ready m^ are gathered per block
     pointer_of = np.arange(len(bases)).repeat(lengths)
     mus, hat = np.array([other.eigvals for other in bases])[:, None], basis.to_eigen(ready)
-    # each g's largest phase, max|lambda| |g| max|mu|, rounded as ``phase_change``
-    # rounds it; a Python float overflows to inf without a warning
-    lam = float(np.maximum.reduce(np.abs(eigvals), axis=None, initial=0.0))
-    largest = zip(gs.tolist(), np.maximum.reduce(np.abs(mus), axis=-1)[pointer_of, 0].tolist())
-    if not all(math.isfinite(lam * abs(g) * mu) for g, mu in largest):
-        raise ValueError("coupling phase must be finite")
+    lam = float(np.abs(eigvals).max(initial=0.0))
+    require_finite_phases(lam, gs, np.abs(mus).max(axis=-1)[pointer_of, 0])
     # a_ki, broadcast over the g axis, and g lambda_ki: one (k, g) row each
     weights = ((post.amps.conj() @ vecs) * (pre.amps @ vecs.conj()))[:, None, None, :]
     wr, wi = weights.real, weights.imag

@@ -223,6 +223,38 @@ class TestSweepAndLimits:
         assert out.splitlines()[0] == "g,metric,fitted_order,fitted_coefficient,fit_residual"
         self._all_zero_rows(out)
 
+    @staticmethod
+    def _overflowing_sweep(tmp_path, metric: str, pre: str, schedule: str):
+        """``sweep`` of S = diag(1e308, -1e308) on a qubit pointer: (exit, out, err)."""
+        text = load_corpus_text("spin_sz").replace("expr = pauli_z", "matrix = 1e308, 0; 0, -1e308")
+        text = text.split("[pointer]")[0] + "[pointer]\nkind = qubit\n" + (
+            f"[selection]\npre = {pre}\npost = up_z\n[experiment]\nplan = sweep\n"
+            f"metric = {metric}\nobservable = sz\ng_schedule = {schedule}\n"
+        )
+        path = tmp_path / "overflow.scn"
+        path.write_text(text)
+        return main(["sweep", str(path)])
+
+    @pytest.mark.parametrize("metric", sorted(limits.METRICS))
+    def test_overflowing_qubit_sweep_is_an_error(self, tmp_path, capsys, metric):
+        # g lambda mu reaches 1e310: the closed forms and the dense coupling
+        # warned of the overflow and then failed on the nan it left
+        code = self._overflowing_sweep(tmp_path, metric, "up_x", "100, 50, 25, 12.5, 6.25")
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: coupling phase must be finite\n"
+        )
+
+    def test_overflowing_derail_rate_is_an_error(self, tmp_path, capsys):
+        # up_z's <S> is 1e308, so its rate lambda - <S> = -2e308 overflows
+        # at every g, where the subtraction itself warned
+        schedule = "0.01, 0.005, 0.0025, 0.00125, 0.000625"
+        code = self._overflowing_sweep(tmp_path, "derail", "up_z", schedule)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: coupling phase must be finite\n"
+        )
+
     @pytest.mark.parametrize("spread,n_points", [("0.7", None), ("1.3", "128")])
     def test_kernel_overlap_deficit_is_exactly_zero(self, tmp_path, capsys, spread, n_points):
         # 1 - |<Psi0|Psi0>| rounded below zero on these pointers, and the

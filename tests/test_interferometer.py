@@ -386,6 +386,15 @@ class TestWeakTrace:
         with pytest.raises(ScheduleError, match="must be finite"):
             classify_presence(net, ["A"], qubit_pointer(), (0.1, 0.01, 0.001, math.inf))
 
+    def test_overflowing_phase_is_rejected(self):
+        # the grid's largest momentum is pi / h = 16.7 here, so g mu_k
+        # overflows at g = 1e308; it warned and then read nan
+        net, model = build_nested_mzi(), gaussian_pointer(1.0, 128)
+        schedule = (1e308, 1e307, 1e306, 1e305)
+        with pytest.raises(ValueError, match="^coupling phase must be finite$"):
+            weak_trace_sweeps(net, ["A", "D"], model, schedule)
+        assert all(v > 0.0 for v in weak_trace_sweeps(net, ["A"], model, schedule[1:])[0][1])
+
 
 class TestTracePhaseBound:
     """Below ``TRACE_MIN_PHASE`` a second-order weight underflows: D read

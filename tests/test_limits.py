@@ -668,6 +668,26 @@ class TestFixedPoint:
         assert str(info.value) == "derail metric requires a normalized system state"
 
 
+class TestClosedFormPhases:
+    """The closed forms check the phases they form, derail's centred rates
+    lambda - <S> included, before forming any."""
+
+    def test_derail_checks_its_centred_rates(self):
+        s = LinearOperator(np.diag([1e308, -1e308]))
+        spectrum = pointer_spectrum(qubit_pointer())
+        m = StateVector(spectrum.ready)
+        # continuity's rates are lambda: g lambda mu is 1e308 at g = 1
+        assert continuity_metric(spin_up_z(), m, s, spectrum.basis, 1.0) >= 0.0
+        # up_z's <S> is 1e308, so the rate -1e308 - <S> overflows at any g but 0
+        for g in (1.0, 1e-300, -1e-300):
+            with pytest.raises(ValueError, match="^coupling phase must be finite$"):
+                derail_metric(spin_up_z(), m, s, spectrum.basis, g)
+        assert derail_metric(spin_up_z(), m, s, spectrum.basis, 0.0) == 0.0
+        for metric in (continuity_metric, derail_metric):
+            with pytest.raises(ValueError, match="^coupling phase must be finite$"):
+                metric(spin_up_x(), m, s, spectrum.basis, 2.0)
+
+
 class TestSweepCoupling:
     """A sweep decides its fixed point once, before any pointer generator."""
 
@@ -699,16 +719,38 @@ class TestSweepCoupling:
         models = (gaussian_pointer(2.0, 128), qubit_pointer())
         for model in models:
             m, p = initial_state(model), translation_generator(model)
+            generators.clear()
             result = sweep_coupling(METRICS[name], sel, pauli_z(), model, GS)
+            assert generators == ([] if name in CLOSED_FORM else [model])
             if name in CLOSED_FORM:
                 # read in the pointer's own eigenbasis, with no generator
                 expected = [_reference_metrics(sel.pre, m, pauli_z(), p, g)[name] for g in GS]
                 gap = np.abs(np.subtract(result.metric_values, expected)).max()
                 assert gap <= _dense_roundoff(2, model.dim)
+                # and each value is the one-g metric's in that basis, bit for bit
+                basis = pointer_spectrum(model).basis
+                one_g = [METRICS[name](sel.pre, m, pauli_z(), basis, g) for g in GS]
+                assert list(result.metric_values) == one_g
             else:
                 expected = sweep_metric(lambda g: METRICS[name](sel.pre, m, pauli_z(), p, g), GS)
                 assert result == expected
-        assert generators == ([] if name in CLOSED_FORM else list(models))
+
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    def test_closed_form_sweeps_diagonalize_s_once(self, monkeypatch, name):
+        s, diagonalized = pauli_z(), []
+        of = qcore.Eigenbasis.of.__func__
+
+        def counted(cls, op):
+            diagonalized.append(op)
+            return of(cls, op)
+
+        monkeypatch.setattr(qcore.Eigenbasis, "of", classmethod(counted))
+        sel = PrePostSelection(spin_up_x(), spin_down_z())
+        for model in (gaussian_pointer(2.0, 128), qubit_pointer()):
+            diagonalized.clear()
+            result = sweep_coupling(METRICS[name], sel, s, model, GS)
+            assert len(GS) == 9 and result.fitted_order == pytest.approx(1.0, abs=0.05)
+            assert [op is s for op in diagonalized] == [True]
 
     def test_checks_keep_their_order(self, generators):
         model = gaussian_pointer(1.0, 128)

@@ -4,8 +4,10 @@ import io
 import json
 import tempfile
 
+import numpy as np
 import pytest
 
+import tsvflab.cli
 from conftest import outdiff
 from tsvflab.cli import main
 
@@ -116,6 +118,26 @@ def test_large_copies_exit_0_with_stdout_within_their_budget(monkeypatch, capsys
     monkeypatch.setattr(tool, "LARGE_BUDGET_S", 0.0)
     assert tool.record(tool.large_cases(), io.StringIO()) == 1
     assert capsys.readouterr().err.count("large copy failed: large/") == 6
+
+
+def test_a_case_that_warns_fails_the_record(monkeypatch, capsys):
+    def warns(argv):
+        print("g,metric")
+        if argv == ["sweep"]:  # the same line warns in two cases
+            np.sin(np.inf)
+        return 0
+
+    monkeypatch.setattr(tsvflab.cli, "main", warns)
+    cases = [("a", ["sweep"], None), ("b", ["trace"], None), ("c", ["sweep"], None)]
+    sink = io.StringIO()
+    assert tool.record(cases, sink) == 1
+    assert capsys.readouterr().err == "Python warning in: a\nPython warning in: c\n"
+    lines = [json.loads(line) for line in sink.getvalue().splitlines()[1:]]
+    assert [line["rc"] for line in lines] == [0, 0, 0]
+    for line in lines:
+        warned = "RuntimeWarning: invalid value encountered in sin" in line["stderr"]
+        assert warned == (line["case"] != "b") and line["stdout"] == "g,metric\n"
+    assert tool.record(cases[1:2], io.StringIO()) == 0
 
 
 def test_a_raising_case_is_recorded_as_its_failure(tmp_path):

@@ -281,6 +281,51 @@ class TestCouplingEvolution:
             spectral.apply(math.nan, joint)
 
 
+class TestPhaseGuard:
+    """``require_finite_phases`` raises exactly when a phase (g lambda) mu,
+    as the kernels form it, overflows, and warns of nothing."""
+
+    def test_decides_as_the_formed_phases_round(self, rng):
+        mus, outcomes = np.array([-3.0, 0.5, 2.75]), set()
+        for _ in range(200):
+            lams = rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.uniform(150, 160)
+            # g within a few ulps either side of where the largest phase overflows
+            edge = np.finfo(float).max / np.abs(lams).max() / 3.0
+            g = edge * (1.0 + rng.integers(-4, 5) * np.finfo(float).eps)
+            with np.errstate(over="ignore"):
+                formed = np.isfinite((g * lams)[:, None] * mus).all()
+            try:
+                qcore.require_finite_phases(float(np.abs(lams).max()), [g], 3.0)
+            except ValueError as err:
+                assert str(err) == "coupling phase must be finite"
+                assert not formed
+            else:
+                assert formed
+            outcomes.add(bool(formed))
+        assert outcomes == {True, False}
+
+    def test_per_g_momenta_and_non_finite_factors(self):
+        qcore.require_finite_phases(1e300, [1.0, 1e8], [1e8, 1.0])
+        for lam, gs, mu in ((1e300, [1.0, 1e8], [1.0, 1e8]), (math.inf, [0.0], 1.0),
+                            (math.nan, [1.0], 1.0), (1.0, [1.0], math.inf)):
+            with pytest.raises(ValueError, match="^coupling phase must be finite$"):
+                qcore.require_finite_phases(lam, gs, mu)
+
+    def test_coupling_evolution_checks_its_phases(self):
+        s = LinearOperator(np.diag([1e308, -1e308]))
+        joint = tensor_product(spin_up_x(), spin_up_x())
+        evolution = CouplingEvolution(s, pauli_x())
+        assert evolution.apply(1.0, joint).state.normalized
+        with pytest.raises(ValueError, match="^coupling phase must be finite$"):
+            evolution.apply(2.0, joint)
+        # lambda mu itself overflows on the grid: no phase is finite, not even g = 0's
+        grid = CouplingEvolution(s, pointer_spectrum(gaussian_pointer(1.0, 64, 8.0)).basis)
+        joint = tensor_product(spin_up_x(), initial_state(gaussian_pointer(1.0, 64, 8.0)))
+        for g in (0.0, 1e-300):
+            with pytest.raises(ValueError, match="^coupling phase must be finite$"):
+                grid.apply(g, joint)
+
+
 class TestPostSelectedBranches:
     def test_matches_projected_evolution(self, rng):
         # any pointer eigenbasis: a dense 5-dim generator's, and the grid's DFT

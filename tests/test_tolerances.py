@@ -25,7 +25,6 @@ from tsvflab import (
     StateVector,
     TimeSlice,
     gaussian_pointer,
-    initial_state,
     moments,
     parse,
     pauli_z,
@@ -95,7 +94,8 @@ def _pivot_of(small, monkeypatch):
     v = np.array([1j * small, math.sqrt(1.0 - small**2)])
     ready_axis = LinearOperator(2.0 * np.outer(v, v.conj()) - np.eye(2))
     monkeypatch.setitem(pointer._PAULI_BY_AXIS, "x", lambda: ready_axis)
-    first = initial_state(qubit_pointer("y")).amps[0]
+    # the ready state is built once per axis and process: build it afresh
+    first = pointer._qubit_spectrum.__wrapped__("y")[1][0]
     return abs(first.real) > abs(first.imag)
 
 
