@@ -33,8 +33,9 @@ confused with a very high order.  Weak traces are zero only where exactly
 
 ``compare_limits`` reads both routes to the weak limit, g -> 0 at a fixed
 spread and spread -> infinity at a fixed g, in one ``PointerReadout`` pass
-over all of its pointers, with one spectrum per distinct pointer.  A zero
-fixed g is rejected, since the readout divides by g.
+over all of its pointers, Gaussian pointers on one grid size, with one
+spectrum per distinct pointer.  A zero fixed g is rejected, since the
+readout divides by g.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ def derail_metric(
 def first_order_residual(
     pre: StateVector, m: StateVector, S: LinearOperator, P: LinearOperator, g: float
 ) -> float:
-    """Norm distance between the exact evolution and its O(g) expansion."""
-    return _coupled(pre, m, S, P, g, lambda _, evolved: np.linalg.norm(
-        evolved - first_order_state(pre, m, S, P, g).state.amps))
+    """Norm distance between the exact evolution and its O(g) expansion,
+    scaled by a power of two so that its square cannot overflow."""
+    return _coupled(pre, m, S, P, g, lambda _, evolved: StateVector(
+        evolved - first_order_state(pre, m, S, P, g).state.amps, normalized=None).norm())
 
 
 def overlap_deficit(
@@ -354,39 +356,43 @@ def compare_limits(
     g_schedule: Sequence[float] | None = None,
     fixed_spread: float = DEFAULT_FIXED_SPREAD,
     fixed_coupling: float = DEFAULT_FIXED_COUPLING,
-    n_points: int = 256,
     pointers: Sequence[PointerModel] | None = None,
 ) -> LimitComparison:
     """Estimate the weak value along g -> 0 (fixed spread) and along
     spread -> infinity (fixed g > 0), reporting each single-point readout
     and its deviation from the analytic value.  ``pointers`` from
-    ``limit_pointers`` replaces the arguments it is built from: the first
-    is the g -> 0 route's (a qubit pointer will do), every other one a
-    gaussian_grid pointer of the spread route.
+    ``limit_pointers`` replaces the spreads it is built from, and sets the
+    grid size (256 points without it): the first is the g -> 0 route's,
+    every other one a pointer of the spread route.  Every pointer must be
+    a gaussian_grid pointer of the first one's grid size, as ``plan``
+    builds them, so that the two routes differ only in g and spread; any
+    other pointer is a ValueError before the readout.
 
     Every row, the g -> 0 pointer at each g and then each spread pointer at
     ``fixed_coupling``, is read in one ``PointerReadout`` pass: one
-    ``eigh`` of S, and each pointer in its own momenta (pointers of another
-    grid size take a pass per size).  Its checks come in the readout's
-    order: S hermitian, each g finite, the dimensions, then a dark or
-    above-one post-selection probability row by row, then a zero g.
+    ``eigh`` of S, and each pointer in its own momenta.  Its checks come in
+    the readout's order: S hermitian, each g finite, the dimensions, then a
+    dark or above-one post-selection probability row by row, then a zero g.
 
     g is a property of the interaction while the spread is a property of
     the pointer, so the two routes are distinct experiments; both must
     converge to the same analytic ratio.
     """
     pointers = (
-        limit_pointers(spread_schedule, fixed_spread, n_points)
-        if pointers is None else tuple(pointers)
+        limit_pointers(spread_schedule, fixed_spread) if pointers is None else tuple(pointers)
     )
     if not pointers:
         raise ValueError("compare_limits needs a pointer for the g -> 0 route")
     coupling_model, *spread_models = pointers
-    for model in spread_models:
+    for model in pointers:
         if model.kind != GAUSSIAN_KIND:
             raise ValueError(
-                f"compare_limits' spread route needs {GAUSSIAN_KIND} pointers, "
-                f"not a {model.kind} pointer"
+                f"compare_limits needs {GAUSSIAN_KIND} pointers, not a {model.kind} pointer"
+            )
+        if model.n_points != coupling_model.n_points:
+            raise ValueError(
+                f"compare_limits reads one grid: a {model.n_points}-point pointer "
+                f"after a {coupling_model.n_points}-point one"
             )
     analytic = weak_value(sel, S)
     gs = default_g_schedule(coupling_model) if g_schedule is None else GSchedule(g_schedule)

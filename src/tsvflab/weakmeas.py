@@ -2,9 +2,9 @@
 
 Analytic weak values <out|S|in>/<out|in>, and the one pointer readout,
 ``PointerReadout``: K observables of one pre- and post-selection read off
-a sequence of pointers (the estimator's is a sequence of one), each at
-every g of its own schedule, in one array pass per grid size
-(``qcore.post_selected_branches``).  Each row costs O(dim n) for its
+a sequence of pointers that share their transforms (the estimator's is
+a sequence of one), each at every g of its own schedule, in one array
+pass (``qcore.post_selected_branches``).  Each row costs O(dim n) for its
 phases and one inverse and one forward transform of its n-point branch,
 O(n log n); nothing is an n_points^2 matrix, so the readout scales to
 4096-point grids.  The numeric estimator extrapolates the per-g readouts
@@ -90,14 +90,16 @@ class PointerReadout:
     pointers, each at every g of its own schedule, shared by the estimator
     (a sequence of one pointer) and the limit comparison.
 
-    Equal pointer models share one spectrum.  Pointers whose bases share
-    transforms (grid pointers of one size) are read in one pass of
-    ``post_selected_branches``, others in a pass per size.  Each pointer is
-    read out in its own momenta, readout Q and ready state, as a readout
-    off that pointer alone reads it: bit for bit on the grid, whose FFT
-    rounds each row alike, and to roundoff for qubit pointers of one axis
-    read together.  The checks and the calibration take all (K, R)
-    readouts at once.
+    Equal pointer models share one spectrum.  The pointers must share
+    their transforms (``Eigenbasis.shares_transforms``: grid pointers of
+    one size, or qubit pointers of one generator axis), and all are read
+    in one pass of ``post_selected_branches``; other pointers are a
+    ValueError before any ``eigh``.  Each pointer is read out in its own
+    momenta, readout Q and ready state, as a readout off that pointer
+    alone reads it: bit for bit on the grid, whose FFT rounds each row
+    alike, and to roundoff for qubit pointers, whose dense transform
+    rounds by the number of rows it takes.  The checks and the
+    calibration take all (K, R) readouts at once.
     """
 
     def __init__(
@@ -119,34 +121,23 @@ class PointerReadout:
         Each observable S couples to each pointer's generator P by
         exp(-i g S (x) P) at every g of that pointer's schedule, and the
         system is projected onto |out>, in one ``post_selected_branches``
-        pass per set of pointers that share transforms.  The passes' checks
-        come first.  Then the post-selection probabilities are checked in
-        row order (each pointer, each observable, each g in turn), and last
-        that no g is zero, since the calibration divides by g."""
+        pass over every pointer.  Its checks come first.  Then the
+        post-selection probabilities are checked in row order (each pointer,
+        each observable, each g in turn), and last that no g is zero, since
+        the calibration divides by g."""
         spectra, sel = self.spectra, self.sel
         lengths = [len(schedule) for schedule in schedules]
         bounds = [0, *itertools.accumulate(lengths)]
-        probabilities, readout, generator = np.empty((3, len(self.observables), bounds[-1]))
-        sets: dict[int, list[int]] = {}  # first pointer -> the set's pointers
-        for index, spectrum in enumerate(spectra):
-            same = (i for i in sets if spectra[i].basis.shares_transforms(spectrum.basis))
-            sets.setdefault(next(same, index), []).append(index)
-        for members in sets.values():
-            branches = post_selected_branches(
-                self.observables, [spectra[i].basis for i in members],
-                [schedules[i] for i in members], sel.pre, sel.post,
-                np.array([spectra[i].ready for i in members]),
-            )
-            weights = spectra[members[0]].basis.weights(branches)
-            power = _sum(np.abs(branches) ** 2, axis=-1)
-            start = 0
-            for index in members:
-                spectrum, rows = spectra[index], slice(bounds[index], bounds[index + 1])
-                own = slice(start, start + rows.stop - rows.start)
-                readout[:, rows] = spectrum.readout_means(branches[:, own])
-                generator[:, rows] = weights[:, own] @ spectrum.basis.eigvals
-                probabilities[:, rows] = power[:, own]
-                start = own.stop
+        branches = post_selected_branches(
+            self.observables, [spectrum.basis for spectrum in spectra], schedules,
+            sel.pre, sel.post, [spectrum.ready for spectrum in spectra],
+        )
+        weights = spectra[0].basis.weights(branches)
+        probabilities = _sum(np.abs(branches) ** 2, axis=-1)
+        readout, generator = np.empty((2, *probabilities.shape))
+        for spectrum, start, stop in zip(spectra, bounds, bounds[1:]):
+            readout[:, start:stop] = spectrum.readout_means(branches[:, start:stop])
+            generator[:, start:stop] = weights[:, start:stop] @ spectrum.basis.eigvals
         gs = np.concatenate(schedules, dtype=float)
         if _fmin(probabilities, axis=None, initial=1.0) < ZERO_PROBABILITY_FLOOR or (
             _fmax(probabilities, axis=None, initial=1.0) > PROBABILITY_CEILING

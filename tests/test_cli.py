@@ -1,7 +1,9 @@
 """Command-line front end: deterministic CSV/JSON emission and exit codes."""
 
 import json
+import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from conftest import outdiff
 from tsvflab import cli, limits, pointer
 from tsvflab.cli import _format_table, main
-from tsvflab.scenario import load_corpus_text
+from tsvflab.scenario import load_corpus_text, parse
+from tsvflab.weakmeas import expectation
 
 
 def sci12(x) -> str:
@@ -84,6 +87,27 @@ class TestWeakValueCommand:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["observable"] == "sz"
         assert rows[0]["analytic"] == "1.000000000000e0+0.000000000000e0i"
+
+    @pytest.mark.parametrize("c", [0.5, 3, -1, 100])
+    def test_shifting_the_observable_shifts_the_weak_value(self, tmp_path, capsys, c):
+        # S -> S + c 1 moves <in|S|in> from 0 to c, and the weak value from 1
+        # to 1 + c; the bounds are the acceptance gate's
+        text = load_corpus_text("spin_sz").replace(
+            "expr = pauli_z", f"expr = pauli_z + {c} * identity(2)"
+        )
+        doc = parse(text).doc
+        assert expectation(doc.states["up_x"], doc.operators["sz"]) == pytest.approx(c)
+        path = tmp_path / "shifted.scn"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weakvalue", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (row,) = [line.split(",") for line in captured.out.splitlines()[1:]]
+        analytic, numeric = (complex(field.replace("i", "j")) for field in row[1:3])
+        assert abs(analytic - (1 + c)) <= 1e-12
+        assert abs(numeric - (1 + c)) <= 1e-3
 
     @pytest.mark.parametrize(
         "matrix,schedule,message",
@@ -224,11 +248,11 @@ class TestSweepAndLimits:
         self._all_zero_rows(out)
 
     @staticmethod
-    def _overflowing_sweep(tmp_path, metric: str, pre: str, schedule: str):
-        """``sweep`` of S = diag(1e308, -1e308) on a qubit pointer: (exit, out, err)."""
+    def _overflowing_sweep(tmp_path, metric: str, pre: str, schedule: str, post="up_z"):
+        """``sweep`` of S = diag(1e308, -1e308) on a qubit pointer: its exit code."""
         text = load_corpus_text("spin_sz").replace("expr = pauli_z", "matrix = 1e308, 0; 0, -1e308")
         text = text.split("[pointer]")[0] + "[pointer]\nkind = qubit\n" + (
-            f"[selection]\npre = {pre}\npost = up_z\n[experiment]\nplan = sweep\n"
+            f"[selection]\npre = {pre}\npost = {post}\n[experiment]\nplan = sweep\n"
             f"metric = {metric}\nobservable = sz\ng_schedule = {schedule}\n"
         )
         path = tmp_path / "overflow.scn"
@@ -244,6 +268,19 @@ class TestSweepAndLimits:
         assert (code, captured.out, captured.err) == (
             2, "", "error: coupling phase must be finite\n"
         )
+
+    def test_first_order_residual_of_an_overflowing_square(self, tmp_path, capsys):
+        # the residual is about 1e306 and its square overflowed in the plain
+        # norm: a numpy warning, then "metric values must be finite"
+        schedule = "0.01, 0.005, 0.0025, 0.00125, 0.000625"
+        code = self._overflowing_sweep(
+            tmp_path, "first_order_residual", "up_z", schedule, post="up_x"
+        )
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert (code, captured.err, len(rows)) == (0, "", 5)
+        assert all(math.isfinite(float(value)) for row in rows for value in row)
+        assert {row[2] for row in rows} == {"1.000000000000e0"}
 
     def test_overflowing_derail_rate_is_an_error(self, tmp_path, capsys):
         # up_z's <S> is 1e308, so its rate lambda - <S> = -2e308 overflows
@@ -341,7 +378,7 @@ class TestSweepAndLimits:
             g_schedule=plan.g_schedule,
             fixed_spread=plan.fixed_spread,
             fixed_coupling=plan.fixed_g,
-            n_points=512,
+            pointers=limits.limit_pointers(plan.spread_schedule, plan.fixed_spread, 512),
         )
         points = list(expected.coupling_branch) + sorted(
             expected.spread_branch, key=lambda p: -p.parameter

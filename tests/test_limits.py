@@ -408,22 +408,20 @@ class TestOnePassComparison:
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(2, 4),
         spreads=st.lists(st.floats(0.5, 40.0), min_size=1, max_size=5, unique=True),
-        sizes=st.lists(st.sampled_from([128, 256]), min_size=6, max_size=6),
+        size=st.sampled_from([128, 256]),
         fixed_g=st.floats(0.01, 2.0),
         g_schedule=st.sampled_from([None, (0.04, 0.02, 0.01, 0.005, 0.0025)]),
     )
     def test_each_row_is_its_one_pointer_readout(
-        self, seed, dim, spreads, sizes, fixed_g, g_schedule
+        self, seed, dim, spreads, size, fixed_g, g_schedule
     ):
-        # bit for bit, whatever grid sizes the pointers mix
+        # bit for bit, whichever grid size the pointers share
         rng = np.random.default_rng(seed)
         sel = PrePostSelection(random_state(rng, dim), random_state(rng, dim))
         assume(abs(sel.overlap) >= 0.1)
         S = random_hermitian(rng, dim)
         spreads = sorted(spreads)
-        pointers = tuple(
-            gaussian_pointer(spread, size) for spread, size in zip([2.0, *spreads], sizes)
-        )
+        pointers = tuple(gaussian_pointer(spread, size) for spread in [2.0, *spreads])
         comparison = compare_limits(
             sel, S, g_schedule=g_schedule, fixed_coupling=fixed_g, pointers=pointers
         )
@@ -437,28 +435,46 @@ class TestOnePassComparison:
             abs(row - comparison.analytic) for row in rows
         ]
 
-    def test_qubit_pointer_takes_the_g_route(self):
+    def test_the_grid_size_comes_from_the_pointers(self):
         sel = PrePostSelection(spin_up_x(), spin_up_z())
-        pointers = (qubit_pointer("x"), gaussian_pointer(2.0, 128), gaussian_pointer(4.0))
         gs = (0.02, 0.01, 0.005, 0.0025)
+        pointers = limits.limit_pointers((2.0, 4.0, 8.0), 3.0, 128)
         comparison = compare_limits(sel, pauli_z(), g_schedule=gs, pointers=pointers)
-        assert comparison.fixed_spread is None
+        assert comparison.fixed_spread == 3.0
         points = comparison.coupling_branch + comparison.spread_branch
-        rows = _one_pointer_rows(sel, pauli_z(), pointers, gs, 0.5)
-        assert [point.estimate for point in points] == rows
+        assert [point.estimate for point in points] == _one_pointer_rows(
+            sel, pauli_z(), pointers, gs, 0.5
+        )
         assert comparison.coupling_branch[-1].deviation <= 1e-3
 
-    def test_a_spread_route_needs_gaussian_pointers(self, monkeypatch):
-        readouts = []
+    @pytest.mark.parametrize(
+        "pointers, message",
+        [
+            ((qubit_pointer("x"), gaussian_pointer(2.0), gaussian_pointer(4.0)), "not a qubit"),
+            ((gaussian_pointer(2.0), qubit_pointer()), "not a qubit"),
+            ((qubit_pointer(), gaussian_pointer(2.0), qubit_pointer("z")), "not a qubit"),
+            ((gaussian_pointer(2.0), gaussian_pointer(4.0), gaussian_pointer(8.0, 128)),
+             "a 128-point pointer after a 256-point one"),
+            ((gaussian_pointer(2.0, 128), gaussian_pointer(4.0), gaussian_pointer(8.0)),
+             "a 256-point pointer after a 128-point one"),
+        ],
+        ids=["qubit-g-route", "qubit-spread", "qubits", "two-sizes", "g-route-size"],
+    )
+    def test_pointers_are_gaussian_on_one_grid(self, monkeypatch, pointers, message):
+        # either route's pointer is checked before the readout and any eigh
+        calls, readouts = [], []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         monkeypatch.setattr(limits, "PointerReadout", lambda *args: readouts.append(args))
         sel = PrePostSelection(spin_up_x(), spin_up_z())
-        for pointers in (
-            (gaussian_pointer(2.0), qubit_pointer()),
-            (qubit_pointer(), gaussian_pointer(2.0), qubit_pointer("z")),
-        ):
-            with pytest.raises(ValueError, match="spread route needs gaussian_grid pointers"):
-                compare_limits(sel, pauli_z(), pointers=pointers)
-        assert readouts == []
+        with pytest.raises(ValueError, match=f"compare_limits .*{message}"):
+            compare_limits(sel, pauli_z(), pointers=pointers)
+        assert (calls, readouts) == ([], [])
 
     def test_the_g_route_needs_a_pointer(self):
         sel = PrePostSelection(spin_up_x(), spin_up_z())

@@ -444,9 +444,10 @@ class TestBatchedEstimates:
 
 
 class TestSeveralPointers:
-    """One readout off several pointers: a pass per set that shares transforms."""
+    """One readout off several pointers that share transforms, in one pass."""
 
-    def test_columns_are_one_pointer_readouts(self, rng, monkeypatch):
+    @staticmethod
+    def _counted_eigh(monkeypatch) -> list:
         calls = []
         eigh = np.linalg.eigh
 
@@ -454,31 +455,42 @@ class TestSeveralPointers:
             calls.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("size", [128, 256])
+    def test_columns_are_one_pointer_readouts(self, rng, monkeypatch, size):
         sel = PrePostSelection(random_state(rng, 3), random_state(rng, 3))
         observables = [random_hermitian(rng, 3) for _ in range(2)]
-        models = [
-            gaussian_pointer(2.0, 256), qubit_pointer("x"), gaussian_pointer(3.0, 128),
-            gaussian_pointer(5.0, 256), qubit_pointer("x"), gaussian_pointer(1.0, 128),
-        ]
-        schedules = [(0.04, 0.02, 0.01), (0.3,), (0.5, 0.1), (0.5,), (0.02, 0.01), (0.7,)]
+        models = [gaussian_pointer(spread, size) for spread in (2.0, 3.0, 5.0, 1.0)]
+        schedules = [(0.04, 0.02, 0.01), (0.5, 0.1), (0.5,), (0.7,)]
         readout = PointerReadout(sel, observables, models)
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        calls = self._counted_eigh(monkeypatch)
         ratios = readout.ratios(schedules)
-        # three sets: the 256-point grids, the x qubits, the 128-point grids
-        assert calls == [(2, 3, 3)] * 3
+        assert calls == [(2, 3, 3)]  # one pass: one stacked eigh of the observables
         monkeypatch.undo()
+        assert ratios.shape == (2, 7)
+        columns = np.cumsum([0, *map(len, schedules)])
+        for model, schedule, start, stop in zip(models, schedules, columns, columns[1:]):
+            alone = PointerReadout(sel, observables, (model,)).ratios((schedule,))
+            assert np.array_equal(ratios[:, start:stop], alone)
+
+    def test_qubit_pointers_of_one_axis_share_a_pass(self, rng, monkeypatch):
+        sel = PrePostSelection(random_state(rng, 3), random_state(rng, 3))
+        observables = [random_hermitian(rng, 3) for _ in range(2)]
+        models = [qubit_pointer("x"), qubit_pointer("x")]
+        schedules = [(0.3,), (0.02, 0.01)]
+        readout = PointerReadout(sel, observables, models)
+        calls = self._counted_eigh(monkeypatch)
+        ratios = readout.ratios(schedules)
+        assert calls == [(2, 3, 3)]
+        monkeypatch.undo()
+        # a dense transform's matmul rounds by the number of rows it takes;
+        # the grid's FFT does not
         alone = [
             PointerReadout(sel, observables, (m,)).ratios((g,)) for m, g in zip(models, schedules)
         ]
-        assert ratios.shape == (2, 10)
-        columns = np.cumsum([0, *map(len, schedules)])
-        for model, start, stop, expected in zip(models, columns, columns[1:], alone):
-            if model.kind == "qubit":
-                # a dense transform's matmul rounds by the number of rows it
-                # takes; the grid's FFT does not
-                np.testing.assert_allclose(ratios[:, start:stop], expected, rtol=1e-13, atol=0)
-            else:
-                assert np.array_equal(ratios[:, start:stop], expected)
+        np.testing.assert_allclose(ratios, np.hstack(alone), rtol=1e-13, atol=0)
 
     def test_a_model_listed_twice_is_one_spectrum(self, rng, monkeypatch):
         # equal models share one spectrum and each keeps its own schedule
@@ -492,7 +504,7 @@ class TestSeveralPointers:
         observables = [random_hermitian(rng, 3) for _ in range(2)]
         models = [
             gaussian_pointer(2.0, 128), gaussian_pointer(3.0, 128), gaussian_pointer(2.0, 128),
-            gaussian_pointer(5.0, 256), gaussian_pointer(5.0, 256),
+            gaussian_pointer(5.0, 128), gaussian_pointer(5.0, 128),
         ]
         schedules = [(0.04, 0.02, 0.01), (0.3,), (0.5, 0.1), (0.5,), (0.02, 0.01)]
         monkeypatch.setattr(weakmeas, "pointer_spectrum", recorded)
@@ -511,10 +523,27 @@ class TestSeveralPointers:
     def test_rows_are_checked_pointer_by_pointer(self):
         # the first pointer's dark rows come first, whatever the later ones hold
         dark = PrePostSelection(spin_up_z(), spin_down_z())
-        models = [gaussian_pointer(1.0, 128), qubit_pointer(), gaussian_pointer(2.0, 128)]
+        models = [gaussian_pointer(spread, 128) for spread in (1.0, 1.5, 2.0)]
         readout = PointerReadout(dark, (projector(spin_down_z()),), models)
         with pytest.raises(DarkDetectorError, match=r"g = 0\.3"):
             readout.ratios([(0.3,), (0.2,), (0.1,)])
+
+    @pytest.mark.parametrize(
+        "models",
+        [
+            (gaussian_pointer(2.0, 128), gaussian_pointer(2.0, 256)),
+            (gaussian_pointer(2.0, 128), qubit_pointer("x")),
+            (qubit_pointer("x"), qubit_pointer("y")),
+        ],
+        ids=["two-sizes", "grid-and-qubit", "two-axes"],
+    )
+    def test_pointers_that_share_no_transforms_are_rejected(self, rng, monkeypatch, models):
+        sel = PrePostSelection(random_state(rng, 3), random_state(rng, 3))
+        readout = PointerReadout(sel, (random_hermitian(rng, 3),), models)
+        calls = self._counted_eigh(monkeypatch)
+        with pytest.raises(ValueError, match="share their transforms"):
+            readout.ratios([(0.1,), (0.1,)])
+        assert calls == []
 
 
 class TestSelectionType:
