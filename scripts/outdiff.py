@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Record the CLI's output on every preset and benchmark case; compare two records.
+"""Record the CLI's output on every preset and benchmark case, and on edits
+of chain networks that pin the reader's diagnostics; compare two records.
 
     PYTHONPATH=src python scripts/outdiff.py record > a.jsonl
     python scripts/outdiff.py compare a.jsonl b.jsonl
@@ -25,6 +26,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -37,6 +39,46 @@ import scenarios  # noqa: E402
 
 COMMANDS = ("weakvalue", "sweep", "trace", "presence", "compare-limits")
 OTHER_CHAIN_COMMAND = {"presence": "trace", "trace": "presence"}
+#: the presence-chains pool slots whose texts the network edits change
+NETWORK_SLOTS = ("presence-k1-qubit-probe", "presence-k2-qubit-probe", "presence-k1-256-probe")
+_BS, _PS = r"^(seq = beam_splitter) (\S+) (\S+) (\S+)$", r"^(seq = phase_shift) (\S+) (\S+)$"
+_SLICE, _DETECTORS = r"^(seq = slice) (\w+):(\d+) (\w+):(\d+)$", r"^(detectors = )(\w+):(\d+), (\w+):(\d+)"
+#: [network] edits as (name, pattern, replacement): the pattern's first match
+#: in a chain text is replaced, ``{modes}`` standing for the network's modes;
+#: each edit breaks one rule of the reader or of the network objects, but
+#: the blank and tab edits, which must still read
+NETWORK_EDITS = (
+    ("bs-drop-arg", _BS, r"\1 \2 \3"), ("bs-extra-arg", _BS, r"\1 \2 \3 \4 0.5"),
+    ("bs-t-inf", _BS, r"\1 \2 \3 inf"), ("bs-t-nan", _BS, r"\1 \2 \3 nan"),
+    ("bs-t-1e999", _BS, r"\1 \2 \3 1e999"), ("bs-t-0_0", _BS, r"\1 \2 \3 0_0"),
+    ("bs-t-0.0", _BS, r"\1 \2 \3 0.0"), ("bs-t-1.5", _BS, r"\1 \2 \3 1.5"),
+    ("bs-mode-0_0", _BS, r"\1 0_0 \3 \4"), ("bs-mode-1.5", _BS, r"\1 \2 1.5 \4"),
+    ("bs-mode-modes", _BS, r"\1 \2 {modes} \4"), ("bs-mode-negative", _BS, r"\1 -1 \3 \4"),
+    ("bs-same-modes", _BS, r"\1 \2 \2 \4"), ("bs-long-int", _BS, r"\1 \2 " + "7" * 5000 + r" \4"),
+    ("bs-keyword-case", _BS, r"seq = Beam_splitter \2 \3 \4"),
+    ("bs-tabs", _BS, "\\1\t\\2\t\\3\t\\4"), ("bs-blanks", _BS, r"\1   \2  \3    \4"),
+    ("bs-missing-value", _BS, "seq ="),
+    ("ps-drop-arg", _PS, r"\1 \2"), ("ps-extra-arg", _PS, r"\1 \2 \3 1"),
+    ("ps-phase-inf", _PS, r"\1 \2 inf"), ("ps-phase-nan", _PS, r"\1 \2 nan"),
+    ("ps-phase-1e999", _PS, r"\1 \2 1e999"), ("ps-phase-0_0", _PS, r"\1 \2 0_0"),
+    ("ps-mode-modes", _PS, r"\1 {modes} \3"), ("ps-mode-0.0", _PS, r"\1 0.0 \3"),
+    ("slice-empty", _SLICE, r"\1"), ("slice-duplicate-label", _SLICE, r"\1 \2:\3 \2:\5"),
+    ("slice-duplicate-mode", _SLICE, r"\1 \2:\3 \4:\3"),
+    ("slice-mode-modes", _SLICE, r"\1 \2:{modes} \4:\5"),
+    ("slice-malformed-arm", _SLICE, r"\1 \2-\3 \4:\5"), ("slice-no-mode", _SLICE, r"\1 \2: \4:\5"),
+    ("slice-mode-1.5", _SLICE, r"\1 \2:1.5 \4:\5"), ("slice-bad-label", _SLICE, r"\1 9\2:\3 \4:\5"),
+    ("unknown-step", _SLICE, r"seq = teleport 0 1\n\g<0>"),
+    ("detector-mode-modes", _DETECTORS, r"\1\2:\3, \4:{modes}"),
+    ("detector-duplicate-label", _DETECTORS, r"\1\2:\3, \2:\5"),
+    ("detector-duplicate-mode", _DETECTORS, r"\1\2:\3, \4:\3"),
+    ("detector-malformed", _DETECTORS, r"\1\2:\3, \4-\5"),
+    ("detector-empty-item", _DETECTORS, r"\1\2:\3, , \4:\5"),
+    ("detector-mode-0_0", _DETECTORS, r"\1\2:\3, \4:0_0"),
+    ("source-modes", r"^source = 0$", "source = {modes}"),
+    ("postselect-undeclared", r"^postselect = D1$", "postselect = D9"),
+    ("modes-mismatch", r"^modes = \d+$", "modes = 99"),
+    ("unknown-key", r"^postselect = D1$", "postselect = D1\nwires = 3"),
+)
 SECOND_ORDER = ("first_order_residual", "overlap_deficit")
 LARGE_BUDGET_S = 20.0
 MASK = "<scenario>"
@@ -62,6 +104,22 @@ def pool_cases(workload: str, index: int):
         if workload == "presence-chains":
             other = OTHER_CHAIN_COMMAND[case.command]
             yield f"{name}/as-{other}", [other], case.text
+
+
+def network_cases():
+    """Each of NETWORK_EDITS applied to the first text of each of
+    NETWORK_SLOTS in pool round 0, run under both chain commands."""
+    texts = {}
+    for case in scenarios.pool_round("presence-chains", 0):
+        texts.setdefault(case.slot, case.text)
+    for slot in NETWORK_SLOTS:
+        modes = re.search(r"^modes = (\d+)$", texts[slot], re.M)[1]
+        for name, pattern, replacement in NETWORK_EDITS:
+            text, count = re.subn(pattern, replacement.replace("{modes}", modes), texts[slot], 1, re.M)
+            if count != 1:
+                raise ValueError(f"edit {name} does not apply to {slot}")
+            for command in ("presence", "trace"):
+                yield f"network/{slot}/{name}/{command}", [command], text
 
 
 def large_cases():
@@ -99,6 +157,7 @@ def all_cases():
     for workload in scenarios.WORKLOADS:
         for index in range(scenarios.POOL_ROUNDS[workload]):
             yield from pool_cases(workload, index)
+    yield from network_cases()
     yield from large_cases()
 
 

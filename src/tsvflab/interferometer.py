@@ -42,15 +42,26 @@ disturbed weight is
 the last factor being the sum over the ready state's spectral weights w_k
 of |s_k - (alpha - 1)|^2, s_k = exp(-i g mu_k) - 1 taken as
 -2 sin^2(g mu_k / 2) - i sin(g mu_k) (``qcore.phase_change``), which
-involves no subtraction of nearly equal numbers.  With S stops the passes
-take O(S) numpy operations on (g points) x n_modes x n_modes arrays and
-the readout of all A requested arms a fixed number more; memory is O(S)
-such arrays, whatever A is.
+involves no subtraction of nearly equal numbers.
+
+The cost of a trace, in numpy calls: every slice is a stop, and each pass
+takes five calls per stop after the first, on (g points) x n_modes x
+n_modes arrays; the environments' phases, the dephasing factors, the
+readout of all A requested arms and the detection probability take a
+fixed number more, whatever A is; memory is O(S) such arrays for S
+stops.  The facts of the network alone are built once per
+``OpticalNetwork``: its slices and arm stops in the constructor's pass
+over the steps, and when first read its segment unitaries (one row update
+per step) and its undisturbed states at each slice (one product per
+segment), which ``propagate``, ``back_propagate`` and
+``network_overlap`` read too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -103,6 +114,8 @@ class TimeSlice:
     def __post_init__(self):
         labels = [label for label, _ in self.arms]
         modes = [mode for _, mode in self.arms]
+        if len(set(labels)) == len(labels) and len(set(modes)) == len(modes):
+            return
         for index, (label, mode) in enumerate(self.arms):
             if label in labels[:index]:
                 raise FieldError("arm labels must be unique within a slice", "arms", index)
@@ -119,6 +132,11 @@ NetworkStep = BeamSplitter | PhaseShift | TimeSlice
 
 @dataclass(frozen=True)
 class OpticalNetwork:
+    """A checked network.  Its derived facts are computed once per object
+    and shared by every caller, so they are read-only: the slices and the
+    arm stops as it is built, the segment unitaries between slices and the
+    undisturbed states at each slice when first read."""
+
     n_modes: int
     steps: tuple[NetworkStep, ...]
     source_mode: int
@@ -142,40 +160,33 @@ class OpticalNetwork:
                 f"post-selection detector {self.postselect_detector!r} is not declared",
                 "postselect_detector",
             )
+        # one pass over the steps checks their modes and finds the slices
+        # and the arm stops
+        slices, stops = [], {}
         for index, step in enumerate(self.steps):
             if isinstance(step, BeamSplitter):
-                for field in ("mode_a", "mode_b"):
-                    mode = getattr(step, field)
-                    self._check_mode(mode, "beam splitter mode", "steps", index, field)
+                role = "beam splitter mode"
+                modes = (("mode_a",), step.mode_a), (("mode_b",), step.mode_b)
             elif isinstance(step, PhaseShift):
-                self._check_mode(step.mode, "phase shift mode", "steps", index, "mode")
+                role, modes = "phase shift mode", ((("mode",), step.mode),)
             elif isinstance(step, TimeSlice):
-                for arm, (_, mode) in enumerate(step.arms):
-                    self._check_mode(mode, "slice arm mode", "steps", index, "arms", arm)
+                role = "slice arm mode"
+                modes = ((("arms", arm), mode) for arm, (_, mode) in enumerate(step.arms))
+                slices.append((index, step))
+                for label, mode in step.arms:
+                    stops.setdefault(label, (index, mode))
             else:
                 raise FieldError(f"unknown network step {step!r}", "steps", index)
+            for path, mode in modes:
+                self._check_mode(mode, role, "steps", index, *path)
+        #: (step position, slice) pairs in time order
+        object.__setattr__(self, "slices", tuple(slices))
+        #: arm -> (step position, mode) of its first slice, its stop, in order of appearance
+        object.__setattr__(self, "arm_stops", types.MappingProxyType(stops))
 
     def _check_mode(self, mode: int, role: str, *path) -> None:
         if not 0 <= mode < self.n_modes:
             raise FieldError(f"{role} {mode} out of range", *path)
-
-    @property
-    def slices(self) -> tuple[tuple[int, TimeSlice], ...]:
-        """(step position, slice) pairs in time order."""
-        return tuple(
-            (pos, step)
-            for pos, step in enumerate(self.steps)
-            if isinstance(step, TimeSlice)
-        )
-
-    @property
-    def arm_stops(self) -> dict[str, tuple[int, int]]:
-        """arm -> (step position, mode) of its first slice, its stop, in order of appearance."""
-        stops: dict[str, tuple[int, int]] = {}
-        for position, ts in self.slices:
-            for label, mode in ts.arms:
-                stops.setdefault(label, (position, mode))
-        return stops
 
     @property
     def arm_labels(self) -> tuple[str, ...]:
@@ -185,60 +196,77 @@ class OpticalNetwork:
     def postselect_mode(self) -> int:
         return dict(self.detectors)[self.postselect_detector]
 
+    @functools.cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(unitaries, adjoints), each (slices + 1, n, n): segment k is the
+        product of the steps before slice k and after slice k - 1, the last
+        one of those after the last slice.  One pass over the steps applies
+        each as an update of the rows it acts on: a beam splitter mixes its
+        two rows, a phase shift scales its one."""
+        unitaries = np.empty((len(self.slices) + 1, self.n_modes, self.n_modes), np.complex128)
+        unitaries[:] = np.eye(self.n_modes)
+        segment = 0
+        for step in self.steps:
+            u = unitaries[segment]
+            if isinstance(step, BeamSplitter):
+                t, r = step.amplitudes
+                # a 2 x 2 product over the rows in mode order sums as the n x n
+                # product of step matrices would, roundoff included
+                a, b = sorted((step.mode_a, step.mode_b))
+                rows = u[a : b + 1 : b - a]
+                rows[...] = np.array([[t, r], [r, t]]) @ rows
+            elif isinstance(step, PhaseShift):
+                u[step.mode] *= np.exp(1j * step.phase)
+            else:
+                segment += 1
+        adjoints = unitaries.conj().transpose(0, 2, 1)
+        for array in (unitaries, adjoints):
+            array.setflags(write=False)
+        return unitaries, adjoints
 
-def _slice_position(net: OpticalNetwork, slice_index: int) -> int:
-    slices = net.slices
-    if not 0 <= slice_index < len(slices):
-        raise ValueError(
-            f"slice index {slice_index} out of range (network has {len(slices)})"
-        )
-    return slices[slice_index][0]
+    @functools.cached_property
+    def _states(self) -> np.ndarray:
+        """(2, slices + 1, n): [0, k] the source state after segment k;
+        [1, k] the post-selection effect before segment k + 1, the effect
+        itself at the last k."""
+        unitaries, adjoints = self._segments
+        states = np.empty((2, len(unitaries), self.n_modes), dtype=np.complex128)
+        vec = np.zeros(self.n_modes, dtype=np.complex128)
+        vec[self.source_mode] = 1.0
+        for k, u in enumerate(unitaries):
+            states[0, k] = vec = u @ vec
+        states[1, -1] = vec = np.zeros(self.n_modes, dtype=np.complex128)
+        vec[self.postselect_mode] = 1.0
+        for k in range(len(unitaries) - 1, 0, -1):
+            states[1, k - 1] = vec = adjoints[k] @ vec
+        states.setflags(write=False)
+        return states
 
 
-def _unitary_over(net: OpticalNetwork, start: int, stop: int) -> np.ndarray:
-    """The product of the steps in [start, stop), each applied as an update
-    of the rows it acts on: a beam splitter mixes its two rows, a phase
-    shift scales its one."""
-    rows = list(np.eye(net.n_modes, dtype=np.complex128))
-    for step in net.steps[start:stop]:
-        if isinstance(step, BeamSplitter):
-            t, r = step.amplitudes
-            # a 2 x 2 product over the rows in mode order sums as the n x n
-            # product of step matrices would, roundoff included
-            a, b = sorted((step.mode_a, step.mode_b))
-            rows[a], rows[b] = np.array([[t, r], [r, t]]) @ (rows[a], rows[b])
-        elif isinstance(step, PhaseShift):
-            rows[step.mode] = np.exp(1j * step.phase) * rows[step.mode]
-    return np.array(rows)
+def _slice_index(net: OpticalNetwork, slice_index: int) -> int:
+    if not 0 <= slice_index < len(net.slices):
+        raise ValueError(f"slice index {slice_index} out of range (network has {len(net.slices)})")
+    return slice_index
 
 
 def propagate(net: OpticalNetwork, slice_index: int) -> StateVector:
     """Forward state: the source basis state evolved up to the slice."""
-    position = _slice_position(net, slice_index)
-    amps = _unitary_over(net, 0, position)[:, net.source_mode].copy()
-    return StateVector(amps)
+    return StateVector(net._states[0, _slice_index(net, slice_index)])
 
 
 def back_propagate(net: OpticalNetwork, slice_index: int) -> StateVector:
     """Backward state: the post-selection detector propagated back to the slice."""
-    position = _slice_position(net, slice_index)
-    u_after = _unitary_over(net, position, len(net.steps))
-    amps = u_after.conj().T[:, net.postselect_mode].copy()
-    return StateVector(amps)
+    return StateVector(net._states[1, _slice_index(net, slice_index)])
 
 
 def network_overlap(net: OpticalNetwork) -> complex:
     """<out|in>: the post-selected amplitude of the undisturbed network."""
-    u = _unitary_over(net, 0, len(net.steps))
-    return complex(u[net.postselect_mode, net.source_mode])
+    return complex(net._states[0, -1, net.postselect_mode])
 
 
 def detection_probabilities(net: OpticalNetwork) -> dict[str, float]:
-    u = _unitary_over(net, 0, len(net.steps))
-    return {
-        label: float(abs(u[mode, net.source_mode]) ** 2)
-        for label, mode in net.detectors
-    }
+    out = net._states[0, -1]
+    return {label: float(abs(out[mode]) ** 2) for label, mode in net.detectors}
 
 
 @dataclass(frozen=True)
@@ -265,7 +293,7 @@ class TwoStateVector:
 
 
 def two_state_vector(net: OpticalNetwork, slice_index: int) -> TwoStateVector:
-    ts = net.steps[_slice_position(net, slice_index)]
+    ts = net.slices[_slice_index(net, slice_index)][1]
     forward = propagate(net, slice_index).amps
     backward = back_propagate(net, slice_index).amps
     tsv = TwoStateVector(
@@ -392,36 +420,34 @@ def _alpha_minus_one(spectrum: PointerSpectrum, g: np.ndarray):
     return s, s @ spectrum.ready_weights
 
 
-def _dephasing_change(coupled: np.ndarray, alpha_minus_one: np.ndarray) -> np.ndarray:
+def _dephasing_change(d: np.ndarray) -> np.ndarray:
     """F - 1 per stop and g, where rho -> F * rho (elementwise) traces out
-    one ready environment per mode that the (stops, modes) mask ``coupled``
-    marks: a coherence gains a factor alpha per coupled row mode and
-    conj(alpha) per coupled column mode, and the diagonal stays."""
-    d = np.where(coupled[:, None, :], alpha_minus_one[:, None], 0.0)
+    one ready environment per coupled mode, ``d`` (stops, g points, modes)
+    holding alpha - 1 at the modes coupled at each stop and 0 elsewhere: a
+    coherence gains a factor alpha per coupled row mode and conj(alpha)
+    per coupled column mode, and the diagonal stays."""
     row, column = d[..., :, None], d.conj()[..., None, :]
     change = row + column + row * column
-    diagonal = np.arange(coupled.shape[1])
+    diagonal = np.arange(d.shape[-1])
     change[..., diagonal, diagonal] = 0.0
     return change
 
 
-def _propagate(steps, mode: int, shape: tuple[int, int]):
-    """The pure state v, from the basis state ``mode``, and the change
-    delta, from zeros of ``shape`` (g points, modes), just before each
-    dephasing rho -> rho + change * rho of ``steps``, a sequence of
-    (unitary, its adjoint, change); both stacked along a first axis."""
-    points, n_modes = shape
-    vec = np.zeros(n_modes, dtype=np.complex128)
-    vec[mode] = 1.0
-    delta = np.zeros((points, n_modes, n_modes), dtype=np.complex128)
-    vecs, deltas = [], []
-    for u, adjoint, change in steps:
-        vec = u @ vec
-        delta = u @ delta @ adjoint
-        vecs.append(vec)
-        deltas.append(delta)
-        delta = delta + change * (vec[:, None] * vec.conj() + delta)
-    return np.array(vecs), np.array(deltas)
+def _pass(pure, changes, steps, deltas, rhos) -> None:
+    """One pass, into ``rhos`` and ``deltas`` (stops, g points, modes,
+    modes): the density rho = pure + delta just before each dephasing
+    rho -> rho + change * rho, where ``pure`` is the undisturbed density at
+    each stop and delta what the couplings changed, 0 at the first stop
+    (``deltas`` comes zeroed); each later stop is reached through its
+    (unitary, adjoint) of ``steps``.  Five numpy calls per stop."""
+    rhos[0] = pure[0]
+    for stop, (u, adjoint) in enumerate(steps, start=1):
+        delta = deltas[stop - 1] + changes[stop - 1] * rhos[stop - 1]
+        # the right product over all g at once: one matrix of (g points x
+        # modes) rows, which sums each row as the stacked product would
+        rows = (u @ delta).reshape(-1, len(u))
+        np.matmul(rows, adjoint, out=deltas[stop].reshape(rows.shape))
+        np.add(pure[stop], deltas[stop], out=rhos[stop])
 
 
 def _arm_traces(
@@ -432,76 +458,86 @@ def _arm_traces(
     detector there; the rows of unlabeled arms hold 0.0 and False, for the
     caller to report in its own order.  A non-finite g raises first, then a
     phase below ``TRACE_MIN_PHASE`` (``trace_phase_fault``), then a dark
-    detector, with <out|in> taken from the product of the segment unitaries.
+    detector, with <out|in> taken from the network's forward states.
 
-    The density is kept as |psi><psi| + delta, the undisturbed state plus
-    what the couplings changed, and the effect as |phi><phi| + delta_w, so
-    an arm reached only through the couplings keeps its relative precision.
-    A target t's detection probability is Tr W (F_t * rho), F_t[x, y] being
-    a_t[x] conj(a_t[y]) off the diagonal and 1 on it, where a_t holds the
-    target pointer's alpha at t, the qubit's at the stop's other arms and 1
-    elsewhere.
+    Every slice is a stop of the passes; one that starts no arm couples
+    nothing there.  The density is kept as |psi><psi| + delta, the
+    undisturbed state plus what the couplings changed, and the effect as
+    |phi><phi| + delta_w, so an arm reached only through the couplings
+    keeps its relative precision.  A target t's detection probability is
+    Tr W (F_t * rho), F_t[x, y] being a_t[x] conj(a_t[y]) off the diagonal
+    and 1 on it, where a_t holds the target pointer's alpha at t, the
+    qubit's at the stop's other arms and 1 elsewhere.
     """
     g = finite_couplings(g_values)
     fault = trace_phase_fault(model, g_values)
     if fault is not None:
         raise ValueError(fault)
-    n = net.n_modes
+    states = net._states  # forward and backward, (2, slices + 1, modes)
+    overlap = _checked_overlap(net, complex(states[0, -1, net.postselect_mode]))
     first = net.arm_stops
-    stops = sorted({position for position, _ in first.values()})
-    bounds = [0, *stops, len(net.steps)]
-    unitaries = np.array([_unitary_over(net, a, b) for a, b in zip(bounds, bounds[1:])])
-    amps = np.eye(n, dtype=np.complex128)[net.source_mode]
-    for u in unitaries:
-        amps = u @ amps
-    overlap = _checked_overlap(net, complex(amps[net.postselect_mode]))
     traces, dark = np.zeros((len(arms), g.size)), np.zeros((len(arms), g.size), dtype=bool)
     rows = [row for row, arm in enumerate(arms) if arm in first]
     if not rows:
         return traces, dark
-    coupled = np.zeros((len(stops), n), dtype=bool)  # the arms' modes at each stop
+    n, stops = net.n_modes, len(net.slices)
+    index = {position: stop for stop, (position, _) in enumerate(net.slices)}
+    coupled = np.zeros((stops, n), dtype=bool)  # the arms' modes at each stop
     for position, mode in first.values():
-        coupled[stops.index(position), mode] = True
-    adjoints = unitaries.conj().transpose(0, 2, 1)
-    # every arm's environment but the target's is a qubit
-    qubit = pointer_spectrum(qubit_pointer())
-    qubit_s, qubit_am1 = _alpha_minus_one(qubit, g)
-    changes = _dephasing_change(coupled, qubit_am1)
-    psi, delta = _propagate(zip(unitaries, adjoints, changes), net.source_mode, (g.size, n))
-    # the effect passes the adjoint segments, which conjugate the dephasing too
-    backward = zip(adjoints[:0:-1], unitaries[:0:-1], changes.conj()[::-1])
-    phi, delta_w = (a[::-1] for a in _propagate(backward, net.postselect_mode, (g.size, n)))
+        coupled[index[position], mode] = True
+    at = [index[first[arms[row]][0]] for row in rows]
+    targets = [first[arms[row]][1] for row in rows]
 
-    # a target of the environments' pointer shares their phases
-    spectrum = qubit if model == qubit.model else pointer_spectrum(model)
-    s, target_am1 = (qubit_s, qubit_am1) if spectrum is qubit else _alpha_minus_one(spectrum, g)
+    # every arm's environment but the target's is a qubit
+    environment = pointer_spectrum(qubit_pointer())
+    env_s, env_am1 = _alpha_minus_one(environment, g)
+    d = np.where(coupled[:, None, :], env_am1[:, None], 0.0)
+    changes = _dephasing_change(d)
+    unitaries, adjoints = net._segments
+    pure = states[:, :-1, :, None] * states[:, :-1, None, :].conj()
+    deltas = np.zeros((2, stops, g.size, n, n), dtype=np.complex128)
+    rhos = np.empty_like(deltas)
+    _pass(pure[0], changes, zip(unitaries[1:stops], adjoints[1:stops]), deltas[0], rhos[0])
+    # the effect passes the adjoint segments, which conjugate the dephasing too
+    backward = zip(adjoints[stops - 1 : 0 : -1], unitaries[stops - 1 : 0 : -1])
+    _pass(pure[1, ::-1], changes.conj()[::-1], backward, deltas[1, ::-1], rhos[1, ::-1])
+
+    # a qubit target of any axis has the environments' eigenvalues and
+    # weights, and so their phases
+    spectrum = pointer_spectrum(model)
+    shared = all(mine.tolist() == theirs.tolist() for mine, theirs in (
+        (spectrum.basis.eigvals, environment.basis.eigvals),
+        (spectrum.ready_weights, environment.ready_weights)))
+    s, target_am1 = (env_s, env_am1) if shared else _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
     disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.ready_weights
-    at = [stops.index(first[arms[row]][0]) for row in rows]
-    targets = [first[arms[row]][1] for row in rows]
-    weight = (
-        (np.abs(psi[at, targets, None]) ** 2 + delta[at, :, targets, targets].real)
-        * (np.abs(phi[at, targets, None]) ** 2 + delta_w[at, :, targets, targets].real)
-        * disturbed
-    )
+    # rho[t, t] and W[t, t] at each target's stop: (arms, pass, g)
+    population = np.abs(states[:, at, targets]).T[..., None] ** 2
+    population = population + deltas[:, at, :, targets, targets].real
+    weight = population[:, 0] * population[:, 1] * disturbed
     traces[rows] = np.sqrt(np.maximum(weight, 0.0)) / abs(overlap)
 
-    pure = psi[:, None, :, None] * psi[:, None, None, :].conj()
-    pure_w = phi[:, None, :, None] * phi[:, None, None, :].conj()
-    weighted = (pure_w + delta_w).conj() * (pure + delta)  # (stop, g, x, y)
-    diagonal = np.arange(n)
-    kept = weighted[..., diagonal, diagonal].real.sum(axis=2)
-    weighted[..., diagonal, diagonal] = 0.0
-    # a_t = b + (alpha_target - alpha_qubit) e_t, b holding the qubit's alpha
-    # on every arm of the stop, so each target only corrects its own row
-    # and column of the stop's form sum_xy b[x] weighted[x, y] conj(b[y])
-    b = np.where(coupled[:, None, :], 1.0 + qubit_am1[:, None], 1.0 + 0j)
-    right = (weighted @ b.conj()[..., None])[..., 0]
-    left = (b[..., None, :] @ weighted)[..., 0, :]
-    form = np.einsum("sgx,sgx->sg", b, right)
-    c = target_am1 - qubit_am1
-    coherent = form[at] + c * right[at, :, targets] + c.conj() * left[at, :, targets]
-    dark[rows] = kept[at] + coherent.real < ZERO_PROBABILITY_FLOOR
+    # with every arm coupled to its environment the detection probability is
+    # Tr W rho at any stop, W and rho on either side of its dephasing: read
+    # after the last one, as the sum of conj(W) * rho, W being hermitian.  A
+    # target of another pointer swaps the qubit's alpha for its own at its
+    # mode t, which changes only the coherences of row and column t at its
+    # stop, by c = alpha_t - alpha_qubit times sum_y weighted[t, y] conj(b[y])
+    # and by conj(c) times sum_x b[x] weighted[x, t], x, y != t, where
+    # weighted = conj(W) * rho and b holds the qubit's alpha on the stop's
+    # arms and 1 elsewhere
+    dephased = rhos[0, -1] + changes[-1] * rhos[0, -1]
+    probability = np.einsum("gxy,gxy->g", rhos[1, -1].conj(), dephased).real
+    if not shared:
+        weighted = rhos[1, at].conj() * rhos[0, at]  # (arm, g, x, y)
+        diagonal = np.arange(n)
+        weighted[..., diagonal, diagonal] = 0.0
+        b, arm = 1.0 + d[at], np.arange(len(rows))
+        right = np.einsum("agy,agy->ag", weighted[arm, :, targets], b.conj())
+        left = np.einsum("agx,agx->ag", b, weighted[arm, :, :, targets])
+        c = target_am1 - env_am1
+        probability = probability + (c * right + c.conj() * left).real
+    dark[rows] = probability < ZERO_PROBABILITY_FLOOR
     return traces, dark
 
 
@@ -532,11 +568,11 @@ def weak_trace_sweeps(
     g_values = [float(g) for g in g_schedule]
     traces, dark = _arm_traces(net, arms, model, g_values)
     labeled = net.arm_stops
-    for arm, row in zip(arms, dark):
+    for arm, row in zip(arms, dark.tolist()):
         if arm not in labeled:
             raise _unlabeled(arm)
-        if row.any():
-            raise _dark_after_coupling(g_values[int(np.argmax(row))])
+        if True in row:
+            raise _dark_after_coupling(g_values[row.index(True)])
     return tuple((arm, tuple(row)) for arm, row in zip(arms, traces.tolist()))
 
 
@@ -581,13 +617,13 @@ def classify_presence(
     orders, _, _ = fit_trace_orders(schedule, np.where(dark, 0.0, traces))
     labeled = net.arm_stops
     entries = []
-    for arm, order, row in zip(arms, orders.tolist(), dark):
+    for arm, order, row in zip(arms, orders.tolist(), dark.tolist()):
         if arm not in labeled:
             raise _unlabeled(arm)
-        if row.any():
+        if True in row:
             lit = [g for g, is_dark in zip(schedule, row) if not is_dark]
             if len(lit) < 4:
-                raise _dark_after_coupling(schedule[int(np.flatnonzero(row)[-1])])
+                raise _dark_after_coupling(schedule[len(row) - 1 - row[::-1].index(True)])
             fit_schedule(lit)  # the lit points must still span a decade
         classification = _PRESENCE_BY_ORDER[classify_order(order, f"arm {arm!r}")]
         entries.append((arm, ArmPresence(order, classification)))

@@ -41,6 +41,7 @@ readout divides by g.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -72,6 +73,8 @@ from .weakmeas import PointerReadout, PrePostSelection, weak_value
 
 #: Sentinel order for all-floor sweeps: no trace at any fitted order.
 ALL_FLOOR_ORDER = math.inf
+#: The largest intercept whose exp, a fitted coefficient, is a float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 #: compare_limits' spread schedule, fixed spread and fixed coupling when
 #: none are given.
@@ -191,8 +194,9 @@ def _fit_above(g_values, values, floor: float) -> tuple[np.ndarray, np.ndarray, 
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(g_values):
         raise ValueError("g_values and metric_values lengths differ")
-    log_g = np.log(np.array(fit_schedule(g_values)))
-    if np.any(~np.isfinite(values)) or np.any(values < 0):
+    log_g = np.log(fit_schedule(g_values))
+    # min is nan where any value is, and max inf where any value is
+    if not (values.min(initial=math.inf) >= 0 and values.max(initial=0.0) < math.inf):
         raise ValueError("metric values must be finite and non-negative")
     usable = values > floor
     fitted = np.count_nonzero(usable, axis=1) >= 4
@@ -201,9 +205,12 @@ def _fit_above(g_values, values, floor: float) -> tuple[np.ndarray, np.ndarray, 
         log_g, np.log(np.where(usable, values, 1.0)), usable
     )
     # an unfitted row's intercept may be of any size, so exp sees 0 there
+    intercept = np.where(fitted, intercept, 0.0)
+    if intercept.max(initial=0.0) > _LOG_FLOAT_MAX:
+        raise ValueError(f"fitted coefficient exp({float(intercept.max())!r}) overflows a float")
     return (
         np.where(fitted, slope, ALL_FLOOR_ORDER),
-        np.where(fitted, np.exp(np.where(fitted, intercept, 0.0)), 0.0),
+        np.where(fitted, np.exp(intercept), 0.0),
         np.where(fitted, np.abs(deviation).max(axis=1), 0.0),
     )
 

@@ -30,6 +30,7 @@ their positions and the flags' errors apart.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import re
@@ -318,16 +319,15 @@ def _parse_header(
 # Literal parsers.
 
 def _split_items(value: str, base_col: int, separator: str) -> list[tuple[str, int]]:
+    """Each ``separator``-separated item of ``value``, stripped, with the
+    column where it starts, ``value`` starting at ``base_col``."""
     items: list[tuple[str, int]] = []
-    start = 0
-    while True:
-        cut = value.find(separator, start)
-        chunk = value[start : cut if cut >= 0 else len(value)]
-        lead = len(chunk) - len(chunk.lstrip())
-        items.append((chunk.strip(), base_col + start + lead))
-        if cut < 0:
-            return items
-        start = cut + 1
+    col = base_col
+    for chunk in value.split(separator):
+        stripped = chunk.lstrip()
+        items.append((stripped.rstrip(), col + len(chunk) - len(stripped)))
+        col += len(chunk) + 1
+    return items
 
 
 def parse_complex_literal(token: str) -> complex | None:
@@ -394,8 +394,16 @@ def _parse_matrix(entry: _Entry, diags: list[ParseDiagnostic]) -> np.ndarray | N
     return values.reshape(len(widths), len(widths))
 
 
-#: number type -> (its name in diagnostics, its grammar)
-_NUMBERS = {float: ("number", _REAL_RE), int: ("integer", _INT_RE)}
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+#: number type -> (its name in diagnostics, its grammar, its reader of a token
+#: the grammar matched, which raises ValueError where the number overflows)
+_NUMBERS = {float: ("number", _REAL_RE, _finite), int: ("integer", _INT_RE, int)}
 
 
 def _parse_number(
@@ -405,24 +413,18 @@ def _parse_number(
     a finite float or an int.  The whole value when ``token`` is None."""
     if token is None:
         token, col = entry.value, entry.value_col
-    what, grammar = _NUMBERS[kind]
+    what, grammar, read = _NUMBERS[kind]
     if not grammar.fullmatch(token):
         diags.append(entry.error(f"malformed {what} {token!r}", col))
         return None
     try:
-        value = kind(token)
-    except ValueError:  # more digits than Python converts to an int
-        value = None
-    # math.isfinite overflows on an int beyond the float range: only a float is checked
-    if value is not None and (kind is int or math.isfinite(value)):
-        return value
-    diags.append(entry.error(f"{what} {token!r} overflows", col))
-    return None
+        return read(token)
+    except ValueError:
+        diags.append(entry.error(f"{what} {token!r} overflows", col))
+        return None
 
 
-def _parse_float_list(
-    entry: _Entry, diags: list[ParseDiagnostic]
-) -> tuple[float, ...] | None:
+def _parse_float_list(entry: _Entry, diags: list[ParseDiagnostic]) -> tuple[float, ...] | None:
     values: list[float] = []
     for token, col in _split_items(entry.value, entry.value_col, ","):
         value = _parse_number(entry, diags, float, token, col)
@@ -700,142 +702,140 @@ def _read_names(
     return tuple(name for name, _ in names)
 
 
-#: network step keyword -> (constructor, its fields as (name, type) pairs,
-#: which the step's arguments fill in order, usage)
+_LABEL_MODE = r"([A-Za-z_][A-Za-z0-9_]*):([0-9]+)"
+_LABEL_MODE_RE = re.compile(_LABEL_MODE)
+_DETECTORS_RE = re.compile(rf"{_LABEL_MODE}(?:\s*,\s*{_LABEL_MODE})*")
+
+
+def _label_mode_pairs(text: str) -> tuple[tuple[str, int], ...]:
+    """The label:mode pairs of ``text``, which a grammar matched."""
+    return tuple((label, int(mode)) for label, mode in _LABEL_MODE_RE.findall(text))
+
+
+class _StepRule(NamedTuple):
+    make: Callable
+    fields: tuple[str, ...]  # which the arguments fill in order
+    grammar: re.Pattern  # of the whole value
+    read: Callable  # its match -> the arguments; ValueError where a number overflows
+    usage: str = ""
+
+
+def _numbers_rule(keyword: str, make, usage: str) -> _StepRule:
+    """The rule of a step whose fields are numbers of the file's grammars."""
+    fields = get_type_hints(make)
+    args = "".join(rf"\s+({_NUMBERS[kind][1].pattern})" for kind in fields.values())
+    readers = tuple(_NUMBERS[kind][2] for kind in fields.values())
+    read = lambda m: [read(text) for read, text in zip(readers, m.groups())]  # noqa: E731
+    return _StepRule(make, tuple(fields), re.compile(keyword + args), read, usage)
+
+
+#: network step keyword -> its rule
 _STEPS = {
-    keyword: (make, tuple(get_type_hints(make).items()), usage)
-    for keyword, make, usage in (
-        ("beam_splitter", BeamSplitter, "mode mode t"), ("phase_shift", PhaseShift, "mode phase")
-    )
+    "beam_splitter": _numbers_rule("beam_splitter", BeamSplitter, "mode mode t"),
+    "phase_shift": _numbers_rule("phase_shift", PhaseShift, "mode phase"),
+    "slice": _StepRule(TimeSlice, ("arms",), re.compile(rf"slice((?:\s+{_LABEL_MODE})+)"),
+                       lambda m: (_label_mode_pairs(m[1]),)),
 }
-_LABEL_MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):([0-9]+)")
 
 
-def _label_modes(
-    entry: _Entry, tokens: list[tuple[str, int]], what: str, diags: list[ParseDiagnostic]
-) -> list[tuple[str, int]] | None:
-    """``entry``'s ``label:mode`` tokens as pairs; None after reporting each
-    malformed one."""
-    pairs = []
+def _label_modes(entry: _Entry, tokens: list, what: str, diags: list[ParseDiagnostic]) -> None:
+    """Report each malformed ``label:mode`` token of ``entry``."""
     for token, col in tokens:
         m = _LABEL_MODE_RE.fullmatch(token)
         if not m:
             diags.append(entry.error(f"malformed {what} {token!r} (want label:mode)", col))
-            continue
-        mode = _parse_number(entry, diags, int, m.group(2), col + m.start(2))
-        if mode is not None:
-            pairs.append((m.group(1), mode))
-    return pairs if len(pairs) == len(tokens) else None
+        else:
+            _parse_number(entry, diags, int, m.group(2), col + m.start(2))
 
 
-def _field_error(
-    err: FieldError, where: dict[tuple, tuple[int, int]], section: _Section, *prefix
-) -> ParseDiagnostic:
-    """A domain object's error at the token ``where`` maps its field path
-    (after ``prefix``) to, else at the section header."""
-    line, col = where.get(prefix + err.path, (section.line, section.col))
-    return ParseDiagnostic(line, col, str(err))
+def _token_columns(entry: _Entry) -> list[tuple[str, int]]:
+    return [(m.group(), entry.value_col + m.start()) for m in _TOKEN_RE.finditer(entry.value)]
 
 
-def _build_network(
-    section: _Section, dim: int, diags: list[ParseDiagnostic]
-) -> OpticalNetwork | None:
-    """Only lexical checks and ``modes == dim`` are made here; the network
-    objects check their own rules and raise a FieldError, whose path
-    ``where`` maps to the offending token."""
-    table = _read_section(
-        section,
-        ("modes", "source", "seq", "detectors", "postselect"),
-        diags,
-        required=("modes", "source", "detectors", "postselect"),
-        repeatable=("seq",),
-    )
+def _read_step(entry: _Entry, diags: list[ParseDiagnostic]):
+    """The step ``entry`` states, read by one match of its keyword's grammar
+    and built; else None, after reporting why at the token at fault, whose
+    column is found only then."""
+    keyword = entry.value.split(None, 1)[0]
+    rule = _STEPS.get(keyword)
+    m = rule and rule.grammar.fullmatch(entry.value)
+    try:
+        args = m and rule.read(m)
+    except ValueError:  # a number that overflows
+        args = None
+    if args:
+        try:
+            return rule.make(*args)
+        except FieldError as err:
+            diags.append(entry.error(str(err), _step_column(entry, err.path)))
+            return None
+    (_, kcol), *args = _token_columns(entry)
+    if rule is None:
+        diags.append(entry.error(f"unknown network step {keyword!r}", kcol))
+    elif keyword == "slice":
+        if not args:
+            diags.append(entry.error("empty slice", kcol))
+        _label_modes(entry, args, "arm", diags)
+    elif len(args) != len(rule.fields):
+        diags.append(entry.error(f"{keyword} needs: {rule.usage}", kcol))
+    else:  # a token that Python cannot read as its type makes the whole step malformed
+        kinds = get_type_hints(rule.make).values()
+        try:
+            for kind, (token, _) in zip(kinds, args):
+                kind(token)
+        except ValueError:
+            diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
+        else:  # each token against the file's grammars, which have no inf, nan or 0_0
+            for kind, (token, col) in zip(kinds, args):
+                _parse_number(entry, diags, kind, token, col)
+    return None
+
+
+def _step_column(entry: _Entry, path: tuple) -> int:
+    """The column of the argument of ``entry``'s step that a FieldError's
+    ``path`` inside the step names: a field, or an arm of a slice."""
+    rule = _STEPS[entry.value.split(None, 1)[0]]
+    index = rule.fields.index(path[0]) + (path[1] if path[0] == "arms" else 0)
+    return _token_columns(entry)[1 + index][1]
+
+
+def _build_network(section: _Section, dim: int, diags: list) -> OpticalNetwork | None:
+    """Only lexical checks and ``modes == dim`` are made here, each step read
+    by one grammar match; the network objects check their own rules and
+    raise a FieldError, whose path is mapped to its token only then."""
+    keys = ("modes", "source", "detectors", "postselect")
+    table = _read_section(section, (*keys, "seq"), diags, required=keys, repeatable=("seq",))
     if table is None:
         return None
-    modes_entry, source_entry, detectors_entry, postselect_entry = (
-        table[key][0] for key in ("modes", "source", "detectors", "postselect")
-    )
+    modes_entry, source_entry, detectors_entry, postselect_entry = (table[key][0] for key in keys)
     n_modes = _parse_number(modes_entry, diags, int)
     source = _parse_number(source_entry, diags, int)
     if n_modes is None or source is None:
         return None
     if n_modes != dim:
-        diags.append(
-            modes_entry.error(f"network has {n_modes} modes but the system dim is {dim}")
-        )
+        diags.append(modes_entry.error(f"network has {n_modes} modes but the system dim is {dim}"))
         return None
-
-    where: dict[tuple, tuple[int, int]] = {
-        ("n_modes",): (modes_entry.line, modes_entry.value_col),
-        ("source_mode",): (source_entry.line, source_entry.value_col),
-        ("postselect_detector",): (postselect_entry.line, postselect_entry.value_col),
-    }
     errors = len(diags)
-    steps: list = []
-    for entry in table.get("seq", []):
-        tokens = [
-            (m.group(), entry.value_col + m.start()) for m in _TOKEN_RE.finditer(entry.value)
-        ]
-        (keyword, kcol), args = tokens[0], tokens[1:]
-        if keyword in _STEPS:
-            make, fields, usage = _STEPS[keyword]
-            if len(args) != len(fields):
-                diags.append(entry.error(f"{keyword} needs: {usage}", kcol))
-                continue
-            # the numbers follow the file's grammars, which have no inf, nan or
-            # 0_0; a token that Python cannot read as its type at all makes
-            # the whole step malformed instead
-            faults: list[ParseDiagnostic] = []
-            values = tuple(
-                _parse_number(entry, faults, kind, token, col)
-                for (_, kind), (token, col) in zip(fields, args)
-            )
-            if faults:
-                try:
-                    for (_, kind), (token, _) in zip(fields, args):
-                        kind(token)
-                except ValueError:
-                    diags.append(entry.error(f"malformed {keyword} args", args[0][1]))
-                else:
-                    diags.extend(faults)
-                continue
-            paths = [(name,) for name, _ in fields]
-        elif keyword == "slice":
-            if not args:
-                diags.append(entry.error("empty slice", kcol))
-            arms = _label_modes(entry, args, "arm", diags)
-            if not arms:
-                continue
-            values = (tuple(arms),)
-            make, paths = TimeSlice, [("arms", index) for index in range(len(arms))]
-        else:
-            diags.append(entry.error(f"unknown network step {keyword!r}", kcol))
-            continue
-        prefix = ("steps", len(steps))
-        where[prefix] = (entry.line, kcol)
-        for path, (_, col) in zip(paths, args):
-            where[prefix + path] = (entry.line, col)
-        try:
-            steps.append(make(*values))
-        except FieldError as err:
-            diags.append(_field_error(err, where, section, *prefix))
-
-    items = _split_items(detectors_entry.value, detectors_entry.value_col, ",")
-    detectors = _label_modes(detectors_entry, items, "detector", diags)
+    seq = table.get("seq", [])
+    steps = [_read_step(entry, diags) for entry in seq]
+    detectors, value, col = None, detectors_entry.value, detectors_entry.value_col
+    with contextlib.suppress(ValueError):  # an int of more digits than Python reads
+        detectors = _DETECTORS_RE.fullmatch(value) and _label_mode_pairs(value)
+    if not detectors:
+        _label_modes(detectors_entry, _split_items(value, col, ","), "detector", diags)
     if len(diags) > errors:
         return None
-    for index, (_, col) in enumerate(items):
-        where[("detectors", index)] = (detectors_entry.line, col)
     try:
-        return OpticalNetwork(
-            n_modes=n_modes,
-            steps=tuple(steps),
-            source_mode=source,
-            detectors=tuple(detectors),
-            postselect_detector=postselect_entry.value,
-        )
+        return OpticalNetwork(n_modes, tuple(steps), source, detectors, postselect_entry.value)
     except FieldError as err:
-        diags.append(_field_error(err, where, section))
+        head, *at = err.path
+        if head == "steps":
+            diags.append(seq[at[0]].error(str(err), _step_column(seq[at[0]], at[1:])))
+        elif head == "detectors":
+            diags.append(detectors_entry.error(str(err), _split_items(value, col, ",")[at[0]][1]))
+        else:
+            entries = {"n_modes": modes_entry, "source_mode": source_entry}
+            diags.append(entries.get(head, postselect_entry).error(str(err)))
         return None
 
 
@@ -868,9 +868,9 @@ def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerMo
                 return None
     try:
         return make(**fields)
-    except FieldError as err:
-        where = {(key,): (entries[0].line, entries[0].value_col) for key, entries in table.items()}
-        diags.append(_field_error(err, where, section))
+    except FieldError as err:  # at the value of its field's key, else at the header
+        entries = table.get(err.path[0])
+        diags.append(entries[0].error(str(err)) if entries else section.error(str(err)))
         return None
 
 
@@ -1219,12 +1219,11 @@ def serialize(doc: ScenarioDoc) -> str:
         net = doc.network
         lines += ["", "[network]", f"modes = {net.n_modes}", f"source = {net.source_mode}"]
         for step in net.steps:
+            keyword = next(key for key, rule in _STEPS.items() if isinstance(step, rule.make))
             if isinstance(step, TimeSlice):
-                arms = " ".join(f"{label}:{mode}" for label, mode in step.arms)
-                lines.append(f"seq = slice {arms}")
-                continue
-            keyword = next(key for key, (make, _, _) in _STEPS.items() if isinstance(step, make))
-            args = " ".join(map(_format_value, astuple(step)))
+                args = " ".join(f"{label}:{mode}" for label, mode in step.arms)
+            else:
+                args = " ".join(map(_format_value, astuple(step)))
             lines.append(f"seq = {keyword} {args}")
         detectors = ", ".join(f"{label}:{mode}" for label, mode in net.detectors)
         lines += [f"detectors = {detectors}", f"postselect = {net.postselect_detector}"]

@@ -292,6 +292,45 @@ class TestSweepAndLimits:
             2, "", "error: coupling phase must be finite\n"
         )
 
+    @staticmethod
+    def _scaled_kernel_sweep(tmp_path, metric: str, k: int) -> int:
+        """``sweep`` of eigenvalue_zero from up_x with S -> 2^k S and every
+        g -> g / 2^k, which keeps every phase: its exit code."""
+        text = load_corpus_text("eigenvalue_zero")
+        [schedule] = [line for line in text.splitlines() if line.startswith("g_schedule = ")]
+        scale = 2.0**k
+        scaled = ", ".join(repr(float(g) / scale) for g in schedule.split(" = ")[1].split(", "))
+        for old, new in (("pre = up_z", "pre = up_x"), ("metric = continuity", f"metric = {metric}"),
+                         ("expr = projector(down_z)", f"expr = {scale!r} * (projector(down_z))"),
+                         (schedule, f"g_schedule = {scaled}")):
+            text = text.replace(old, new)
+        path = tmp_path / "scaled.scn"
+        path.write_text(text)
+        return main(["sweep", str(path)])
+
+    @pytest.mark.parametrize(
+        "metric,coefficient",
+        [("overlap_deficit", "6.249952630299e-2"), ("first_order_residual", "1.530924721945e-1")],
+    )
+    def test_fitted_coefficient_beyond_the_float_range_is_an_error(
+        self, tmp_path, capsys, metric, coefficient
+    ):
+        # a second-order coefficient scales by 2^(2k): from k = 516 the exp
+        # of its fitted intercept overflowed, and the sweep printed inf with
+        # exit 0 after a numpy warning
+        assert self._scaled_kernel_sweep(tmp_path, metric, 0) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert {line.split(",")[3] for line in captured.out.splitlines()[1:]} == {coefficient}
+        for k in (516, 520):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert self._scaled_kernel_sweep(tmp_path, metric, k) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: fitted coefficient exp(")
+            assert captured.err.endswith(") overflows a float\n")
+
     @pytest.mark.parametrize("spread,n_points", [("0.7", None), ("1.3", "128")])
     def test_kernel_overlap_deficit_is_exactly_zero(self, tmp_path, capsys, spread, n_points):
         # 1 - |<Psi0|Psi0>| rounded below zero on these pointers, and the

@@ -36,6 +36,7 @@ from tsvflab import (
 )
 from tsvflab import interferometer
 from tsvflab.limits import METRIC_FLOOR
+from tsvflab.pointer import pointer_spectrum
 from tsvflab.qcore import basis_state
 from tsvflab.tolerances import ORTHOGONAL_OVERLAP_TOL, ZERO_PROBABILITY_FLOOR
 
@@ -201,6 +202,16 @@ class TestPresetStructure:
         with pytest.raises(ValueError, match="slice index"):
             propagate(build_nested_mzi(), 9)
 
+    @pytest.mark.parametrize("call", [propagate, back_propagate])
+    def test_slice_index_edges(self, call):
+        net = build_nested_mzi()
+        count = len(net.slices)
+        assert call(net, count - 1).norm() == pytest.approx(1.0, abs=1e-12)
+        for index in (count, -1):
+            with pytest.raises(ValueError) as err:
+                call(net, index)
+            assert str(err.value) == f"slice index {index} out of range (network has {count})"
+
 
 class TestPresetAgainstOracle:
     def test_amplitudes_match_hand_product(self):
@@ -281,6 +292,42 @@ class TestNetworkValidation:
                 detectors=(("D1", 0),),
                 postselect_detector="D1",
             )
+
+    def test_zero_transmissivity(self):
+        with pytest.raises(FieldError, match="transmissivity") as err:
+            BeamSplitter(0, 1, 0.0)
+        assert err.value.path == ("transmissivity",)
+
+    @pytest.mark.parametrize(
+        "role,path",
+        [
+            ("source mode", ("source_mode",)),
+            ("detector mode", ("detectors", 1)),
+            ("beam splitter mode", ("steps", 0, "mode_b")),
+            ("phase shift mode", ("steps", 1, "mode")),
+            ("slice arm mode", ("steps", 2, "arms", 1)),
+        ],
+    )
+    def test_mode_equal_to_n_modes_is_out_of_range(self, role, path):
+        def network(mode_of):
+            return OpticalNetwork(
+                n_modes=2,
+                steps=(
+                    BeamSplitter(0, mode_of("beam splitter mode"), 0.5),
+                    PhaseShift(mode_of("phase shift mode"), 0.25),
+                    TimeSlice((("A", 0), ("B", mode_of("slice arm mode")))),
+                ),
+                source_mode=mode_of("source mode"),
+                detectors=(("D1", 0), ("D2", mode_of("detector mode"))),
+                postselect_detector="D1",
+            )
+
+        # mode 1, the last one, passes in every role; mode 2 fails in its own
+        network(lambda _: 1)
+        with pytest.raises(FieldError) as err:
+            network(lambda where: 2 if where == role else 1)
+        assert str(err.value) == f"{role} 2 out of range"
+        assert err.value.path == path
 
     def test_slice_must_cover_occupied_modes(self):
         net = build_nested_mzi()
@@ -715,6 +762,26 @@ class TestAllArmsAtOnce:
             for scale, dark in ((1 + 1e-9, True), (1 - 1e-9, False)):
                 monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", probability * scale)
                 _, (flags,) = interferometer._arm_traces(net, [arm], qubit_pointer(), [g])
+                assert flags.tolist() == [dark], (arm, scale)
+
+    def test_detection_probability_of_another_target_in_closed_form(self, monkeypatch):
+        # a Gaussian target swaps the qubit's alpha = cos g for its own
+        # alpha_t at its arm, so the coherence term is
+        # 2 Re(conj(a_U) a_L conj(alpha_U) alpha_L) with alpha_t at the target
+        net = one_slice_network()
+        g, model = 0.5, gaussian_pointer(1.0)
+        spectrum = pointer_spectrum(model)
+        alpha_t = complex(spectrum.ready_weights @ np.exp(-1j * g * spectrum.basis.eigvals))
+        tsv = two_state_vector(net, 0)
+        a_u, a_l = (tsv.backward_amplitude(x).conjugate() * tsv.forward_amplitude(x)
+                    for x in "UL")
+        for arm in ("U", "L"):
+            alpha_u, alpha_l = (alpha_t, math.cos(g)) if arm == "U" else (math.cos(g), alpha_t)
+            coherence = a_u.conjugate() * a_l * alpha_u.conjugate() * alpha_l
+            probability = abs(a_u) ** 2 + abs(a_l) ** 2 + 2 * coherence.real
+            for scale, dark in ((1 + 1e-9, True), (1 - 1e-9, False)):
+                monkeypatch.setattr(interferometer, "ZERO_PROBABILITY_FLOOR", probability * scale)
+                _, (flags,) = interferometer._arm_traces(net, [arm], model, [g])
                 assert flags.tolist() == [dark], (arm, scale)
 
     def test_errors_keep_the_callers_arm_order(self, monkeypatch):

@@ -2,7 +2,9 @@
 
 import io
 import json
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +52,23 @@ def _compare(capsys, a, b):
 
 def test_every_case_of_the_replaced_checks_is_named_once():
     names = [name for name, _, _ in tool.all_cases()]
-    assert len(names) == len(set(names)) == 60 + 7290 + 910 + 6
+    assert len(names) == len(set(names)) == 60 + 7290 + 910 + 270 + 6
+
+
+def test_network_edits_reach_the_reader_and_the_network_objects():
+    """Every edit changes its text; the blank and tab edits still run, and
+    every other one is a file diagnostic at a line and column."""
+    cases = list(tool.network_cases())
+    assert len(cases) == 3 * 2 * len(tool.NETWORK_EDITS) == 270
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "case.scn"
+        for name, argv, text in cases[: 2 * len(tool.NETWORK_EDITS)]:
+            result = tool.run(main, argv, text, path)
+            if name.split("/")[2] in ("bs-tabs", "bs-blanks"):
+                assert result["rc"] == 0 and result["stdout"], name
+            else:
+                assert result["rc"] == 1 and result["raised"] is None, name
+                assert re.match(rf"{re.escape(tool.MASK)}:\d+:\d+: error: ", result["stderr"]), name
 
 
 def test_two_records_compare_equal(records, capsys):

@@ -552,6 +552,17 @@ DOMAIN_ERRORS = [
      "detector mode 4 out of range"),
     (NETWORK, "detectors = D1:0, D2:1", "detectors = D1:0, D1:1", "D1:1", "must be unique"),
     (NETWORK, "source = 0", "source = 3", "3", "source mode 3 out of range"),
+    # modes = 2: mode 2 is the first out of range in every role
+    (NETWORK, "source = 0", "source = 2", "2", "source mode 2 out of range"),
+    (NETWORK, "detectors = D1:0, D2:1", "detectors = D1:0, D2:2", "D2:2",
+     "detector mode 2 out of range"),
+    (NETWORK, "seq = beam_splitter 0 1 0.5", "seq = beam_splitter 0 2 0.5", "2 0.5",
+     "beam splitter mode 2 out of range"),
+    (NETWORK, "seq = phase_shift 1 0.25", "seq = phase_shift 2 0.25", "2 0.25",
+     "phase shift mode 2 out of range"),
+    (NETWORK, "seq = slice A:0 B:1", "seq = slice A:0 B:2", "B:2", "slice arm mode 2 out of range"),
+    (NETWORK, "seq = beam_splitter 0 1 0.5", "seq = beam_splitter 0 1 0.0", "0.0",
+     "transmissivity must lie strictly between 0 and 1"),
     (MINIMAL, "spread = 2.0", "spread = -2.0", "-2.0", "spread must be positive"),
     (MINIMAL, "kind = gaussian_grid", "kind = laser", "laser", "unknown pointer kind"),
     (MINIMAL, "spread = 2.0", "spread = 2.0\nn_points = 100", "100", "power of two"),
@@ -636,6 +647,10 @@ PINNED_DIAGNOSTICS = [
      (("fixed_g must be positive", 25, 11, "error"),)),
     (MINIMAL.replace("spread = 2.0", "spread = 1e999"),
      (("number '1e999' overflows", 16, 10, "error"),)),
+    # a missing value is reported just after its '=', wherever key and '=' sit
+    (MINIMAL.replace("spread = 2.0", "  spread  =  "),
+     (("missing value for 'spread'", 16, 12, "error"),
+      ("section [pointer] needs key 'spread'", 14, 1, "error"))),
     (MINIMAL.replace("expr = pauli_z", "expr = pauli_z\nmatrix = 1, 0; 0, -1"),
      (("operator 'sz' needs exactly one of 'matrix' or 'expr'", 11, 1, "error"),
       ("unresolved operator 'sz'", 25, 15, "error"))),

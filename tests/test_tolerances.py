@@ -122,6 +122,11 @@ def _trace_fault(phase, _):
     return trace_phase_fault(qubit_pointer(), [phase]) is None
 
 
+def _gaussian_trace_fault(g, _):
+    """A Gaussian target of spread 4 couples at phase g min(1, 1 / (2 spread)) = g / 8."""
+    return trace_phase_fault(gaussian_pointer(4.0), [g]) is None
+
+
 def _decade(shortfall, _):
     return _outcome(GSchedule, [10 ** (1 - shortfall), 4.0, 2.0, 1.0], 4, True)
 
@@ -214,6 +219,8 @@ FLIPS = [
      0.5, 2.0, False, True),
     ("QUBIT_READOUT_ACCURACY", _readout_guard("qubit", EPS, T.QUBIT_READOUT_ACCURACY),
      0.5, 2.0, False, True),
+    ("TRACE_MIN_PHASE", _gaussian_trace_fault,
+     4 * T.TRACE_MIN_PHASE, 8 * T.TRACE_MIN_PHASE, False, True),
 ]
 
 
