@@ -161,24 +161,24 @@ class OpticalNetwork:
                 "postselect_detector",
             )
         # one pass over the steps checks their modes and finds the slices
-        # and the arm stops
-        slices, stops = [], {}
+        # and the arm stops; a step with a mode out of range is gone over
+        # again, in field order, to report the first such mode
+        n, slices, stops = self.n_modes, [], {}
         for index, step in enumerate(self.steps):
             if isinstance(step, BeamSplitter):
-                role = "beam splitter mode"
-                modes = (("mode_a",), step.mode_a), (("mode_b",), step.mode_b)
+                in_range = 0 <= step.mode_a < n and 0 <= step.mode_b < n
             elif isinstance(step, PhaseShift):
-                role, modes = "phase shift mode", ((("mode",), step.mode),)
+                in_range = 0 <= step.mode < n
             elif isinstance(step, TimeSlice):
-                role = "slice arm mode"
-                modes = ((("arms", arm), mode) for arm, (_, mode) in enumerate(step.arms))
+                in_range = True
                 slices.append((index, step))
                 for label, mode in step.arms:
+                    in_range = in_range and 0 <= mode < n
                     stops.setdefault(label, (index, mode))
             else:
                 raise FieldError(f"unknown network step {step!r}", "steps", index)
-            for path, mode in modes:
-                self._check_mode(mode, role, "steps", index, *path)
+            if not in_range:
+                self._check_step_modes(index, step)
         #: (step position, slice) pairs in time order
         object.__setattr__(self, "slices", tuple(slices))
         #: arm -> (step position, mode) of its first slice, its stop, in order of appearance
@@ -187,6 +187,16 @@ class OpticalNetwork:
     def _check_mode(self, mode: int, role: str, *path) -> None:
         if not 0 <= mode < self.n_modes:
             raise FieldError(f"{role} {mode} out of range", *path)
+
+    def _check_step_modes(self, index: int, step: NetworkStep) -> None:
+        if isinstance(step, BeamSplitter):
+            for field in ("mode_a", "mode_b"):
+                self._check_mode(getattr(step, field), "beam splitter mode", "steps", index, field)
+        elif isinstance(step, PhaseShift):
+            self._check_mode(step.mode, "phase shift mode", "steps", index, "mode")
+        else:
+            for arm, (_, mode) in enumerate(step.arms):
+                self._check_mode(mode, "slice arm mode", "steps", index, "arms", arm)
 
     @property
     def arm_labels(self) -> tuple[str, ...]:
@@ -505,9 +515,10 @@ def _arm_traces(
     # a qubit target of any axis has the environments' eigenvalues and
     # weights, and so their phases
     spectrum = pointer_spectrum(model)
-    shared = all(mine.tolist() == theirs.tolist() for mine, theirs in (
-        (spectrum.basis.eigvals, environment.basis.eigvals),
-        (spectrum.ready_weights, environment.ready_weights)))
+    shared = model == environment.model or all(
+        mine.tolist() == theirs.tolist() for mine, theirs in (
+            (spectrum.basis.eigvals, environment.basis.eigvals),
+            (spectrum.ready_weights, environment.ready_weights)))
     s, target_am1 = (env_s, env_am1) if shared else _alpha_minus_one(spectrum, g)
     # ||(1 - |m><m|) E|m>||^2 = sum_k w_k |s_k - (alpha - 1)|^2
     disturbed = np.abs(s - target_am1[:, None]) ** 2 @ spectrum.ready_weights

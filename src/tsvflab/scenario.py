@@ -720,19 +720,19 @@ class _StepRule(NamedTuple):
     usage: str = ""
 
 
-def _numbers_rule(keyword: str, make, usage: str) -> _StepRule:
-    """The rule of a step whose fields are numbers of the file's grammars."""
+def _numbers_rule(keyword: str, make, usage: str, read: Callable) -> _StepRule:
+    """The rule of a step of number fields, which ``read`` reads from their match."""
     fields = get_type_hints(make)
     args = "".join(rf"\s+({_NUMBERS[kind][1].pattern})" for kind in fields.values())
-    readers = tuple(_NUMBERS[kind][2] for kind in fields.values())
-    read = lambda m: [read(text) for read, text in zip(readers, m.groups())]  # noqa: E731
     return _StepRule(make, tuple(fields), re.compile(keyword + args), read, usage)
 
 
 #: network step keyword -> its rule
 _STEPS = {
-    "beam_splitter": _numbers_rule("beam_splitter", BeamSplitter, "mode mode t"),
-    "phase_shift": _numbers_rule("phase_shift", PhaseShift, "mode phase"),
+    "beam_splitter": _numbers_rule("beam_splitter", BeamSplitter, "mode mode t",
+                                   lambda m: (int(m[1]), int(m[2]), _finite(m[3]))),
+    "phase_shift": _numbers_rule("phase_shift", PhaseShift, "mode phase",
+                                 lambda m: (int(m[1]), _finite(m[2]))),
     "slice": _StepRule(TimeSlice, ("arms",), re.compile(rf"slice((?:\s+{_LABEL_MODE})+)"),
                        lambda m: (_label_mode_pairs(m[1]),)),
 }
