@@ -245,8 +245,8 @@ class OpticalNetwork:
         vec[self.source_mode] = 1.0
         for k, u in enumerate(unitaries):
             states[0, k] = vec = u @ vec
-        states[1, -1] = vec = np.zeros(self.n_modes, dtype=np.complex128)
-        vec[self.postselect_mode] = 1.0
+        states[1, -1] = np.arange(self.n_modes) == self.postselect_mode
+        vec = states[1, -1]
         for k in range(len(unitaries) - 1, 0, -1):
             states[1, k - 1] = vec = adjoints[k] @ vec
         states.setflags(write=False)
@@ -625,7 +625,7 @@ def classify_presence(
         model = qubit_pointer()
     schedule = fit_schedule(g_schedule)
     traces, dark = _arm_traces(net, arms, model, schedule)
-    orders, _, _ = fit_trace_orders(schedule, np.where(dark, 0.0, traces))
+    orders = fit_trace_orders(schedule, np.where(dark, 0.0, traces))
     labeled = net.arm_stops
     entries = []
     for arm, order, row in zip(arms, orders.tolist(), dark.tolist()):

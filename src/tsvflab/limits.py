@@ -184,13 +184,14 @@ def fit_orders(
     return _fit_above(g_values, values, METRIC_FLOOR)
 
 
-def fit_trace_orders(g_values: Sequence[float], traces) -> tuple:
-    """``fit_orders`` of weak traces, leaving out exact zeros only: a
-    second-order trace falls below ``METRIC_FLOOR`` near g = 1e-7."""
-    return _fit_above(g_values, traces, 0.0)
+def fit_trace_orders(g_values: Sequence[float], traces) -> np.ndarray:
+    """The orders of ``fit_orders`` of weak traces, leaving out exact zeros
+    only (a second-order trace falls below ``METRIC_FLOOR`` near g = 1e-7),
+    with no coefficient or residual formed."""
+    return _fit_above(g_values, traces, 0.0, orders_only=True)
 
 
-def _fit_above(g_values, values, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_above(g_values, values, floor: float, orders_only: bool = False):
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(g_values):
         raise ValueError("g_values and metric_values lengths differ")
@@ -199,17 +200,20 @@ def _fit_above(g_values, values, floor: float) -> tuple[np.ndarray, np.ndarray, 
     if not (values.min(initial=math.inf) >= 0 and values.max(initial=0.0) < math.inf):
         raise ValueError("metric values must be finite and non-negative")
     usable = values > floor
-    fitted = np.count_nonzero(usable, axis=1) >= 4
+    fitted = np.add.reduce(usable, axis=1) >= 4
     # a line per row through its usable points; the others weigh 0
     slope, intercept, deviation = centred_line(
         log_g, np.log(np.where(usable, values, 1.0)), usable
     )
+    orders = np.where(fitted, slope, ALL_FLOOR_ORDER)
+    if orders_only:
+        return orders
     # an unfitted row's intercept may be of any size, so exp sees 0 there
     intercept = np.where(fitted, intercept, 0.0)
     if intercept.max(initial=0.0) > _LOG_FLOAT_MAX:
         raise ValueError(f"fitted coefficient exp({float(intercept.max())!r}) overflows a float")
     return (
-        np.where(fitted, slope, ALL_FLOOR_ORDER),
+        orders,
         np.where(fitted, np.exp(intercept), 0.0),
         np.where(fitted, np.abs(deviation).max(axis=1), 0.0),
     )

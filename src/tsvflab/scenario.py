@@ -714,7 +714,7 @@ def _label_mode_pairs(text: str) -> tuple[tuple[str, int], ...]:
 
 class _StepRule(NamedTuple):
     make: Callable
-    fields: tuple[str, ...]  # which the arguments fill in order
+    fields: dict[str, type]  # name -> type, which the arguments fill in order
     grammar: re.Pattern  # of the whole value
     read: Callable  # its match -> the arguments; ValueError where a number overflows
     usage: str = ""
@@ -724,7 +724,7 @@ def _numbers_rule(keyword: str, make, usage: str, read: Callable) -> _StepRule:
     """The rule of a step of number fields, which ``read`` reads from their match."""
     fields = get_type_hints(make)
     args = "".join(rf"\s+({_NUMBERS[kind][1].pattern})" for kind in fields.values())
-    return _StepRule(make, tuple(fields), re.compile(keyword + args), read, usage)
+    return _StepRule(make, fields, re.compile(keyword + args), read, usage)
 
 
 #: network step keyword -> its rule
@@ -733,7 +733,7 @@ _STEPS = {
                                    lambda m: (int(m[1]), int(m[2]), _finite(m[3]))),
     "phase_shift": _numbers_rule("phase_shift", PhaseShift, "mode phase",
                                  lambda m: (int(m[1]), _finite(m[2]))),
-    "slice": _StepRule(TimeSlice, ("arms",), re.compile(rf"slice((?:\s+{_LABEL_MODE})+)"),
+    "slice": _StepRule(TimeSlice, {"arms": tuple}, re.compile(rf"slice((?:\s+{_LABEL_MODE})+)"),
                        lambda m: (_label_mode_pairs(m[1]),)),
 }
 
@@ -779,7 +779,7 @@ def _read_step(entry: _Entry, diags: list[ParseDiagnostic]):
     elif len(args) != len(rule.fields):
         diags.append(entry.error(f"{keyword} needs: {rule.usage}", kcol))
     else:  # a token that Python cannot read as its type makes the whole step malformed
-        kinds = get_type_hints(rule.make).values()
+        kinds = rule.fields.values()
         try:
             for kind, (token, _) in zip(kinds, args):
                 kind(token)
@@ -795,7 +795,7 @@ def _step_column(entry: _Entry, path: tuple) -> int:
     """The column of the argument of ``entry``'s step that a FieldError's
     ``path`` inside the step names: a field, or an arm of a slice."""
     rule = _STEPS[entry.value.split(None, 1)[0]]
-    index = rule.fields.index(path[0]) + (path[1] if path[0] == "arms" else 0)
+    index = list(rule.fields).index(path[0]) + (path[1] if path[0] == "arms" else 0)
     return _token_columns(entry)[1 + index][1]
 
 
@@ -869,7 +869,7 @@ def _build_pointer(section: _Section, diags: list[ParseDiagnostic]) -> PointerMo
     try:
         return make(**fields)
     except FieldError as err:  # at the value of its field's key, else at the header
-        entries = table.get(err.path[0])
+        entries = table.get(err.path[0]) if err.path else None
         diags.append(entries[0].error(str(err)) if entries else section.error(str(err)))
         return None
 

@@ -138,7 +138,7 @@ def centred_line(x, y, usable=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if usable is None:
         n, mask = max(np.shape(y)[-1], 1), np.asarray
     else:
-        n = np.maximum(np.count_nonzero(usable, axis=1), 1)[:, None]
+        n = np.maximum(_sum(usable, axis=1), 1)[:, None]
         mask = lambda a: np.where(usable, a, 0.0)  # noqa: E731
     x, y = mask(np.asarray(x, dtype=float)), mask(np.asarray(y, dtype=float))
     mean_x, mean_y = _sum(x, axis=-1, keepdims=True) / n, _sum(y, axis=-1, keepdims=True) / n

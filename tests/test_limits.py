@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian, random_state
 from tsvflab import limits, pointer, qcore, weakmeas
 from tsvflab.cli import main
-from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders, sweep_coupling
+from tsvflab.limits import METRIC_FLOOR, METRICS, fit_orders, fit_trace_orders, sweep_coupling
 from tsvflab.pointer import pointer_spectrum
 from tsvflab.weakmeas import PointerReadout
 from tsvflab import (
@@ -273,6 +273,18 @@ class TestFitOrders:
         batch = fit_orders(GS, [values, [0.0] * len(GS)])
         assert fit_order(GS, values) == (batch[0][0], batch[1][0], batch[2][0])
         assert fit_order(GS, [0.0] * len(GS)) == (math.inf, 0.0, 0.0)
+
+    def test_trace_orders_form_no_coefficient(self):
+        # order 100 with coefficient e^800: the orders are fit_orders' own,
+        # from a fit that would overflow forming the coefficient
+        values = [[math.exp(800.0 + 100.0 * math.log(g)) for g in GS], [0.0] * len(GS)]
+        with pytest.raises(ValueError, match="overflows a float"):
+            fit_orders(GS, values)
+        orders = fit_trace_orders(GS, values)
+        assert orders.tolist() == [pytest.approx(100.0, rel=1e-12), math.inf]
+        values[0][0] = -1.0
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            fit_trace_orders(GS, values)
 
     def test_values_checked(self):
         for bad in (-1.0, math.nan, math.inf):

@@ -647,6 +647,9 @@ PINNED_DIAGNOSTICS = [
      (("fixed_g must be positive", 25, 11, "error"),)),
     (MINIMAL.replace("spread = 2.0", "spread = 1e999"),
      (("number '1e999' overflows", 16, 10, "error"),)),
+    # a FieldError with no field path is reported at the section header
+    (MINIMAL.replace("spread = 2.0", "spread = 1e308"),
+     (("spread and half_width must be finite", 14, 1, "error"),)),
     # a missing value is reported just after its '=', wherever key and '=' sit
     (MINIMAL.replace("spread = 2.0", "  spread  =  "),
      (("missing value for 'spread'", 16, 12, "error"),
